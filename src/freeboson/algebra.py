@@ -292,9 +292,6 @@ class LinearCombination:
             return LinearCombination.zero()
         return LinearCombination({w: c * coeff for w, c in self._terms.items()})
 
-    def map_coefficients(self, fn) -> "LinearCombination":
-        return LinearCombination({w: fn(c) for w, c in self._terms.items()})
-
     def __eq__(self, other):
         if not isinstance(other, LinearCombination):
             return NotImplemented

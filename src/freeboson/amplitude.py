@@ -6,9 +6,10 @@ amplitude entry on occupation indices places, for each disc j, n^j_m
 insertions of order m at the center a_j, weighted by the orthonormal-basis
 prefactor prod_m (n^j_m!)^{-1/2} (i sqrt(2m)/m!)^{n^j_m} and the
 parametrization power prod_m q_j^{m n^j_m}, and evaluates the cross-disc
-pairing sum.  Because insertions at one disc are heavily degenerate, the
-pairing sum is computed by a dynamic program over remaining-count states
-rather than by enumerating all (n-1)!! matchings.
+pairing sum.  Insertions at one disc are heavily degenerate, so the
+pairing sum is ``pairing.hafnian`` over (disc, order) slots with the
+occupation counts as multiplicities and same-disc pairs forbidden, rather
+than a sum over all (n-1)!! matchings.
 
 When the separation satisfies d/R > 4 sqrt(r), the squared entries are
 summable and bounded by the closed form 1/(1 - x) with
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -27,6 +27,7 @@ from . import scalars
 from .correlator import kernel
 from .errors import ConfigurationError, RegimeError, RegimeWarning, ResourceError
 from .fock import FockIndex, FockVector
+from .pairing import hafnian
 from .scalars import I, Scalar, as_scalar, conjugate, is_zero, root
 
 _MODULE = "amplitude"
@@ -116,7 +117,7 @@ def _as_index(x) -> FockIndex:
 
 
 class _EntryEvaluator:
-    """Shared kernel cache plus the per-entry pairing dynamic program."""
+    """Shared kernel cache plus the per-entry pairing sum."""
 
     def __init__(self, config: DiscConfiguration):
         self.config = config
@@ -156,42 +157,13 @@ class _EntryEvaluator:
                 slots.append((j, m))
                 counts.append(n)
 
-        pairing = self._pairing_sum(tuple(slots), tuple(counts))
+        def weight(a: int, b: int) -> Scalar | None:
+            (disc_a, m_a), (disc_b, m_b) = slots[a], slots[b]
+            return None if disc_a == disc_b else self._kernel(disc_a, m_a, disc_b, m_b)
+
+        exact = self.exact
+        pairing = hafnian(weight, counts, scalars.one_scalar(exact), scalars.zero_scalar(exact))
         return prefactor * qpow * pairing
-
-    def _pairing_sum(self, slots: tuple[tuple[int, int], ...], counts: tuple[int, ...]) -> Scalar:
-        one = scalars.one_scalar(self.exact)
-        zero = scalars.zero_scalar(self.exact)
-        memo: dict[tuple[int, ...], Scalar] = {}
-
-        def rec(state: tuple[int, ...]) -> Scalar:
-            cached = memo.get(state)
-            if cached is not None:
-                return cached
-            first = -1
-            for i, n in enumerate(state):
-                if n:
-                    first = i
-                    break
-            if first < 0:
-                return one
-            disc_i, m_i = slots[first]
-            reduced = list(state)
-            reduced[first] -= 1
-            total = zero
-            for k, n in enumerate(reduced):
-                if not n:
-                    continue
-                disc_k, m_k = slots[k]
-                if disc_k == disc_i:
-                    continue
-                sub = list(reduced)
-                sub[k] -= 1
-                total = total + n * self._kernel(disc_i, m_i, disc_k, m_k) * rec(tuple(sub))
-            memo[state] = total
-            return total
-
-        return rec(counts)
 
 
 def amplitude_entry(config: DiscConfiguration, indices: Sequence) -> Scalar:
@@ -254,7 +226,6 @@ def hs_truncated(
     M: int,
     N: int,
     max_tuples: int = 100_000,
-    threads: int = 1,
 ) -> list[HSPartial]:
     """Cumulative sums of |entry|^2 over all index tuples with modes <= M
     and total particle count <= N, grouped by total insertion count.
@@ -317,25 +288,15 @@ def hs_truncated(
         )
 
     evaluator = _EntryEvaluator(config)
-    exact = evaluator.exact
-
-    def squared(tup: tuple[FockIndex, ...]) -> Scalar:
-        value = evaluator.entry(list(tup))
-        return value * conjugate(value)
-
     rows: list[HSPartial] = []
-    running: Scalar = scalars.zero_scalar(exact)
+    running: Scalar = scalars.zero_scalar(evaluator.exact)
     seen = 0
     for t in range(N + 1):
         level = list(tuples_of_total(t))
         level.sort(key=lambda tup: tuple(idx.occupations for idx in tup))
-        if threads > 1 and len(level) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                values = list(pool.map(squared, level))
-        else:
-            values = [squared(tup) for tup in level]
-        for v in values:
-            running = running + v
+        for tup in level:
+            value = evaluator.entry(list(tup))
+            running = running + value * conjugate(value)
         seen += len(level)
         rows.append(HSPartial(total_insertions=t, tuple_count=seen, partial_sum=running))
     return rows

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 import warnings
@@ -282,11 +281,10 @@ def _run_hsnorm(config: dict) -> dict:
         raise SchemaError("hsnorm.max_tuples: expected a positive integer")
     regime = discs.hs_regime()
     bound = hs_bound(discs) if regime else None
-    threads = _thread_count()
     with warnings.catch_warnings():
         # out-of-regime sweeps are allowed here; the flag carries the information
         warnings.simplefilter("ignore", RegimeWarning)
-        rows = hs_truncated(discs, M, N, max_tuples=max_tuples, threads=threads)
+        rows = hs_truncated(discs, M, N, max_tuples=max_tuples)
     return {
         "command": "hsnorm",
         "mode": "exact" if exact else "float",
@@ -342,19 +340,6 @@ def run(command: str, config: dict) -> dict:
 
 
 # ---------------------------------------------------------------- plumbing
-
-def _thread_count() -> int:
-    raw = os.environ.get("FREEBOSON_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise SchemaError(f"FREEBOSON_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise SchemaError("FREEBOSON_THREADS must be at least 1")
-    return n
-
 
 def _load_config(path) -> dict:
     if path is None:

@@ -1,4 +1,4 @@
-"""Pairing enumeration and expectation values of plain and Wick words.
+"""Pair kernel and expectation values of plain and Wick words.
 
 Expectations are Gaussian: a word's expectation is the sum over perfect
 matchings of its insertions of the product of pair kernels
@@ -6,7 +6,10 @@ matchings of its insertions of the product of pair kernels
     C(m1, z1, m2, z2) = (1/2) (m1+m2-1)! (-1)^{m1} / (z1 - z2)^{m1+m2},
 
 with matchings restricted to cross-group pairs for Wick words (pairings
-inside a normal-ordered group are suppressed).
+inside a normal-ordered group are suppressed).  The sum is the hafnian of
+the word's kernel table, computed once per word by ``pairing.hafnian``;
+``matchings`` enumerates the matchings one by one and is kept as the
+reference the tests compare against.
 """
 from __future__ import annotations
 
@@ -17,12 +20,12 @@ from typing import Iterator, Optional
 from . import scalars
 from .algebra import Insertion, LinearCombination, PlainWord, WickWord
 from .errors import DomainError, PoleError
+from .pairing import hafnian
 from .scalars import Scalar, is_zero
 
 _MODULE = "correlator"
 
-# A matching is a tuple of index pairs covering 0..n-1 once each; a cross
-# matching uses (group, position) labels and never pairs inside one group.
+# A matching is a tuple of index pairs covering 0..n-1 once each.
 Matching = tuple[tuple[int, int], ...]
 
 
@@ -79,46 +82,34 @@ def _check_distinct(pairs_of_insertions) -> None:
         seen[key] = ins
 
 
+def _pairing_sum(ins, labels, exact: bool, stats: Optional[dict]) -> Scalar:
+    """Hafnian of the word's kernel table, pairs with equal labels forbidden.
+
+    Each allowed kernel is evaluated once.  ``stats["pairings"]`` accumulates
+    the number of perfect matchings, counted by the same DP on a 0/1 table.
+    """
+
+    def weight(i: int, j: int) -> Optional[Scalar]:
+        if labels[i] == labels[j]:
+            return None
+        a, b = ins[i], ins[j]
+        return kernel(a.order, a.point, b.order, b.point)
+
+    counts = (1,) * len(ins)
+    value = hafnian(weight, counts, scalars.one_scalar(exact), scalars.zero_scalar(exact))
+    if stats is not None:
+        count = hafnian(lambda i, j: None if labels[i] == labels[j] else 1, counts, 1, 0)
+        stats["pairings"] = stats.get("pairings", 0) + count
+    return value
+
+
 def expect_plain(W: PlainWord, stats: Optional[dict] = None) -> Scalar:
     """Expectation of a plain word: pairing sum; 1 for empty, 0 for odd."""
     if not isinstance(W, PlainWord):
         raise DomainError(_MODULE, f"expect_plain expects a PlainWord, got {type(W).__name__}")
     ins = W.insertions
-    exact = W.is_exact()
     _check_distinct(ins)
-    if len(ins) % 2:
-        return scalars.zero_scalar(exact)
-    total = scalars.zero_scalar(exact)
-    count = 0
-    for matching in _perfect(tuple(range(len(ins)))):
-        term = scalars.one_scalar(exact)
-        for i, j in matching:
-            term = term * kernel(ins[i].order, ins[i].point, ins[j].order, ins[j].point)
-        total = total + term
-        count += 1
-    if stats is not None:
-        stats["pairings"] = stats.get("pairings", 0) + count
-    return total
-
-
-def _cross_matchings(labels: tuple[int, ...]) -> Iterator[Matching]:
-    """Perfect matchings of positions whose group labels differ in each pair."""
-    idx = tuple(range(len(labels)))
-
-    def rec(seq: tuple[int, ...]) -> Iterator[Matching]:
-        if not seq:
-            yield ()
-            return
-        head, rest = seq[0], seq[1:]
-        for i in range(len(rest)):
-            partner = rest[i]
-            if labels[partner] == labels[head]:
-                continue
-            remaining = rest[:i] + rest[i + 1 :]
-            for sub in rec(remaining):
-                yield ((head, partner),) + sub
-
-    yield from rec(idx)
+    return _pairing_sum(ins, range(len(ins)), W.is_exact(), stats)
 
 
 def expect_wick(W: WickWord, stats: Optional[dict] = None) -> Scalar:
@@ -141,23 +132,8 @@ def expect_wick(W: WickWord, stats: Optional[dict] = None) -> Scalar:
             gj, b = flat[j]
             if gi != gj and scalars.sort_key(a.point) == scalars.sort_key(b.point):
                 raise PoleError(_MODULE, ((a.order, a.point), (b.order, b.point)))
-    exact = W.is_exact()
-    if len(flat) % 2:
-        return scalars.zero_scalar(exact)
-    labels = tuple(gid for gid, _ in flat)
-    total = scalars.zero_scalar(exact)
-    count = 0
-    for matching in _cross_matchings(labels):
-        term = scalars.one_scalar(exact)
-        for i, j in matching:
-            a = flat[i][1]
-            b = flat[j][1]
-            term = term * kernel(a.order, a.point, b.order, b.point)
-        total = total + term
-        count += 1
-    if stats is not None:
-        stats["pairings"] = stats.get("pairings", 0) + count
-    return total
+    labels = [gid for gid, _ in flat]
+    return _pairing_sum([ins for _, ins in flat], labels, W.is_exact(), stats)
 
 
 def expect_combo(F, stats: Optional[dict] = None) -> Scalar:

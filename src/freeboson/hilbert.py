@@ -20,6 +20,7 @@ from . import scalars
 from .algebra import LinearCombination, PlainWord, WickGroup, WickWord, theta
 from .correlator import expect_combo
 from .errors import DomainError, StructuralError
+from .pairing import hafnian
 from .scalars import Scalar, conjugate, is_zero
 
 _MODULE = "hilbert"
@@ -145,36 +146,13 @@ def _pair_series_eval(m: int, ell: int, u: Scalar, w: Scalar) -> Scalar:
     return total
 
 
-def _permanent(matrix: list[list[Scalar]], exact: bool) -> Scalar:
-    """Permanent over bijections, by subset dynamic programming."""
-    n = len(matrix)
-    if n == 0:
-        return scalars.one_scalar(exact)
-    full = (1 << n) - 1
-    memo: dict[int, Scalar] = {0: scalars.one_scalar(exact)}
-
-    def rec(mask: int) -> Scalar:
-        if mask in memo:
-            return memo[mask]
-        # mask = still-unassigned columns, so the current row is n - popcount
-        row = n - bin(mask).count("1")
-        total = scalars.zero_scalar(exact)
-        for col in range(n):
-            if mask & (1 << col):
-                sub = rec(mask & ~(1 << col))
-                total = total + matrix[row][col] * sub
-        memo[mask] = total
-        return total
-
-    return rec(full)
-
-
 def disc_series_inner(left: WickGroup, right: WickGroup) -> Scalar:
     """Closed-form inner product of two single Wick groups.
 
     Sum over bijections between the groups' insertions of the derivative
     pair factors; zero when the arities differ.  Entire in the points, so
-    origin points are allowed on both sides.
+    origin points are allowed on both sides.  Groups of more than 10
+    insertions exceed the pairing engine's state guard (ResourceError).
     """
     if not isinstance(left, WickGroup) or not isinstance(right, WickGroup):
         raise DomainError(_MODULE, "disc_series_inner expects two WickGroups")
@@ -183,16 +161,20 @@ def disc_series_inner(left: WickGroup, right: WickGroup) -> Scalar:
     )
     if len(left) != len(right):
         return scalars.zero_scalar(exact)
-    lins = left.insertions
-    rins = right.insertions
-    matrix = [
-        [
-            _pair_series_eval(a.order, b.order, conjugate(a.point), b.point)
-            for b in rins
-        ]
-        for a in lins
-    ]
-    return _permanent(matrix, exact)
+    # the permanent as the hafnian of [[0, A], [A^T, 0]]: slots 0..n-1 are
+    # the left insertions, n..2n-1 the right ones
+    n = len(left)
+    ins = left.insertions + right.insertions
+
+    def weight(i: int, j: int) -> Optional[Scalar]:
+        if (i < n) == (j < n):
+            return None
+        a, b = ins[i], ins[j]
+        return _pair_series_eval(a.order, b.order, conjugate(a.point), b.point)
+
+    return hafnian(
+        weight, (1,) * (2 * n), scalars.one_scalar(exact), scalars.zero_scalar(exact)
+    )
 
 
 def _single_group_pairing(wF: WickWord, wG: WickWord) -> Scalar:

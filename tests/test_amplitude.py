@@ -149,13 +149,6 @@ def test_hs_truncated_monotone_and_bounded():
         prev = value
 
 
-def test_hs_truncated_thread_determinism():
-    cfg = _standard()
-    solo = hs_truncated(cfg, 3, 3, threads=1)
-    pooled = hs_truncated(cfg, 3, 3, threads=4)
-    assert solo == pooled
-
-
 def test_hs_truncated_resource_guard():
     with pytest.raises(ResourceError):
         hs_truncated(_standard(), 4, 4, max_tuples=100)

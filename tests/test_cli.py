@@ -212,30 +212,6 @@ def test_main_verify_failure_exits_two(monkeypatch, capsys):
     assert out["passed"] is False
 
 
-def test_thread_env_override(tmp_path, monkeypatch, capsys):
-    config = _write(tmp_path, "h.json", {
-        "discs": [{"a_re": 0, "q_re": 1}, {"a_re": 10, "q_re": 1}],
-        "truncation": {"M": 2, "N": 2},
-    })
-    assert main(["hsnorm", "--config", config]) == 0
-    solo = capsys.readouterr().out
-    monkeypatch.setenv("FREEBOSON_THREADS", "4")
-    assert main(["hsnorm", "--config", config]) == 0
-    pooled = capsys.readouterr().out
-    assert solo == pooled
-
-
-def test_thread_env_invalid(tmp_path, monkeypatch, capsys):
-    config = _write(tmp_path, "h.json", {
-        "discs": [{"a_re": 0, "q_re": 1}, {"a_re": 10, "q_re": 1}],
-        "truncation": {"M": 1, "N": 1},
-    })
-    monkeypatch.setenv("FREEBOSON_THREADS", "zero")
-    assert main(["hsnorm", "--config", config]) == 1
-    out = json.loads(capsys.readouterr().out)
-    assert out["error"]["type"] == "SchemaError"
-
-
 def test_scalar_json_shapes():
     from freeboson.cli import _scalar_json
     from freeboson.scalars import I, rational, root

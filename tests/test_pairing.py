@@ -1,0 +1,118 @@
+"""The pairing engine against brute-force sums over enumerated matchings."""
+import itertools
+import json
+import math
+import random
+import time
+from fractions import Fraction
+
+from freeboson.algebra import Insertion
+from freeboson.amplitude import Disc, DiscConfiguration, amplitude_entry
+from freeboson.cli import main, run
+from freeboson.correlator import expect_plain, expect_wick, kernel, matchings
+from freeboson.fock import FockIndex
+from freeboson.hilbert import _pair_series_eval, disc_series_inner
+from freeboson.sampling import random_plain_word, random_state_group, random_wick_word
+from freeboson.scalars import ONE, ZERO, I, conjugate, rational, root
+
+
+def _brute_force(insertions, labels):
+    """Sum over matchings(n) of kernel products, equal-label pairs excluded;
+    returns (value, number of matchings summed)."""
+    total = ZERO
+    count = 0
+    for matching in matchings(len(insertions)):
+        if any(labels[i] == labels[j] for i, j in matching):
+            continue
+        term = ONE
+        for i, j in matching:
+            a, b = insertions[i], insertions[j]
+            term = term * kernel(a.order, a.point, b.order, b.point)
+        total = total + term
+        count += 1
+    return total, count
+
+
+def _word_json(word):
+    return [
+        [{"m": ins.order, "re": str(ins.point.gaussian()[0]), "im": str(ins.point.gaussian()[1])}
+         for ins in group.insertions]
+        for group in word.groups
+    ]
+
+
+def test_expect_plain_matches_enumeration():
+    rng = random.Random(41)
+    for n in range(0, 9):
+        W = random_plain_word(rng, n)
+        stats = {}
+        value, count = _brute_force(W.insertions, range(n))
+        assert expect_plain(W, stats) == value
+        assert stats.get("pairings", 0) == count
+
+
+def test_expect_wick_matches_enumeration():
+    rng = random.Random(43)
+    for _ in range(12):
+        W = random_wick_word(rng, rng.randint(1, 8))
+        flat = [(gid, ins) for gid, g in enumerate(W.groups) for ins in g.insertions]
+        value, count = _brute_force([ins for _, ins in flat], [gid for gid, _ in flat])
+        stats = {}
+        assert expect_wick(W, stats) == value
+        assert stats.get("pairings", 0) == count
+        doc = run("correlator", {"words": [_word_json(W)]})
+        assert doc["pairings"] == count
+
+
+def test_disc_series_inner_matches_permutation_permanent():
+    rng = random.Random(47)
+    for n in range(1, 5):
+        left = random_state_group(rng, n)
+        right = random_state_group(rng, n)
+        total = ZERO
+        for perm in itertools.permutations(range(n)):
+            term = ONE
+            for i, j in enumerate(perm):
+                a, b = left.insertions[i], right.insertions[j]
+                term = term * _pair_series_eval(a.order, b.order, conjugate(a.point), b.point)
+            total = total + term
+        assert disc_series_inner(left, right) == total
+
+
+def test_amplitude_entry_matches_expanded_insertions():
+    rng = random.Random(53)
+    config = DiscConfiguration((
+        Disc(rational(0), rational(Fraction(1, 2))),
+        Disc(rational(10), rational(1, 1)),
+        Disc(rational(0, 10), rational(Fraction(2, 3))),
+    ))
+    for _ in range(10):
+        occs = [{} for _ in range(config.r)]
+        for _ in range(rng.choice((2, 4, 6, 8))):
+            occ = occs[rng.randrange(config.r)]
+            m = rng.randint(1, 3)
+            occ[m] = occ.get(m, 0) + 1
+        indices = [FockIndex.of(occ) for occ in occs]
+        insertions, labels = [], []
+        prefactor = ONE
+        for j, (disc, idx) in enumerate(zip(config.discs, indices)):
+            for m, n in idx.occupations:
+                base = I * root(2 * m) * Fraction(1, math.factorial(m))
+                prefactor = prefactor * root(Fraction(1, math.factorial(n))) * base ** n
+                prefactor = prefactor * disc.q ** (m * n)
+                insertions += [Insertion(m, disc.center)] * n
+                labels += [j] * n
+        value, _ = _brute_force(insertions, labels)
+        assert amplitude_entry(config, indices) == prefactor * value
+
+
+def test_correlator_cost_guard(tmp_path, capsys):
+    word = [[{"m": 1, "re": k}] for k in range(24)]
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"words": [word]}))
+    started = time.perf_counter()
+    assert main(["correlator", "--config", str(config)]) == 1
+    assert time.perf_counter() - started < 1.0
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ResourceError"
+    assert error["module"] == "pairing"
