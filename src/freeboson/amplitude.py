@@ -9,7 +9,8 @@ parametrization power prod_m q_j^{m n^j_m}, and evaluates the cross-disc
 pairing sum.  Insertions at one disc are heavily degenerate, so the
 pairing sum is ``pairing.hafnian`` over (disc, order) slots with the
 occupation counts as multiplicities and same-disc pairs forbidden, rather
-than a sum over all (n-1)!! matchings.
+than a sum over all (n-1)!! matchings.  An entry with no cross-disc perfect
+matching (``pairing.matchable``) is zero before its prefactor is built.
 
 When the separation satisfies d/R > 4 sqrt(r), the squared entries are
 summable and bounded by the closed form 1/(1 - x) with
@@ -27,7 +28,7 @@ from . import scalars
 from .correlator import kernel
 from .errors import ConfigurationError, RegimeError, RegimeWarning, ResourceError
 from .fock import FockIndex, FockVector
-from .pairing import hafnian
+from .pairing import hafnian, matchable
 from .scalars import I, Scalar, as_scalar, conjugate, is_zero, root
 
 _MODULE = "amplitude"
@@ -140,8 +141,7 @@ class _EntryEvaluator:
                 _MODULE,
                 f"expected {config.r} occupation indices, got {len(indices)}",
             )
-        total = sum(idx.particles() for idx in indices)
-        if total % 2:
+        if not matchable([idx.particles() for idx in indices]):
             return scalars.zero_scalar(self.exact)
 
         prefactor: Scalar = scalars.ONE
@@ -169,9 +169,9 @@ class _EntryEvaluator:
 def amplitude_entry(config: DiscConfiguration, indices: Sequence) -> Scalar:
     """One amplitude tensor entry on a tuple of occupation indices.
 
-    Zero whenever the total insertion count is odd (no cross-disc perfect
-    matching exists); exact on rational disc data, with values in the
-    radical-extended exact ring.
+    Zero whenever no cross-disc perfect matching exists (an odd total, or
+    one disc holding more than half of the insertions); exact on rational
+    disc data, with values in the radical-extended exact ring.
     """
     return _EntryEvaluator(config).entry([_as_index(x) for x in indices])
 

@@ -221,8 +221,10 @@ def _run_gram(config: dict) -> dict:
     if not isinstance(entries, list) or not entries:
         raise SchemaError("gram.states: expected a non-empty list")
     tol = config.get("tolerance", 1e-10)
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or tol <= 0:
-        raise SchemaError("gram.tolerance: expected a positive number")
+    # the upper end rejects inf and integers too large for a float; NaN fails both
+    finite = isinstance(tol, (int, float)) and 0 < tol <= sys.float_info.max
+    if isinstance(tol, bool) or not finite:
+        raise SchemaError("gram.tolerance: expected a positive finite number")
     states = [_parse_word(obj, exact, f"states[{i}]") for i, obj in enumerate(entries)]
     report = gram(states, tol=float(tol))
     doc = {
@@ -383,9 +385,12 @@ def _render_csv(doc: dict) -> str:
 def _emit(text: str, out_path) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise SchemaError(f"cannot write output: {exc}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -420,6 +425,13 @@ def main(argv=None) -> int:
             config = dict(config)
             config["mode"] = args.mode
         doc = run(args.command, config)
+        if args.command == "hsnorm" and getattr(args, "csv", False):
+            text = _render_csv(doc)
+        else:
+            if args.timing:
+                doc["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
+            text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        _emit(text, args.out)
     except EngineError as exc:
         error_doc = {
             "error": {
@@ -430,14 +442,6 @@ def main(argv=None) -> int:
         }
         sys.stdout.write(json.dumps(error_doc, sort_keys=True, indent=2) + "\n")
         return 1
-
-    if args.command == "hsnorm" and getattr(args, "csv", False):
-        text = _render_csv(doc)
-    else:
-        if args.timing:
-            doc["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    _emit(text, args.out)
 
     if args.command == "verify" and not doc["passed"]:
         return 2

@@ -14,13 +14,14 @@ reference the tests compare against.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Iterator, Optional
 
 from . import scalars
 from .algebra import Insertion, LinearCombination, PlainWord, WickWord
 from .errors import DomainError, PoleError
-from .pairing import hafnian
+from .pairing import hafnian, matchable
 from .scalars import Scalar, is_zero
 
 _MODULE = "correlator"
@@ -88,6 +89,8 @@ def _pairing_sum(ins, labels, exact: bool, stats: Optional[dict]) -> Scalar:
     Each allowed kernel is evaluated once.  ``stats["pairings"]`` accumulates
     the number of perfect matchings, counted by the same DP on a 0/1 table.
     """
+    if not matchable(Counter(labels).values()):
+        return scalars.zero_scalar(exact)
 
     def weight(i: int, j: int) -> Optional[Scalar]:
         if labels[i] == labels[j]:

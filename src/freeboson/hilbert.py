@@ -2,14 +2,16 @@
 
 States are symbol expressions (combinations of Wick words with points in the
 open unit disc); the inner product is (F, G) = <theta(F) G>, anti-linear in
-F.  For single Wick groups there is an independent closed-form oracle: the
-pairing sum of derivatives of (1/2)(1 - conj(z) w)^{-2}, evaluated with exact
-rational coefficients.  Vectors are never quotiented; equality in the
-Hilbert space is decided through Gram computations.
+F, and theta is never expanded: a pair of basis words is one hafnian over
+the left and right insertions with weights conj(C), C and the derivative
+pair factor of (1/2)(1 - conj(z) w)^{-2}, all exact and entire in the disc,
+so origin points are allowed on both sides.  ``verify`` and the tests keep
+the theta route as the reference.  Vectors are never quotiented; equality
+in the Hilbert space is decided through Gram computations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -17,11 +19,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import scalars
-from .algebra import LinearCombination, PlainWord, WickGroup, WickWord, theta
-from .correlator import expect_combo
+from .algebra import LinearCombination, WickGroup, WickWord
+from .correlator import kernel
 from .errors import DomainError, StructuralError
-from .pairing import hafnian
-from .scalars import Scalar, conjugate, is_zero
+from .pairing import hafnian, matchable
+from .scalars import Scalar, conjugate
 
 _MODULE = "hilbert"
 
@@ -39,15 +41,12 @@ class StateExpression:
 
     Invariants: every point lies in the open unit disc (zero allowed), and
     points are distinct across the groups of each word so expectations are
-    defined.  ``zero_free`` records whether the reflection route is available
-    when the state is used as a left argument.
+    defined.
     """
 
     combo: LinearCombination
-    zero_free: bool = field(init=False)
 
     def __post_init__(self):
-        zero_free = True
         for word, _ in self.combo.items():
             if not isinstance(word, WickWord):
                 raise DomainError(_MODULE, "states are combinations of Wick words")
@@ -58,8 +57,6 @@ class StateExpression:
                         raise DomainError(
                             _MODULE, f"state point {ins.point!r} is not in the open unit disc"
                         )
-                    if is_zero(ins.point):
-                        zero_free = False
                     key = scalars.sort_key(ins.point)
                     if key in seen_cross and seen_cross[key] != gid:
                         raise DomainError(
@@ -67,7 +64,6 @@ class StateExpression:
                             f"state has coinciding points across groups: {ins.point!r}",
                         )
                     seen_cross[key] = gid
-        object.__setattr__(self, "zero_free", zero_free)
 
 
 def as_state(F) -> StateExpression:
@@ -84,7 +80,7 @@ def as_state(F) -> StateExpression:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form single-group inner product
+# Inner product of basis words
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -128,13 +124,7 @@ def _pair_series(j: int, k: int) -> tuple[tuple[int, int, int, Fraction], ...]:
 def _pair_series_eval(m: int, ell: int, u: Scalar, w: Scalar) -> Scalar:
     """The pair factor for orders (m, ell) at u = conj(z_left), w = z_right."""
     uw = u * w
-    a = scalars.abs_sq(uw)
-    inside = (
-        a.rational() < 1
-        if isinstance(a, scalars.Exact) and a.is_rational()
-        else scalars.to_complex(a).real < 1.0
-    )
-    if not inside:
+    if not _in_unit_disc(uw):
         raise DomainError(_MODULE, f"series pair factor needs |conj(z) w| < 1, got {uw!r}")
     exact = isinstance(uw, scalars.Exact)
     one = scalars.one_scalar(exact)
@@ -146,72 +136,64 @@ def _pair_series_eval(m: int, ell: int, u: Scalar, w: Scalar) -> Scalar:
     return total
 
 
-def disc_series_inner(left: WickGroup, right: WickGroup) -> Scalar:
-    """Closed-form inner product of two single Wick groups.
+def _word_pair(wF: WickWord, wG: WickWord) -> Scalar:
+    """(wF, wG) = <theta(wF) wG> as one hafnian over both words' insertions.
 
-    Sum over bijections between the groups' insertions of the derivative
-    pair factors; zero when the arities differ.  Entire in the points, so
-    origin points are allowed on both sides.  Groups of more than 10
-    insertions exceed the pairing engine's state guard (ResourceError).
+    Slots are labelled (side, group) and pairs with equal labels are
+    forbidden.  A left-left pair weighs conj(C), the reflection of C; a
+    right-right pair weighs C; a left-right pair weighs the series pair
+    factor at (conj(z_left), z_right).
+    """
+    slots = [
+        (side, gid, ins)
+        for side, word in enumerate((wF, wG))
+        for gid, group in enumerate(word.groups)
+        for ins in group.insertions
+    ]
+    exact = wF.is_exact() and wG.is_exact()
+    zero = scalars.zero_scalar(exact)
+    if not matchable([len(g) for g in wF.groups + wG.groups]):
+        return zero
+
+    def weight(i: int, j: int) -> Optional[Scalar]:
+        # left slots come first, so a mixed pair has i on the left
+        side_i, gid_i, a = slots[i]
+        side_j, gid_j, b = slots[j]
+        if side_i != side_j:
+            return _pair_series_eval(a.order, b.order, conjugate(a.point), b.point)
+        if gid_i == gid_j:
+            return None
+        c = kernel(a.order, a.point, b.order, b.point)
+        return conjugate(c) if side_i == 0 else c
+
+    return hafnian(weight, (1,) * len(slots), scalars.one_scalar(exact), zero)
+
+
+def disc_series_inner(left: WickGroup, right: WickGroup) -> Scalar:
+    """Inner product of two single Wick groups.
+
+    The permanent of the series pair factors over bijections between the
+    groups' insertions; zero when the arities differ.  Groups of more than
+    10 insertions exceed the pairing engine's state guard (ResourceError).
     """
     if not isinstance(left, WickGroup) or not isinstance(right, WickGroup):
         raise DomainError(_MODULE, "disc_series_inner expects two WickGroups")
-    exact = all(scalars.is_exact(i.point) for i in left.insertions) and all(
-        scalars.is_exact(i.point) for i in right.insertions
-    )
-    if len(left) != len(right):
-        return scalars.zero_scalar(exact)
-    # the permanent as the hafnian of [[0, A], [A^T, 0]]: slots 0..n-1 are
-    # the left insertions, n..2n-1 the right ones
-    n = len(left)
-    ins = left.insertions + right.insertions
-
-    def weight(i: int, j: int) -> Optional[Scalar]:
-        if (i < n) == (j < n):
-            return None
-        a, b = ins[i], ins[j]
-        return _pair_series_eval(a.order, b.order, conjugate(a.point), b.point)
-
-    return hafnian(
-        weight, (1,) * (2 * n), scalars.one_scalar(exact), scalars.zero_scalar(exact)
-    )
-
-
-def _single_group_pairing(wF: WickWord, wG: WickWord) -> Scalar:
-    """Inner product of basis words via the series route (single groups only)."""
-    if len(wF.groups) > 1 or len(wG.groups) > 1:
-        raise DomainError(
-            _MODULE,
-            "left argument has a point at the origin: the reflection route is "
-            "unavailable and the series fallback covers single-group words only",
-        )
-    if not wF.groups and not wG.groups:
-        return scalars.ONE
-    if not wF.groups or not wG.groups:
-        # <vacuum, :G:> = <:G:> = 0 for a lone non-empty group
-        return scalars.ZERO
-    return disc_series_inner(wF.groups[0], wG.groups[0])
+    return _word_pair(WickWord.single_group(left), WickWord.single_group(right))
 
 
 def inner(F, G) -> Scalar:
     """The reflection inner product (F, G) = <theta(F) G>, anti-linear in F.
 
-    When the left argument is zero-free this is evaluated literally through
-    the reflection; origin points on the left are handled by the closed-form
-    series for single-group words (where the product is entire).
+    Sum over pairs of basis words of conj(c_F) c_G times the word pair's
+    hafnian; origin points are allowed on both sides.
     """
     F = as_state(F)
     G = as_state(G)
-    if F.zero_free:
-        return expect_combo(theta(F.combo) * G.combo)
     total: Scalar = scalars.ZERO
-    started = False
     for wF, cF in F.combo.items():
         for wG, cG in G.combo.items():
-            term = conjugate(cF) * cG * _single_group_pairing(wF, wG)
-            total = term if not started else total + term
-            started = True
-    return total if started else scalars.ZERO
+            total = total + conjugate(cF) * cG * _word_pair(wF, wG)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,14 @@ _MODULE = "pairing"
 MAX_STATES = 1 << 20
 
 
+def matchable(sizes: Sequence[int]) -> bool:
+    """Whether groups of these sizes admit a perfect matching with no pair
+    inside a group: iff the total is even and no group holds more than half
+    of it.  Callers of ``hafnian`` that forbid same-group pairs ask first."""
+    total = sum(sizes)
+    return total % 2 == 0 and 2 * max(sizes, default=0) <= total
+
+
 def hafnian(
     weight: Callable[[int, int], Optional[object]],
     counts: Sequence[int],
@@ -37,8 +45,6 @@ def hafnian(
     prod(c_i + 1) exceeds MAX_STATES.
     """
     counts = tuple(counts)
-    if sum(counts) % 2:
-        return zero
     bound = math.prod(c + 1 for c in counts)
     if bound > MAX_STATES:
         raise ResourceError(

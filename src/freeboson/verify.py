@@ -7,6 +7,7 @@ explicitly says otherwise.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +26,7 @@ from .algebra import (
 from .correlator import expect_combo, expect_plain, expect_wick, mobius_check
 from .errors import DomainError
 from .fock import FockVector, fock_inner, ladder, wick_origin_to_fock
-from .hilbert import disc_series_inner, inner
+from .hilbert import inner
 from .sampling import (
     partition_multisets,
     random_fock_vector,
@@ -159,23 +160,25 @@ def _suite_dictionary(rng: random.Random) -> SuiteResult:
 
 
 def _suite_oracle_agreement(rng: random.Random) -> SuiteResult:
-    cases = 0
-    for arity_left in (1, 2, 3):
-        for arity_right in (1, 2, 3):
-            for _ in range(3):
-                L = random_state_group(rng, arity_left)
-                R = random_state_group(rng, arity_right)
-                via_theta = inner(L, R)
-                via_series = disc_series_inner(L, R)
-                if via_theta != via_series:
-                    return SuiteResult(
-                        "oracle-agreement", False, f"arities ({arity_left},{arity_right})"
-                    )
-                cases += 1
+    pairs = [
+        tuple(WickWord.single_group(random_state_group(rng, n)) for n in arities)
+        for arities in itertools.product((1, 2, 3), repeat=2)
+        for _ in range(3)
+    ]
+    # several groups per side reach the left-left and right-right weights
+    pairs += [
+        tuple(random_wick_word(rng, 3, max_order=1, max_group=2) for _ in range(2))
+        for _ in range(2)
+    ]
+    for i, (L, R) in enumerate(pairs):
+        if inner(L, R) != expect_combo(theta(L) * R):
+            return SuiteResult("oracle-agreement", False, f"word pair {i}")
     origin = WickGroup.of((1, 0))
     if inner(origin, origin) != scalars.rational(Fraction(1, 2)):
         return SuiteResult("oracle-agreement", False, "norm of :[1,0]: is not 1/2")
-    return SuiteResult("oracle-agreement", True, f"{cases} random group pairs plus origin value, exact")
+    return SuiteResult(
+        "oracle-agreement", True, f"{len(pairs)} random word pairs plus origin value, exact"
+    )
 
 
 SUITES = {

@@ -70,6 +70,35 @@ def test_run_gram():
     assert doc["matrix"][0][0] == "81/128"
 
 
+@pytest.mark.parametrize(
+    "tolerance",
+    [float("inf"), float("nan"), 10 ** 400, 0, -1e-3, True],
+    ids=["inf", "nan", "huge-int", "zero", "negative", "bool"],
+)
+def test_gram_tolerance_must_be_positive_and_finite(tolerance):
+    states = [[[{"m": 1, "re": "1/3"}]]]
+    with pytest.raises(SchemaError):
+        run("gram", {"states": states, "tolerance": tolerance})
+
+
+def test_main_gram_rejects_overflowing_tolerance(tmp_path, capsys):
+    # 1e400 parses as inf; echoing it back would print the non-JSON "Infinity"
+    path = tmp_path / "g.json"
+    path.write_text('{"states": [[[{"m": 1, "re": "1/3"}]]], "tolerance": 1e400}')
+    assert main(["gram", "--config", str(path)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"]["type"] == "SchemaError"
+
+
+def test_main_gram_origin_multigroup_state(tmp_path, capsys):
+    state = [[{"m": 1, "re": 0}], [{"m": 1, "re": "1/2"}]]
+    config = _write(tmp_path, "g.json", {"states": [state, [[{"m": 2, "re": "1/3"}]]]})
+    assert main(["gram", "--config", config]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["matrix"][0][0] == "169/36"
+    assert out["psd"] is True
+
+
 def test_run_amplitude():
     config = {
         "discs": [{"a_re": 0, "q_re": 1}, {"a_re": 10, "q_re": 1}],
@@ -124,6 +153,16 @@ def test_main_out_file_and_determinism(tmp_path):
     assert main(["correlator", "--config", config, "--out", str(a)]) == 0
     assert main(["correlator", "--config", config, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_main_out_to_missing_directory(tmp_path, capsys):
+    config = _write(tmp_path, "c.json", {"words": [FOUR_POINT]})
+    target = tmp_path / "absent" / "out.json"
+    assert main(["correlator", "--config", config, "--out", str(target)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"]["type"] == "SchemaError"
+    assert out["error"]["module"] == "cli"
+    assert not target.exists()
 
 
 def test_main_mode_flag_overrides(tmp_path, capsys):

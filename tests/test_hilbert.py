@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from freeboson import scalars
-from freeboson.algebra import LinearCombination, WickGroup, WickWord
+from freeboson.algebra import LinearCombination, WickGroup, WickWord, theta
+from freeboson.correlator import expect_combo
 from freeboson.errors import DomainError, StructuralError
 from freeboson.hilbert import (
     GramReport,
@@ -17,8 +18,13 @@ from freeboson.hilbert import (
     inner,
     psd_check,
 )
-from freeboson.sampling import random_state_group
+from freeboson.sampling import random_state_group, random_wick_word
 from freeboson.scalars import rational, root
+
+
+def _via_reflection(F, G):
+    """The literal reflection route <theta(F) G>; needs a zero-free F."""
+    return expect_combo(theta(as_state(F).combo) * as_state(G).combo)
 
 
 def test_inner_origin_base_case():
@@ -57,7 +63,25 @@ def test_series_matches_reflection_route():
         for _ in range(4):
             L = random_state_group(rng, arity)
             R = random_state_group(rng, arity)
-            assert inner(L, R) == disc_series_inner(L, R)
+            expected = _via_reflection(L, R)
+            assert inner(L, R) == expected
+            assert disc_series_inner(L, R) == expected
+
+
+def test_multigroup_words_match_reflection_route():
+    # two or more groups on each side: the only pairs that reach the
+    # conj(C) left-left and C right-right weights of the word-pair hafnian
+    rng = random.Random(59)
+    nonzero = 0
+    for _ in range(16):
+        n_left = rng.randint(3, 5)
+        n_right = rng.choice([n for n in (3, 4, 5) if (n - n_left) % 2 == 0])
+        F = random_wick_word(rng, n_left, max_group=2)
+        G = random_wick_word(rng, n_right, max_group=2)
+        value = inner(F, G)
+        assert value == _via_reflection(F, G)
+        nonzero += not scalars.is_zero(value)
+    assert nonzero >= 8
 
 
 def test_arity_mismatch_vanishes():
@@ -84,10 +108,33 @@ def test_inner_vacuum_cases():
     assert inner(WickGroup.of((2, 0)), vac) == rational(0)
 
 
-def test_origin_multigroup_fallback_unavailable():
-    w = WickWord((WickGroup.of((1, 0)), WickGroup.of((1, Fraction(1, 2)))))
-    with pytest.raises(DomainError):
-        inner(w, w)
+def _origin_multigroup_states():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    w1 = WickWord((WickGroup.of((1, 0)), WickGroup.of((1, half))))
+    w2 = WickWord((WickGroup.of((2, 0), (1, 0)), WickGroup.of((1, rational(third, third)))))
+    w3 = WickWord((WickGroup.of((1, 0)), WickGroup.of((1, rational(0, half)), (2, -half))))
+    combo = LinearCombination.of(w1) + LinearCombination.of(w3, rational(third, 2))
+    return [w1, w2, w3, combo]
+
+
+def test_origin_multigroup_left_state():
+    # no reflection route on the left; Hermitian symmetry moves theta onto G
+    rng = random.Random(61)
+    states = _origin_multigroup_states()
+    for F in states:
+        for _ in range(3):
+            G = random_wick_word(rng, rng.randint(1, 4), max_group=2)
+            expected = scalars.conjugate(_via_reflection(G, F))
+            assert inner(F, G) == expected
+    # :[1,0]: :[1,1/2]: against itself: left-left and right-right pairs
+    # give (-2)(-2), the two cross matchings (1/2)(8/9) and (1/2)(1/2)
+    assert inner(states[0], states[0]) == rational(Fraction(169, 36))
+    report = gram(states)
+    for i in range(report.size):
+        for j in range(report.size):
+            assert report.matrix[i][j] == scalars.conjugate(report.matrix[j][i])
+    assert report.hermiticity_defect == 0.0
+    assert report.psd
 
 
 def test_state_validation():
@@ -96,11 +143,6 @@ def test_state_validation():
     w = WickWord((WickGroup.of((1, Fraction(1, 3))), WickGroup.of((2, Fraction(1, 3)))))
     with pytest.raises(DomainError):
         as_state(w)  # coinciding points across groups
-
-
-def test_state_zero_free_flag():
-    assert as_state(WickGroup.of((1, Fraction(1, 2)))).zero_free
-    assert not as_state(WickGroup.of((1, 0))).zero_free
 
 
 def test_gram_single_state():

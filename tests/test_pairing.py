@@ -12,6 +12,7 @@ from freeboson.cli import main, run
 from freeboson.correlator import expect_plain, expect_wick, kernel, matchings
 from freeboson.fock import FockIndex
 from freeboson.hilbert import _pair_series_eval, disc_series_inner
+from freeboson.pairing import hafnian, matchable
 from freeboson.sampling import random_plain_word, random_state_group, random_wick_word
 from freeboson.scalars import ONE, ZERO, I, conjugate, rational, root
 
@@ -79,6 +80,22 @@ def test_disc_series_inner_matches_permutation_permanent():
         assert disc_series_inner(left, right) == total
 
 
+def _expanded_entry(config, indices):
+    """The entry from its definition: prefactor times the brute-force sum
+    over the expanded insertions, same-disc pairs excluded."""
+    insertions, labels = [], []
+    prefactor = ONE
+    for j, (disc, idx) in enumerate(zip(config.discs, indices)):
+        for m, n in idx.occupations:
+            base = I * root(2 * m) * Fraction(1, math.factorial(m))
+            prefactor = prefactor * root(Fraction(1, math.factorial(n))) * base ** n
+            prefactor = prefactor * disc.q ** (m * n)
+            insertions += [Insertion(m, disc.center)] * n
+            labels += [j] * n
+    value, _ = _brute_force(insertions, labels)
+    return prefactor * value
+
+
 def test_amplitude_entry_matches_expanded_insertions():
     rng = random.Random(53)
     config = DiscConfiguration((
@@ -93,17 +110,29 @@ def test_amplitude_entry_matches_expanded_insertions():
             m = rng.randint(1, 3)
             occ[m] = occ.get(m, 0) + 1
         indices = [FockIndex.of(occ) for occ in occs]
-        insertions, labels = [], []
-        prefactor = ONE
-        for j, (disc, idx) in enumerate(zip(config.discs, indices)):
-            for m, n in idx.occupations:
-                base = I * root(2 * m) * Fraction(1, math.factorial(m))
-                prefactor = prefactor * root(Fraction(1, math.factorial(n))) * base ** n
-                prefactor = prefactor * disc.q ** (m * n)
-                insertions += [Insertion(m, disc.center)] * n
-                labels += [j] * n
-        value, _ = _brute_force(insertions, labels)
-        assert amplitude_entry(config, indices) == prefactor * value
+        assert amplitude_entry(config, indices) == _expanded_entry(config, indices)
+    # one disc holding more than half of an even total: no cross-disc matching
+    two_discs = DiscConfiguration(config.discs[:2])
+    imbalanced = [
+        (two_discs, [{1: 2}, {}]),
+        (two_discs, [{1: 1, 2: 2}, {3: 1}]),
+        (two_discs, [{2: 1}, {1: 3}]),
+        (two_discs, [{1: 4, 3: 2}, {2: 2}]),
+        (config, [{1: 3, 2: 2}, {1: 1}, {2: 2}]),
+        (config, [{}, {1: 3}, {3: 1}]),
+    ]
+    for disc_config, occs in imbalanced:
+        indices = [FockIndex.of(occ) for occ in occs]
+        assert amplitude_entry(disc_config, indices) == _expanded_entry(disc_config, indices)
+
+
+def test_matchable_agrees_with_hafnian_count():
+    rng = random.Random(67)
+    for _ in range(200):
+        sizes = [rng.randint(0, 5) for _ in range(rng.randint(0, 4))]
+        # group g is one slot with multiplicity sizes[g]; pairs inside it are forbidden
+        count = hafnian(lambda i, j: None if i == j else 1, sizes, 1, 0)
+        assert matchable(sizes) == (count > 0), sizes
 
 
 def test_correlator_cost_guard(tmp_path, capsys):
