@@ -10,7 +10,6 @@ from . import scalars
 from .algebra import (
     Insertion,
     LinearCombination,
-    PlainWord,
     WickGroup,
     WickWord,
     d_coeff,
@@ -31,7 +30,6 @@ from .amplitude import (
 from .cli import main, run
 from .correlator import (
     expect_combo,
-    expect_plain,
     expect_wick,
     kernel,
     matchings,
@@ -86,7 +84,6 @@ __all__ = [
     "HSPartial",
     "Insertion",
     "LinearCombination",
-    "PlainWord",
     "PoleError",
     "RegimeError",
     "RegimeWarning",
@@ -109,7 +106,6 @@ __all__ = [
     "d_table",
     "disc_series_inner",
     "expect_combo",
-    "expect_plain",
     "expect_wick",
     "fock_inner",
     "gram",

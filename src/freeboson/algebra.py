@@ -1,11 +1,13 @@
 """Symbol algebras for derivative-field monomials and Wick groups.
 
 Words are formal products of insertions [m, z] (m-th holomorphic derivative
-at the point z).  Three layers appear:
+at the point z).  Two layers appear:
 
-- PlainWord: ordinary products [m1, z1]...[mn, zn];
 - WickGroup: a normal-ordered group :[m1, z1]...[mn, zn]:;
 - WickWord: a product of Wick groups.
+
+A single field is its own normal ordering, so a plain product
+[m1, z1]...[mn, zn] is the WickWord of singleton groups (WickWord.plain).
 
 On top of the words sit the reflection automorphism theta (anti-linear,
 implementing z -> 1/conj(z) with one-form weights), the affine
@@ -23,7 +25,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Union
+from itertools import accumulate
+from typing import Iterable, Mapping
 
 from . import scalars
 from .errors import DomainError
@@ -89,38 +92,6 @@ def _sorted_insertions(items: Iterable[Insertion]) -> tuple[Insertion, ...]:
 
 
 @dataclass(frozen=True)
-class PlainWord:
-    """Product of insertions; the empty word is the algebra unit."""
-
-    insertions: tuple[Insertion, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "insertions", _sorted_insertions(self.insertions))
-
-    @classmethod
-    def unit(cls) -> "PlainWord":
-        return cls(())
-
-    @classmethod
-    def single(cls, m: int, z) -> "PlainWord":
-        return cls((Insertion(m, z),))
-
-    def __mul__(self, other):
-        if isinstance(other, PlainWord):
-            return PlainWord(self.insertions + other.insertions)
-        return NotImplemented
-
-    def __len__(self):
-        return len(self.insertions)
-
-    def total_order(self) -> int:
-        return sum(ins.order for ins in self.insertions)
-
-    def is_exact(self) -> bool:
-        return all(scalars.is_exact(ins.point) for ins in self.insertions)
-
-
-@dataclass(frozen=True)
 class WickGroup:
     """A single normal-ordered group :[m1, z1]...[mn, zn]: (non-empty multiset)."""
 
@@ -163,6 +134,11 @@ class WickWord:
     def single_group(cls, group: WickGroup) -> "WickWord":
         return cls((group,))
 
+    @classmethod
+    def plain(cls, *pairs) -> "WickWord":
+        """The plain product of (m, z) pairs: one singleton group per insertion."""
+        return cls(tuple(WickGroup((Insertion(m, z),)) for m, z in pairs))
+
     def __mul__(self, other):
         if isinstance(other, WickWord):
             return WickWord(self.groups + other.groups)
@@ -180,42 +156,52 @@ class WickWord:
         )
 
 
-Word = Union[PlainWord, WickWord]
-
-
 # ---------------------------------------------------------------------------
 # Linear combinations
 # ---------------------------------------------------------------------------
+
+def _add_term(acc: dict, word: WickWord, coeff: Scalar) -> None:
+    """Add coeff * word into the term dict acc, dropping a zero sum."""
+    if word in acc:
+        coeff = acc[word] + coeff
+    if is_zero(coeff):
+        acc.pop(word, None)
+    else:
+        acc[word] = coeff
+
 
 class LinearCombination:
     """Finitely supported map word -> scalar coefficient.
 
     Zero coefficients are never stored.  Addition, scalar multiplication and
-    the algebra product (distributing word concatenation) are supported for
-    combinations over a single word kind.
+    the algebra product (distributing word concatenation) are supported.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Word, Scalar] | None = None):
-        acc: dict[Word, Scalar] = {}
-        if terms:
-            for word, coeff in terms.items():
-                coeff = as_scalar(coeff)
-                if word in acc:
-                    coeff = acc[word] + coeff
-                if is_zero(coeff):
-                    acc.pop(word, None)
-                else:
-                    acc[word] = coeff
+    def __init__(self, terms: Mapping[WickWord, Scalar] | None = None):
+        acc: dict[WickWord, Scalar] = {}
+        for word, coeff in (terms or {}).items():
+            if not isinstance(word, WickWord):
+                raise DomainError(
+                    _MODULE, f"combinations hold WickWords, got {type(word).__name__}"
+                )
+            _add_term(acc, word, as_scalar(coeff))
         self._terms = acc
+
+    @classmethod
+    def _of_terms(cls, acc: dict) -> "LinearCombination":
+        """Wrap a term dict that is already merged and free of zeros."""
+        out = cls.__new__(cls)
+        out._terms = acc
+        return out
 
     @classmethod
     def zero(cls) -> "LinearCombination":
         return cls()
 
     @classmethod
-    def of(cls, word: Word, coeff=1) -> "LinearCombination":
+    def of(cls, word: WickWord, coeff=1) -> "LinearCombination":
         return cls({word: as_scalar(coeff)})
 
     def items(self):
@@ -224,7 +210,7 @@ class LinearCombination:
     def words(self):
         return self._terms.keys()
 
-    def coeff(self, word: Word) -> Scalar:
+    def coeff(self, word: WickWord) -> Scalar:
         return self._terms.get(word, scalars.ZERO)
 
     def __len__(self):
@@ -238,14 +224,8 @@ class LinearCombination:
             return NotImplemented
         acc = dict(self._terms)
         for word, coeff in other._terms.items():
-            new = acc.get(word, scalars.ZERO) + coeff if word in acc else coeff
-            if is_zero(new):
-                acc.pop(word, None)
-            else:
-                acc[word] = new
-        out = LinearCombination.__new__(LinearCombination)
-        out._terms = acc
-        return out
+            _add_term(acc, word, coeff)
+        return LinearCombination._of_terms(acc)
 
     def __sub__(self, other):
         if not isinstance(other, LinearCombination):
@@ -253,27 +233,16 @@ class LinearCombination:
         return self + (-other)
 
     def __neg__(self):
-        out = LinearCombination.__new__(LinearCombination)
-        out._terms = {w: -c for w, c in self._terms.items()}
-        return out
+        return LinearCombination._of_terms({w: -c for w, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, LinearCombination):
-            acc: dict[Word, Scalar] = {}
+            acc: dict[WickWord, Scalar] = {}
             for w1, c1 in self._terms.items():
                 for w2, c2 in other._terms.items():
-                    word = w1 * w2
-                    coeff = c1 * c2
-                    if word in acc:
-                        coeff = acc[word] + coeff
-                    if is_zero(coeff):
-                        acc.pop(word, None)
-                    else:
-                        acc[word] = coeff
-            out = LinearCombination.__new__(LinearCombination)
-            out._terms = acc
-            return out
-        if isinstance(other, (PlainWord, WickWord)):
+                    _add_term(acc, w1 * w2, c1 * c2)
+            return LinearCombination._of_terms(acc)
+        if isinstance(other, WickWord):
             return self * LinearCombination.of(other)
         try:
             coeff = as_scalar(other)
@@ -311,7 +280,7 @@ class LinearCombination:
 def _as_combination(F) -> LinearCombination:
     if isinstance(F, LinearCombination):
         return F
-    if isinstance(F, (PlainWord, WickWord)):
+    if isinstance(F, WickWord):
         return LinearCombination.of(F)
     if isinstance(F, WickGroup):
         return LinearCombination.of(WickWord.single_group(F))
@@ -334,13 +303,13 @@ def _theta_insertion(ins: Insertion) -> list[tuple[Scalar, Insertion]]:
     return out
 
 
-def _product_expansion(factors: list[list[tuple[Scalar, Insertion]]]):
-    """Yield (coefficient, insertion tuple) over the product of the factors."""
+def _product_expansion(factors: list[list[tuple[Scalar, Insertion]]], start: Scalar):
+    """Yield (start times coefficient, insertion tuple) over the product of the factors."""
     if not factors:
-        yield scalars.ONE, ()
+        yield start, ()
         return
     head, tail = factors[0], factors[1:]
-    for coeff_rest, ins_rest in _product_expansion(tail):
+    for coeff_rest, ins_rest in _product_expansion(tail, start):
         for coeff, ins in head:
             yield coeff * coeff_rest, (ins,) + ins_rest
 
@@ -350,33 +319,17 @@ def theta(F) -> LinearCombination:
 
     Acts on each insertion as [m, z] -> sum_a d_{m,a} conj(z)^{-(m+a)} [a, 1/conj(z)],
     multiplicatively over insertions and groups, conjugating coefficients.
-    Wick groups map to Wick groups of the same arity.
+    Wick groups map to Wick groups of the same arity.  Expansion terms that
+    canonicalize to one word (equal insertions inside a group) are summed.
     """
-    F = _as_combination(F)
-    result = LinearCombination.zero()
-    for word, coeff in F.items():
-        base = LinearCombination.of(type(word).unit(), conjugate(coeff))
-        if isinstance(word, PlainWord):
-            factors = [_theta_insertion(ins) for ins in word.insertions]
-            expansion = LinearCombination(
-                {PlainWord(inss): c for c, inss in _product_expansion(factors)}
-            )
-            result = result + base * expansion
-        elif isinstance(word, WickWord):
-            acc = base
-            for group in word.groups:
-                factors = [_theta_insertion(ins) for ins in group.insertions]
-                expansion = LinearCombination(
-                    {
-                        WickWord.single_group(WickGroup(inss)): c
-                        for c, inss in _product_expansion(factors)
-                    }
-                )
-                acc = acc * expansion
-            result = result + acc
-        else:
-            raise DomainError(_MODULE, f"theta does not act on {type(word).__name__}")
-    return result
+    acc: dict[WickWord, Scalar] = {}
+    for word, coeff in _as_combination(F).items():
+        factors = [_theta_insertion(ins) for g in word.groups for ins in g.insertions]
+        ends = list(accumulate(len(g) for g in word.groups))
+        for c, inss in _product_expansion(factors, conjugate(coeff)):
+            groups = tuple(WickGroup(inss[a:b]) for a, b in zip([0] + ends, ends))
+            _add_term(acc, WickWord(groups), c)
+    return LinearCombination._of_terms(acc)
 
 
 def rescale(F, a, q) -> LinearCombination:
@@ -385,30 +338,16 @@ def rescale(F, a, q) -> LinearCombination:
     q = as_scalar(q)
     if is_zero(q):
         raise DomainError(_MODULE, "rescale needs q != 0")
-    F = _as_combination(F)
-    acc: dict[Word, Scalar] = {}
-    for word, coeff in F.items():
-        weight = coeff * q ** word.total_order()
-        if isinstance(word, PlainWord):
-            new_word: Word = PlainWord(
-                tuple(Insertion(i.order, a + q * i.point) for i in word.insertions)
+    acc: dict[WickWord, Scalar] = {}
+    for word, coeff in _as_combination(F).items():
+        moved = WickWord(
+            tuple(
+                WickGroup(tuple(Insertion(i.order, a + q * i.point) for i in g.insertions))
+                for g in word.groups
             )
-        elif isinstance(word, WickWord):
-            new_word = WickWord(
-                tuple(
-                    WickGroup(tuple(Insertion(i.order, a + q * i.point) for i in g.insertions))
-                    for g in word.groups
-                )
-            )
-        else:
-            raise DomainError(_MODULE, f"rescale does not act on {type(word).__name__}")
-        if new_word in acc:
-            weight = acc[new_word] + weight
-        if is_zero(weight):
-            acc.pop(new_word, None)
-        else:
-            acc[new_word] = weight
-    return LinearCombination(acc)
+        )
+        _add_term(acc, moved, coeff * q ** word.total_order())
+    return LinearCombination._of_terms(acc)
 
 
 def _partial_pairings(seq: tuple[int, ...]):
@@ -427,7 +366,7 @@ def _partial_pairings(seq: tuple[int, ...]):
 
 
 def wick_expand(G: WickGroup) -> LinearCombination:
-    """Expand a Wick group into plain words over partial pairings.
+    """Expand a Wick group into plain words (singleton groups) over partial pairings.
 
     :Z:_0 = sum_Q prod_{pairs} (-C(m_a, z_a, m_b, z_b)) * prod_{unpaired} [m, z].
     Requires pairwise distinct points inside the group (the expansion has
@@ -446,17 +385,11 @@ def wick_expand(G: WickGroup) -> LinearCombination:
                     f"wick_expand needs distinct points inside the group; "
                     f"{ins[i].point!r} occurs twice",
                 )
-    acc: dict[Word, Scalar] = {}
+    acc: dict[WickWord, Scalar] = {}
     exact = all(scalars.is_exact(i.point) for i in ins)
     for pairs, singles in _partial_pairings(tuple(range(len(ins)))):
         coeff: Scalar = scalars.one_scalar(exact)
         for i, j in pairs:
             coeff = coeff * (-kernel(ins[i].order, ins[i].point, ins[j].order, ins[j].point))
-        word = PlainWord(tuple(ins[k] for k in singles))
-        if word in acc:
-            coeff = acc[word] + coeff
-        if is_zero(coeff):
-            acc.pop(word, None)
-        else:
-            acc[word] = coeff
-    return LinearCombination(acc)
+        _add_term(acc, WickWord(tuple(WickGroup((ins[k],)) for k in singles)), coeff)
+    return LinearCombination._of_terms(acc)

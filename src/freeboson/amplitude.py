@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
 from . import scalars
@@ -29,13 +31,9 @@ from .correlator import kernel
 from .errors import ConfigurationError, RegimeError, RegimeWarning, ResourceError
 from .fock import FockIndex, FockVector
 from .pairing import hafnian, matchable
-from .scalars import I, Scalar, as_scalar, conjugate, is_zero, root
+from .scalars import I, Scalar, as_scalar, conjugate, is_zero, real_value, root
 
 _MODULE = "amplitude"
-
-
-def _real(x) -> Fraction | float:
-    return scalars.real_value(x)
 
 
 @dataclass(frozen=True)
@@ -55,7 +53,7 @@ class Disc:
         return scalars.abs_sq(self.q)
 
     def radius(self) -> float:
-        return math.sqrt(float(_real(self.radius_sq())))
+        return math.sqrt(float(real_value(self.radius_sq())))
 
 
 @dataclass(frozen=True)
@@ -79,9 +77,9 @@ class DiscConfiguration:
             for j in range(i + 1, len(self.discs)):
                 a = self.discs[i]
                 b = self.discs[j]
-                gap = _real(scalars.abs_sq(a.center - b.center))
-                ra = _real(a.radius_sq())
-                rb = _real(b.radius_sq())
+                gap = real_value(scalars.abs_sq(a.center - b.center))
+                ra = real_value(a.radius_sq())
+                rb = real_value(b.radius_sq())
                 t = gap - ra - rb
                 if not (t > 0 and t * t > 4 * ra * rb):
                     raise ConfigurationError(
@@ -99,13 +97,13 @@ class DiscConfiguration:
 
     def center_gap_sq(self) -> Fraction | float:
         return min(
-            _real(scalars.abs_sq(self.discs[i].center - self.discs[j].center))
+            real_value(scalars.abs_sq(self.discs[i].center - self.discs[j].center))
             for i in range(self.r)
             for j in range(i + 1, self.r)
         )
 
     def max_radius_sq(self) -> Fraction | float:
-        return max(_real(d.radius_sq()) for d in self.discs)
+        return max(real_value(d.radius_sq()) for d in self.discs)
 
     def hs_regime(self) -> bool:
         return self.center_gap_sq() > 16 * self.r * self.max_radius_sq()
@@ -206,21 +204,6 @@ class HSPartial:
     partial_sum: Scalar
 
 
-def _indices_up_to(max_mode: int, max_particles: int) -> list[FockIndex]:
-    """All occupation indices with modes <= max_mode, particles <= max_particles."""
-    out: list[FockIndex] = []
-
-    def rec(mode: int, left: int, acc: list[tuple[int, int]]):
-        if mode > max_mode:
-            out.append(FockIndex(tuple(acc)))
-            return
-        for n in range(left + 1):
-            rec(mode + 1, left - n, acc + ([(mode, n)] if n else []))
-
-    rec(1, max_particles, [])
-    return out
-
-
 def hs_truncated(
     config: DiscConfiguration,
     M: int,
@@ -246,46 +229,39 @@ def hs_truncated(
             RegimeWarning,
             stacklevel=2,
         )
-    indices = _indices_up_to(M, N)
-    by_particles: dict[int, list[FockIndex]] = {}
-    for idx in indices:
-        by_particles.setdefault(idx.particles(), []).append(idx)
-    for bucket in by_particles.values():
-        bucket.sort(key=lambda idx: idx.occupations)
-
     r = config.r
+    # tuples through level t number comb(r*M + t, t): the count vectors of the
+    # r*M (disc, mode) slots with total <= t.  Checked level by level before
+    # anything is built, so a huge truncation stops at the first level over.
+    for t in range(N + 1):
+        visited = math.comb(r * M + t, t)
+        if visited > max_tuples:
+            raise ResourceError(
+                _MODULE,
+                f"enumeration would visit {visited} tuples through {t} insertions, "
+                f"above the guard {max_tuples}",
+            )
+
+    modes = range(1, M + 1)
+    by_particles = {
+        p: sorted(
+            (FockIndex.of(Counter(c)) for c in combinations_with_replacement(modes, p)),
+            key=lambda idx: idx.occupations,
+        )
+        for p in range(N + 1)
+    }
 
     def tuples_of_total(t: int) -> Iterable[tuple[FockIndex, ...]]:
         def rec(slot: int, left: int, acc: tuple[FockIndex, ...]):
             if slot == r - 1:
-                for idx in by_particles.get(left, ()):
+                for idx in by_particles[left]:
                     yield acc + (idx,)
                 return
             for p in range(left + 1):
-                for idx in by_particles.get(p, ()):
+                for idx in by_particles[p]:
                     yield from rec(slot + 1, left - p, acc + (idx,))
 
         yield from rec(0, t, ())
-
-    # count before evaluating anything
-    counts_per_p = {p: len(b) for p, b in by_particles.items()}
-    level_counts: dict[int, int] = {}
-    for t in range(N + 1):
-        def count_rec(slot: int, left: int) -> int:
-            if slot == r - 1:
-                return counts_per_p.get(left, 0)
-            return sum(
-                counts_per_p.get(p, 0) * count_rec(slot + 1, left - p)
-                for p in range(left + 1)
-            )
-
-        level_counts[t] = count_rec(0, t)
-    total_tuples = sum(level_counts.values())
-    if total_tuples > max_tuples:
-        raise ResourceError(
-            _MODULE,
-            f"enumeration would visit {total_tuples} tuples, above the guard {max_tuples}",
-        )
 
     evaluator = _EntryEvaluator(config)
     rows: list[HSPartial] = []

@@ -69,10 +69,6 @@ def _parse_point(obj, exact: bool, where: str, re_key="re", im_key="im"):
     return complex(re, im)
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x)
-
-
 def _scalar_json(value):
     """Encode a scalar for JSON output.
 
@@ -83,23 +79,17 @@ def _scalar_json(value):
     """
     if scalars.is_exact(value):
         if value.is_rational():
-            return _frac_str(value.rational())
+            return str(value.rational())
         if value.is_gaussian():
             g = value.gaussian()
-            return [_frac_str(g[0]), _frac_str(g[1])]
+            return [str(g[0]), str(g[1])]
         return {
             "radicals": {
-                str(s): [_frac_str(re), _frac_str(im)] for s, re, im in value.terms
+                str(s): [str(re), str(im)] for s, re, im in value.terms
             }
         }
     z = complex(value)
     return [z.real, z.imag]
-
-
-def _scalar_csv(value) -> str:
-    if scalars.is_exact(value) and value.is_rational():
-        return _frac_str(value.rational())
-    return repr(float(complex(value).real))
 
 
 # ---------------------------------------------------------------- config -> objects
@@ -125,8 +115,9 @@ def _parse_insertion(obj, exact: bool, where: str) -> Insertion:
 def _parse_word(obj, exact: bool, where: str) -> WickWord:
     """A word is a list of groups; each group is a list of insertions.
 
-    Singleton groups reproduce plain insertions exactly (a normal-ordered
-    single field is the field), so one shape covers both word kinds.
+    A plain product of fields is the word of singleton groups (a
+    normal-ordered single field is the field), the same word
+    ``WickWord.plain`` builds.
     """
     if not isinstance(obj, list) or not obj:
         raise SchemaError(f"{where}: expected a non-empty list of groups")

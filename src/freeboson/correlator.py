@@ -1,15 +1,16 @@
-"""Pair kernel and expectation values of plain and Wick words.
+"""Pair kernel and expectation values of Wick words.
 
 Expectations are Gaussian: a word's expectation is the sum over perfect
 matchings of its insertions of the product of pair kernels
 
     C(m1, z1, m2, z2) = (1/2) (m1+m2-1)! (-1)^{m1} / (z1 - z2)^{m1+m2},
 
-with matchings restricted to cross-group pairs for Wick words (pairings
-inside a normal-ordered group are suppressed).  The sum is the hafnian of
-the word's kernel table, computed once per word by ``pairing.hafnian``;
-``matchings`` enumerates the matchings one by one and is kept as the
-reference the tests compare against.
+with matchings restricted to cross-group pairs (pairings inside a
+normal-ordered group are suppressed).  A plain product of fields is the
+word of singleton groups, so every pair of its insertions is allowed.  The
+sum is the hafnian of the word's kernel table, computed once per word by
+``pairing.hafnian``; ``matchings`` enumerates the matchings one by one and
+is kept as the reference the tests compare against.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from . import scalars
-from .algebra import Insertion, LinearCombination, PlainWord, WickWord
+from .algebra import Insertion, LinearCombination, WickGroup, WickWord
 from .errors import DomainError, PoleError
 from .pairing import hafnian, matchable
 from .scalars import Scalar, is_zero
@@ -70,57 +71,15 @@ def _perfect(seq: tuple[int, ...]) -> Iterator[Matching]:
             yield ((head, partner),) + sub
 
 
-def _check_distinct(pairs_of_insertions) -> None:
-    """Raise PoleError if any two listed insertions share a point."""
-    seen: dict = {}
-    for ins in pairs_of_insertions:
-        key = scalars.sort_key(ins.point)
-        if key in seen:
-            other = seen[key]
-            raise PoleError(
-                _MODULE, ((other.order, other.point), (ins.order, ins.point))
-            )
-        seen[key] = ins
-
-
-def _pairing_sum(ins, labels, exact: bool, stats: Optional[dict]) -> Scalar:
-    """Hafnian of the word's kernel table, pairs with equal labels forbidden.
-
-    Each allowed kernel is evaluated once.  ``stats["pairings"]`` accumulates
-    the number of perfect matchings, counted by the same DP on a 0/1 table.
-    """
-    if not matchable(Counter(labels).values()):
-        return scalars.zero_scalar(exact)
-
-    def weight(i: int, j: int) -> Optional[Scalar]:
-        if labels[i] == labels[j]:
-            return None
-        a, b = ins[i], ins[j]
-        return kernel(a.order, a.point, b.order, b.point)
-
-    counts = (1,) * len(ins)
-    value = hafnian(weight, counts, scalars.one_scalar(exact), scalars.zero_scalar(exact))
-    if stats is not None:
-        count = hafnian(lambda i, j: None if labels[i] == labels[j] else 1, counts, 1, 0)
-        stats["pairings"] = stats.get("pairings", 0) + count
-    return value
-
-
-def expect_plain(W: PlainWord, stats: Optional[dict] = None) -> Scalar:
-    """Expectation of a plain word: pairing sum; 1 for empty, 0 for odd."""
-    if not isinstance(W, PlainWord):
-        raise DomainError(_MODULE, f"expect_plain expects a PlainWord, got {type(W).__name__}")
-    ins = W.insertions
-    _check_distinct(ins)
-    return _pairing_sum(ins, range(len(ins)), W.is_exact(), stats)
-
-
 def expect_wick(W: WickWord, stats: Optional[dict] = None) -> Scalar:
     """Expectation of a product of Wick groups: cross-group pairing sum.
 
     Points may coincide inside one group (those pairings are suppressed) but
     must be distinct across groups.  A lone non-empty group has expectation
-    zero; the empty word has expectation one.
+    zero; the empty word has expectation one.  The sum is the hafnian of the
+    word's kernel table with same-group pairs forbidden, each allowed kernel
+    evaluated once; ``stats["pairings"]`` accumulates the number of perfect
+    matchings, counted by the same DP on a 0/1 table.
     """
     if not isinstance(W, WickWord):
         raise DomainError(_MODULE, f"expect_wick expects a WickWord, got {type(W).__name__}")
@@ -136,31 +95,40 @@ def expect_wick(W: WickWord, stats: Optional[dict] = None) -> Scalar:
             if gi != gj and scalars.sort_key(a.point) == scalars.sort_key(b.point):
                 raise PoleError(_MODULE, ((a.order, a.point), (b.order, b.point)))
     labels = [gid for gid, _ in flat]
-    return _pairing_sum([ins for _, ins in flat], labels, W.is_exact(), stats)
+    exact = W.is_exact()
+    if not matchable(Counter(labels).values()):
+        return scalars.zero_scalar(exact)
+
+    def weight(i: int, j: int) -> Optional[Scalar]:
+        if labels[i] == labels[j]:
+            return None
+        a, b = flat[i][1], flat[j][1]
+        return kernel(a.order, a.point, b.order, b.point)
+
+    counts = (1,) * len(flat)
+    value = hafnian(weight, counts, scalars.one_scalar(exact), scalars.zero_scalar(exact))
+    if stats is not None:
+        count = hafnian(lambda i, j: None if labels[i] == labels[j] else 1, counts, 1, 0)
+        stats["pairings"] = stats.get("pairings", 0) + count
+    return value
 
 
 def expect_combo(F, stats: Optional[dict] = None) -> Scalar:
-    """Linear extension of expect_plain / expect_wick to combinations."""
-    if isinstance(F, (PlainWord, WickWord)):
+    """Linear extension of expect_wick to combinations."""
+    if isinstance(F, WickWord):
         F = LinearCombination.of(F)
     if not isinstance(F, LinearCombination):
         raise DomainError(_MODULE, f"expect_combo expects a combination, got {type(F).__name__}")
     total: Scalar = scalars.ZERO
     started = False
     for word, coeff in F.items():
-        if isinstance(word, PlainWord):
-            value = expect_plain(word, stats)
-        elif isinstance(word, WickWord):
-            value = expect_wick(word, stats)
-        else:
-            raise DomainError(_MODULE, f"cannot take the expectation of {type(word).__name__}")
-        term = coeff * value
+        term = coeff * expect_wick(word, stats)
         total = term if not started else total + term
         started = True
     return total if started else scalars.ZERO
 
 
-def mobius_check(W: PlainWord, coeffs) -> tuple[Scalar, Scalar]:
+def mobius_check(W: WickWord, coeffs) -> tuple[Scalar, Scalar]:
     """Covariance data for a fractional-linear map w = (a z + b)/(c z + d).
 
     For a word with all orders equal to 1, returns the pair
@@ -168,25 +136,25 @@ def mobius_check(W: PlainWord, coeffs) -> tuple[Scalar, Scalar]:
         (expect(W),  expect(W after z -> w) * prod_i dw/dz(z_i))
 
     whose equality expresses that the two-point structure transforms as a
-    one-form in each insertion.
+    one-form in each insertion.  The map keeps every insertion in its group.
     """
-    if not isinstance(W, PlainWord):
-        raise DomainError(_MODULE, f"mobius_check expects a PlainWord, got {type(W).__name__}")
-    if any(ins.order != 1 for ins in W.insertions):
+    if not isinstance(W, WickWord):
+        raise DomainError(_MODULE, f"mobius_check expects a WickWord, got {type(W).__name__}")
+    if any(ins.order != 1 for g in W.groups for ins in g.insertions):
         raise DomainError(_MODULE, "mobius_check is defined for words with all orders equal to 1")
     a, b, c, d = (scalars.as_scalar(x) for x in coeffs)
     det = a * d - b * c
     if is_zero(det):
         raise DomainError(_MODULE, "degenerate map: a d - b c = 0")
-    new_insertions = []
     jacobian: Scalar = scalars.one_scalar(W.is_exact())
-    for ins in W.insertions:
-        denom = c * ins.point + d
-        if is_zero(denom):
-            raise DomainError(_MODULE, f"map pole: c z + d = 0 at z = {ins.point!r}")
-        w = (a * ins.point + b) / denom
-        new_insertions.append(Insertion(1, w))
-        jacobian = jacobian * det / denom ** 2
-    lhs = expect_plain(W)
-    rhs = expect_plain(PlainWord(tuple(new_insertions))) * jacobian
-    return lhs, rhs
+    image = []
+    for group in W.groups:
+        moved = []
+        for ins in group.insertions:
+            denom = c * ins.point + d
+            if is_zero(denom):
+                raise DomainError(_MODULE, f"map pole: c z + d = 0 at z = {ins.point!r}")
+            moved.append(Insertion(1, (a * ins.point + b) / denom))
+            jacobian = jacobian * det / denom ** 2
+        image.append(WickGroup(tuple(moved)))
+    return expect_wick(W), expect_wick(WickWord(tuple(image))) * jacobian

@@ -269,13 +269,7 @@ def wick_group_to_fock(G: WickGroup, M: int) -> FockVector:
     if not isinstance(M, int) or M < max_order:
         raise DomainError(_MODULE, f"truncation level M must be >= max order {max_order}, got {M!r}")
     for ins in G.insertions:
-        a = scalars.abs_sq(ins.point)
-        inside = (
-            a.rational() < 1
-            if isinstance(a, scalars.Exact) and a.is_rational()
-            else scalars.to_complex(a).real < 1.0
-        )
-        if not inside:
+        if not scalars.in_unit_disc(ins.point):
             raise DomainError(_MODULE, f"point {ins.point!r} is not in the open unit disc")
     n = len(G.insertions)
     prefactor = INV_SQRT2_I ** n

@@ -28,13 +28,6 @@ from .scalars import Scalar, conjugate
 _MODULE = "hilbert"
 
 
-def _in_unit_disc(z: Scalar) -> bool:
-    a = scalars.abs_sq(z)
-    if isinstance(a, scalars.Exact) and a.is_rational():
-        return a.rational() < 1
-    return scalars.to_complex(a).real < 1.0
-
-
 @dataclass(frozen=True)
 class StateExpression:
     """A Hilbert-space vector presented as a combination of Wick words.
@@ -53,7 +46,7 @@ class StateExpression:
             seen_cross: dict = {}
             for gid, group in enumerate(word.groups):
                 for ins in group.insertions:
-                    if not _in_unit_disc(ins.point):
+                    if not scalars.in_unit_disc(ins.point):
                         raise DomainError(
                             _MODULE, f"state point {ins.point!r} is not in the open unit disc"
                         )
@@ -124,7 +117,7 @@ def _pair_series(j: int, k: int) -> tuple[tuple[int, int, int, Fraction], ...]:
 def _pair_series_eval(m: int, ell: int, u: Scalar, w: Scalar) -> Scalar:
     """The pair factor for orders (m, ell) at u = conj(z_left), w = z_right."""
     uw = u * w
-    if not _in_unit_disc(uw):
+    if not scalars.in_unit_disc(uw):
         raise DomainError(_MODULE, f"series pair factor needs |conj(z) w| < 1, got {uw!r}")
     exact = isinstance(uw, scalars.Exact)
     one = scalars.one_scalar(exact)

@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import scalars
-from .algebra import Insertion, PlainWord, WickGroup, WickWord
+from .algebra import Insertion, WickGroup, WickWord
 from .fock import FockIndex, FockVector
 from .scalars import Exact
 
@@ -57,11 +57,12 @@ def random_plain_word(
     n: int,
     max_order: int = 3,
     nonzero: bool = True,
-) -> PlainWord:
+) -> WickWord:
+    """A plain product of n fields at distinct points: singleton groups."""
     avoid: set = set()
     orders = random_orders(rng, n, max_order)
-    return PlainWord(
-        tuple(Insertion(m, rational_point(rng, nonzero=nonzero, avoid=avoid)) for m in orders)
+    return WickWord.plain(
+        *((m, rational_point(rng, nonzero=nonzero, avoid=avoid)) for m in orders)
     )
 
 
@@ -73,7 +74,7 @@ def random_wick_word(
     nonzero: bool = True,
 ) -> WickWord:
     """A Wick word with n insertions split into random groups, all points
-    distinct (so both the plain and the Wick expectations are defined)."""
+    distinct (so the expectation of its singleton-group expansion is defined)."""
     avoid: set = set()
     orders = random_orders(rng, n, max_order)
     groups = []

@@ -369,8 +369,6 @@ def conjugate(x: Scalar) -> Scalar:
 
 
 def to_complex(x) -> complex:
-    if isinstance(x, Exact):
-        return complex(x)
     return complex(x)
 
 
@@ -380,6 +378,14 @@ def abs_sq(x: Scalar) -> Scalar:
         return x.abs_sq()
     x = complex(x)
     return complex(x.real * x.real + x.imag * x.imag, 0.0)
+
+
+def in_unit_disc(z: Scalar) -> bool:
+    """|z| < 1, decided exactly when |z|^2 is rational."""
+    a = abs_sq(z)
+    if isinstance(a, Exact) and a.is_rational():
+        return a.rational() < 1
+    return complex(a).real < 1.0
 
 
 def real_value(x) -> Union[Fraction, float]:

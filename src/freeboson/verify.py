@@ -23,10 +23,10 @@ from .algebra import (
     theta,
     wick_expand,
 )
-from .correlator import expect_combo, expect_plain, expect_wick, mobius_check
+from .correlator import expect_combo, expect_wick, mobius_check
 from .errors import DomainError
 from .fock import FockVector, fock_inner, ladder, wick_origin_to_fock
-from .hilbert import inner
+from .hilbert import as_state, inner
 from .sampling import (
     partition_multisets,
     random_fock_vector,
@@ -92,7 +92,7 @@ def _suite_scaling(rng: random.Random) -> SuiteResult:
         W = random_plain_word(rng, rng.randint(2, 6))
         a = rational_point(rng, nonzero=False)
         q = rational_point(rng)
-        lhs = expect_plain(W)
+        lhs = expect_wick(W)
         rhs = expect_combo(rescale(LinearCombination.of(W), a, q))
         if lhs != rhs:
             return SuiteResult("scaling", False, "expect(rescale(W)) != expect(W)")
@@ -120,7 +120,7 @@ def _suite_wick_plain(rng: random.Random) -> SuiteResult:
             expanded = term if expanded is None else expanded * term
         via_plain = expect_combo(expanded) if expanded is not None else scalars.ONE
         if direct != via_plain:
-            return SuiteResult("wick-plain", False, "expect_wick != expect_plain after expansion")
+            return SuiteResult("wick-plain", False, "expect_wick != expect_combo after expansion")
     return SuiteResult("wick-plain", True, f"{cases} random words with <= 6 insertions, exact")
 
 
@@ -142,18 +142,17 @@ def _suite_commutators(rng: random.Random) -> SuiteResult:
 
 def _suite_dictionary(rng: random.Random) -> SuiteResult:
     multisets = partition_multisets(6)
+    vectors = [wick_origin_to_fock(A) for A in multisets]
+    states = [
+        as_state(
+            WickWord.single_group(WickGroup.of(*((m, 0) for m in A))) if A else WickWord.unit()
+        )
+        for A in multisets
+    ]
     checked = 0
-    for A in multisets:
-        for B in multisets:
-            lhs = fock_inner(wick_origin_to_fock(A), wick_origin_to_fock(B))
-            wA = WickWord.unit() if not A else WickWord.single_group(
-                WickGroup.of(*((m, 0) for m in A))
-            )
-            wB = WickWord.unit() if not B else WickWord.single_group(
-                WickGroup.of(*((m, 0) for m in B))
-            )
-            rhs = inner(wA, wB)
-            if lhs != rhs:
+    for A, vA, sA in zip(multisets, vectors, states):
+        for B, vB, sB in zip(multisets, vectors, states):
+            if fock_inner(vA, vB) != inner(sA, sB):
                 return SuiteResult("dictionary", False, f"mismatch at {A} vs {B}")
             checked += 1
     return SuiteResult("dictionary", True, f"{checked} origin-state pairs with sum <= 6, exact")

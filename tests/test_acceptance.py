@@ -15,7 +15,6 @@ import pytest
 
 from freeboson.algebra import (
     LinearCombination,
-    PlainWord,
     WickGroup,
     WickWord,
     d_coeff,
@@ -30,7 +29,7 @@ from freeboson.amplitude import (
     hs_bound,
     hs_truncated,
 )
-from freeboson.correlator import expect_combo, expect_plain, expect_wick, mobius_check
+from freeboson.correlator import expect_combo, expect_wick, mobius_check
 from freeboson.errors import RegimeError
 from freeboson.fock import (
     FockVector,
@@ -93,7 +92,7 @@ def test_03_wick_expansion_consistency():
         for _ in range(12):
             n = rng.randint(2, 8)
             W = random_wick_word(rng, n)
-            expansion = LinearCombination.of(PlainWord.unit())
+            expansion = LinearCombination.of(WickWord.unit())
             for group in W.groups:
                 expansion = expansion * wick_expand(group)
             assert expect_combo(expansion) == expect_wick(W)

@@ -8,7 +8,6 @@ from freeboson import scalars
 from freeboson.algebra import (
     Insertion,
     LinearCombination,
-    PlainWord,
     WickGroup,
     WickWord,
     d_coeff,
@@ -62,8 +61,8 @@ def test_insertion_validation():
 
 
 def test_word_canonicalization():
-    a = PlainWord.single(1, 1) * PlainWord.single(2, 0)
-    b = PlainWord.single(2, 0) * PlainWord.single(1, 1)
+    a = WickWord.plain((1, 1)) * WickWord.plain((2, 0))
+    b = WickWord.plain((2, 0)) * WickWord.plain((1, 1))
     assert a == b
     g1 = WickGroup.of((2, Fraction(1, 2)), (1, Fraction(1, 4)))
     g2 = WickGroup.of((1, Fraction(1, 4)), (2, Fraction(1, 2)))
@@ -77,15 +76,20 @@ def test_empty_group_rejected():
 
 
 def test_linear_combination_merging():
-    w = PlainWord.single(1, 0)
+    w = WickWord.plain((1, 0))
     combo = LinearCombination({w: rational(1)}) + LinearCombination({w: rational(-1)})
     assert combo.is_zero()
-    combo = LinearCombination.of(w, 2) * LinearCombination.of(PlainWord.unit(), Fraction(1, 2))
+    combo = LinearCombination.of(w, 2) * LinearCombination.of(WickWord.unit(), Fraction(1, 2))
     assert combo.coeff(w) == rational(1)
 
 
+def test_combination_holds_only_words():
+    with pytest.raises(DomainError):
+        LinearCombination({WickGroup.of((1, 0)): 1})
+
+
 def test_combination_scalar_product():
-    w = PlainWord.single(1, 1)
+    w = WickWord.plain((1, 1))
     c = LinearCombination.of(w)
     assert (c * 3).coeff(w) == rational(3)
     assert (Fraction(1, 2) * c).coeff(w) == rational(Fraction(1, 2))
@@ -94,19 +98,19 @@ def test_combination_scalar_product():
 
 def test_theta_hand_value():
     # [1, 2] reflects to -(1/4) [1, 1/2]
-    result = theta(PlainWord.single(1, 2))
+    result = theta(WickWord.plain((1, 2)))
     expected = LinearCombination.of(
-        PlainWord.single(1, Fraction(1, 2)), rational(Fraction(-1, 4))
+        WickWord.plain((1, Fraction(1, 2))), rational(Fraction(-1, 4))
     )
     assert result == expected
     # order 3 at a non-real point: coefficients d_{3,a} conj(z)^{-(3+a)}, a = 1..3
     z = rational(Fraction(1, 2), Fraction(1, 3))
     zbar = z.conjugate()
-    result = theta(PlainWord.single(3, z))
+    result = theta(WickWord.plain((3, z)))
     expected = LinearCombination.zero()
     for a in range(1, 4):
         expected = expected + LinearCombination.of(
-            PlainWord.single(a, zbar.inverse()), d_coeff(3, a) * zbar ** (-(3 + a))
+            WickWord.plain((a, zbar.inverse())), d_coeff(3, a) * zbar ** (-(3 + a))
         )
     assert len(expected) == 3
     assert result == expected
@@ -139,19 +143,19 @@ def test_theta_preserves_group_arity():
 
 def test_theta_origin_pole():
     with pytest.raises(DomainError):
-        theta(PlainWord.single(1, 0))
+        theta(WickWord.plain((1, 0)))
 
 
 def test_rescale_weight():
-    w = PlainWord.single(3, Fraction(1, 2))
+    w = WickWord.plain((3, Fraction(1, 2)))
     out = rescale(w, Fraction(1, 4), Fraction(1, 2))
-    moved = PlainWord.single(3, Fraction(1, 4) + Fraction(1, 4))
+    moved = WickWord.plain((3, Fraction(1, 4) + Fraction(1, 4)))
     assert out.coeff(moved) == rational(Fraction(1, 8))  # q^3
 
 
 def test_rescale_zero_q_rejected():
     with pytest.raises(DomainError):
-        rescale(PlainWord.single(1, 1), 0, 0)
+        rescale(WickWord.plain((1, 1)), 0, 0)
 
 
 def test_rescale_composes():
@@ -169,15 +173,15 @@ def test_wick_expand_pair():
     # :[1,0][1,1]: = [1,0][1,1] + 1/2, since C(1,0,1,1) = -1/2
     g = WickGroup.of((1, 0), (1, 1))
     out = wick_expand(g)
-    pair_word = PlainWord.single(1, 0) * PlainWord.single(1, 1)
+    pair_word = WickWord.plain((1, 0)) * WickWord.plain((1, 1))
     assert out.coeff(pair_word) == rational(1)
-    assert out.coeff(PlainWord.unit()) == rational(Fraction(1, 2))
+    assert out.coeff(WickWord.unit()) == rational(Fraction(1, 2))
     assert len(out) == 2
 
 
 def test_wick_expand_single():
     out = wick_expand(WickGroup.of((2, Fraction(1, 3))))
-    assert out == LinearCombination.of(PlainWord.single(2, Fraction(1, 3)))
+    assert out == LinearCombination.of(WickWord.plain((2, Fraction(1, 3))))
 
 
 def test_wick_expand_coincident_points():
@@ -192,4 +196,26 @@ def test_wick_expand_term_count():
     out = wick_expand(g)
     assert sum(1 for _ in out.items()) == 8
     # the merged unit coefficient is the plain four point expectation
-    assert out.coeff(PlainWord.unit()) == rational(Fraction(169, 576))
+    assert out.coeff(WickWord.unit()) == rational(Fraction(169, 576))
+
+
+def test_plain_word_is_the_singleton_group_word():
+    z = rational(Fraction(1, 3))
+    w = rational(Fraction(-1, 4), Fraction(1, 2))
+    plain = WickWord.plain((1, z), (2, w))
+    groups = WickWord((WickGroup.of((2, w)), WickGroup.of((1, z))))
+    assert plain == groups
+    assert hash(plain) == hash(groups)
+    assert plain == WickWord.plain((1, z)) * WickWord.plain((2, w))
+    assert (LinearCombination.of(plain) - LinearCombination.of(groups)).is_zero()
+    assert WickWord.plain() == WickWord.unit()
+
+
+def test_theta_sums_coinciding_expansion_terms():
+    # :[2,z][2,z]: at z = 1/2 reflects through [2,z] -> 16 [1,2] + 16 [2,2];
+    # the cross word :[1,2][2,2]: arises from both orderings, so 2 * 16 * 16
+    g = WickWord.single_group(WickGroup.of((2, Fraction(1, 2)), (2, Fraction(1, 2))))
+    out = theta(g)
+    assert out.coeff(WickWord.single_group(WickGroup.of((1, 2), (2, 2)))) == rational(512)
+    assert out.coeff(WickWord.single_group(WickGroup.of((1, 2), (1, 2)))) == rational(256)
+    assert theta(out) == LinearCombination.of(g)

@@ -1,4 +1,5 @@
 """Disc configurations, amplitude entries, truncated HS sums and the bound."""
+import math
 from fractions import Fraction
 
 import pytest
@@ -147,6 +148,14 @@ def test_hs_truncated_monotone_and_bounded():
         if prev is not None:
             assert value >= prev
         prev = value
+
+
+@pytest.mark.parametrize("r,M,N", [(2, 3, 4), (3, 2, 4), (2, 1, 6)])
+def test_hs_truncated_tuple_counts_closed_form(r, M, N):
+    # tuples through level t: comb(r*M + t, t), the guard's count
+    cfg = DiscConfiguration(tuple(Disc(rational(10 * j), ONE) for j in range(r)))
+    rows = hs_truncated(cfg, M, N)
+    assert [row.tuple_count for row in rows] == [math.comb(r * M + t, t) for t in range(N + 1)]
 
 
 def test_hs_truncated_resource_guard():

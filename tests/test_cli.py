@@ -1,5 +1,6 @@
 """Command line round trips: schemas, documents, determinism, exit codes."""
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -259,3 +260,26 @@ def test_scalar_json_shapes():
     assert _scalar_json(rational(1, 2)) == ["1", "2"]
     assert _scalar_json(root(2) * Fraction(-1, 3)) == {"radicals": {"2": ["-1/3", "0"]}}
     assert _scalar_json(complex(0.5, -1.0)) == [0.5, -1.0]
+
+
+def test_package_exports_resolve():
+    import freeboson
+
+    assert [name for name in freeboson.__all__ if not hasattr(freeboson, name)] == []
+
+
+def test_main_hsnorm_large_mode_cap(tmp_path, capsys):
+    discs = [{"a_re": 0, "q_re": 1}, {"a_re": 10, "q_re": 1}]
+    # one mode per recursion level used to overflow the stack here
+    config = _write(tmp_path, "h.json", {"discs": discs, "truncation": {"M": 3000, "N": 0}})
+    assert main(["hsnorm", "--config", config]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["rows"] == [{"total_insertions": 0, "tuple_count": 1, "partial_sum": "1"}]
+    # comb(303, 3) tuples: refused before any index is built
+    config = _write(tmp_path, "h.json", {"discs": discs, "truncation": {"M": 150, "N": 3}})
+    start = time.perf_counter()
+    assert main(["hsnorm", "--config", config]) == 1
+    elapsed = time.perf_counter() - start
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"]["type"] == "ResourceError"
+    assert elapsed < 1.0

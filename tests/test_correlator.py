@@ -5,10 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from freeboson.algebra import LinearCombination, PlainWord, WickGroup, WickWord, wick_expand
+from freeboson.algebra import LinearCombination, WickGroup, WickWord, wick_expand
 from freeboson.correlator import (
     expect_combo,
-    expect_plain,
     expect_wick,
     kernel,
     matchings,
@@ -75,15 +74,13 @@ def test_matchings_cover_indices():
 
 
 def test_expect_empty_and_odd():
-    assert expect_plain(PlainWord.unit()) == rational(1)
-    assert expect_plain(PlainWord.single(1, 1)) == rational(0)
+    assert expect_wick(WickWord.unit()) == rational(1)
+    assert expect_wick(WickWord.plain((1, 1))) == rational(0)
 
 
 def test_expect_four_point_golden():
-    w = PlainWord(tuple(
-        PlainWord.single(1, k).insertions[0] for k in range(4)
-    ))
-    assert expect_plain(w) == rational(Fraction(169, 576))
+    w = WickWord.plain(*((1, k) for k in range(4)))
+    assert expect_wick(w) == rational(Fraction(169, 576))
 
 
 def test_expect_four_point_is_pair_sum():
@@ -92,16 +89,16 @@ def test_expect_four_point_is_pair_sum():
     assert total == Fraction(169, 576)
 
 
-def test_expect_plain_pole():
-    w = PlainWord.single(1, 1) * PlainWord.single(2, 1)
+def test_plain_word_pole():
+    w = WickWord.plain((1, 1)) * WickWord.plain((2, 1))
     with pytest.raises(PoleError):
-        expect_plain(w)
+        expect_wick(w)
 
 
-def test_expect_plain_stats():
+def test_plain_word_stats():
     stats = {}
-    w = PlainWord(tuple(PlainWord.single(1, k).insertions[0] for k in range(4)))
-    expect_plain(w, stats)
+    w = WickWord.plain(*((1, k) for k in range(4)))
+    expect_wick(w, stats)
     assert stats["pairings"] == 3
 
 
@@ -132,8 +129,8 @@ def test_expect_wick_cross_coincidence_pole():
 
 
 def test_expect_combo_linearity():
-    w = PlainWord.single(1, 0) * PlainWord.single(1, 1)
-    combo = LinearCombination.of(w, 2) + LinearCombination.of(PlainWord.unit())
+    w = WickWord.plain((1, 0)) * WickWord.plain((1, 1))
+    combo = LinearCombination.of(w, 2) + LinearCombination.of(WickWord.unit())
     # 2*(-1/2) + 1 = 0
     assert expect_combo(combo) == rational(0)
 
@@ -181,9 +178,36 @@ def test_mobius_inversion():
 
 def test_mobius_rejects_higher_orders():
     with pytest.raises(DomainError):
-        mobius_check(PlainWord.single(2, 1), (1, 0, 0, 1))
+        mobius_check(WickWord.plain((2, 1)), (1, 0, 0, 1))
 
 
 def test_mobius_degenerate_map():
     with pytest.raises(DomainError):
-        mobius_check(PlainWord.single(1, 1), (1, 2, 1, 2))
+        mobius_check(WickWord.plain((1, 1)), (1, 2, 1, 2))
+
+
+def test_plain_times_wick_product():
+    # [1,0][1,1/3] against :[1,1/2][1,-1/2]:, the group's own pair forbidden:
+    # C(0,1/2) C(1/3,-1/2) + C(0,-1/2) C(1/3,1/2) = 36/25 + 36
+    plain = WickWord.plain((1, 0), (1, Fraction(1, 3)))
+    group = WickWord.single_group(WickGroup.of((1, Fraction(1, 2)), (1, Fraction(-1, 2))))
+    assert expect_wick(plain * group) == rational(Fraction(936, 25))
+    assert expect_combo(LinearCombination.of(plain) * group) == rational(Fraction(936, 25))
+
+
+def test_mobius_multigroup_word():
+    # :[1,1/4][1,1/2]: [1,1/3] [1,-1/3]: order-1 insertions in three groups
+    W = WickWord((
+        WickGroup.of((1, Fraction(1, 4)), (1, Fraction(1, 2))),
+        WickGroup.of((1, Fraction(1, 3))),
+        WickGroup.of((1, Fraction(-1, 3))),
+    ))
+    for coeffs in ((0, 1, 1, 0), (2, 1, 0, 1), (1, 2, -1, 3)):
+        lhs, rhs = mobius_check(W, coeffs)
+        assert lhs == rhs
+    assert lhs != rational(0)
+    rng = random.Random(37)
+    for _ in range(6):
+        W = random_wick_word(rng, rng.choice((4, 6)), max_order=1)
+        lhs, rhs = mobius_check(W, (rational_point(rng), 1, 1, 3))
+        assert lhs == rhs

@@ -9,7 +9,7 @@ from fractions import Fraction
 from freeboson.algebra import Insertion
 from freeboson.amplitude import Disc, DiscConfiguration, amplitude_entry
 from freeboson.cli import main, run
-from freeboson.correlator import expect_plain, expect_wick, kernel, matchings
+from freeboson.correlator import expect_wick, kernel, matchings
 from freeboson.fock import FockIndex
 from freeboson.hilbert import _pair_series_eval, disc_series_inner
 from freeboson.pairing import hafnian, matchable
@@ -42,13 +42,13 @@ def _word_json(word):
     ]
 
 
-def test_expect_plain_matches_enumeration():
+def test_plain_word_matches_enumeration():
     rng = random.Random(41)
     for n in range(0, 9):
         W = random_plain_word(rng, n)
         stats = {}
-        value, count = _brute_force(W.insertions, range(n))
-        assert expect_plain(W, stats) == value
+        value, count = _brute_force([g.insertions[0] for g in W.groups], range(n))
+        assert expect_wick(W, stats) == value
         assert stats.get("pairings", 0) == count
 
 
