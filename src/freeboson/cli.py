@@ -9,7 +9,11 @@ Subcommands:
 
 Results are JSON documents on stdout (or --out).  In exact mode the output
 is byte-identical across runs; rationals are rendered as "p/q" strings.
-Exit codes: 0 success, 1 configuration or domain error, 2 verify failure.
+Exit codes: 0 success, 1 configuration, domain or resource error, 2 verify
+failure, 3 any other exception (a defect of the engine, or a limit of the
+interpreter such as its cap on the digits of an integer printed).  Every
+error leaves the same {"error": {"module", "type", "message"}} document on
+stdout and no traceback.
 """
 from __future__ import annotations
 
@@ -384,6 +388,23 @@ def _emit(text: str, out_path) -> None:
         raise SchemaError(f"cannot write output: {exc}") from None
 
 
+def _emit_error(module: str, exc: Exception) -> None:
+    error_doc = {"error": {"module": module, "type": type(exc).__name__, "message": str(exc)}}
+    sys.stdout.write(json.dumps(error_doc, sort_keys=True, indent=2) + "\n")
+
+
+def _origin(exc: Exception) -> str:
+    """The innermost freeboson module on the traceback of an unexpected error."""
+    module = "cli"
+    tb = exc.__traceback__
+    while tb is not None:
+        name = tb.tb_frame.f_globals.get("__name__", "")
+        if name.startswith("freeboson."):
+            module = name.rpartition(".")[2]
+        tb = tb.tb_next
+    return module
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="freeboson",
@@ -424,15 +445,11 @@ def main(argv=None) -> int:
             text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
         _emit(text, args.out)
     except EngineError as exc:
-        error_doc = {
-            "error": {
-                "module": exc.module,
-                "type": type(exc).__name__,
-                "message": str(exc),
-            }
-        }
-        sys.stdout.write(json.dumps(error_doc, sort_keys=True, indent=2) + "\n")
+        _emit_error(exc.module, exc)
         return 1
+    except Exception as exc:  # the CLI boundary: no traceback escapes
+        _emit_error(_origin(exc), exc)
+        return 3
 
     if args.command == "verify" and not doc["passed"]:
         return 2

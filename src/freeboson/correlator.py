@@ -21,7 +21,7 @@ from typing import Iterator, Optional
 
 from . import scalars
 from .algebra import Insertion, LinearCombination, WickGroup, WickWord
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, ResourceError
 from .pairing import hafnian, matchable
 from .scalars import Scalar, is_zero
 
@@ -31,10 +31,27 @@ _MODULE = "correlator"
 Matching = tuple[tuple[int, int], ...]
 
 
+# Largest insertion order (or mode) any pairing weight is built for.  The
+# kernel holds (m1 + m2 - 1)! and (z1 - z2)^(m1 + m2), and the series pair
+# factor of ``hilbert`` has O(m^2) terms, so the cost grows fast with m.
+MAX_ORDER = 500
+
+
+def check_orders(orders, module: str) -> None:
+    """Raise ResourceError when an order exceeds MAX_ORDER, before any work."""
+    top = max(orders, default=0)
+    if top > MAX_ORDER:
+        raise ResourceError(module, f"order {top} exceeds the guard {MAX_ORDER}")
+
+
 def kernel(m1: int, z1, m2: int, z2) -> Scalar:
-    """The two-point pair kernel C(m1, z1, m2, z2); exact on exact points."""
+    """The two-point pair kernel C(m1, z1, m2, z2); exact on exact points.
+
+    Raises ResourceError for an order above MAX_ORDER.
+    """
     if not (isinstance(m1, int) and isinstance(m2, int)) or m1 < 1 or m2 < 1:
         raise DomainError(_MODULE, f"kernel orders must be integers >= 1, got {m1!r}, {m2!r}")
+    check_orders((m1, m2), _MODULE)
     z1 = scalars.as_scalar(z1)
     z2 = scalars.as_scalar(z2)
     if scalars.sort_key(z1) == scalars.sort_key(z2):

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
 from . import scalars
-from .algebra import Insertion, LinearCombination, WickGroup, WickWord, theta
+from .algebra import LinearCombination, WickGroup, WickWord, theta
 from .correlator import expect_combo
 from .errors import DomainError
 from .scalars import I, Scalar, as_scalar, conjugate, is_zero, root

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import scalars
 from .algebra import LinearCombination, WickGroup, WickWord
-from .correlator import kernel
+from .correlator import check_orders, kernel
 from .errors import DomainError, StructuralError
 from .pairing import hafnian, matchable
 from .scalars import Scalar, conjugate
@@ -147,6 +147,7 @@ def _word_pair(wF: WickWord, wG: WickWord) -> Scalar:
     zero = scalars.zero_scalar(exact)
     if not matchable([len(g) for g in wF.groups + wG.groups]):
         return zero
+    check_orders([ins.order for _, _, ins in slots], _MODULE)
 
     def weight(i: int, j: int) -> Optional[Scalar]:
         # left slots come first, so a mixed pair has i on the left

@@ -1,6 +1,11 @@
 """Disc configurations, amplitude entries, truncated HS sums and the bound."""
 import math
+import random
+import time
+import warnings
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -19,8 +24,8 @@ from freeboson.errors import (
     RegimeWarning,
     ResourceError,
 )
-from freeboson.fock import FockVector
-from freeboson.scalars import ONE, rational, root
+from freeboson.fock import FockIndex, FockVector
+from freeboson.scalars import ONE, conjugate, rational, root
 
 
 def _standard() -> DiscConfiguration:
@@ -120,6 +125,121 @@ def test_amplitude_apply_is_linear_not_sesquilinear():
     v = FockVector.basis({1: 1}, c)
     w = FockVector.basis({1: 1})
     assert amplitude_apply(cfg, [v, w]) == c * amplitude_entry(cfg, ({1: 1}, {1: 1}))
+
+
+def _hs_by_tuples(config: DiscConfiguration, M: int, N: int) -> list:
+    """Reference sweep: (tuple_count, partial_sum) per level, summing
+    |amplitude_entry|^2 over every index tuple, level by level."""
+    r = config.r
+    by_particles = [
+        [FockIndex.of(Counter(c)) for c in combinations_with_replacement(range(1, M + 1), p)]
+        for p in range(N + 1)
+    ]
+
+    def tuples_of_total(t: int, slot: int = 0):
+        if slot == r - 1:
+            for idx in by_particles[t]:
+                yield (idx,)
+            return
+        for p in range(t + 1):
+            for idx in by_particles[p]:
+                for rest in tuples_of_total(t - p, slot + 1):
+                    yield (idx,) + rest
+
+    rows = []
+    running = scalars.zero_scalar(config.is_exact())
+    seen = 0
+    for t in range(N + 1):
+        for tup in tuples_of_total(t):
+            value = amplitude_entry(config, tup)
+            running = running + value * conjugate(value)
+            seen += 1
+        rows.append((seen, running))
+    return rows
+
+
+def _seeded_config(seed: int, r: int, spacing: int, max_q: int, exact: bool = True):
+    """r discs on a jittered grid with complex scales |Re q|, |Im q| <= max_q/8."""
+    rng = random.Random(seed)
+    cells = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    rng.shuffle(cells)
+    discs = []
+    for cx, cy in cells[:r]:
+        a = (Fraction(cx * spacing) + Fraction(rng.randint(-1, 1), 4),
+             Fraction(cy * spacing) + Fraction(rng.randint(-1, 1), 4))
+        q = tuple(Fraction(rng.choice((-1, 1)) * rng.randint(1, max_q), 8) for _ in range(2))
+        if exact:
+            discs.append(Disc(rational(*a), rational(*q)))
+        else:
+            discs.append(Disc(complex(*map(float, a)), complex(*map(float, q))))
+    return DiscConfiguration(tuple(discs))
+
+
+# (seed, discs, spacing, max_q, M, N): spacing 8 lies inside the regime,
+# spacing 3 with scales up to 4/8 outside it
+_ORACLE_CASES = [
+    (1, 2, 8, 3, 4, 6),
+    (2, 2, 3, 4, 3, 6),
+    (3, 3, 8, 3, 2, 6),
+    (4, 3, 3, 4, 3, 5),
+    (5, 2, 3, 4, 1, 6),
+]
+
+
+@pytest.mark.parametrize("seed,r,spacing,max_q,M,N", _ORACLE_CASES)
+def test_hs_truncated_matches_tuple_sweep(seed, r, spacing, max_q, M, N):
+    cfg = _seeded_config(seed, r, spacing, max_q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        rows = hs_truncated(cfg, M, N)
+    assert [(row.tuple_count, row.partial_sum) for row in rows] == _hs_by_tuples(cfg, M, N)
+
+
+def test_hs_truncated_oracle_cases_cover_both_regimes():
+    regimes = {_seeded_config(s, r, sp, q).hs_regime() for s, r, sp, q, _, _ in _ORACLE_CASES}
+    assert regimes == {True, False}
+
+
+def test_hs_truncated_float_matches_tuple_sweep():
+    cfg = _seeded_config(6, 3, 3, 4, exact=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        rows = hs_truncated(cfg, 3, 6)
+    for row, (count, value) in zip(rows, _hs_by_tuples(cfg, 3, 6), strict=True):
+        assert row.tuple_count == count
+        assert abs(row.partial_sum - value) <= 1e-12 * abs(value)
+        assert row.partial_sum.imag == 0.0
+
+
+def test_hs_truncated_hand_value():
+    # vacuum 1 plus |entry({1: 1}, {1: 1})|^2 = (1/100)^2
+    rows = hs_truncated(_standard(), 1, 2)
+    assert rows[2].partial_sum == rational(Fraction(10001, 10000))
+
+
+def test_hs_truncated_m16_n4_budget():
+    # comb(36, 4) = 58905 tuples, under the default guard
+    start = time.perf_counter()
+    rows = hs_truncated(_standard(), 16, 4)
+    assert time.perf_counter() - start < 3.0
+    assert rows[-1].tuple_count == 58905
+
+
+def test_hs_truncated_order_guard():
+    # no kernel is built below two insertions, so a huge M is fine there
+    assert hs_truncated(_standard(), 3000, 1, max_tuples=10**6)[-1].partial_sum == ONE
+    with pytest.raises(ResourceError):
+        hs_truncated(_standard(), 3000, 2, max_tuples=10**8)
+
+
+def test_entry_guards_before_prefactor():
+    # a huge mode or count is refused before its factorial is built
+    start = time.perf_counter()
+    with pytest.raises(ResourceError):
+        amplitude_entry(_standard(), ({100000: 1}, {1: 1}))
+    with pytest.raises(ResourceError):
+        amplitude_entry(_standard(), ({1: 100000}, {1: 100000}))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_hs_truncated_rows():

@@ -254,7 +254,7 @@ def test_main_verify_failure_exits_two(monkeypatch, capsys):
 
 def test_scalar_json_shapes():
     from freeboson.cli import _scalar_json
-    from freeboson.scalars import I, rational, root
+    from freeboson.scalars import rational, root
 
     assert _scalar_json(rational(Fraction(3, 4))) == "3/4"
     assert _scalar_json(rational(1, 2)) == ["1", "2"]
@@ -283,3 +283,36 @@ def test_main_hsnorm_large_mode_cap(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["error"]["type"] == "ResourceError"
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("amplitude", {"discs": [{"a_re": 0, "q_re": 1}, {"a_re": 10, "q_re": 1}],
+                   "states": [[{"100000": 1}, {"1": 1}]]}),
+    ("correlator", {"words": [[[{"m": 200000, "re": 0}], [{"m": 200000, "re": 1}]]]}),
+    ("gram", {"states": [[[{"m": 200000, "re": "1/2"}]]]}),
+])
+def test_main_huge_order_is_refused_fast(tmp_path, capsys, command, payload):
+    config = _write(tmp_path, "big.json", payload)
+    start = time.perf_counter()
+    assert main([command, "--config", config]) == 1
+    assert time.perf_counter() - start < 1.0
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"]["type"] == "ResourceError"
+
+
+def test_main_unexpected_error_is_a_document(monkeypatch, tmp_path, capsys):
+    def broken(command, config):
+        raise ValueError("Exceeds the limit (4300 digits) for integer string conversion")
+
+    monkeypatch.setattr(cli, "run", broken)
+    config = _write(tmp_path, "c.json", {"words": [FOUR_POINT]})
+    assert main(["correlator", "--config", config]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == {
+        "error": {
+            "module": "cli",
+            "type": "ValueError",
+            "message": "Exceeds the limit (4300 digits) for integer string conversion",
+        }
+    }

@@ -1,5 +1,4 @@
 """Pairing kernels, matching enumeration, and expectation values."""
-import math
 import random
 from fractions import Fraction
 

@@ -1,5 +1,4 @@
 """Occupation states, ladder algebra, the Wick dictionary, contour checks."""
-import math
 import random
 from fractions import Fraction
 

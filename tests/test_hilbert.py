@@ -11,7 +11,6 @@ from freeboson.correlator import expect_combo
 from freeboson.errors import DomainError, StructuralError
 from freeboson.hilbert import (
     GramReport,
-    StateExpression,
     as_state,
     disc_series_inner,
     gram,

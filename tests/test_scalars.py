@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from freeboson import scalars
 from freeboson.errors import DomainError
-from freeboson.scalars import Exact, I, ONE, ZERO, as_scalar, rational, root
+from freeboson.scalars import I, ONE, ZERO, as_scalar, rational, root
 
 fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=12
