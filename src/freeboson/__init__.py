@@ -27,7 +27,6 @@ from .amplitude import (
     hs_bound,
     hs_truncated,
 )
-from .cli import main, run
 from .correlator import (
     expect_combo,
     expect_wick,
@@ -114,14 +113,12 @@ __all__ = [
     "inner",
     "kernel",
     "ladder",
-    "main",
     "matchings",
     "mobius_check",
     "psd_check",
     "rational",
     "rescale",
     "root",
-    "run",
     "run_suites",
     "scalars",
     "theta",

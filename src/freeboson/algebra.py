@@ -18,6 +18,8 @@ words over partial pairings.
 Words are canonicalized (insertions and groups sorted) so that merging
 linear combinations is deterministic; this is legal because every
 expectation in the engine is permutation symmetric.
+Combination, with its one merge rule add_term, is the base of both
+LinearCombination (over words) and fock.FockVector (over occupations).
 """
 from __future__ import annotations
 
@@ -159,58 +161,59 @@ class WickWord:
 # Linear combinations
 # ---------------------------------------------------------------------------
 
-def _add_term(acc: dict, word: WickWord, coeff: Scalar) -> None:
-    """Add coeff * word into the term dict acc, dropping a zero sum."""
-    if word in acc:
-        coeff = acc[word] + coeff
+def add_term(acc: dict, key, coeff: Scalar) -> None:
+    """Add coeff * key into the term dict acc, dropping a zero sum.
+
+    The one merge rule of every combination: equal keys add, exact zeros
+    (and float sums that cancel to zero) are removed, and a new key goes to
+    the end so summation order is the order of first appearance.
+    """
+    if key in acc:
+        coeff = acc[key] + coeff
     if is_zero(coeff):
-        acc.pop(word, None)
+        acc.pop(key, None)
     else:
-        acc[word] = coeff
+        acc[key] = coeff
 
 
-class LinearCombination:
-    """Finitely supported map word -> scalar coefficient.
+class Combination:
+    """Finitely supported map key -> scalar coefficient, for one key type.
 
-    Zero coefficients are never stored.  Addition, scalar multiplication and
-    the algebra product (distributing word concatenation) are supported.
+    Zero coefficients are never stored.  Addition, subtraction, negation,
+    scalar multiplication and equality are defined between combinations of
+    the same class; subclasses set ``key_type`` and add their own builders.
     """
 
     __slots__ = ("_terms",)
+    key_type: type = object
 
-    def __init__(self, terms: Mapping[WickWord, Scalar] | None = None):
-        acc: dict[WickWord, Scalar] = {}
-        for word, coeff in (terms or {}).items():
-            if not isinstance(word, WickWord):
+    def __init__(self, terms: Mapping | None = None):
+        acc: dict = {}
+        for key, coeff in (terms or {}).items():
+            if not isinstance(key, self.key_type):
+                name = self.key_type.__name__
                 raise DomainError(
-                    _MODULE, f"combinations hold WickWords, got {type(word).__name__}"
+                    _MODULE, f"{type(self).__name__} holds {name}s, got {type(key).__name__}"
                 )
-            _add_term(acc, word, as_scalar(coeff))
+            add_term(acc, key, as_scalar(coeff))
         self._terms = acc
 
     @classmethod
-    def _of_terms(cls, acc: dict) -> "LinearCombination":
+    def _of_terms(cls, acc: dict):
         """Wrap a term dict that is already merged and free of zeros."""
         out = cls.__new__(cls)
         out._terms = acc
         return out
 
     @classmethod
-    def zero(cls) -> "LinearCombination":
+    def zero(cls):
         return cls()
-
-    @classmethod
-    def of(cls, word: WickWord, coeff=1) -> "LinearCombination":
-        return cls({word: as_scalar(coeff)})
 
     def items(self):
         return self._terms.items()
 
-    def words(self):
-        return self._terms.keys()
-
-    def coeff(self, word: WickWord) -> Scalar:
-        return self._terms.get(word, scalars.ZERO)
+    def coeff(self, key) -> Scalar:
+        return self._terms.get(key, scalars.ZERO)
 
     def __len__(self):
         return len(self._terms)
@@ -219,27 +222,55 @@ class LinearCombination:
         return not self._terms
 
     def __add__(self, other):
-        if not isinstance(other, LinearCombination):
+        if type(other) is not type(self):
             return NotImplemented
         acc = dict(self._terms)
-        for word, coeff in other._terms.items():
-            _add_term(acc, word, coeff)
-        return LinearCombination._of_terms(acc)
+        for key, coeff in other._terms.items():
+            add_term(acc, key, coeff)
+        return self._of_terms(acc)
 
     def __sub__(self, other):
-        if not isinstance(other, LinearCombination):
+        if type(other) is not type(self):
             return NotImplemented
         return self + (-other)
 
     def __neg__(self):
-        return LinearCombination._of_terms({w: -c for w, c in self._terms.items()})
+        return self._of_terms({k: -c for k, c in self._terms.items()})
+
+    def scaled(self, coeff):
+        coeff = as_scalar(coeff)
+        acc: dict = {}
+        if not is_zero(coeff):
+            for key, c in self._terms.items():
+                add_term(acc, key, c * coeff)
+        return self._of_terms(acc)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._terms == other._terms
+
+
+class LinearCombination(Combination):
+    """Combination of Wick words, with the algebra product that distributes
+    word concatenation."""
+
+    __slots__ = ()
+    key_type = WickWord
+
+    @classmethod
+    def of(cls, word: WickWord, coeff=1) -> "LinearCombination":
+        return cls({word: as_scalar(coeff)})
+
+    def words(self):
+        return self._terms.keys()
 
     def __mul__(self, other):
         if isinstance(other, LinearCombination):
             acc: dict[WickWord, Scalar] = {}
             for w1, c1 in self._terms.items():
                 for w2, c2 in other._terms.items():
-                    _add_term(acc, w1 * w2, c1 * c2)
+                    add_term(acc, w1 * w2, c1 * c2)
             return LinearCombination._of_terms(acc)
         if isinstance(other, WickWord):
             return self * LinearCombination.of(other)
@@ -253,17 +284,6 @@ class LinearCombination:
         # Scalars commute with everything; word-by-combination products are
         # symmetric too since words are canonically sorted.
         return self.__mul__(other)
-
-    def scaled(self, coeff) -> "LinearCombination":
-        coeff = as_scalar(coeff)
-        if is_zero(coeff):
-            return LinearCombination.zero()
-        return LinearCombination({w: c * coeff for w, c in self._terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, LinearCombination):
-            return NotImplemented
-        return self._terms == other._terms
 
     def __repr__(self):
         if not self._terms:
@@ -327,7 +347,7 @@ def theta(F) -> LinearCombination:
         ends = list(accumulate(len(g) for g in word.groups))
         for c, inss in _product_expansion(factors, conjugate(coeff)):
             groups = tuple(WickGroup(inss[a:b]) for a, b in zip([0] + ends, ends))
-            _add_term(acc, WickWord(groups), c)
+            add_term(acc, WickWord(groups), c)
     return LinearCombination._of_terms(acc)
 
 
@@ -345,7 +365,7 @@ def rescale(F, a, q) -> LinearCombination:
                 for g in word.groups
             )
         )
-        _add_term(acc, moved, coeff * q ** word.total_order())
+        add_term(acc, moved, coeff * q ** word.total_order())
     return LinearCombination._of_terms(acc)
 
 
@@ -390,5 +410,5 @@ def wick_expand(G: WickGroup) -> LinearCombination:
         coeff: Scalar = scalars.one_scalar(exact)
         for i, j in pairs:
             coeff = coeff * (-kernel(ins[i].order, ins[i].point, ins[j].order, ins[j].point))
-        _add_term(acc, WickWord(tuple(WickGroup((ins[k],)) for k in singles)), coeff)
+        add_term(acc, WickWord(tuple(WickGroup((ins[k],)) for k in singles)), coeff)
     return LinearCombination._of_terms(acc)

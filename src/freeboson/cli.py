@@ -10,8 +10,9 @@ Subcommands:
 Results are JSON documents on stdout (or --out).  In exact mode the output
 is byte-identical across runs; rationals are rendered as "p/q" strings.
 Exit codes: 0 success, 1 configuration, domain or resource error, 2 verify
-failure, 3 any other exception (a defect of the engine, or a limit of the
-interpreter such as its cap on the digits of an integer printed).  Every
+failure, 3 any other exception (a defect of the engine, a limit of the
+interpreter such as its cap on the digits of an integer printed, or a reader
+of stdout that went away, after which nothing more is written).  Every
 error leaves the same {"error": {"module", "type", "message"}} document on
 stdout and no traceback.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 import warnings
@@ -31,6 +33,7 @@ from .correlator import expect_combo
 from .errors import EngineError, RegimeWarning, SchemaError
 from .fock import FockIndex
 from .hilbert import gram
+from .pairing import matching_count
 from .verify import run_suites
 
 _ALLOWED_KEYS = {
@@ -196,17 +199,16 @@ def _run_correlator(config: dict) -> dict:
     if not isinstance(entries, list) or not entries:
         raise SchemaError("correlator.words: expected a non-empty list")
     expectations = []
-    stats: dict = {}
+    pairings = 0
     for i, obj in enumerate(entries):
         word = _parse_word(obj, exact, f"words[{i}]")
-        expectations.append(
-            _scalar_json(expect_combo(LinearCombination.of(word), stats))
-        )
+        expectations.append(_scalar_json(expect_combo(LinearCombination.of(word))))
+        pairings += matching_count([len(g) for g in word.groups])
     return {
         "command": "correlator",
         "mode": "exact" if exact else "float",
         "expectations": expectations,
-        "pairings": stats.get("pairings", 0),
+        "pairings": pairings,
     }
 
 
@@ -380,6 +382,7 @@ def _render_csv(doc: dict) -> str:
 def _emit(text: str, out_path) -> None:
     if out_path is None:
         sys.stdout.write(text)
+        sys.stdout.flush()
         return
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -390,7 +393,7 @@ def _emit(text: str, out_path) -> None:
 
 def _emit_error(module: str, exc: Exception) -> None:
     error_doc = {"error": {"module": module, "type": type(exc).__name__, "message": str(exc)}}
-    sys.stdout.write(json.dumps(error_doc, sort_keys=True, indent=2) + "\n")
+    _emit(json.dumps(error_doc, sort_keys=True, indent=2) + "\n", None)
 
 
 def _origin(exc: Exception) -> str:
@@ -425,6 +428,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
+        return _main(argv)
+    except BrokenPipeError:
+        # stdout's reader has gone: write nothing more, and point the
+        # descriptor at the null device so the final flush cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
+        return 3
+
+
+def _main(argv) -> int:
+    try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; fold that into the config-error code
@@ -447,6 +464,8 @@ def main(argv=None) -> int:
     except EngineError as exc:
         _emit_error(exc.module, exc)
         return 1
+    except BrokenPipeError:
+        raise
     except Exception as exc:  # the CLI boundary: no traceback escapes
         _emit_error(_origin(exc), exc)
         return 3

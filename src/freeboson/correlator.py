@@ -88,15 +88,14 @@ def _perfect(seq: tuple[int, ...]) -> Iterator[Matching]:
             yield ((head, partner),) + sub
 
 
-def expect_wick(W: WickWord, stats: Optional[dict] = None) -> Scalar:
+def expect_wick(W: WickWord) -> Scalar:
     """Expectation of a product of Wick groups: cross-group pairing sum.
 
     Points may coincide inside one group (those pairings are suppressed) but
     must be distinct across groups.  A lone non-empty group has expectation
     zero; the empty word has expectation one.  The sum is the hafnian of the
     word's kernel table with same-group pairs forbidden, each allowed kernel
-    evaluated once; ``stats["pairings"]`` accumulates the number of perfect
-    matchings, counted by the same DP on a 0/1 table.
+    evaluated once; ``pairing.matching_count`` counts its matchings.
     """
     if not isinstance(W, WickWord):
         raise DomainError(_MODULE, f"expect_wick expects a WickWord, got {type(W).__name__}")
@@ -123,14 +122,10 @@ def expect_wick(W: WickWord, stats: Optional[dict] = None) -> Scalar:
         return kernel(a.order, a.point, b.order, b.point)
 
     counts = (1,) * len(flat)
-    value = hafnian(weight, counts, scalars.one_scalar(exact), scalars.zero_scalar(exact))
-    if stats is not None:
-        count = hafnian(lambda i, j: None if labels[i] == labels[j] else 1, counts, 1, 0)
-        stats["pairings"] = stats.get("pairings", 0) + count
-    return value
+    return hafnian(weight, counts, scalars.one_scalar(exact), scalars.zero_scalar(exact))
 
 
-def expect_combo(F, stats: Optional[dict] = None) -> Scalar:
+def expect_combo(F) -> Scalar:
     """Linear extension of expect_wick to combinations."""
     if isinstance(F, WickWord):
         F = LinearCombination.of(F)
@@ -139,7 +134,7 @@ def expect_combo(F, stats: Optional[dict] = None) -> Scalar:
     total: Scalar = scalars.ZERO
     started = False
     for word, coeff in F.items():
-        term = coeff * expect_wick(word, stats)
+        term = coeff * expect_wick(word)
         total = term if not started else total + term
         started = True
     return total if started else scalars.ZERO

@@ -2,8 +2,8 @@
 
 Basis states are indexed by finitely supported occupation sequences {n_m};
 the state is alpha_{-m1}...alpha_{-mn} applied to the vacuum, with squared
-norm prod_m n_m! m^{n_m}.  Two bridges connect this picture to the symbol
-algebra:
+norm prod_m n_m! m^{n_m}; a vector is an algebra.Combination over them.
+Two bridges connect this picture to the symbol algebra:
 
 - at the origin, :prod_m [m,0]^{n_m}: corresponds to the basis monomial with
   coefficient prod_m ((m-1)!/(sqrt(2) i))^{n_m};
@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
 from . import scalars
-from .algebra import LinearCombination, WickGroup, WickWord, theta
+from .algebra import Combination, LinearCombination, WickGroup, WickWord, add_term, theta
 from .correlator import expect_combo
 from .errors import DomainError
 from .scalars import I, Scalar, as_scalar, conjugate, is_zero, root
@@ -89,82 +89,19 @@ class FockIndex:
         return FockIndex.of(occ)
 
 
-class FockVector:
+class FockVector(Combination):
     """Finitely supported combination of occupation indices."""
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[FockIndex, Scalar] | None = None):
-        acc: dict[FockIndex, Scalar] = {}
-        if terms:
-            for idx, coeff in terms.items():
-                coeff = as_scalar(coeff)
-                if idx in acc:
-                    coeff = acc[idx] + coeff
-                if is_zero(coeff):
-                    acc.pop(idx, None)
-                else:
-                    acc[idx] = coeff
-        self._terms = acc
+    __slots__ = ()
+    key_type = FockIndex
 
     @classmethod
     def vacuum(cls) -> "FockVector":
         return cls({FockIndex(): scalars.ONE})
 
     @classmethod
-    def zero(cls) -> "FockVector":
-        return cls()
-
-    @classmethod
     def basis(cls, occupations: Mapping[int, int], coeff=1) -> "FockVector":
         return cls({FockIndex.of(occupations): as_scalar(coeff)})
-
-    def items(self):
-        return self._terms.items()
-
-    def coeff(self, idx: FockIndex) -> Scalar:
-        return self._terms.get(idx, scalars.ZERO)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __len__(self):
-        return len(self._terms)
-
-    def __add__(self, other):
-        if not isinstance(other, FockVector):
-            return NotImplemented
-        acc = dict(self._terms)
-        for idx, coeff in other._terms.items():
-            new = acc[idx] + coeff if idx in acc else coeff
-            if is_zero(new):
-                acc.pop(idx, None)
-            else:
-                acc[idx] = new
-        out = FockVector.__new__(FockVector)
-        out._terms = acc
-        return out
-
-    def __sub__(self, other):
-        if not isinstance(other, FockVector):
-            return NotImplemented
-        return self + other.scaled(-1)
-
-    def __neg__(self):
-        return self.scaled(-1)
-
-    def scaled(self, coeff) -> "FockVector":
-        coeff = as_scalar(coeff)
-        if is_zero(coeff):
-            return FockVector.zero()
-        out = FockVector.__new__(FockVector)
-        out._terms = {idx: c * coeff for idx, c in self._terms.items()}
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, FockVector):
-            return NotImplemented
-        return self._terms == other._terms
 
     def __repr__(self):
         if not self._terms:
@@ -185,28 +122,13 @@ def ladder(v: FockVector, m: int) -> FockVector:
         raise DomainError(_MODULE, f"ladder expects a FockVector, got {type(v).__name__}")
     if not isinstance(m, int):
         raise DomainError(_MODULE, f"ladder mode must be an integer, got {m!r}")
-    if m == 0:
-        return FockVector.zero()
     acc: dict[FockIndex, Scalar] = {}
     for idx, coeff in v.items():
         if m < 0:
-            new_idx = idx.raised(-m)
-            new_coeff = coeff
-        else:
-            n = idx.count(m)
-            if not n:
-                continue
-            new_idx = idx.lowered(m)
-            new_coeff = coeff * (m * n)
-        if new_idx in acc:
-            new_coeff = acc[new_idx] + new_coeff
-        if is_zero(new_coeff):
-            acc.pop(new_idx, None)
-        else:
-            acc[new_idx] = new_coeff
-    out = FockVector.__new__(FockVector)
-    out._terms = acc
-    return out
+            add_term(acc, idx.raised(-m), coeff)
+        elif m > 0 and (n := idx.count(m)):
+            add_term(acc, idx.lowered(m), coeff * (m * n))
+    return FockVector._of_terms(acc)
 
 
 def fock_inner(v: FockVector, w: FockVector) -> Scalar:
@@ -273,29 +195,18 @@ def wick_group_to_fock(G: WickGroup, M: int) -> FockVector:
             raise DomainError(_MODULE, f"point {ins.point!r} is not in the open unit disc")
     n = len(G.insertions)
     prefactor = INV_SQRT2_I ** n
-    # states: occupation dict (as sorted tuple) -> accumulated coefficient
-    states: dict[tuple[tuple[int, int], ...], Scalar] = {(): prefactor}
+    states: dict[FockIndex, Scalar] = {FockIndex(): prefactor}
     for ins in G.insertions:
         m, z = ins.order, ins.point
-        new_states: dict[tuple[tuple[int, int], ...], Scalar] = {}
-        for occ, coeff in states.items():
-            level = sum(mode * cnt for mode, cnt in occ)
+        new_states: dict[FockIndex, Scalar] = {}
+        for idx, coeff in states.items():
             zpow: Scalar = scalars.one_scalar(scalars.is_exact(z))
-            for k in range(m, M + 1):
-                if level + k <= M:
-                    c = coeff * Fraction(math.factorial(k - 1), math.factorial(k - m)) * zpow
-                    d = dict(occ)
-                    d[k] = d.get(k, 0) + 1
-                    key = tuple(sorted(d.items()))
-                    if key in new_states:
-                        c = new_states[key] + c
-                    if is_zero(c):
-                        new_states.pop(key, None)
-                    else:
-                        new_states[key] = c
+            for k in range(m, M - idx.level() + 1):
+                c = coeff * Fraction(math.factorial(k - 1), math.factorial(k - m)) * zpow
+                add_term(new_states, idx.raised(k), c)
                 zpow = zpow * z
         states = new_states
-    return FockVector({FockIndex(occ): c for occ, c in states.items()})
+    return FockVector._of_terms(states)
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,17 @@ open unit disc); the inner product is (F, G) = <theta(F) G>, anti-linear in
 F, and theta is never expanded: a pair of basis words is one hafnian over
 the left and right insertions with weights conj(C), C and the derivative
 pair factor of (1/2)(1 - conj(z) w)^{-2}, all exact and entire in the disc,
-so origin points are allowed on both sides.  ``verify`` and the tests keep
-the theta route as the reference.  Vectors are never quotiented; equality
-in the Hilbert space is decided through Gram computations.
+so origin points are allowed on both sides.  The pair factor is in closed
+form (the tests keep a symbolic differentiator as its reference), and
+``verify`` and the tests keep the theta route as the reference.  Vectors
+are never quotiented; equality in the Hilbert space is decided through Gram
+computations.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,9 +42,9 @@ class StateExpression:
     combo: LinearCombination
 
     def __post_init__(self):
+        if not isinstance(self.combo, LinearCombination):
+            raise DomainError(_MODULE, "states are combinations of Wick words")
         for word, _ in self.combo.items():
-            if not isinstance(word, WickWord):
-                raise DomainError(_MODULE, "states are combinations of Wick words")
             seen_cross: dict = {}
             for gid, group in enumerate(word.groups):
                 for ins in group.insertions:
@@ -76,56 +78,29 @@ def as_state(F) -> StateExpression:
 # Inner product of basis words
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _pair_series(j: int, k: int) -> tuple[tuple[int, int, int, Fraction], ...]:
-    """d^j/du^j d^k/dw^k of (1/2)(1 - u w)^{-2} as sum c * u^p w^q (1-u w)^{-e}.
-
-    Returned as (p, q, e, c) tuples; differentiation stays inside this family
-    so the coefficients are exact rationals.
-    """
-    terms: dict[tuple[int, int, int], Fraction] = {(0, 0, 2): Fraction(1, 2)}
-
-    def diff(terms, wrt_u: bool):
-        out: dict[tuple[int, int, int], Fraction] = {}
-
-        def add(key, val):
-            if key in out:
-                val = out[key] + val
-            if val:
-                out[key] = val
-            elif key in out:
-                del out[key]
-
-        for (p, q, e), c in terms.items():
-            if wrt_u:
-                if p:
-                    add((p - 1, q, e), c * p)
-                add((p, q + 1, e + 1), c * e)
-            else:
-                if q:
-                    add((p, q - 1, e), c * q)
-                add((p + 1, q, e + 1), c * e)
-        return out
-
-    for _ in range(j):
-        terms = diff(terms, wrt_u=True)
-    for _ in range(k):
-        terms = diff(terms, wrt_u=False)
-    return tuple((p, q, e, c) for (p, q, e), c in sorted(terms.items()))
-
-
 def _pair_series_eval(m: int, ell: int, u: Scalar, w: Scalar) -> Scalar:
-    """The pair factor for orders (m, ell) at u = conj(z_left), w = z_right."""
+    """The pair factor for orders (m, ell) at u = conj(z_left), w = z_right:
+    d^(m-1)/du^(m-1) d^(ell-1)/dw^(ell-1) of (1/2)(1 - u w)^(-2), by Leibniz
+
+        (1/2) sum_{i < min(m, ell)} C(m-1, i) (ell-1)!/(ell-1-i)! (m+ell-1-i)!
+              u^(ell-1-i) w^(m-1-i) (1 - u w)^(-(m+ell-i)),
+
+    summed from the top i down over running powers of one inverse of 1 - u w.
+    """
     uw = u * w
     if not scalars.in_unit_disc(uw):
         raise DomainError(_MODULE, f"series pair factor needs |conj(z) w| < 1, got {uw!r}")
     exact = isinstance(uw, scalars.Exact)
-    one = scalars.one_scalar(exact)
-    base = one - uw if exact else complex(1, 0) - uw
+    base = scalars.one_scalar(exact) - uw
+    inv = base.inverse() if exact else 1 / base
+    k = min(m, ell)
+    up, wp, ip = u ** (ell - k), w ** (m - k), inv ** (m + ell - k + 1)
     total = scalars.zero_scalar(exact)
-    for p, q, e, c in _pair_series(m - 1, ell - 1):
-        term = scalars.as_scalar(c) * u ** p * w ** q * base ** (-e)
-        total = total + term
+    for i in reversed(range(k)):
+        c = math.comb(m - 1, i) * math.perm(ell - 1, i) * math.factorial(m + ell - 1 - i)
+        total = total + Fraction(c, 2) * up * wp * ip
+        if i:
+            up, wp, ip = up * u, wp * w, ip * inv
     return total
 
 

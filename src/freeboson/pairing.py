@@ -8,6 +8,7 @@ treatment of hafnians with repeated rows): the first occupied slot gives up
 one copy and pairs with each allowed partner slot k, and because the copies
 of k are interchangeable that pairing is counted reduced[k] times.  With all
 counts 1 the states are the subsets of unmatched insertions.
+``matching_count`` runs the same DP on a 0/1 table to count matchings.
 """
 from __future__ import annotations
 
@@ -28,6 +29,12 @@ def matchable(sizes: Sequence[int]) -> bool:
     of it.  Callers of ``hafnian`` that forbid same-group pairs ask first."""
     total = sum(sizes)
     return total % 2 == 0 and 2 * max(sizes, default=0) <= total
+
+
+def matching_count(sizes: Sequence[int]) -> int:
+    """The number of perfect matchings of groups of these sizes with no pair
+    inside a group: the hafnian of the 0/1 table, one slot per group."""
+    return hafnian(lambda i, j: None if i == j else 1, sizes, 1, 0)
 
 
 def hafnian(

@@ -17,6 +17,7 @@ from freeboson.algebra import (
     wick_expand,
 )
 from freeboson.errors import DomainError
+from freeboson.fock import FockIndex, FockVector
 from freeboson.sampling import random_plain_word, random_wick_word, rational_point
 from freeboson.scalars import rational
 
@@ -86,6 +87,36 @@ def test_linear_combination_merging():
 def test_combination_holds_only_words():
     with pytest.raises(DomainError):
         LinearCombination({WickGroup.of((1, 0)): 1})
+
+
+# two keys of each combination type, and a key of the wrong type
+_KEYS = {
+    LinearCombination: (WickWord.plain((1, 0)), WickWord.plain((2, 1)), WickGroup.of((1, 0))),
+    FockVector: (FockIndex.of({1: 1}), FockIndex.of({2: 3}), WickWord.unit()),
+}
+
+
+@pytest.mark.parametrize("cls", list(_KEYS), ids=lambda cls: cls.__name__)
+def test_combination_laws(cls):
+    k1, k2, wrong = _KEYS[cls]
+    a = cls({k1: 2, k2: Fraction(1, 3)})
+    b = cls({k1: -2, k2: 1})
+    total = a + b
+    assert list(total.items()) == [(k2, rational(Fraction(4, 3)))]
+    assert total.coeff(k1) == scalars.ZERO
+    assert (a - a).is_zero() and a - a == cls.zero()
+    assert a.scaled(0) == cls.zero()
+    assert -a == a.scaled(-1) and a - b == a + (-b)
+    assert a == cls({k2: Fraction(1, 3), k1: 2}) and a != b
+    # float products that underflow to zero are dropped like exact zeros
+    assert cls({k1: 1e-200}).scaled(1e-200).is_zero()
+    other = FockVector.vacuum() if cls is LinearCombination else LinearCombination.zero()
+    with pytest.raises(TypeError):
+        a + other
+    with pytest.raises(TypeError):
+        other - a
+    with pytest.raises(DomainError):
+        cls({wrong: 1})
 
 
 def test_combination_scalar_product():

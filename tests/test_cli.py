@@ -1,7 +1,11 @@
 """Command line round trips: schemas, documents, determinism, exit codes."""
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -316,3 +320,38 @@ def test_main_unexpected_error_is_a_document(monkeypatch, tmp_path, capsys):
             "message": "Exceeds the limit (4300 digits) for integer string conversion",
         }
     }
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _python(args, **kwargs):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], env=env, timeout=60, **kwargs)
+
+
+def test_module_entry_point_runs_without_warning(tmp_path):
+    config = _write(tmp_path, "c.json", {"words": [FOUR_POINT]})
+    proc = _python(
+        ["-W", "error", "-m", "freeboson.cli", "correlator", "--config", config],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["expectations"] == ["169/576"]
+
+
+def test_closed_stdout_exits_3_without_traceback(tmp_path):
+    config = _write(tmp_path, "c.json", {"words": [FOUR_POINT]})
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _python(
+            ["-c", "import sys; from freeboson.cli import main; sys.exit(main(sys.argv[1:]))",
+             "correlator", "--config", config],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3
+    assert proc.stderr == ""

@@ -13,6 +13,7 @@ from freeboson.correlator import (
     mobius_check,
 )
 from freeboson.errors import DomainError, PoleError
+from freeboson.pairing import matching_count
 from freeboson.sampling import random_plain_word, random_wick_word, rational_point
 from freeboson.scalars import rational, sort_key
 
@@ -95,10 +96,10 @@ def test_plain_word_pole():
 
 
 def test_plain_word_stats():
-    stats = {}
-    w = WickWord.plain(*((1, k) for k in range(4)))
-    expect_wick(w, stats)
-    assert stats["pairings"] == 3
+    # a plain word of n fields has (n-1)!! matchings: every pair is allowed
+    for n in range(0, 9):
+        sizes = [len(g) for g in WickWord.plain(*((1, k) for k in range(n))).groups]
+        assert matching_count(sizes) == sum(1 for _ in matchings(n))
 
 
 def test_expect_wick_cross_pairs_only():

@@ -11,6 +11,7 @@ from freeboson.correlator import expect_combo
 from freeboson.errors import DomainError, StructuralError
 from freeboson.hilbert import (
     GramReport,
+    _pair_series_eval,
     as_state,
     disc_series_inner,
     gram,
@@ -54,6 +55,63 @@ def test_series_constant_term():
     lhs = WickGroup.of((1, 0))
     rhs = WickGroup.of((1, 0))
     assert disc_series_inner(lhs, rhs) == rational(Fraction(1, 2))
+
+
+def _pair_series(j, k):
+    """d^j/du^j d^k/dw^k of (1/2)(1 - u w)^{-2} by repeated differentiation.
+
+    Returned as (p, q, e, c) tuples for c * u^p w^q (1 - u w)^{-e};
+    differentiation stays inside this family so the coefficients are exact
+    rationals.  The reference for the closed form of ``_pair_series_eval``.
+    """
+    terms = {(0, 0, 2): Fraction(1, 2)}
+
+    def diff(terms, wrt_u):
+        out = {}
+
+        def add(key, val):
+            val = out.get(key, 0) + val
+            if val:
+                out[key] = val
+            else:
+                out.pop(key, None)
+
+        for (p, q, e), c in terms.items():
+            if wrt_u:
+                if p:
+                    add((p - 1, q, e), c * p)
+                add((p, q + 1, e + 1), c * e)
+            else:
+                if q:
+                    add((p, q - 1, e), c * q)
+                add((p + 1, q, e + 1), c * e)
+        return out
+
+    for _ in range(j):
+        terms = diff(terms, wrt_u=True)
+    for _ in range(k):
+        terms = diff(terms, wrt_u=False)
+    return tuple((p, q, e, c) for (p, q, e), c in sorted(terms.items()))
+
+
+def test_pair_factor_closed_form_matches_differentiator():
+    rng = random.Random(71)
+    points = [rational(0)] + [
+        rational(Fraction(rng.randint(-6, 6), 9), Fraction(rng.randint(-6, 6), 9))
+        for _ in range(4)
+    ]
+    for m in range(1, 7):
+        for ell in range(1, 7):
+            series = _pair_series(m - 1, ell - 1)
+            assert len(series) == min(m, ell)
+            for z in points:
+                for w in points:
+                    u = scalars.conjugate(z)
+                    base = scalars.ONE - u * w
+                    expected = scalars.ZERO
+                    for p, q, e, c in series:
+                        expected = expected + rational(c) * u ** p * w ** q * base ** (-e)
+                    assert _pair_series_eval(m, ell, u, w) == expected, (m, ell, z, w)
 
 
 def test_series_matches_reflection_route():

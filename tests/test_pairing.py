@@ -12,7 +12,7 @@ from freeboson.cli import main, run
 from freeboson.correlator import expect_wick, kernel, matchings
 from freeboson.fock import FockIndex
 from freeboson.hilbert import _pair_series_eval, disc_series_inner
-from freeboson.pairing import hafnian, matchable
+from freeboson.pairing import hafnian, matchable, matching_count
 from freeboson.sampling import random_plain_word, random_state_group, random_wick_word
 from freeboson.scalars import ONE, ZERO, I, conjugate, rational, root
 
@@ -42,27 +42,33 @@ def _word_json(word):
     ]
 
 
+def _sizes(W):
+    return [len(g) for g in W.groups]
+
+
 def test_plain_word_matches_enumeration():
     rng = random.Random(41)
     for n in range(0, 9):
         W = random_plain_word(rng, n)
-        stats = {}
         value, count = _brute_force([g.insertions[0] for g in W.groups], range(n))
-        assert expect_wick(W, stats) == value
-        assert stats.get("pairings", 0) == count
+        assert expect_wick(W) == value
+        assert matching_count(_sizes(W)) == count
 
 
 def test_expect_wick_matches_enumeration():
     rng = random.Random(43)
+    words, total = [], 0
     for _ in range(12):
         W = random_wick_word(rng, rng.randint(1, 8))
         flat = [(gid, ins) for gid, g in enumerate(W.groups) for ins in g.insertions]
         value, count = _brute_force([ins for _, ins in flat], [gid for gid, _ in flat])
-        stats = {}
-        assert expect_wick(W, stats) == value
-        assert stats.get("pairings", 0) == count
+        assert expect_wick(W) == value
+        assert matching_count(_sizes(W)) == count
         doc = run("correlator", {"words": [_word_json(W)]})
         assert doc["pairings"] == count
+        words.append(_word_json(W))
+        total += count
+    assert run("correlator", {"words": words})["pairings"] == total
 
 
 def test_disc_series_inner_matches_permutation_permanent():
