@@ -30,10 +30,23 @@ from itertools import accumulate
 from typing import Iterable, Mapping
 
 from . import scalars
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 from .scalars import Scalar, as_scalar, conjugate, is_zero
 
 _MODULE = "algebra"
+
+# Largest insertion order (or mode) any map or pairing weight is built for.
+# The kernel holds (m1 + m2 - 1)! and (z1 - z2)^(m1 + m2), theta expands an
+# order-m insertion into m terms with powers up to 2m, and the series pair
+# factor of ``hilbert`` has O(m^2) terms, so the cost grows fast with m.
+MAX_ORDER = 500
+
+
+def check_orders(orders, module: str) -> None:
+    """Raise ResourceError when an order exceeds MAX_ORDER, before any work."""
+    top = max(orders, default=0)
+    if top > MAX_ORDER:
+        raise ResourceError(module, f"order {top} exceeds the guard {MAX_ORDER}")
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +346,10 @@ def _product_expansion(factors: list[list[tuple[Scalar, Insertion]]], start: Sca
             yield coeff * coeff_rest, (ins,) + ins_rest
 
 
+def _orders(F: LinearCombination):
+    return (ins.order for word in F.words() for g in word.groups for ins in g.insertions)
+
+
 def theta(F) -> LinearCombination:
     """The reflection automorphism: anti-linear, z -> 1/conj(z).
 
@@ -340,10 +357,22 @@ def theta(F) -> LinearCombination:
     multiplicatively over insertions and groups, conjugating coefficients.
     Wick groups map to Wick groups of the same arity.  Expansion terms that
     canonicalize to one word (equal insertions inside a group) are summed.
+    Each distinct insertion is expanded once per call, however many words
+    hold it.  Raises ResourceError for an order above MAX_ORDER.
     """
+    F = _as_combination(F)
+    check_orders(_orders(F), _MODULE)
+    expansions: dict[Insertion, list[tuple[Scalar, Insertion]]] = {}
+
+    def expand(ins: Insertion) -> list[tuple[Scalar, Insertion]]:
+        out = expansions.get(ins)
+        if out is None:
+            out = expansions[ins] = _theta_insertion(ins)
+        return out
+
     acc: dict[WickWord, Scalar] = {}
-    for word, coeff in _as_combination(F).items():
-        factors = [_theta_insertion(ins) for g in word.groups for ins in g.insertions]
+    for word, coeff in F.items():
+        factors = [expand(ins) for g in word.groups for ins in g.insertions]
         ends = list(accumulate(len(g) for g in word.groups))
         for c, inss in _product_expansion(factors, conjugate(coeff)):
             groups = tuple(WickGroup(inss[a:b]) for a, b in zip([0] + ends, ends))
@@ -352,13 +381,18 @@ def theta(F) -> LinearCombination:
 
 
 def rescale(F, a, q) -> LinearCombination:
-    """The affine reparametrization z -> a + q z with weight q^m per insertion."""
+    """The affine reparametrization z -> a + q z with weight q^m per insertion.
+
+    Raises ResourceError for an order above MAX_ORDER.
+    """
+    F = _as_combination(F)
+    check_orders(_orders(F), _MODULE)
     a = as_scalar(a)
     q = as_scalar(q)
     if is_zero(q):
         raise DomainError(_MODULE, "rescale needs q != 0")
     acc: dict[WickWord, Scalar] = {}
-    for word, coeff in _as_combination(F).items():
+    for word, coeff in F.items():
         moved = WickWord(
             tuple(
                 WickGroup(tuple(Insertion(i.order, a + q * i.point) for i in g.insertions))

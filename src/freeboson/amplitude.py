@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import scalars
-from .correlator import check_orders, kernel
+from .correlator import KernelTable, check_orders
 from .errors import ConfigurationError, RegimeError, RegimeWarning, ResourceError
 from .fock import FockIndex, FockVector
 from .pairing import hafnian, matchable
@@ -123,21 +123,12 @@ def _as_index(x) -> FockIndex:
 
 
 class _EntryEvaluator:
-    """Shared kernel cache plus the per-entry pairing sum."""
+    """A kernel table shared by the entries, plus the per-entry pairing sum."""
 
     def __init__(self, config: DiscConfiguration):
         self.config = config
         self.exact = config.is_exact()
-        self._kernels: dict[tuple[int, int, int, int], Scalar] = {}
-
-    def _kernel(self, i: int, mi: int, j: int, mj: int) -> Scalar:
-        key = (i, mi, j, mj)
-        val = self._kernels.get(key)
-        if val is None:
-            val = kernel(mi, self.config.discs[i].center, mj, self.config.discs[j].center)
-            self._kernels[key] = val
-            self._kernels[(j, mj, i, mi)] = val
-        return val
+        self._kernels = KernelTable()
 
     def entry(self, indices: Sequence[FockIndex]) -> Scalar:
         config = self.config
@@ -152,9 +143,13 @@ class _EntryEvaluator:
         slots = [(j, m) for j, idx in enumerate(indices) for m, _ in idx.occupations]
         counts = [n for idx in indices for _, n in idx.occupations]
 
+        discs = config.discs
+
         def weight(a: int, b: int) -> Scalar | None:
             (disc_a, m_a), (disc_b, m_b) = slots[a], slots[b]
-            return None if disc_a == disc_b else self._kernel(disc_a, m_a, disc_b, m_b)
+            if disc_a == disc_b:
+                return None
+            return self._kernels(m_a, discs[disc_a].center, m_b, discs[disc_b].center)
 
         # the pairing sum first: its state guard and the kernel's order guard
         # refuse a huge count or mode before a factorial of it is built
@@ -225,9 +220,11 @@ def hs_truncated(
     rows are rational; float rows may differ from a tuple-by-tuple sum in
     the last bits.  Cost: nothing is built for N < 2, else (r*M)^2 kernels
     and, for N >= 4, floor((N + 2)/4) matrix products of (r*M)^3.  The
-    ``max_tuples`` guard on comb(r*M + N, N) bounds it; its worst shape, N = 2
-    at 2 discs and M = 220, takes tens of seconds of exact arithmetic on
-    rationals of hundreds of digits.  Outside the summability regime a
+    kernels of each disc pair run through the powers of one inverse of the
+    centre difference.  The ``max_tuples`` guard on comb(r*M + N, N) bounds
+    the cost; its worst shape, N = 2 at 2 discs and M = 220, takes about 12 s
+    (a 2 vCPU Xeon, Python 3.11) of exact arithmetic on rationals of
+    hundreds of digits.  Outside the summability regime a
     RegimeWarning is issued (the amplitude is still defined; only the bound
     is unavailable).
     """
@@ -294,11 +291,14 @@ def _hs_traces(config: DiscConfiguration, M: int, kmax: int) -> list[Scalar]:
             scale.append(power)
     n = len(slots)
     kp = [[zero] * n for _ in range(n)]
+    # per disc pair, the kernels run through the powers of one inverse
+    kernels = KernelTable()
+    centers = [disc.center for disc in config.discs]
     for a, (disc_a, m_a) in enumerate(slots):
         for b in range(a + 1, n):
             disc_b, m_b = slots[b]
             if disc_a != disc_b:
-                c = kernel(m_a, config.discs[disc_a].center, m_b, config.discs[disc_b].center)
+                c = kernels(m_a, centers[disc_a], m_b, centers[disc_b])
                 kp[a][b] = kp[b][a] = -2 * scale[a] * scale[b] * c
     modes = [m for _, m in slots]
     # tr(A') = sum_ab m_a m_b |K'_ab|^2 needs no product

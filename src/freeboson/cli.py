@@ -317,6 +317,12 @@ def _run_verify(config: dict) -> dict:
             {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
         ],
         "passed": all(r.passed for r in results),
+        "timing": {
+            "suites": [
+                {"name": r.name, "seconds": round(r.seconds, 6), "cases": r.cases}
+                for r in results
+            ]
+        },
     }
 
 
@@ -329,13 +335,21 @@ _COMMANDS = {
 }
 
 
-def run(command: str, config: dict) -> dict:
-    """Execute one CLI command against an already-parsed config document."""
+def run(command: str, config: dict, timing: bool = False) -> dict:
+    """Execute one CLI command against an already-parsed config document.
+
+    A command may time its own parts (verify: seconds and cases per suite);
+    that ``timing`` entry stays in the document only when ``timing`` is set.
+    """
     handler = _COMMANDS.get(command)
     if handler is None:
         raise SchemaError(f"unknown command {command!r}")
     _check_keys(config, command)
-    return handler(config)
+    doc = handler(config)
+    parts = doc.pop("timing", None)
+    if timing and parts is not None:
+        doc["timing"] = parts
+    return doc
 
 
 # ---------------------------------------------------------------- plumbing
@@ -453,12 +467,13 @@ def _main(argv) -> int:
         if getattr(args, "mode", None) is not None:
             config = dict(config)
             config["mode"] = args.mode
-        doc = run(args.command, config)
+        doc = run(args.command, config, timing=args.timing)
         if args.command == "hsnorm" and getattr(args, "csv", False):
             text = _render_csv(doc)
         else:
             if args.timing:
-                doc["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
+                seconds = round(time.perf_counter() - started, 6)
+                doc["timing"] = {"seconds": seconds, **doc.get("timing", {})}
             text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
         _emit(text, args.out)
     except EngineError as exc:

@@ -11,6 +11,13 @@ word of singleton groups, so every pair of its insertions is allowed.  The
 sum is the hafnian of the word's kernel table, computed once per word by
 ``pairing.hafnian``; ``matchings`` enumerates the matchings one by one and
 is kept as the reference the tests compare against.
+
+Every kernel comes from a ``KernelTable``, which lives for one call: it
+inverts z1 - z2 once per ordered pair of exact points, builds the powers of
+that inverse as they are asked for, and keeps each kernel value, so the
+words of one combination share their point pairs.  ``kernel`` is a table
+used once.  ``MAX_ORDER`` and ``check_orders`` are re-exported from
+``algebra``, whose maps apply the same guard.
 """
 from __future__ import annotations
 
@@ -20,8 +27,8 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from . import scalars
-from .algebra import Insertion, LinearCombination, WickGroup, WickWord
-from .errors import DomainError, PoleError, ResourceError
+from .algebra import MAX_ORDER, Insertion, LinearCombination, WickGroup, WickWord, check_orders
+from .errors import DomainError, PoleError
 from .pairing import hafnian, matchable
 from .scalars import Scalar, is_zero
 
@@ -31,36 +38,64 @@ _MODULE = "correlator"
 Matching = tuple[tuple[int, int], ...]
 
 
-# Largest insertion order (or mode) any pairing weight is built for.  The
-# kernel holds (m1 + m2 - 1)! and (z1 - z2)^(m1 + m2), and the series pair
-# factor of ``hilbert`` has O(m^2) terms, so the cost grows fast with m.
-MAX_ORDER = 500
+class KernelTable:
+    """The pair kernels C(m1, z1, m2, z2) of one computation, each evaluated once.
 
+    For each ordered pair of exact points the table holds one inverse of
+    z1 - z2 and the powers of it asked for so far: the power after one
+    already held costs one product, any other is built by squaring.  Kernel
+    values are kept by (m1, z1, m2, z2).  A pair with a float point takes
+    the complex arithmetic of a fresh evaluation, unmemoised.  A table lives
+    for one call (a combination, an amplitude evaluator, one HS trace
+    sweep); nothing is kept across calls.
 
-def check_orders(orders, module: str) -> None:
-    """Raise ResourceError when an order exceeds MAX_ORDER, before any work."""
-    top = max(orders, default=0)
-    if top > MAX_ORDER:
-        raise ResourceError(module, f"order {top} exceeds the guard {MAX_ORDER}")
+    Raises DomainError for orders that are not integers >= 1, ResourceError
+    for an order above MAX_ORDER and PoleError for coinciding points.
+    """
+
+    __slots__ = ("_values", "_powers")
+
+    def __init__(self):
+        self._values: dict = {}
+        self._powers: dict = {}
+
+    def __call__(self, m1: int, z1, m2: int, z2) -> Scalar:
+        if not (isinstance(m1, int) and isinstance(m2, int)) or m1 < 1 or m2 < 1:
+            raise DomainError(_MODULE, f"kernel orders must be integers >= 1, got {m1!r}, {m2!r}")
+        check_orders((m1, m2), _MODULE)
+        z1 = scalars.as_scalar(z1)
+        z2 = scalars.as_scalar(z2)
+        exact = isinstance(z1, scalars.Exact) and isinstance(z2, scalars.Exact)
+        if exact:
+            key = (m1, z1, m2, z2)
+            value = self._values.get(key)
+            if value is not None:
+                return value
+        if scalars.sort_key(z1) == scalars.sort_key(z2):
+            raise PoleError(_MODULE, ((m1, z1), (m2, z2)))
+        n = m1 + m2
+        c = Fraction(math.factorial(n - 1) * (-1 if m1 % 2 else 1), 2)
+        if not exact:
+            return complex(c) / (z1 - z2) ** n
+        powers = self._powers.get((z1, z2))
+        if powers is None:
+            powers = self._powers[(z1, z2)] = {1: (z1 - z2).inverse()}
+        power = powers.get(n)
+        if power is None:
+            below = powers.get(n - 1)
+            power = below * powers[1] if below is not None else powers[1] ** n
+            powers[n] = power
+        value = self._values[key] = power * c
+        return value
 
 
 def kernel(m1: int, z1, m2: int, z2) -> Scalar:
     """The two-point pair kernel C(m1, z1, m2, z2); exact on exact points.
 
-    Raises ResourceError for an order above MAX_ORDER.
+    A one-shot use of ``KernelTable``.  Raises ResourceError for an order
+    above MAX_ORDER.
     """
-    if not (isinstance(m1, int) and isinstance(m2, int)) or m1 < 1 or m2 < 1:
-        raise DomainError(_MODULE, f"kernel orders must be integers >= 1, got {m1!r}, {m2!r}")
-    check_orders((m1, m2), _MODULE)
-    z1 = scalars.as_scalar(z1)
-    z2 = scalars.as_scalar(z2)
-    if scalars.sort_key(z1) == scalars.sort_key(z2):
-        raise PoleError(_MODULE, ((m1, z1), (m2, z2)))
-    c = Fraction(math.factorial(m1 + m2 - 1) * (-1 if m1 % 2 else 1), 2)
-    diff = z1 - z2
-    if isinstance(diff, scalars.Exact):
-        return scalars.rational(c) * diff ** (-(m1 + m2))
-    return complex(c) / diff ** (m1 + m2)
+    return KernelTable()(m1, z1, m2, z2)
 
 
 def matchings(n: int) -> Iterator[Matching]:
@@ -99,6 +134,10 @@ def expect_wick(W: WickWord) -> Scalar:
     """
     if not isinstance(W, WickWord):
         raise DomainError(_MODULE, f"expect_wick expects a WickWord, got {type(W).__name__}")
+    return _expect_word(W, KernelTable())
+
+
+def _expect_word(W: WickWord, kernels: KernelTable) -> Scalar:
     flat: list[tuple[int, Insertion]] = []
     for gid, group in enumerate(W.groups):
         for ins in group.insertions:
@@ -119,22 +158,27 @@ def expect_wick(W: WickWord) -> Scalar:
         if labels[i] == labels[j]:
             return None
         a, b = flat[i][1], flat[j][1]
-        return kernel(a.order, a.point, b.order, b.point)
+        return kernels(a.order, a.point, b.order, b.point)
 
     counts = (1,) * len(flat)
     return hafnian(weight, counts, scalars.one_scalar(exact), scalars.zero_scalar(exact))
 
 
 def expect_combo(F) -> Scalar:
-    """Linear extension of expect_wick to combinations."""
+    """Linear extension of expect_wick to combinations.
+
+    One ``KernelTable`` serves every word, so a point pair shared by the
+    words (as in a theta or Wick expansion) is evaluated once per order pair.
+    """
     if isinstance(F, WickWord):
         F = LinearCombination.of(F)
     if not isinstance(F, LinearCombination):
         raise DomainError(_MODULE, f"expect_combo expects a combination, got {type(F).__name__}")
+    kernels = KernelTable()
     total: Scalar = scalars.ZERO
     started = False
     for word, coeff in F.items():
-        term = coeff * expect_wick(word)
+        term = coeff * _expect_word(word, kernels)
         total = term if not started else total + term
         started = True
     return total if started else scalars.ZERO

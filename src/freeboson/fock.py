@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Optional, Union
 
 from . import scalars
 from .algebra import Combination, LinearCombination, WickGroup, WickWord, add_term, theta
-from .correlator import expect_combo
+from .correlator import check_orders, expect_combo
 from .errors import DomainError
 from .scalars import I, Scalar, as_scalar, conjugate, is_zero, root
 
@@ -116,12 +116,14 @@ class FockVector(Combination):
 def ladder(v: FockVector, m: int) -> FockVector:
     """alpha_m: creation for m < 0, annihilation with weight m*n_m for m > 0.
 
-    alpha_0 is the zero operator.
+    alpha_0 is the zero operator.  Raises ResourceError for |m| above
+    MAX_ORDER.
     """
     if not isinstance(v, FockVector):
         raise DomainError(_MODULE, f"ladder expects a FockVector, got {type(v).__name__}")
     if not isinstance(m, int):
         raise DomainError(_MODULE, f"ladder mode must be an integer, got {m!r}")
+    check_orders((abs(m),), _MODULE)
     acc: dict[FockIndex, Scalar] = {}
     for idx, coeff in v.items():
         if m < 0:
@@ -169,9 +171,10 @@ def wick_origin_to_fock(orders: Union[Iterable[int], Mapping[int, int]]) -> Fock
     Inverting alpha_{-m}^{n_m} applied to the vacuum =
     (sqrt(2) i/(m-1)!)^{n_m} times the normal-ordered state gives the
     coefficient prod_m ((m-1)!/(sqrt(2) i))^{n_m}; the empty multiset is the
-    vacuum.
+    vacuum.  Raises ResourceError for an order above MAX_ORDER.
     """
     counts = _order_counts(orders)
+    check_orders(counts.keys(), _MODULE)
     coeff: Scalar = scalars.ONE
     for m, n in counts.items():
         coeff = coeff * (INV_SQRT2_I * math.factorial(m - 1)) ** n
@@ -183,13 +186,15 @@ def wick_group_to_fock(G: WickGroup, M: int) -> FockVector:
 
     Each insertion (m, z) contributes sum_{k=m}^{M} ((k-1)!/(k-m)!) z^{k-m}
     alpha_{-k}; the product over insertions keeps total level <= M and the
-    whole vector carries the prefactor (1/(sqrt(2) i))^n.
+    whole vector carries the prefactor (1/(sqrt(2) i))^n.  Raises
+    ResourceError for an order or a level M above MAX_ORDER.
     """
     if not isinstance(G, WickGroup):
         raise DomainError(_MODULE, f"wick_group_to_fock expects a WickGroup, got {type(G).__name__}")
     max_order = max(ins.order for ins in G.insertions)
     if not isinstance(M, int) or M < max_order:
         raise DomainError(_MODULE, f"truncation level M must be >= max order {max_order}, got {M!r}")
+    check_orders((M,), _MODULE)  # M bounds every order of G
     for ins in G.insertions:
         if not scalars.in_unit_disc(ins.point):
             raise DomainError(_MODULE, f"point {ins.point!r} is not in the open unit disc")

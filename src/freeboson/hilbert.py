@@ -86,14 +86,21 @@ def _pair_series_eval(m: int, ell: int, u: Scalar, w: Scalar) -> Scalar:
               u^(ell-1-i) w^(m-1-i) (1 - u w)^(-(m+ell-i)),
 
     summed from the top i down over running powers of one inverse of 1 - u w.
+    At an origin point (u = 0 or w = 0) only the top term i = min(m, ell) - 1
+    can survive, and 1 - u w = 1.  For u = 0 it is
+    (1/2) C(m-1, ell-1) (ell-1)! m! w^(m-ell) when ell <= m and 0 otherwise;
+    w = 0 is the mirror case.  That term is returned as it stands.
     """
     uw = u * w
     if not scalars.in_unit_disc(uw):
         raise DomainError(_MODULE, f"series pair factor needs |conj(z) w| < 1, got {uw!r}")
+    k = min(m, ell)
+    if scalars.is_zero(u) or scalars.is_zero(w):
+        top = math.comb(m - 1, k - 1) * math.perm(ell - 1, k - 1) * math.factorial(m + ell - k)
+        return Fraction(top, 2) * u ** (ell - k) * w ** (m - k)
     exact = isinstance(uw, scalars.Exact)
     base = scalars.one_scalar(exact) - uw
     inv = base.inverse() if exact else 1 / base
-    k = min(m, ell)
     up, wp, ip = u ** (ell - k), w ** (m - k), inv ** (m + ell - k + 1)
     total = scalars.zero_scalar(exact)
     for i in reversed(range(k)):

@@ -16,20 +16,39 @@ promotes to float; exact-with-exact stays exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, sqrt as _fsqrt
+from math import gcd, isqrt, sqrt as _fsqrt
 from typing import Union
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 
 RationalLike = Union[int, Fraction]
 
 
+# Trial division in ``root`` runs over the divisors below this bound.
+TRIAL_BOUND = 1 << 16
+
+
 def _squarefree_split(n: int) -> tuple[int, int]:
-    """Return (k, s) with n = k*k*s and s squarefree, for n >= 1."""
+    """Return (k, s) with n = k*k*s and s squarefree, for n >= 1.
+
+    Trial division stops at TRIAL_BOUND.  A cofactor left below
+    TRIAL_BOUND^2 is 1 or a prime; a larger one has no prime factor below the
+    bound and is accepted only as a perfect square.  Any other would need a
+    factorisation, and raises ResourceError.
+    """
     k, s = 1, 1
     m = n
     d = 2
     while d * d <= m:
+        if d >= TRIAL_BOUND:
+            r = isqrt(m)
+            if r * r != m:
+                raise ResourceError(
+                    "scalars",
+                    f"square root needs a factorisation: a {m.bit_length()}-bit cofactor "
+                    f"has no factor below {TRIAL_BOUND} and is not a square",
+                )
+            return k * r, s
         if m % d == 0:
             e = 0
             while m % d == 0:
@@ -330,7 +349,12 @@ def rational(re: RationalLike, im: RationalLike = 0) -> Exact:
 
 
 def root(x: RationalLike) -> Exact:
-    """Exact square root of a nonnegative rational."""
+    """Exact square root of a nonnegative rational.
+
+    Raises ResourceError when numerator times denominator keeps, after trial
+    division below TRIAL_BOUND, a cofactor that is neither below
+    TRIAL_BOUND^2 nor a perfect square.
+    """
     f = Fraction(x)
     if f < 0:
         raise DomainError("scalars", f"square root of negative rational {f}")

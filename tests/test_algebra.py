@@ -1,6 +1,8 @@
 """Word algebra: d coefficients, canonical words, theta, rescale, Wick expansion."""
 import random
+import time
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -10,13 +12,16 @@ from freeboson.algebra import (
     LinearCombination,
     WickGroup,
     WickWord,
+    _product_expansion,
+    _theta_insertion,
+    add_term,
     d_coeff,
     d_table,
     rescale,
     theta,
     wick_expand,
 )
-from freeboson.errors import DomainError
+from freeboson.errors import DomainError, ResourceError
 from freeboson.fock import FockIndex, FockVector
 from freeboson.sampling import random_plain_word, random_wick_word, rational_point
 from freeboson.scalars import rational
@@ -250,3 +255,45 @@ def test_theta_sums_coinciding_expansion_terms():
     assert out.coeff(WickWord.single_group(WickGroup.of((1, 2), (2, 2)))) == rational(512)
     assert out.coeff(WickWord.single_group(WickGroup.of((1, 2), (1, 2)))) == rational(256)
     assert theta(out) == LinearCombination.of(g)
+
+
+def _theta_reference(F):
+    """theta with every insertion of every word expanded afresh: the
+    reference for the memoised expansion of ``theta``."""
+    acc = {}
+    for word, coeff in F.items():
+        factors = [_theta_insertion(ins) for g in word.groups for ins in g.insertions]
+        ends = list(accumulate(len(g) for g in word.groups))
+        for c, inss in _product_expansion(factors, scalars.conjugate(coeff)):
+            groups = tuple(WickGroup(inss[a:b]) for a, b in zip([0] + ends, ends))
+            add_term(acc, WickWord(groups), c)
+    return LinearCombination._of_terms(acc)
+
+
+def test_memoised_theta_matches_reference():
+    rng = random.Random(113)
+    for _ in range(10):
+        W = random_wick_word(rng, rng.randint(1, 5))
+        V = random_plain_word(rng, rng.randint(1, 4))
+        F = LinearCombination.of(W, rational(2, -1)) + LinearCombination.of(V)
+        once = theta(F)
+        assert once == _theta_reference(F)
+        # theta(F) repeats each reflected insertion over many words
+        twice = theta(once)
+        assert twice == _theta_reference(once)
+        assert list(twice.items()) == list(_theta_reference(once).items())
+        assert twice == F
+    # equal insertions inside one group and across groups
+    z = rational(Fraction(1, 3), Fraction(-1, 4))
+    F = LinearCombination.of(WickWord((WickGroup.of((2, z), (2, z)), WickGroup.of((2, z)))))
+    assert theta(F) == _theta_reference(F)
+
+
+def test_theta_and_rescale_order_guard():
+    word = WickWord.plain((10 ** 5, Fraction(1, 2)))
+    started = time.perf_counter()
+    with pytest.raises(ResourceError):
+        theta(word)
+    with pytest.raises(ResourceError):
+        rescale(word, 0, 2)
+    assert time.perf_counter() - started < 1.0

@@ -246,6 +246,26 @@ def test_main_verify_passes(capsys):
     assert len(out["suites"]) == 8
 
 
+def test_main_verify_timing_per_suite(tmp_path, capsys):
+    config = _write(tmp_path, "v.json", {"suites": ["d-identity", "commutators", "wick-plain"]})
+    assert main(["verify", "--config", config]) == 0
+    plain = capsys.readouterr().out
+    assert "timing" not in json.loads(plain)
+    assert main(["verify", "--config", config]) == 0
+    assert capsys.readouterr().out == plain  # the default output is deterministic
+    assert main(["verify", "--config", config, "--timing"]) == 0
+    timed = json.loads(capsys.readouterr().out)
+    timing = timed.pop("timing")
+    assert timed == json.loads(plain)  # --timing adds the timing key only
+    assert timing["seconds"] >= 0
+    suites = timing["suites"]
+    assert [s["name"] for s in suites] == ["d-identity", "commutators", "wick-plain"]
+    assert [s["cases"] for s in suites] == [288, 252, 12]
+    assert all(s["seconds"] >= 0 for s in suites)
+    assert "timing" not in run("verify", {"suites": ["d-identity"]})
+    assert run("verify", {"suites": ["d-identity"]}, timing=True)["timing"]["suites"][0]["cases"] == 288
+
+
 def test_main_verify_failure_exits_two(monkeypatch, capsys):
     def fake_suites(names=None, seed=2026):
         return [SuiteResult("d-identity", False, "forced failure")]
@@ -305,7 +325,7 @@ def test_main_huge_order_is_refused_fast(tmp_path, capsys, command, payload):
 
 
 def test_main_unexpected_error_is_a_document(monkeypatch, tmp_path, capsys):
-    def broken(command, config):
+    def broken(command, config, timing=False):
         raise ValueError("Exceeds the limit (4300 digits) for integer string conversion")
 
     monkeypatch.setattr(cli, "run", broken)

@@ -1,21 +1,62 @@
 """Pairing kernels, matching enumeration, and expectation values."""
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from freeboson.algebra import LinearCombination, WickGroup, WickWord, wick_expand
+from freeboson import scalars
+from freeboson.algebra import LinearCombination, WickGroup, WickWord, theta, wick_expand
 from freeboson.correlator import (
+    MAX_ORDER,
+    KernelTable,
     expect_combo,
     expect_wick,
     kernel,
     matchings,
     mobius_check,
 )
-from freeboson.errors import DomainError, PoleError
+from freeboson.errors import DomainError, PoleError, ResourceError
 from freeboson.pairing import matching_count
 from freeboson.sampling import random_plain_word, random_wick_word, rational_point
 from freeboson.scalars import rational, sort_key
+
+
+def _kernel_reference(m1, z1, m2, z2):
+    """The pair kernel evaluated from scratch: one inverse and one power by
+    squaring per call.  The reference for ``KernelTable``."""
+    z1 = scalars.as_scalar(z1)
+    z2 = scalars.as_scalar(z2)
+    c = Fraction(math.factorial(m1 + m2 - 1) * (-1 if m1 % 2 else 1), 2)
+    diff = z1 - z2
+    if isinstance(diff, scalars.Exact):
+        return scalars.rational(c) * diff ** (-(m1 + m2))
+    return complex(c) / diff ** (m1 + m2)
+
+
+def _cross_pairs(word):
+    """(m1, z1, m2, z2) for every pair of insertions in different groups."""
+    flat = [(gid, ins) for gid, g in enumerate(word.groups) for ins in g.insertions]
+    return [
+        (a.order, a.point, b.order, b.point)
+        for i, (ga, a) in enumerate(flat)
+        for gb, b in flat[i + 1:]
+        if ga != gb
+    ]
+
+
+def _assert_table_matches_reference(words):
+    table = KernelTable()
+    checked = 0
+    for word in words:
+        for m1, z1, m2, z2 in _cross_pairs(word):
+            for args in ((m1, z1, m2, z2), (m2, z2, m1, z1)):
+                expected = _kernel_reference(*args)
+                assert table(*args) == expected, args
+                assert type(table(*args)) is type(expected)
+                checked += 1
+    return checked
 
 
 @pytest.mark.parametrize("m1,z1,m2,z2,expected", [
@@ -211,3 +252,88 @@ def test_mobius_multigroup_word():
         W = random_wick_word(rng, rng.choice((4, 6)), max_order=1)
         lhs, rhs = mobius_check(W, (rational_point(rng), 1, 1, 3))
         assert lhs == rhs
+
+
+def test_kernel_table_matches_reference_on_theta_expansions():
+    rng = random.Random(101)
+    checked = 0
+    for _ in range(12):
+        W = random_wick_word(rng, rng.randint(2, 5))
+        checked += _assert_table_matches_reference(theta(LinearCombination.of(W)).words())
+    assert checked > 200
+
+
+def test_kernel_table_matches_reference_on_wick_expansions():
+    rng = random.Random(103)
+    checked = 0
+    for _ in range(12):
+        W = random_wick_word(rng, rng.randint(2, 6))
+        expanded = LinearCombination.of(WickWord.unit())
+        for group in W.groups:
+            expanded = expanded * wick_expand(group)
+        checked += _assert_table_matches_reference([W, *expanded.words()])
+    assert checked > 200
+
+
+def test_kernel_table_matches_reference_on_amplitude_kernels():
+    # disc centres with every mode pair: the runs of powers an HS sweep asks for
+    centres = [rational(0), rational(10), rational(Fraction(7, 2), -12), rational(-4, 9)]
+    table = KernelTable()
+    for a in centres:
+        for b in centres:
+            if a == b:
+                continue
+            for m1 in range(1, 9):
+                for m2 in range(1, 9):
+                    assert table(m1, a, m2, b) == _kernel_reference(m1, a, m2, b)
+    # a power far beyond the run held, and a one-shot kernel at the order guard
+    z1, z2 = rational(Fraction(1, 3), Fraction(1, 7)), rational(Fraction(-2, 5))
+    assert table(MAX_ORDER, z1, 7, z2) == _kernel_reference(MAX_ORDER, z1, 7, z2)
+    assert kernel(MAX_ORDER, z2, MAX_ORDER, z1) == _kernel_reference(MAX_ORDER, z2, MAX_ORDER, z1)
+
+
+def test_kernel_table_float_is_bit_for_bit():
+    rng = random.Random(107)
+    points = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(6)]
+    points.append(rational(Fraction(1, 2)))  # a mixed exact-float pair takes the float route
+    table = KernelTable()
+    for z1 in points:
+        for z2 in points:
+            if z1 is z2:
+                continue
+            for m1, m2 in ((1, 1), (2, 3), (5, 4), (60, 55)):
+                value = table(m1, z1, m2, z2)
+                expected = _kernel_reference(m1, z1, m2, z2)
+                if isinstance(expected, complex):
+                    assert value.real == expected.real and value.imag == expected.imag
+                else:
+                    assert value == expected
+
+
+def test_kernel_table_checks():
+    table = KernelTable()
+    with pytest.raises(DomainError):
+        table(0, 0, 1, 1)
+    with pytest.raises(DomainError):
+        table(1.0, 0, 1, 1)
+    with pytest.raises(PoleError):
+        table(1, Fraction(1, 3), 2, Fraction(1, 3))
+    with pytest.raises(PoleError):
+        table(1, 0.25, 2, 0.25)
+    started = time.perf_counter()
+    with pytest.raises(ResourceError):
+        table(MAX_ORDER + 1, 0, 1, 1)
+    with pytest.raises(ResourceError):
+        kernel(10 ** 5, 0, 1, 1)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_expect_combo_shares_one_table():
+    # the words of a theta expansion share points; one table serves them all
+    rng = random.Random(109)
+    for _ in range(6):
+        F = theta(LinearCombination.of(random_wick_word(rng, rng.randint(2, 5))))
+        expected = scalars.ZERO
+        for word, coeff in F.items():
+            expected = expected + coeff * expect_wick(word)
+        assert expect_combo(F) == expected

@@ -1,12 +1,13 @@
 """Occupation states, ladder algebra, the Wick dictionary, contour checks."""
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from freeboson import scalars
 from freeboson.algebra import WickGroup, WickWord
-from freeboson.errors import DomainError
+from freeboson.errors import DomainError, ResourceError
 from freeboson.fock import (
     INV_SQRT2_I,
     FockIndex,
@@ -209,3 +210,18 @@ def test_contour_commutator_values(m, n, expected):
 def test_contour_commutator_radius_validation():
     with pytest.raises(DomainError):
         contour_commutator(1, -1, inner_radius=0.7, outer_radius=0.3)
+
+
+def test_fock_maps_order_guard():
+    started = time.perf_counter()
+    with pytest.raises(ResourceError):
+        ladder(FockVector.vacuum(), -10 ** 5)
+    with pytest.raises(ResourceError):
+        ladder(FockVector.vacuum(), 10 ** 5)
+    with pytest.raises(ResourceError):
+        wick_origin_to_fock([10 ** 5])
+    with pytest.raises(ResourceError):
+        wick_group_to_fock(WickGroup.of((10 ** 5, Fraction(1, 2))), 10 ** 5)
+    with pytest.raises(ResourceError):
+        wick_group_to_fock(WickGroup.of((1, Fraction(1, 2))), 10 ** 5)
+    assert time.perf_counter() - started < 1.0

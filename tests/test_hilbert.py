@@ -114,6 +114,33 @@ def test_pair_factor_closed_form_matches_differentiator():
                     assert _pair_series_eval(m, ell, u, w) == expected, (m, ell, z, w)
 
 
+def test_origin_pair_factor_matches_differentiator():
+    # u = 0, w = 0 and both: the single surviving Leibniz term
+    rng = random.Random(73)
+    points = [
+        rational(Fraction(rng.randint(-6, 6), 9), Fraction(rng.randint(1, 6), 9))
+        for _ in range(3)
+    ]
+    zero = scalars.ZERO
+    for m in range(1, 7):
+        for ell in range(1, 7):
+            series = _pair_series(m - 1, ell - 1)
+            cases = [(zero, zero)] + [(zero, p) for p in points] + [(p, zero) for p in points]
+            for u, w in cases:
+                expected = scalars.ZERO
+                for p, q, e, c in series:
+                    expected = expected + rational(c) * u ** p * w ** q * (scalars.ONE - u * w) ** (-e)
+                assert _pair_series_eval(m, ell, u, w) == expected, (m, ell, u, w)
+            for w in points:
+                closed = (
+                    Fraction(math.comb(m - 1, ell - 1) * math.factorial(ell - 1)
+                             * math.factorial(m), 2) * w ** (m - ell)
+                    if ell <= m else zero
+                )
+                assert _pair_series_eval(m, ell, zero, w) == closed
+                assert _pair_series_eval(ell, m, w, zero) == closed
+
+
 def test_series_matches_reflection_route():
     rng = random.Random(41)
     for arity in (1, 2, 3):

@@ -6,14 +6,19 @@ import random
 import time
 from fractions import Fraction
 
-from freeboson.algebra import Insertion
+from freeboson.algebra import Insertion, LinearCombination, WickWord
 from freeboson.amplitude import Disc, DiscConfiguration, amplitude_entry
 from freeboson.cli import main, run
-from freeboson.correlator import expect_wick, kernel, matchings
+from freeboson.correlator import expect_combo, expect_wick, kernel, matchings
 from freeboson.fock import FockIndex
 from freeboson.hilbert import _pair_series_eval, disc_series_inner
 from freeboson.pairing import hafnian, matchable, matching_count
-from freeboson.sampling import random_plain_word, random_state_group, random_wick_word
+from freeboson.sampling import (
+    random_plain_word,
+    random_state_group,
+    random_wick_word,
+    rational_point,
+)
 from freeboson.scalars import ONE, ZERO, I, conjugate, rational, root
 
 
@@ -151,3 +156,67 @@ def test_correlator_cost_guard(tmp_path, capsys):
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["type"] == "ResourceError"
     assert error["module"] == "pairing"
+
+
+def _det(matrix):
+    """Exact determinant by Gaussian elimination over the scalar ring."""
+    a = [list(row) for row in matrix]
+    n = len(a)
+    det = ONE
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
+        if pivot is None:
+            return ZERO
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det = det * a[col][col]
+        inv = a[col][col].inverse()
+        for r in range(col + 1, n):
+            factor = a[r][col] * inv
+            if not factor.is_zero():
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    return det
+
+
+def _fermion_det(points):
+    """(-1/2)^(n/2) det[(1 - delta_ij)/(z_i - z_j)]: the free-fermion value
+    of the order-1 current correlator (boson-fermion correspondence)."""
+    n = len(points)
+    matrix = [
+        [ZERO if i == j else (points[i] - points[j]).inverse() for j in range(n)]
+        for i in range(n)
+    ]
+    det = _det(matrix)
+    if n % 2:
+        return det  # an odd antisymmetric determinant is 0, like the hafnian
+    return det * rational(Fraction(-1, 2)) ** (n // 2)
+
+
+def test_order_one_correlator_is_a_determinant():
+    rng = random.Random(59)
+    for n in list(range(2, 13)) + [20]:
+        avoid: set = set()
+        points = [rational_point(rng, avoid=avoid) for _ in range(n)]
+        expected = _fermion_det(points)
+        assert expect_wick(WickWord.plain(*((1, z) for z in points))) == expected, n
+        if n % 2 == 0:
+            assert expected != ZERO
+
+
+def test_combination_of_order_one_words_is_a_sum_of_determinants():
+    # words on subsets of one point set share their point pairs: the
+    # combination's one kernel table serves them all
+    rng = random.Random(61)
+    avoid: set = set()
+    points = [rational_point(rng, avoid=avoid) for _ in range(10)]
+    combo = LinearCombination.zero()
+    expected = ZERO
+    for _ in range(8):
+        subset = sorted(rng.sample(range(10), rng.choice((4, 6, 8))))
+        coeff = rational(rng.randint(-5, 5) or 1, rng.randint(-3, 3))
+        chosen = [points[i] for i in subset]
+        combo = combo + LinearCombination.of(WickWord.plain(*((1, z) for z in chosen)), coeff)
+        expected = expected + coeff * _fermion_det(chosen)
+    assert len(combo) > 1
+    assert expect_combo(combo) == expected

@@ -1,5 +1,7 @@
 """Exact scalar ring: arithmetic laws, radicals, inversion, conversions."""
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freeboson import scalars
-from freeboson.errors import DomainError
+from freeboson.errors import DomainError, ResourceError
 from freeboson.scalars import I, ONE, ZERO, as_scalar, rational, root
 
 fractions = st.fractions(
@@ -199,3 +201,46 @@ def test_inverse_roundtrip(g, s, f):
         return
     assert x * x.inverse() == ONE
     assert x.inverse().inverse() == x
+
+
+def _squarefree_reference(n):
+    """(k, s) with n = k*k*s, s squarefree, by unbounded trial division."""
+    k, s, d = 1, 1, 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        k *= d ** (e // 2)
+        s *= d ** (e % 2)
+        d += 1
+    return k, s * n
+
+
+def _root_reference(x):
+    f = Fraction(x)
+    k, s = _squarefree_reference(f.numerator * f.denominator)
+    return scalars.Exact({s: (Fraction(k, f.denominator), 0)})
+
+
+def test_root_values_unchanged_under_the_trial_bound():
+    values = [Fraction(n) for n in range(1, 3000)]
+    values += [Fraction(p, q) for p in range(1, 40) for q in range(1, 40)]
+    values += [Fraction(1, math.factorial(n)) for n in (*range(1, 30), 100, 250, 500, 1023)]
+    values += [Fraction(2 * m) for m in range(1, 501)]
+    # a prime cofactor just below TRIAL_BOUND^2, and squares of primes above the bound
+    assert scalars.TRIAL_BOUND ** 2 > 4294967291
+    values += [Fraction(4294967291), Fraction(65537 ** 2 * 12), Fraction(3, 65537 ** 2)]
+    for x in values:
+        assert root(x) == _root_reference(x), x
+    assert root((2 ** 61 - 1) ** 2 * 3) == (2 ** 61 - 1) * root(3)
+    assert root(Fraction(5, (2 ** 89 - 1) ** 2)) == root(5) / (2 ** 89 - 1)
+
+
+def test_root_refuses_an_unfactored_cofactor():
+    started = time.perf_counter()
+    for n in ((2 ** 61 - 1) * (2 ** 89 - 1), 65537 * 65539, Fraction(7, (2 ** 61 - 1) * (2 ** 31 - 1))):
+        with pytest.raises(ResourceError) as info:
+            root(n)
+        assert info.value.module == "scalars"
+    assert time.perf_counter() - started < 1.0
