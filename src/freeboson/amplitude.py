@@ -2,24 +2,23 @@
 
 A configuration is r >= 2 pairwise disjoint discs, each given by an affine
 parametrization z -> a_j + q_j z of the unit disc (radius |q_j|).  The
-amplitude entry on occupation indices places, for each disc j, n^j_m
-insertions of order m at the center a_j, weighted by the orthonormal-basis
-prefactor prod_m (n^j_m!)^{-1/2} (i sqrt(2m)/m!)^{n^j_m} and the
-parametrization power prod_m q_j^{m n^j_m}, and evaluates the cross-disc
-pairing sum.  Insertions at one disc are heavily degenerate, so the
-pairing sum is ``pairing.hafnian`` over (disc, order) slots with the
-occupation counts as multiplicities and same-disc pairs forbidden, rather
-than a sum over all (n-1)!! matchings.  An entry with no cross-disc perfect
-matching (``pairing.matchable``) is zero before its prefactor is built.
+amplitude vector is the Gaussian state exp(1/2 sum K_ab a+_a a+_b)|0> over
+the (disc, mode) slots, with K = D K' D, D = diag(sqrt(m)) and
 
-The amplitude vector is the Gaussian state exp(1/2 sum K_ab a+_a a+_b)|0>
-over the (disc, mode) slots, with K_ab the kernel times both slots'
-single-insertion prefactors across discs and 0 on one disc.  So the sum of
-squared entries over the tuples of 2n insertions is the x^n coefficient of
-det(I - x conj(K) K)^(-1/2) (Berezin, The Method of Second Quantization,
-1966).  ``hs_truncated`` takes its truncated sums from that series, through
-the traces of a Gaussian-rational matrix similar to conj(K) K, without
-visiting the tuples.
+    K'_ab = -2 s_a s_b C(m_a, a_a, m_b, a_b),   s = q^m / m!,
+
+across discs and 0 on one disc; one ``_PairMatrix`` gives K' to the
+entries and to the HS sweep.  The entry on occupation indices, n copies of
+each slot, is root(prod m^n / n!) times the hafnian of K' with the counts
+as multiplicities and the disc as the label (``pairing.hafnian``), rather
+than a sum over all (n-1)!! matchings.  An entry with no cross-disc perfect
+matching is zero before its root is built.
+
+The sum of squared entries over the tuples of 2n insertions is the x^n
+coefficient of det(I - x conj(K) K)^(-1/2) (Berezin, The Method of Second
+Quantization, 1966).  ``hs_truncated`` takes its truncated sums from that
+series, through the traces of the Gaussian-rational matrix
+A' = D^2 conj(K') D^2 K', similar to conj(K) K, without visiting the tuples.
 
 When the separation satisfies d/R > 4 sqrt(r), the squared entries are
 summable and bounded by the closed form 1/(1 - x) with
@@ -37,8 +36,8 @@ from . import scalars
 from .correlator import KernelTable, check_orders
 from .errors import ConfigurationError, RegimeError, RegimeWarning, ResourceError
 from .fock import FockIndex, FockVector
-from .pairing import hafnian, matchable
-from .scalars import I, Scalar, as_scalar, conjugate, is_zero, real_value, root
+from .pairing import hafnian
+from .scalars import Scalar, as_scalar, conjugate, is_zero, real_value, root
 
 _MODULE = "amplitude"
 
@@ -122,46 +121,52 @@ def _as_index(x) -> FockIndex:
     return FockIndex.of(x)
 
 
-class _EntryEvaluator:
-    """A kernel table shared by the entries, plus the per-entry pairing sum."""
+class _PairMatrix:
+    """K'_ab = -2 s_a s_b C(m_a, a_a, m_b, a_b) for (disc, mode) slots a, b
+    on different discs, s = q^m / m!: one kernel table and one running list
+    of s per disc, shared by the entries of one call or by one HS sweep."""
 
     def __init__(self, config: DiscConfiguration):
         self.config = config
         self.exact = config.is_exact()
         self._kernels = KernelTable()
+        self._scales = [[scalars.one_scalar(self.exact)] for _ in config.discs]
+
+    def _scale(self, j: int, m: int) -> Scalar:
+        scales = self._scales[j]
+        while len(scales) <= m:
+            scales.append(scales[-1] * self.config.discs[j].q / len(scales))
+        return scales[m]
+
+    def __call__(self, j_a: int, m_a: int, j_b: int, m_b: int) -> Scalar:
+        discs = self.config.discs
+        # the kernel first: its order guard refuses a huge mode before q^m/m!
+        c = self._kernels(m_a, discs[j_a].center, m_b, discs[j_b].center)
+        return -2 * self._scale(j_a, m_a) * self._scale(j_b, m_b) * c
 
     def entry(self, indices: Sequence[FockIndex]) -> Scalar:
-        config = self.config
-        if len(indices) != config.r:
+        """root(prod m^n / n!) times the hafnian of K' over the occupied
+        slots, labelled by disc."""
+        if len(indices) != self.config.r:
             raise ConfigurationError(
                 _MODULE,
-                f"expected {config.r} occupation indices, got {len(indices)}",
+                f"expected {self.config.r} occupation indices, got {len(indices)}",
             )
-        if not matchable([idx.particles() for idx in indices]):
-            return scalars.zero_scalar(self.exact)
-
         slots = [(j, m) for j, idx in enumerate(indices) for m, _ in idx.occupations]
         counts = [n for idx in indices for _, n in idx.occupations]
-
-        discs = config.discs
-
-        def weight(a: int, b: int) -> Scalar | None:
-            (disc_a, m_a), (disc_b, m_b) = slots[a], slots[b]
-            if disc_a == disc_b:
-                return None
-            return self._kernels(m_a, discs[disc_a].center, m_b, discs[disc_b].center)
-
-        # the pairing sum first: its state guard and the kernel's order guard
-        # refuse a huge count or mode before a factorial of it is built
         exact = self.exact
-        pairing = hafnian(weight, counts, scalars.one_scalar(exact), scalars.zero_scalar(exact))
-        prefactor: Scalar = scalars.ONE
-        qpow: Scalar = scalars.one_scalar(exact)
-        for (j, m), n in zip(slots, counts):
-            base = I * root(2 * m) * Fraction(1, math.factorial(m))
-            prefactor = prefactor * root(Fraction(1, math.factorial(n))) * base ** n
-            qpow = qpow * config.discs[j].q ** (m * n)
-        return prefactor * qpow * pairing
+        pairing = hafnian(
+            lambda a, b: self(*slots[a], *slots[b]),
+            [j for j, _ in slots],
+            counts,
+            scalars.one_scalar(exact),
+            scalars.zero_scalar(exact),
+        )
+        # no factorial of a count is built for an entry with no matching
+        if is_zero(pairing):
+            return pairing
+        norm = math.prod(Fraction(m ** n, math.factorial(n)) for (_, m), n in zip(slots, counts))
+        return root(norm) * pairing
 
 
 def amplitude_entry(config: DiscConfiguration, indices: Sequence) -> Scalar:
@@ -171,7 +176,7 @@ def amplitude_entry(config: DiscConfiguration, indices: Sequence) -> Scalar:
     one disc holding more than half of the insertions); exact on rational
     disc data, with values in the radical-extended exact ring.
     """
-    return _EntryEvaluator(config).entry([_as_index(x) for x in indices])
+    return _PairMatrix(config).entry([_as_index(x) for x in indices])
 
 
 def amplitude_apply(config: DiscConfiguration, vectors: Sequence[FockVector]) -> Scalar:
@@ -180,18 +185,18 @@ def amplitude_apply(config: DiscConfiguration, vectors: Sequence[FockVector]) ->
         raise ConfigurationError(
             _MODULE, f"expected {config.r} vectors, got {len(vectors)}"
         )
-    evaluator = _EntryEvaluator(config)
-    total: Scalar = scalars.zero_scalar(evaluator.exact)
+    pair_matrix = _PairMatrix(config)
+    total: Scalar = scalars.zero_scalar(pair_matrix.exact)
 
     def rec(slot: int, indices: list[FockIndex], coeff: Scalar):
         nonlocal total
         if slot == len(vectors):
-            total = total + coeff * evaluator.entry(indices)
+            total = total + coeff * pair_matrix.entry(indices)
             return
         for idx, c in sorted(vectors[slot].items(), key=lambda t: t[0].occupations):
             rec(slot + 1, indices + [idx], coeff * c)
 
-    rec(0, [], scalars.one_scalar(evaluator.exact))
+    rec(0, [], scalars.one_scalar(pair_matrix.exact))
     return total
 
 
@@ -218,15 +223,15 @@ def hs_truncated(
     from ``_hs_traces``, the level-2n sum f_n of the Gaussian-state series
     (module docstring) obeys f_0 = 1, n f_n = sum_k k g_k f_{n-k}.  Exact
     rows are rational; float rows may differ from a tuple-by-tuple sum in
-    the last bits.  Cost: nothing is built for N < 2, else (r*M)^2 kernels
-    and, for N >= 4, floor((N + 2)/4) matrix products of (r*M)^3.  The
-    kernels of each disc pair run through the powers of one inverse of the
-    centre difference.  The ``max_tuples`` guard on comb(r*M + N, N) bounds
-    the cost; its worst shape, N = 2 at 2 discs and M = 220, takes about 12 s
-    (a 2 vCPU Xeon, Python 3.11) of exact arithmetic on rationals of
-    hundreds of digits.  Outside the summability regime a
-    RegimeWarning is issued (the amplitude is still defined; only the bound
-    is unavailable).
+    the last bits.  Cost: nothing is built for N < 2, else one kernel per
+    cross-disc slot pair and, for N >= 4, floor((N + 2)/4) matrix products
+    of (r*M)^3.  The kernels of each disc pair run through the powers of one
+    inverse of the centre difference.  The ``max_tuples`` guard on
+    comb(r*M + N, N) bounds the cost; its worst shape, N = 2 at 2 discs and
+    M = 220, takes about 9 s (a 2 vCPU Xeon, Python 3.11) of exact
+    arithmetic on rationals of hundreds of digits.  Outside the summability
+    regime a RegimeWarning is issued (the amplitude is still defined; only
+    the bound is unavailable).
     """
     if not isinstance(M, int) or M < 1:
         raise ConfigurationError(_MODULE, f"max mode M must be an integer >= 1, got {M!r}")
@@ -274,38 +279,30 @@ def hs_truncated(
 def _hs_traces(config: DiscConfiguration, M: int, kmax: int) -> list[Scalar]:
     """tr(A'^k) for k = 1..kmax over the r*M (disc, mode) slots.
 
-    The Gaussian state's pair matrix is K = D K' D with D = diag(sqrt(m)),
-    K'_ab = -2 q_a^m_a q_b^m_b / (m_a! m_b!) C(m_a, a_a, m_b, a_b) across
-    discs and 0 within one.  A' = D^2 conj(K') D^2 K' = D (conj(K) K) D^-1
-    has the traces of conj(K) K and Gaussian-rational entries: no ``root``.
+    With K' from ``_PairMatrix`` and D = diag(sqrt(m)),
+    A' = D^2 conj(K') D^2 K' = D (conj(K) K) D^-1 has the traces of
+    conj(K) K and Gaussian-rational entries: no ``root``.
     """
     check_orders([M], _MODULE)
     exact = config.is_exact()
     zero = scalars.zero_scalar(exact)
     slots = [(j, m) for j in range(config.r) for m in range(1, M + 1)]
-    scale = []  # q^m / m! per slot
-    for disc in config.discs:
-        power = scalars.one_scalar(exact)
-        for m in range(1, M + 1):
-            power = power * disc.q / m
-            scale.append(power)
     n = len(slots)
+    pair_matrix = _PairMatrix(config)
     kp = [[zero] * n for _ in range(n)]
-    # per disc pair, the kernels run through the powers of one inverse
-    kernels = KernelTable()
-    centers = [disc.center for disc in config.discs]
+    # tr(A') = sum_ab m_a m_b |K'_ab|^2 needs no product: twice the sum over
+    # the cross-disc pairs a < b
+    half_trace = zero
     for a, (disc_a, m_a) in enumerate(slots):
         for b in range(a + 1, n):
             disc_b, m_b = slots[b]
             if disc_a != disc_b:
-                c = kernels(m_a, centers[disc_a], m_b, centers[disc_b])
-                kp[a][b] = kp[b][a] = -2 * scale[a] * scale[b] * c
-    modes = [m for _, m in slots]
-    # tr(A') = sum_ab m_a m_b |K'_ab|^2 needs no product
-    traces = [sum((modes[a] * modes[b] * scalars.abs_sq(kp[a][b])
-                   for a in range(n) for b in range(n)), zero)]
+                x = kp[a][b] = kp[b][a] = pair_matrix(disc_a, m_a, disc_b, m_b)
+                half_trace = half_trace + m_a * m_b * scalars.abs_sq(x)
+    traces = [2 * half_trace]
     if kmax < 2:
         return traces
+    modes = [m for _, m in slots]
     left = [[m * conjugate(x) for x in row] for m, row in zip(modes, kp)]
     right = [[m * x for x in row] for m, row in zip(modes, kp)]
     # powers[p] = A'^p up to ceil(kmax/2), and tr(A'^k) = sum_ij (A'^ceil)_ij (A'^floor)_ji

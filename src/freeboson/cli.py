@@ -370,16 +370,12 @@ def _load_config(path) -> dict:
 
 
 def _csv_cell(encoded) -> str:
-    """Flatten a JSON-encoded scalar to one CSV token (real part)."""
+    """Flatten a JSON-encoded real scalar (a rational, or a float pair) to
+    one CSV token: the partial sums and the bound carry no radicals."""
     if isinstance(encoded, str):
         return encoded
-    if isinstance(encoded, list):
-        value = encoded[0]
-        return value if isinstance(value, str) else repr(float(value))
-    total = 0.0
-    for s, (re, _im) in encoded["radicals"].items():
-        total += float(Fraction(re)) * float(int(s)) ** 0.5
-    return repr(total)
+    value = encoded[0]
+    return value if isinstance(value, str) else repr(float(value))
 
 
 def _render_csv(doc: dict) -> str:

@@ -22,14 +22,13 @@ used once.  ``MAX_ORDER`` and ``check_orders`` are re-exported from
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator
 
 from . import scalars
 from .algebra import MAX_ORDER, Insertion, LinearCombination, WickGroup, WickWord, check_orders
 from .errors import DomainError, PoleError
-from .pairing import hafnian, matchable
+from .pairing import hafnian
 from .scalars import Scalar, is_zero
 
 _MODULE = "correlator"
@@ -46,8 +45,8 @@ class KernelTable:
     already held costs one product, any other is built by squaring.  Kernel
     values are kept by (m1, z1, m2, z2).  A pair with a float point takes
     the complex arithmetic of a fresh evaluation, unmemoised.  A table lives
-    for one call (a combination, an amplitude evaluator, one HS trace
-    sweep); nothing is kept across calls.
+    for one call (a combination, an amplitude call, one HS trace sweep);
+    nothing is kept across calls.
 
     Raises DomainError for orders that are not integers >= 1, ResourceError
     for an order above MAX_ORDER and PoleError for coinciding points.
@@ -149,19 +148,15 @@ def _expect_word(W: WickWord, kernels: KernelTable) -> Scalar:
             gj, b = flat[j]
             if gi != gj and scalars.sort_key(a.point) == scalars.sort_key(b.point):
                 raise PoleError(_MODULE, ((a.order, a.point), (b.order, b.point)))
-    labels = [gid for gid, _ in flat]
     exact = W.is_exact()
-    if not matchable(Counter(labels).values()):
-        return scalars.zero_scalar(exact)
 
-    def weight(i: int, j: int) -> Optional[Scalar]:
-        if labels[i] == labels[j]:
-            return None
+    def weight(i: int, j: int) -> Scalar:
         a, b = flat[i][1], flat[j][1]
         return kernels(a.order, a.point, b.order, b.point)
 
+    labels = [gid for gid, _ in flat]
     counts = (1,) * len(flat)
-    return hafnian(weight, counts, scalars.one_scalar(exact), scalars.zero_scalar(exact))
+    return hafnian(weight, labels, counts, scalars.one_scalar(exact), scalars.zero_scalar(exact))
 
 
 def expect_combo(F) -> Scalar:

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Optional, Union
 
 from . import scalars
 from .algebra import Combination, LinearCombination, WickGroup, WickWord, add_term, theta
-from .correlator import check_orders, expect_combo
+from .correlator import check_orders, expect_combo, kernel
 from .errors import DomainError
 from .scalars import I, Scalar, as_scalar, conjugate, is_zero, root
 
@@ -325,7 +325,6 @@ def contour_commutator(
             _MODULE,
             f"need 0 < inner radius < outer radius < 1, got {inner_radius!r}, {outer_radius!r}",
         )
-    from .correlator import kernel
 
     def pair_expectation(outer_exp: int, inner_exp: int) -> complex:
         def outer_f(z: complex) -> complex:

@@ -24,7 +24,7 @@ from . import scalars
 from .algebra import LinearCombination, WickGroup, WickWord
 from .correlator import check_orders, kernel
 from .errors import DomainError, StructuralError
-from .pairing import hafnian, matchable
+from .pairing import hafnian
 from .scalars import Scalar, conjugate
 
 _MODULE = "hilbert"
@@ -114,10 +114,10 @@ def _pair_series_eval(m: int, ell: int, u: Scalar, w: Scalar) -> Scalar:
 def _word_pair(wF: WickWord, wG: WickWord) -> Scalar:
     """(wF, wG) = <theta(wF) wG> as one hafnian over both words' insertions.
 
-    Slots are labelled (side, group) and pairs with equal labels are
-    forbidden.  A left-left pair weighs conj(C), the reflection of C; a
-    right-right pair weighs C; a left-right pair weighs the series pair
-    factor at (conj(z_left), z_right).
+    Slots are labelled (side, group), so ``hafnian`` pairs no two
+    insertions of one group.  A left-left pair weighs conj(C), the
+    reflection of C; a right-right pair weighs C; a left-right pair weighs
+    the series pair factor at (conj(z_left), z_right).
     """
     slots = [
         (side, gid, ins)
@@ -126,23 +126,21 @@ def _word_pair(wF: WickWord, wG: WickWord) -> Scalar:
         for ins in group.insertions
     ]
     exact = wF.is_exact() and wG.is_exact()
-    zero = scalars.zero_scalar(exact)
-    if not matchable([len(g) for g in wF.groups + wG.groups]):
-        return zero
     check_orders([ins.order for _, _, ins in slots], _MODULE)
 
-    def weight(i: int, j: int) -> Optional[Scalar]:
+    def weight(i: int, j: int) -> Scalar:
         # left slots come first, so a mixed pair has i on the left
-        side_i, gid_i, a = slots[i]
-        side_j, gid_j, b = slots[j]
+        side_i, _, a = slots[i]
+        side_j, _, b = slots[j]
         if side_i != side_j:
             return _pair_series_eval(a.order, b.order, conjugate(a.point), b.point)
-        if gid_i == gid_j:
-            return None
         c = kernel(a.order, a.point, b.order, b.point)
         return conjugate(c) if side_i == 0 else c
 
-    return hafnian(weight, (1,) * len(slots), scalars.one_scalar(exact), zero)
+    labels = [(side, gid) for side, gid, _ in slots]
+    return hafnian(
+        weight, labels, (1,) * len(slots), scalars.one_scalar(exact), scalars.zero_scalar(exact)
+    )
 
 
 def disc_series_inner(left: WickGroup, right: WickGroup) -> Scalar:

@@ -1,19 +1,23 @@
-"""The one pairing engine: hafnians of slot-weight tables with multiplicities.
+"""The one pairing engine: hafnians of labelled slots with multiplicities.
 
 Every Gaussian quantity in the package is a sum over perfect matchings of
-insertions of a product of pair weights.  Insertions are grouped into slots
-of equal data; slot i holds counts[i] interchangeable copies.  The sum is
-organised as a dynamic program over remaining-count vectors (the standard
-treatment of hafnians with repeated rows): the first occupied slot gives up
-one copy and pairs with each allowed partner slot k, and because the copies
-of k are interchangeable that pairing is counted reduced[k] times.  With all
-counts 1 the states are the subsets of unmatched insertions.
-``matching_count`` runs the same DP on a 0/1 table to count matchings.
+insertions of a product of pair weights, with no pair inside a group (a
+Wick group, a side-and-group of a word pair, a disc).  Insertions are
+grouped into slots of equal data; slot i holds counts[i] interchangeable
+copies and carries the label of its group, and two copies with equal labels
+are never paired.  The sum is organised as a dynamic program over
+remaining-count vectors (the standard treatment of hafnians with repeated
+rows): the first occupied slot gives up one copy and pairs with each
+differently labelled slot k, and because the copies of k are
+interchangeable that pairing is counted reduced[k] times.  With all counts
+1 the states are the subsets of unmatched insertions.  ``matching_count``
+runs the same DP on an all-ones table to count matchings.
 """
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from collections import Counter
+from typing import Callable, Hashable, Sequence
 
 from .errors import ResourceError
 
@@ -23,35 +27,37 @@ _MODULE = "pairing"
 MAX_STATES = 1 << 20
 
 
-def matchable(sizes: Sequence[int]) -> bool:
-    """Whether groups of these sizes admit a perfect matching with no pair
-    inside a group: iff the total is even and no group holds more than half
-    of it.  Callers of ``hafnian`` that forbid same-group pairs ask first."""
-    total = sum(sizes)
-    return total % 2 == 0 and 2 * max(sizes, default=0) <= total
-
-
 def matching_count(sizes: Sequence[int]) -> int:
     """The number of perfect matchings of groups of these sizes with no pair
-    inside a group: the hafnian of the 0/1 table, one slot per group."""
-    return hafnian(lambda i, j: None if i == j else 1, sizes, 1, 0)
+    inside a group: the all-ones hafnian, one slot and one label per group."""
+    return hafnian(lambda i, j: 1, range(len(sizes)), sizes, 1, 0)
 
 
 def hafnian(
-    weight: Callable[[int, int], Optional[object]],
+    weight: Callable[[int, int], object],
+    labels: Sequence[Hashable],
     counts: Sequence[int],
     one,
     zero,
 ):
-    """Sum over perfect matchings of the multiset ``counts`` of weight products.
+    """Sum over perfect matchings of the multiset ``counts`` of weight
+    products, pairs of equal labels excluded.
 
-    ``weight(i, j)`` gives the symmetric pair weight of slots i <= j, or None
-    for a forbidden pair; it is called once per pair that can occur, after the
-    cost guard.  Returns ``one`` for nothing left to pair and ``zero`` when no
-    perfect matching exists.  Raises ResourceError when the state bound
-    prod(c_i + 1) exceeds MAX_STATES.
+    Returns ``zero`` when no such matching exists (an odd total, or one
+    label holding more than half of it), before the cost guard and before
+    any weight is asked for; ``one`` for nothing left to pair.  Otherwise
+    ``weight(i, j)`` gives the symmetric pair weight of occupied slots
+    i < j with different labels, once per pair, after the guard.  Raises
+    ResourceError when the state bound prod(c_i + 1) exceeds MAX_STATES.
     """
+    labels = tuple(labels)
     counts = tuple(counts)
+    per_label: Counter = Counter()
+    for label, c in zip(labels, counts):
+        per_label[label] += c
+    total = sum(counts)
+    if total % 2 or 2 * max(per_label.values(), default=0) > total:
+        return zero
     bound = math.prod(c + 1 for c in counts)
     if bound > MAX_STATES:
         raise ResourceError(
@@ -60,8 +66,8 @@ def hafnian(
     size = len(counts)
     table: list[list] = [[None] * size for _ in range(size)]
     for i in range(size):
-        for j in range(i, size):
-            if counts[i] and counts[j] and (i < j or counts[i] > 1):
+        for j in range(i + 1, size):
+            if counts[i] and counts[j] and labels[i] != labels[j]:
                 table[i][j] = table[j][i] = weight(i, j)
     memo = {(0,) * size: one}
 

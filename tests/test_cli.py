@@ -190,6 +190,22 @@ def test_main_csv(tmp_path, capsys):
     assert lines[3].endswith(",23/22")
 
 
+def test_main_csv_float_mode(tmp_path, capsys):
+    config = _write(tmp_path, "h.json", {
+        "mode": "float",
+        "discs": [{"a_re": 0, "q_re": 1}, {"a_re": 10, "q_re": 1}],
+        "truncation": {"M": 1, "N": 2},
+    })
+    assert main(["hsnorm", "--config", config, "--csv"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "total_insertions,tuple_count,partial_sum,bound"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[:2] for row in rows] == [["0", "1"], ["1", "3"], ["2", "6"]]
+    assert rows[0][2] == "1.0"
+    assert all(row[3] == repr(23 / 22) for row in rows)
+    assert abs(float(rows[2][2]) - 1.0001) < 1e-12
+
+
 def test_main_timing_flag(tmp_path, capsys):
     config = _write(tmp_path, "c.json", {"words": [FOUR_POINT]})
     assert main(["correlator", "--config", config, "--timing"]) == 0

@@ -12,7 +12,7 @@ from freeboson.cli import main, run
 from freeboson.correlator import expect_combo, expect_wick, kernel, matchings
 from freeboson.fock import FockIndex
 from freeboson.hilbert import _pair_series_eval, disc_series_inner
-from freeboson.pairing import hafnian, matchable, matching_count
+from freeboson.pairing import MAX_STATES, hafnian, matching_count
 from freeboson.sampling import (
     random_plain_word,
     random_state_group,
@@ -137,13 +137,71 @@ def test_amplitude_entry_matches_expanded_insertions():
         assert amplitude_entry(disc_config, indices) == _expanded_entry(disc_config, indices)
 
 
+def test_float_amplitude_entry_matches_expanded_insertions():
+    rng = random.Random(73)
+    config = DiscConfiguration((
+        Disc(complex(0.0), complex(0.5, 0.25)),
+        Disc(complex(10.0, -1.0), complex(1.0)),
+        Disc(complex(0.0, 10.0), complex(-0.5, 0.5)),
+    ))
+    for _ in range(10):
+        occs = [{} for _ in range(config.r)]
+        for _ in range(rng.choice((2, 4, 6, 8))):
+            occ = occs[rng.randrange(config.r)]
+            m = rng.randint(1, 3)
+            occ[m] = occ.get(m, 0) + 1
+        indices = [FockIndex.of(occ) for occ in occs]
+        value = amplitude_entry(config, indices)
+        expected = complex(_expanded_entry(config, indices))
+        assert isinstance(value, complex)
+        assert abs(value - expected) <= 1e-12 * abs(expected), occs
+
+
+def _no_weight(i, j):
+    raise AssertionError(f"weight({i}, {j}) asked for with no perfect matching")
+
+
 def test_matchable_agrees_with_hafnian_count():
     rng = random.Random(67)
     for _ in range(200):
         sizes = [rng.randint(0, 5) for _ in range(rng.randint(0, 4))]
-        # group g is one slot with multiplicity sizes[g]; pairs inside it are forbidden
-        count = hafnian(lambda i, j: None if i == j else 1, sizes, 1, 0)
-        assert matchable(sizes) == (count > 0), sizes
+        total = sum(sizes)
+        # the closed rule: an even total, no group over half of it
+        closed_rule = total % 2 == 0 and 2 * max(sizes, default=0) <= total
+        assert (matching_count(sizes) > 0) == closed_rule, sizes
+        if not closed_rule:
+            # zero before any weight is asked for
+            assert hafnian(_no_weight, range(len(sizes)), sizes, 1, 0) == 0
+    # an unmatchable count far over the state guard is zero, not refused
+    assert hafnian(_no_weight, ["a", "b"], [MAX_STATES, 2], 1, 0) == 0
+
+
+def test_shared_labels_match_one_slot_per_copy():
+    # several slots under one label (the modes of one disc): the count
+    # hafnian equals the hafnian of one slot per copy with the same labels
+    rng = random.Random(71)
+    nonzero = 0
+    for _ in range(40):
+        size = rng.randint(2, 5)
+        labels = [rng.randrange(3) for _ in range(size)]
+        counts = [rng.randint(1, 3) for _ in range(size)]
+        counts[-1] += sum(counts) % 2
+        table = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(size)]
+                 for _ in range(size)]
+
+        def weight(i, j):
+            assert i < j and labels[i] != labels[j]
+            return table[i][j]
+
+        # copies run in slot order, so a < b gives copies[a] < copies[b]
+        copies = [i for i, c in enumerate(counts) for _ in range(c)]
+        expanded = hafnian(
+            lambda a, b: weight(copies[a], copies[b]),
+            [labels[i] for i in copies], [1] * len(copies), Fraction(1), Fraction(0),
+        )
+        assert hafnian(weight, labels, counts, Fraction(1), Fraction(0)) == expanded
+        nonzero += expanded != 0
+    assert nonzero >= 10
 
 
 def test_correlator_cost_guard(tmp_path, capsys):
@@ -152,6 +210,25 @@ def test_correlator_cost_guard(tmp_path, capsys):
     config.write_text(json.dumps({"words": [word]}))
     started = time.perf_counter()
     assert main(["correlator", "--config", str(config)]) == 1
+    assert time.perf_counter() - started < 1.0
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ResourceError"
+    assert error["module"] == "pairing"
+
+
+def test_amplitude_huge_counts_stop_early(tmp_path, capsys):
+    discs = [{"a_re": 0, "q_re": 1}, {"a_re": 10, "q_re": 1}]
+    # one disc holds every insertion: zero before any pairing state or n!
+    config = tmp_path / "a.json"
+    config.write_text(json.dumps({"discs": discs, "states": [[{"1": 1000000}, {}]]}))
+    started = time.perf_counter()
+    assert main(["amplitude", "--config", str(config)]) == 0
+    assert time.perf_counter() - started < 1.0
+    assert json.loads(capsys.readouterr().out)["entries"] == ["0"]
+    # matchable, but 2001^2 count-vector states: the pairing guard refuses it
+    config.write_text(json.dumps({"discs": discs, "states": [[{"1": 2000}, {"1": 2000}]]}))
+    started = time.perf_counter()
+    assert main(["amplitude", "--config", str(config)]) == 1
     assert time.perf_counter() - started < 1.0
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["type"] == "ResourceError"
