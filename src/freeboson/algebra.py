@@ -24,10 +24,10 @@ LinearCombination (over words) and fock.FockVector (over occupations).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, Mapping
+from operator import attrgetter, itemgetter
+from typing import Mapping
 
 from . import scalars
 from .errors import DomainError, ResourceError
@@ -85,44 +85,96 @@ def d_table(max_m: int) -> dict[tuple[int, int], int]:
 # Words
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Insertion:
-    """The symbol [m, z]: order-m derivative inserted at the point z."""
+_set = object.__setattr__
+_KEY = attrgetter("_key")
+_FIRST = itemgetter(0)
 
-    order: int
-    point: Scalar
 
-    def __post_init__(self):
-        if not isinstance(self.order, int) or self.order < 1:
-            raise DomainError(_MODULE, f"insertion order must be an integer >= 1, got {self.order!r}")
-        object.__setattr__(self, "point", as_scalar(self.point))
+class _Canonical:
+    """Base of the word types: immutable, with a canonical sort key and a hash
+    computed once, at construction.  Two values are equal when their keys are."""
+
+    __slots__ = ("_key", "_hash")
 
     def key(self):
-        return (self.order, scalars.sort_key(self.point))
+        return self._key
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key == other._key
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-def _sorted_insertions(items: Iterable[Insertion]) -> tuple[Insertion, ...]:
-    return tuple(sorted(items, key=Insertion.key))
+class Insertion(_Canonical):
+    """The symbol [m, z]: order-m derivative inserted at the point z.
+
+    The key (m, scalars.sort_key(z)) and the hash hash((m, z)) are computed
+    once, at construction; key()[1] is the point's sort key.
+    """
+
+    __slots__ = ("order", "point")
+
+    def __init__(self, order: int, point: Scalar):
+        if not isinstance(order, int) or order < 1:
+            raise DomainError(_MODULE, f"insertion order must be an integer >= 1, got {order!r}")
+        point = as_scalar(point)
+        _set(self, "order", order)
+        _set(self, "point", point)
+        _set(self, "_key", (order, scalars.sort_key(point)))
+        _set(self, "_hash", hash((order, point)))
+
+    def __repr__(self):
+        return f"Insertion(order={self.order!r}, point={self.point!r})"
 
 
-@dataclass(frozen=True)
-class WickGroup:
-    """A single normal-ordered group :[m1, z1]...[mn, zn]: (non-empty multiset)."""
+class _Sorted(_Canonical):
+    """A value made of children held in key order: its key is the tuple of the
+    children's keys and its hash is hash((children,))."""
 
-    insertions: tuple[Insertion, ...]
+    __slots__ = ()
+    _field: str
 
-    def __post_init__(self):
-        if not self.insertions:
+    def _hold(self, children: tuple) -> None:
+        _set(self, self._field, children)
+        _set(self, "_key", tuple(c._key for c in children))
+        _set(self, "_hash", hash((children,)))
+
+    @classmethod
+    def _of_sorted(cls, children: tuple):
+        """The value of children already in key order, without sorting them again."""
+        out = cls.__new__(cls)
+        out._hold(children)
+        return out
+
+
+class WickGroup(_Sorted):
+    """A single normal-ordered group :[m1, z1]...[mn, zn]: (non-empty multiset),
+    its insertions held in key order."""
+
+    __slots__ = ("insertions",)
+    _field = "insertions"
+
+    def __init__(self, insertions: tuple[Insertion, ...]):
+        if not insertions:
             raise DomainError(_MODULE, "a Wick group must contain at least one insertion")
-        object.__setattr__(self, "insertions", _sorted_insertions(self.insertions))
+        self._hold(tuple(sorted(insertions, key=_KEY)))
 
     @classmethod
     def of(cls, *pairs) -> "WickGroup":
         """Build from (m, z) pairs: WickGroup.of((1, 0), (2, z))."""
         return cls(tuple(Insertion(m, z) for m, z in pairs))
 
-    def key(self):
-        return tuple(ins.key() for ins in self.insertions)
+    def __repr__(self):
+        return f"WickGroup(insertions={self.insertions!r})"
 
     def __len__(self):
         return len(self.insertions)
@@ -131,14 +183,14 @@ class WickGroup:
         return sum(ins.order for ins in self.insertions)
 
 
-@dataclass(frozen=True)
-class WickWord:
-    """Product of Wick groups; the empty product is the unit."""
+class WickWord(_Sorted):
+    """Product of Wick groups, held in key order; the empty product is the unit."""
 
-    groups: tuple[WickGroup, ...] = ()
+    __slots__ = ("groups",)
+    _field = "groups"
 
-    def __post_init__(self):
-        object.__setattr__(self, "groups", tuple(sorted(self.groups, key=WickGroup.key)))
+    def __init__(self, groups: tuple[WickGroup, ...] = ()):
+        self._hold(tuple(sorted(groups, key=_KEY)))
 
     @classmethod
     def unit(cls) -> "WickWord":
@@ -152,6 +204,9 @@ class WickWord:
     def plain(cls, *pairs) -> "WickWord":
         """The plain product of (m, z) pairs: one singleton group per insertion."""
         return cls(tuple(WickGroup((Insertion(m, z),)) for m, z in pairs))
+
+    def __repr__(self):
+        return f"WickWord(groups={self.groups!r})"
 
     def __mul__(self, other):
         if isinstance(other, WickWord):
@@ -335,6 +390,31 @@ def _theta_insertion(ins: Insertion) -> list[tuple[Scalar, Insertion]]:
     return out
 
 
+def _theta_insertion_frame(ins: Insertion) -> tuple[int, list[tuple[Insertion, int, int]]]:
+    """``_theta_insertion`` in one integer frame, for a Gaussian-rational point.
+
+    With w = 1/conj(z) = P/q (P a Gaussian integer, q > 0), returns q^(2m)
+    and the terms ([a, w], re, im) with d_{m,a} w^(m+a) = (re + i im)/q^(2m),
+    that is re + i im = d_{m,a} P^(m+a) q^(m-a).
+    """
+    if is_zero(ins.point):
+        raise DomainError(_MODULE, "reflection has a pole at the origin: point z = 0")
+    m = ins.order
+    w = ins.point.conjugate().inverse()
+    pr, pi, q = scalars.to_frame(w)
+    xr, xi = 1, 0
+    for _ in range(m):
+        xr, xi = xr * pr - xi * pi, xr * pi + xi * pr
+    scale = q ** m
+    out = []
+    for a in range(1, m + 1):
+        xr, xi = xr * pr - xi * pi, xr * pi + xi * pr
+        scale //= q
+        d = d_coeff(m, a) * scale
+        out.append((Insertion(a, w), d * xr, d * xi))
+    return q ** (2 * m), out
+
+
 def _product_expansion(factors: list[list[tuple[Scalar, Insertion]]], start: Scalar):
     """Yield (start times coefficient, insertion tuple) over the product of the factors."""
     if not factors:
@@ -346,8 +426,32 @@ def _product_expansion(factors: list[list[tuple[Scalar, Insertion]]], start: Sca
             yield coeff * coeff_rest, (ins,) + ins_rest
 
 
+def _frame_product(factors: list[list[tuple]], start: tuple[int, int]) -> list[tuple]:
+    """The terms (item tuple, re, im) of start times the product of the factors,
+    each factor a list of (item, re, im) Gaussian integers, in the order of
+    ``_product_expansion``: the first factor varies fastest."""
+    terms = [((),) + start]
+    for factor in reversed(factors):
+        terms = [
+            ((x,) + rest, xr * r - xi * i, xr * i + xi * r)
+            for rest, r, i in terms
+            for x, xr, xi in factor
+        ]
+    return terms
+
+
 def _orders(F: LinearCombination):
     return (ins.order for word in F.words() for g in word.groups for ins in g.insertions)
+
+
+def _frame_start(word: WickWord, coeff: Scalar) -> tuple[int, int, int] | None:
+    """The integer frame of a word's coefficient, or None when the coefficient
+    or a point is not an exact Gaussian rational."""
+    start = scalars.to_frame(coeff)
+    if start is None:
+        return None
+    points = (ins.point for g in word.groups for ins in g.insertions)
+    return start if all(scalars.is_gaussian(z) for z in points) else None
 
 
 def theta(F) -> LinearCombination:
@@ -358,26 +462,82 @@ def theta(F) -> LinearCombination:
     Wick groups map to Wick groups of the same arity.  Expansion terms that
     canonicalize to one word (equal insertions inside a group) are summed.
     Each distinct insertion is expanded once per call, however many words
-    hold it.  Raises ResourceError for an order above MAX_ORDER.
+    hold it.
+
+    A word whose points and coefficient are exact Gaussian rationals is
+    expanded in one integer frame (``_theta_frame_word``).  Other words
+    (float points, radicals) multiply scalars term by term.  Both routes give
+    the same terms in the same order.  Raises ResourceError for an order
+    above MAX_ORDER.
     """
     F = _as_combination(F)
     check_orders(_orders(F), _MODULE)
+    words = [(word, conjugate(coeff)) for word, coeff in F.items()]
+    starts = [_frame_start(word, coeff) for word, coeff in words]
+    frames: dict[Insertion, tuple[int, list]] = {}
+    # one object per distinct output insertion, so equal keys share their leaves
+    reflected: dict[Insertion, Insertion] = {}
+    for (word, _), start in zip(words, starts):
+        if start is None:
+            continue
+        for g in word.groups:
+            for ins in g.insertions:
+                if ins not in frames:
+                    q, terms = _theta_insertion_frame(ins)
+                    frames[ins] = q, [(reflected.setdefault(o, o), r, i) for o, r, i in terms]
+    rank = {ins: n for n, ins in enumerate(sorted(reflected, key=_KEY))}.__getitem__
     expansions: dict[Insertion, list[tuple[Scalar, Insertion]]] = {}
 
-    def expand(ins: Insertion) -> list[tuple[Scalar, Insertion]]:
-        out = expansions.get(ins)
-        if out is None:
-            out = expansions[ins] = _theta_insertion(ins)
-        return out
-
     acc: dict[WickWord, Scalar] = {}
-    for word, coeff in F.items():
-        factors = [expand(ins) for g in word.groups for ins in g.insertions]
+    for (word, coeff), start in zip(words, starts):
+        if start is not None:
+            _theta_frame_word(word, start, frames, rank, acc)
+            continue
+        factors = []
+        for g in word.groups:
+            for ins in g.insertions:
+                if ins not in expansions:
+                    expansions[ins] = _theta_insertion(ins)
+                factors.append(expansions[ins])
         ends = list(accumulate(len(g) for g in word.groups))
-        for c, inss in _product_expansion(factors, conjugate(coeff)):
+        for c, inss in _product_expansion(factors, coeff):
             groups = tuple(WickGroup(inss[a:b]) for a, b in zip([0] + ends, ends))
             add_term(acc, WickWord(groups), c)
     return LinearCombination._of_terms(acc)
+
+
+
+def _theta_frame_word(word: WickWord, start, frames: dict, rank, acc: dict) -> None:
+    """Add theta of one word, coefficient ``start`` = (re, im, den), to acc.
+
+    The word's denominator is den times each insertion's q^(2m); numerators
+    are Gaussian integers, and each output coefficient becomes an ``Exact``
+    once.  Each group's terms are built once; ``rank`` numbers the output
+    insertions in key order, so a term's groups sort by integer tuples.
+    """
+    re, im, den = start
+    group_factors = []
+    for g in word.groups:
+        factors = []
+        for ins in g.insertions:
+            q, factor = frames[ins]
+            den *= q
+            factors.append(factor)
+        group_factors.append(
+            [(_ranked_group(inss, rank), r, i) for inss, r, i in _frame_product(factors, (1, 0))]
+        )
+    for ranked, r, i in _frame_product(group_factors, (re, im)):
+        if len(ranked) > 1:
+            ranked = sorted(ranked, key=_FIRST)
+        out = WickWord._of_sorted(tuple(g for _, g in ranked))
+        add_term(acc, out, scalars.from_frame(r, i, den))
+
+
+def _ranked_group(insertions: tuple[Insertion, ...], rank) -> tuple[tuple[int, ...], WickGroup]:
+    """(ranks, group): the group of these insertions, sorted by their integer
+    ranks, and those ranks, which order groups as their keys do."""
+    insertions = tuple(sorted(insertions, key=rank))
+    return tuple(map(rank, insertions)), WickGroup._of_sorted(insertions)
 
 
 def rescale(F, a, q) -> LinearCombination:
@@ -432,7 +592,7 @@ def wick_expand(G: WickGroup) -> LinearCombination:
     ins = G.insertions
     for i in range(len(ins)):
         for j in range(i + 1, len(ins)):
-            if scalars.sort_key(ins[i].point) == scalars.sort_key(ins[j].point):
+            if ins[i].key()[1] == ins[j].key()[1]:
                 raise DomainError(
                     _MODULE,
                     f"wick_expand needs distinct points inside the group; "

@@ -25,6 +25,7 @@ import sys
 import time
 import warnings
 from fractions import Fraction
+from functools import cache
 
 from . import scalars
 from .algebra import Insertion, LinearCombination, WickGroup, WickWord
@@ -418,7 +419,9 @@ def _origin(exc: Exception) -> str:
     return module
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="freeboson",
         description="free boson correlators, Gram matrices, and disc amplitudes",

@@ -142,11 +142,12 @@ def _expect_word(W: WickWord, kernels: KernelTable) -> Scalar:
         for ins in group.insertions:
             flat.append((gid, ins))
     # cross-group coincidences are poles; intra-group ones are fine
+    points = [ins.key()[1] for _, ins in flat]  # stored point sort keys
     for i in range(len(flat)):
         for j in range(i + 1, len(flat)):
             gi, a = flat[i]
             gj, b = flat[j]
-            if gi != gj and scalars.sort_key(a.point) == scalars.sort_key(b.point):
+            if gi != gj and points[i] == points[j]:
                 raise PoleError(_MODULE, ((a.order, a.point), (b.order, b.point)))
     exact = W.is_exact()
 

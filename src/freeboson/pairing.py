@@ -93,4 +93,9 @@ def hafnian(
         memo[state] = zero if total is None else total
         return memo[state]
 
-    return rec(counts)
+    try:
+        return rec(counts)
+    finally:
+        # rec holds itself through its closure: break that cycle so the memo
+        # is freed on return rather than by the cyclic collector
+        del rec

@@ -16,7 +16,7 @@ promotes to float; exact-with-exact stays exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, sqrt as _fsqrt
+from math import gcd, isqrt, lcm, sqrt as _fsqrt
 from typing import Union
 
 from .errors import DomainError, ResourceError
@@ -110,7 +110,9 @@ class Exact:
 
     def is_gaussian(self) -> bool:
         """True when the value lies in Q(i) (no radical part)."""
-        return all(s == 1 for s, _, _ in self._terms)
+        # terms are sorted by s >= 1, so only a lone s = 1 term is Gaussian
+        terms = self._terms
+        return not terms or (len(terms) == 1 and terms[0][0] == 1)
 
     def is_rational(self) -> bool:
         return self.is_gaussian() and all(im == 0 for _, _, im in self._terms)
@@ -336,6 +338,24 @@ def _gaussian(re: Fraction, im: Fraction) -> Exact:
     return ZERO
 
 
+def to_frame(x) -> tuple[int, int, int] | None:
+    """(re, im, den) with x = (re + i*im)/den, integers, den > 0 the least
+    common denominator of the two parts; None unless x is an exact Gaussian
+    rational.  ``from_frame`` is its inverse."""
+    if not is_gaussian(x):
+        return None
+    if not x._terms:
+        return 0, 0, 1
+    _, re, im = x._terms[0]
+    den = lcm(re.denominator, im.denominator)
+    return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den
+
+
+def from_frame(re: int, im: int, den: int) -> Exact:
+    """The canonical Exact of (re + i*im)/den, for integers re, im and den > 0."""
+    return _gaussian(Fraction(re, den), Fraction(im, den))
+
+
 ZERO = Exact()
 ONE = Exact({1: (1, 0)})
 I = Exact({1: (0, 1)})
@@ -384,6 +404,11 @@ def is_zero(x) -> bool:
     if isinstance(x, Exact):
         return x.is_zero()
     return x == 0
+
+
+def is_gaussian(x) -> bool:
+    """True for an exact Gaussian rational (no radical part, not a float)."""
+    return isinstance(x, Exact) and x.is_gaussian()
 
 
 def conjugate(x: Scalar) -> Scalar:

@@ -76,6 +76,44 @@ def test_word_canonicalization():
     assert WickWord((g1,)) * WickWord.unit() == WickWord((g2,))
 
 
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_word_keys_and_hashes_are_order_free(exact):
+    rng = random.Random(29 if exact else 31)
+    for _ in range(20):
+        points = [rational_point(rng) for _ in range(6)]
+        if not exact:
+            points = [complex(z) for z in points]
+        inss = [Insertion(rng.randint(1, 3), z) for z in points]
+        order = list(range(6))
+        rng.shuffle(order)
+        a = WickWord((WickGroup(tuple(inss[:3])), WickGroup(tuple(inss[3:]))))
+        b = WickWord((
+            WickGroup(tuple(inss[k] for k in order if k >= 3)),
+            WickGroup(tuple(inss[k] for k in order if k < 3)),
+        ))
+        assert a == b and a.key() == b.key() and hash(a) == hash(b)
+        for g, h in zip(a.groups, b.groups):
+            assert g == h and g.key() == h.key() and hash(g) == hash(h)
+            assert hash(g) == hash((g.insertions,))
+        assert hash(a) == hash((a.groups,))
+        for ins in inss:
+            # stored at construction, with the value of hash((order, point))
+            assert hash(ins) == hash((ins.order, ins.point))
+            assert ins.key() == (ins.order, scalars.sort_key(ins.point))
+        assert all(x.key() <= y.key() for x, y in zip(a.groups, a.groups[1:]))
+
+
+def test_words_are_immutable():
+    word = WickWord.plain((1, Fraction(1, 2)))
+    with pytest.raises(AttributeError):
+        word.groups = ()
+    with pytest.raises(AttributeError):
+        word.groups[0].insertions[0].order = 2
+    assert repr(word) == (
+        "WickWord(groups=(WickGroup(insertions=(Insertion(order=1, point=Exact((1/2))),)),))"
+    )
+
+
 def test_empty_group_rejected():
     with pytest.raises(DomainError):
         WickGroup(())
@@ -287,6 +325,67 @@ def test_memoised_theta_matches_reference():
     z = rational(Fraction(1, 3), Fraction(-1, 4))
     F = LinearCombination.of(WickWord((WickGroup.of((2, z), (2, z)), WickGroup.of((2, z)))))
     assert theta(F) == _theta_reference(F)
+
+
+def _assert_theta_matches_reference(F):
+    out = theta(F)
+    ref = _theta_reference(F)
+    assert list(out.items()) == list(ref.items())
+    return out
+
+
+def test_theta_large_mixed_denominators_match_reference():
+    rng = random.Random(211)
+    for _ in range(12):
+        F = LinearCombination.zero()
+        for _ in range(rng.randint(1, 4)):
+            word = random_wick_word(rng, rng.randint(1, 5))
+            coeff = rational(
+                Fraction(rng.randint(-10 ** 15, 10 ** 15), rng.randint(1, 10 ** 12)),
+                Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 10 ** 14)),
+            )
+            F = F + LinearCombination.of(word, coeff)
+        _assert_theta_matches_reference(F)
+    # points with large coprime denominators, one insertion of order 7
+    p = rational(Fraction(5, 10 ** 6 + 3), Fraction(-7, 999983))
+    q = rational(Fraction(-1, 3), Fraction(2, 2 ** 31 - 1))
+    F = LinearCombination.of(WickWord((WickGroup.of((7, p), (2, q)), WickGroup.of((3, q)))), 11)
+    _assert_theta_matches_reference(F)
+
+
+def test_theta_radical_coefficients_match_reference():
+    rng = random.Random(223)
+    for _ in range(10):
+        W = random_wick_word(rng, rng.randint(1, 4))
+        V = random_plain_word(rng, rng.randint(1, 4))
+        F = LinearCombination.of(W, scalars.root(2)) + LinearCombination.of(V, rational(3, -2))
+        once = _assert_theta_matches_reference(F)
+        _assert_theta_matches_reference(once)
+    # the two routes add into the same output words
+    z = rational(Fraction(1, 2), Fraction(1, 3))
+    F = LinearCombination.of(WickWord.plain((1, z)), rational(Fraction(3, 7))) + LinearCombination.of(
+        WickWord.plain((2, z)), scalars.root(2) + scalars.I
+    )
+    out = _assert_theta_matches_reference(F)
+    assert theta(out) == F
+
+
+def test_theta_float_words_match_reference():
+    rng = random.Random(227)
+    for _ in range(10):
+        W = random_wick_word(rng, rng.randint(1, 4))
+        floated = WickWord(tuple(
+            WickGroup(tuple(Insertion(i.order, complex(i.point)) for i in g.insertions))
+            for g in W.groups
+        ))
+        V = random_plain_word(rng, rng.randint(1, 4))
+        F = (
+            LinearCombination.of(floated, rational(2, 1))
+            + LinearCombination.of(V, complex(0.5, -0.25))
+            + LinearCombination.of(W, rational(Fraction(-1, 3)))
+        )
+        once = _assert_theta_matches_reference(F)
+        _assert_theta_matches_reference(once)
 
 
 def test_theta_and_rescale_order_guard():

@@ -250,6 +250,22 @@ def test_main_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+def test_parser_is_built_once_and_survives_usage_errors(tmp_path, capsys):
+    config = _write(tmp_path, "c.json", {"words": [FOUR_POINT]})
+    args = ["correlator", "--config", config, "--mode", "float", "--timing"]
+    assert main(args[:3]) == 0
+    first = capsys.readouterr().out
+    # a usage error between two good calls: bad choice, unknown flag, no command
+    assert main(["correlator", "--config", config, "--mode", "fast"]) == 1
+    assert main(["gram", "--bogus"]) == 1
+    assert main(args) == 0
+    assert main([]) == 1
+    capsys.readouterr()
+    assert main(args[:3]) == 0
+    assert capsys.readouterr().out == first
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_main_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

@@ -1,4 +1,5 @@
 """The pairing engine against brute-force sums over enumerated matchings."""
+import gc
 import itertools
 import json
 import math
@@ -174,6 +175,19 @@ def test_matchable_agrees_with_hafnian_count():
             assert hafnian(_no_weight, range(len(sizes)), sizes, 1, 0) == 0
     # an unmatchable count far over the state guard is zero, not refused
     assert hafnian(_no_weight, ["a", "b"], [MAX_STATES, 2], 1, 0) == 0
+
+
+def test_hafnian_leaves_no_cyclic_garbage():
+    # the DP memo is freed on return, not left in a cycle for the collector
+    word = WickWord.plain(*[(1 + k % 3, Fraction(k - 4, 9)) for k in range(8)])
+    expected = expect_wick(word)
+    gc.collect()
+    gc.disable()
+    try:
+        assert expect_wick(word) == expected
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_shared_labels_match_one_slot_per_copy():
