@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate
 from operator import attrgetter, itemgetter
 from typing import Mapping
 
@@ -374,34 +373,29 @@ def _as_combination(F) -> LinearCombination:
     raise DomainError(_MODULE, f"expected a word or linear combination, got {type(F).__name__}")
 
 
-def _theta_insertion(ins: Insertion) -> list[tuple[Scalar, Insertion]]:
-    """Expansion of theta on one insertion: sum_a d_{m,a} zbar^{-(m+a)} [a, 1/zbar]."""
+def _theta_insertion(ins: Insertion) -> tuple[int, list[tuple[Insertion, Scalar, Scalar]]]:
+    """theta of one insertion, sum_a d_{m,a} w^(m+a) [a, w] with w = 1/conj(z),
+    as (den, [([a, w], re, im)]), each coefficient (re + i im)/den.
+
+    For a Gaussian-rational point, w = P/q with P a Gaussian integer and
+    q > 0: den is q^(2m) and re + i im = d_{m,a} P^(m+a) q^(m-a) are
+    integers.  For any other point (float or radical), den is 1, re is the
+    scalar d_{m,a} w^(m+a) and im is 0.
+    """
     if is_zero(ins.point):
         raise DomainError(_MODULE, "reflection has a pole at the origin: point z = 0")
     m = ins.order
     zbar = conjugate(ins.point)
     w = 1 / zbar if isinstance(zbar, complex) else zbar.inverse()
-    power = w ** m
-    out = []
-    for a in range(1, m + 1):
-        power = power * w
-        coeff = as_scalar(d_coeff(m, a)) * power
-        out.append((coeff, Insertion(a, w)))
-    return out
-
-
-def _theta_insertion_frame(ins: Insertion) -> tuple[int, list[tuple[Insertion, int, int]]]:
-    """``_theta_insertion`` in one integer frame, for a Gaussian-rational point.
-
-    With w = 1/conj(z) = P/q (P a Gaussian integer, q > 0), returns q^(2m)
-    and the terms ([a, w], re, im) with d_{m,a} w^(m+a) = (re + i im)/q^(2m),
-    that is re + i im = d_{m,a} P^(m+a) q^(m-a).
-    """
-    if is_zero(ins.point):
-        raise DomainError(_MODULE, "reflection has a pole at the origin: point z = 0")
-    m = ins.order
-    w = ins.point.conjugate().inverse()
-    pr, pi, q = scalars.to_frame(w)
+    frame = scalars.to_frame(w)
+    if frame is None:
+        power = w ** m
+        out = []
+        for a in range(1, m + 1):
+            power = power * w
+            out.append((Insertion(a, w), d_coeff(m, a) * power, 0))
+        return 1, out
+    pr, pi, q = frame
     xr, xi = 1, 0
     for _ in range(m):
         xr, xi = xr * pr - xi * pi, xr * pi + xi * pr
@@ -415,21 +409,10 @@ def _theta_insertion_frame(ins: Insertion) -> tuple[int, list[tuple[Insertion, i
     return q ** (2 * m), out
 
 
-def _product_expansion(factors: list[list[tuple[Scalar, Insertion]]], start: Scalar):
-    """Yield (start times coefficient, insertion tuple) over the product of the factors."""
-    if not factors:
-        yield start, ()
-        return
-    head, tail = factors[0], factors[1:]
-    for coeff_rest, ins_rest in _product_expansion(tail, start):
-        for coeff, ins in head:
-            yield coeff * coeff_rest, (ins,) + ins_rest
-
-
-def _frame_product(factors: list[list[tuple]], start: tuple[int, int]) -> list[tuple]:
+def _frame_product(factors: list[list[tuple]], start: tuple) -> list[tuple]:
     """The terms (item tuple, re, im) of start times the product of the factors,
-    each factor a list of (item, re, im) Gaussian integers, in the order of
-    ``_product_expansion``: the first factor varies fastest."""
+    each factor a list of (item, re, im), either Gaussian integers or a scalar
+    and 0; the first factor varies fastest."""
     terms = [((),) + start]
     for factor in reversed(factors):
         terms = [
@@ -444,16 +427,6 @@ def _orders(F: LinearCombination):
     return (ins.order for word in F.words() for g in word.groups for ins in g.insertions)
 
 
-def _frame_start(word: WickWord, coeff: Scalar) -> tuple[int, int, int] | None:
-    """The integer frame of a word's coefficient, or None when the coefficient
-    or a point is not an exact Gaussian rational."""
-    start = scalars.to_frame(coeff)
-    if start is None:
-        return None
-    points = (ins.point for g in word.groups for ins in g.insertions)
-    return start if all(scalars.is_gaussian(z) for z in points) else None
-
-
 def theta(F) -> LinearCombination:
     """The reflection automorphism: anti-linear, z -> 1/conj(z).
 
@@ -461,67 +434,60 @@ def theta(F) -> LinearCombination:
     multiplicatively over insertions and groups, conjugating coefficients.
     Wick groups map to Wick groups of the same arity.  Expansion terms that
     canonicalize to one word (equal insertions inside a group) are summed.
-    Each distinct insertion is expanded once per call, however many words
-    hold it.
+    Each distinct insertion is expanded once per call (``_theta_insertion``),
+    however many words hold it, and every word is multiplied out by
+    ``_theta_word``.
 
     A word whose points and coefficient are exact Gaussian rationals is
-    expanded in one integer frame (``_theta_frame_word``).  Other words
-    (float points, radicals) multiply scalars term by term.  Both routes give
-    the same terms in the same order.  Raises ResourceError for an order
+    multiplied in one integer frame and each of its output coefficients is
+    one ``Exact``.  Any other word (a float or radical point or coefficient)
+    multiplies the same terms as scalars; float words may then differ from a
+    term-by-term product in the last bits.  Raises ResourceError for an order
     above MAX_ORDER.
     """
     F = _as_combination(F)
-    check_orders(_orders(F), _MODULE)
-    words = [(word, conjugate(coeff)) for word, coeff in F.items()]
-    starts = [_frame_start(word, coeff) for word, coeff in words]
+    distinct = dict.fromkeys(
+        ins for word in F.words() for g in word.groups for ins in g.insertions
+    )
+    check_orders((ins.order for ins in distinct), _MODULE)
     frames: dict[Insertion, tuple[int, list]] = {}
     # one object per distinct output insertion, so equal keys share their leaves
     reflected: dict[Insertion, Insertion] = {}
-    for (word, _), start in zip(words, starts):
-        if start is None:
-            continue
-        for g in word.groups:
-            for ins in g.insertions:
-                if ins not in frames:
-                    q, terms = _theta_insertion_frame(ins)
-                    frames[ins] = q, [(reflected.setdefault(o, o), r, i) for o, r, i in terms]
+    for ins in distinct:
+        den, terms = _theta_insertion(ins)
+        frames[ins] = den, [(reflected.setdefault(o, o), r, i) for o, r, i in terms]
     rank = {ins: n for n, ins in enumerate(sorted(reflected, key=_KEY))}.__getitem__
-    expansions: dict[Insertion, list[tuple[Scalar, Insertion]]] = {}
-
     acc: dict[WickWord, Scalar] = {}
-    for (word, coeff), start in zip(words, starts):
-        if start is not None:
-            _theta_frame_word(word, start, frames, rank, acc)
-            continue
-        factors = []
-        for g in word.groups:
-            for ins in g.insertions:
-                if ins not in expansions:
-                    expansions[ins] = _theta_insertion(ins)
-                factors.append(expansions[ins])
-        ends = list(accumulate(len(g) for g in word.groups))
-        for c, inss in _product_expansion(factors, coeff):
-            groups = tuple(WickGroup(inss[a:b]) for a, b in zip([0] + ends, ends))
-            add_term(acc, WickWord(groups), c)
+    for word, coeff in F.items():
+        _theta_word(word, conjugate(coeff), frames, rank, acc)
     return LinearCombination._of_terms(acc)
 
 
+def _theta_word(word: WickWord, coeff: Scalar, frames: dict, rank, acc: dict) -> None:
+    """Add theta of one word, its coefficient ``coeff`` already conjugated, to acc.
 
-def _theta_frame_word(word: WickWord, start, frames: dict, rank, acc: dict) -> None:
-    """Add theta of one word, coefficient ``start`` = (re, im, den), to acc.
-
-    The word's denominator is den times each insertion's q^(2m); numerators
-    are Gaussian integers, and each output coefficient becomes an ``Exact``
-    once.  Each group's terms are built once; ``rank`` numbers the output
-    insertions in key order, so a term's groups sort by integer tuples.
+    Each group's terms are built once; ``rank`` numbers the output
+    insertions in key order, so a term's groups sort by integer tuples.  A
+    word whose coefficient and points are Gaussian rationals multiplies
+    Gaussian-integer numerators over one denominator, the coefficient's
+    times each insertion's q^(2m), and makes each output coefficient an
+    ``Exact`` once.  Any other word starts from (coeff, 0), reads the terms
+    of its Gaussian insertions as ``Exact``s, and adds the product's re.
     """
-    re, im, den = start
+    start = scalars.to_frame(coeff)
+    gaussian = start is not None and all(
+        scalars.is_gaussian(ins.point) for g in word.groups for ins in g.insertions
+    )
+    re, im, den = start if gaussian else (coeff, 0, 1)
     group_factors = []
     for g in word.groups:
         factors = []
         for ins in g.insertions:
             q, factor = frames[ins]
-            den *= q
+            if gaussian:
+                den *= q
+            elif scalars.is_gaussian(ins.point):
+                factor = [(o, scalars.from_frame(r, i, q), 0) for o, r, i in factor]
             factors.append(factor)
         group_factors.append(
             [(_ranked_group(inss, rank), r, i) for inss, r, i in _frame_product(factors, (1, 0))]
@@ -530,7 +496,7 @@ def _theta_frame_word(word: WickWord, start, frames: dict, rank, acc: dict) -> N
         if len(ranked) > 1:
             ranked = sorted(ranked, key=_FIRST)
         out = WickWord._of_sorted(tuple(g for _, g in ranked))
-        add_term(acc, out, scalars.from_frame(r, i, den))
+        add_term(acc, out, scalars.from_frame(r, i, den) if gaussian else r)
 
 
 def _ranked_group(insertions: tuple[Insertion, ...], rank) -> tuple[tuple[int, ...], WickGroup]:

@@ -55,6 +55,9 @@ def _parse_component(value, exact: bool, where: str) -> Fraction | float:
         if isinstance(value, int):
             return Fraction(value)
         if isinstance(value, str):
+            # an exponent asks Fraction for a power of ten of any size
+            if "e" in value or "E" in value:
+                raise SchemaError(f"{where}: exact mode takes no exponents, got {value!r}")
             try:
                 return Fraction(value)
             except (ValueError, ZeroDivisionError):
@@ -63,7 +66,10 @@ def _parse_component(value, exact: bool, where: str) -> Fraction | float:
             f"{where}: exact mode takes integers or \"p/q\" strings, got {value!r}"
         )
     if isinstance(value, (int, float)):
-        return float(value)
+        # the bound rejects inf and integers too large for a float; NaN fails it too
+        if abs(value) <= sys.float_info.max:
+            return float(value)
+        raise SchemaError(f"{where}: float mode takes finite numbers within float range")
     raise SchemaError(f"{where}: float mode takes numbers only, got {value!r}")
 
 
@@ -363,7 +369,8 @@ def _load_config(path) -> dict:
             config = json.load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, and integer literals beyond the interpreter's digit cap
         raise SchemaError(f"config is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise SchemaError("config document must be a JSON object")
@@ -473,7 +480,11 @@ def _main(argv) -> int:
             if args.timing:
                 seconds = round(time.perf_counter() - started, 6)
                 doc["timing"] = {"seconds": seconds, **doc.get("timing", {})}
-            text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+            try:
+                text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+            except ValueError:
+                # JSON has no NaN or infinity: a float-mode value overflowed
+                raise SchemaError("the result holds a float that is not finite") from None
         _emit(text, args.out)
     except EngineError as exc:
         _emit_error(exc.module, exc)

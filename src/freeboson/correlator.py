@@ -26,7 +26,8 @@ from fractions import Fraction
 from typing import Iterator
 
 from . import scalars
-from .algebra import MAX_ORDER, Insertion, LinearCombination, WickGroup, WickWord, check_orders
+from .algebra import MAX_ORDER as MAX_ORDER  # re-exported
+from .algebra import Insertion, LinearCombination, WickGroup, WickWord, check_orders
 from .errors import DomainError, PoleError
 from .pairing import hafnian
 from .scalars import Scalar, is_zero

@@ -12,8 +12,6 @@ from freeboson.algebra import (
     LinearCombination,
     WickGroup,
     WickWord,
-    _product_expansion,
-    _theta_insertion,
     add_term,
     d_coeff,
     d_table,
@@ -295,12 +293,35 @@ def test_theta_sums_coinciding_expansion_terms():
     assert theta(out) == LinearCombination.of(g)
 
 
+def _theta_insertion_scalar(ins):
+    """theta of one insertion as scalars: [(d_{m,a} w^(m+a), [a, w])], w = 1/conj(z)."""
+    zbar = scalars.conjugate(ins.point)
+    w = 1 / zbar if isinstance(zbar, complex) else zbar.inverse()
+    power = w ** ins.order
+    out = []
+    for a in range(1, ins.order + 1):
+        power = power * w
+        out.append((scalars.as_scalar(d_coeff(ins.order, a)) * power, Insertion(a, w)))
+    return out
+
+
+def _product_expansion(factors, start):
+    """Yield (start times coefficient, insertion tuple) over the product of the factors."""
+    if not factors:
+        yield start, ()
+        return
+    head, tail = factors[0], factors[1:]
+    for coeff_rest, ins_rest in _product_expansion(tail, start):
+        for coeff, ins in head:
+            yield coeff * coeff_rest, (ins,) + ins_rest
+
+
 def _theta_reference(F):
-    """theta with every insertion of every word expanded afresh: the
-    reference for the memoised expansion of ``theta``."""
+    """theta multiplied out term by term in scalars, with every insertion of
+    every word expanded afresh: the reference for ``theta``."""
     acc = {}
     for word, coeff in F.items():
-        factors = [_theta_insertion(ins) for g in word.groups for ins in g.insertions]
+        factors = [_theta_insertion_scalar(ins) for g in word.groups for ins in g.insertions]
         ends = list(accumulate(len(g) for g in word.groups))
         for c, inss in _product_expansion(factors, scalars.conjugate(coeff)):
             groups = tuple(WickGroup(inss[a:b]) for a, b in zip([0] + ends, ends))
@@ -370,6 +391,20 @@ def test_theta_radical_coefficients_match_reference():
     assert theta(out) == F
 
 
+def _assert_theta_close_to_reference(F):
+    """theta of words with float data against the reference: the per-group
+    products associate float products differently, so coefficients agree
+    key-wise (a missing key counts as 0) within 1e-12 of the largest."""
+    out = theta(F)
+    ref = dict(_theta_reference(F).items())
+    got = dict(out.items())
+    scale = max((abs(complex(c)) for c in ref.values()), default=0.0)
+    for key in got.keys() | ref.keys():
+        diff = complex(got.get(key, 0)) - complex(ref.get(key, 0))
+        assert abs(diff) <= 1e-12 * scale
+    return out
+
+
 def test_theta_float_words_match_reference():
     rng = random.Random(227)
     for _ in range(10):
@@ -384,8 +419,53 @@ def test_theta_float_words_match_reference():
             + LinearCombination.of(V, complex(0.5, -0.25))
             + LinearCombination.of(W, rational(Fraction(-1, 3)))
         )
-        once = _assert_theta_matches_reference(F)
-        _assert_theta_matches_reference(once)
+        once = _assert_theta_close_to_reference(F)
+        _assert_theta_close_to_reference(once)
+
+
+def test_theta_radical_points_match_reference():
+    rng = random.Random(229)
+    q = scalars.root(2) / 3
+    for _ in range(6):
+        a = rational_point(rng)
+        F = rescale(random_wick_word(rng, rng.randint(1, 3)), a, q)
+        # a word that also holds Gaussian points
+        F = F + F * LinearCombination.of(random_plain_word(rng, 2), rational(1, 2))
+        points = [i.point for w in F.words() for g in w.groups for i in g.insertions]
+        assert any(scalars.is_gaussian(z) for z in points)
+        assert not all(scalars.is_gaussian(z) for z in points)
+        out = _assert_theta_matches_reference(F)
+        assert theta(out) == F
+
+
+def test_theta_words_mixing_gaussian_and_float_points():
+    rng = random.Random(233)
+    for _ in range(8):
+        W = random_wick_word(rng, rng.randint(2, 4))
+        # every other insertion of the word moves to a float point
+        flips = iter(range(len(W)))
+        mixed = WickWord(tuple(
+            WickGroup(tuple(
+                Insertion(i.order, complex(i.point) if next(flips) % 2 else i.point)
+                for i in g.insertions
+            ))
+            for g in W.groups
+        ))
+        F = LinearCombination.of(mixed, rational(Fraction(3, 5), -1)) + LinearCombination.of(W)
+        _assert_theta_close_to_reference(F)
+
+
+def test_theta_float_coefficient_on_gaussian_points():
+    rng = random.Random(239)
+    c = complex(0.75, -1.5)
+    for _ in range(8):
+        W = random_wick_word(rng, rng.randint(1, 4))
+        out = _assert_theta_close_to_reference(LinearCombination.of(W, c))
+        # anti-linear: the exact expansion times conj(c), key for key
+        exact = theta(W)
+        assert list(out.words()) == list(exact.words())
+        for word, coeff in out.items():
+            assert abs(coeff - complex(exact.coeff(word)) * c.conjugate()) <= 1e-12 * abs(coeff)
 
 
 def test_theta_and_rescale_order_guard():

@@ -95,6 +95,39 @@ def test_main_gram_rejects_overflowing_tolerance(tmp_path, capsys):
     assert out["error"]["type"] == "SchemaError"
 
 
+def _strict_json(text):
+    """Parse text as JSON proper: NaN and Infinity are not JSON."""
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+_WORD_AT = '{{"mode": "{mode}", "words": [[[{{"m": 1, "re": {re}}}]]]}}'
+
+
+@pytest.mark.parametrize("text", [
+    # Fraction would build 10**1000000 for the exponent
+    _WORD_AT.format(mode="exact", re='"1e1000000"'),
+    _WORD_AT.format(mode="exact", re='"3E-2"'),
+    # json refuses integer literals beyond the interpreter's digit cap
+    _WORD_AT.format(mode="exact", re="1" + "0" * 5000),
+    _WORD_AT.format(mode="float", re="NaN"),
+    _WORD_AT.format(mode="float", re="-Infinity"),
+    _WORD_AT.format(mode="float", re="1e999"),
+    _WORD_AT.format(mode="float", re="1" + "0" * 400),
+    # the order-23 pair kernel overflows to NaN this close
+    '{"mode": "float", "words": [[[{"m": 23, "re": 0.5}], [{"m": 23, "re": 0.5000001}]]]}',
+], ids=["exponent", "exponent-upper", "digits", "nan", "infinity", "1e999", "int-400", "overflow"])
+def test_main_bad_numbers_are_schema_errors_fast(tmp_path, capsys, text):
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    start = time.perf_counter()
+    assert main(["correlator", "--config", str(path)]) == 1
+    assert time.perf_counter() - start < 1.0
+    out = _strict_json(capsys.readouterr().out)
+    assert out["error"]["type"] == "SchemaError"
+
+
 def test_main_gram_origin_multigroup_state(tmp_path, capsys):
     state = [[{"m": 1, "re": 0}], [{"m": 1, "re": "1/2"}]]
     config = _write(tmp_path, "g.json", {"states": [state, [[{"m": 2, "re": "1/3"}]]]})

@@ -1,0 +1,85 @@
+"""Source hygiene: an AST scan of the package for unused imports and for
+module-level private functions and classes that no package code uses.
+
+A private helper that only the tests call belongs in the tests (as their
+reference), and a route deleted from the package should take its imports
+with it.
+"""
+import ast
+from pathlib import Path
+
+import freeboson
+
+PACKAGE = Path(freeboson.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+
+
+def _used_names(tree) -> set[str]:
+    """Names read anywhere in the tree: Name nodes and the strings listed in
+    ``__all__``."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(e.value for e in node.value.elts if isinstance(e, ast.Constant))
+    return used
+
+
+def _imported_names(tree):
+    """(bound name, line) for each import in the tree.  ``from __future__``
+    and the explicit re-export ``import x as x`` are left out."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.partition(".")[0]), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.asname != alias.name:
+                    yield (alias.asname or alias.name), node.lineno
+
+
+def test_no_unused_imports():
+    unused = []
+    for name, tree in _trees().items():
+        used = _used_names(tree)
+        unused += [
+            f"{name}:{line} {bound}" for bound, line in _imported_names(tree) if bound not in used
+        ]
+    assert unused == []
+
+
+def test_every_private_module_function_and_class_is_used_in_the_package():
+    trees = _trees()
+    used_anywhere: dict[str, int] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used_anywhere[node.id] = used_anywhere.get(node.id, 0) + 1
+            elif isinstance(node, ast.Attribute):
+                used_anywhere[node.attr] = used_anywhere.get(node.attr, 0) + 1
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    used_anywhere[alias.name] = used_anywhere.get(alias.name, 0) + 1
+    unused = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            # a recursive call inside the definition does not count as a use
+            inside = sum(
+                1 for n in ast.walk(node)
+                if (isinstance(n, ast.Name) and n.id == node.name)
+                or (isinstance(n, ast.Attribute) and n.attr == node.name)
+            )
+            if used_anywhere.get(node.name, 0) - inside <= 0:
+                unused.append(f"{name}:{node.lineno} {node.name}")
+    assert unused == []
