@@ -41,6 +41,10 @@ from .scalars import Scalar, as_scalar, conjugate, is_zero, real_value, root
 
 _MODULE = "amplitude"
 
+# the HS sweep refuses a truncation with more index tuples than this; a fixed
+# guard like MAX_ORDER, pairing.MAX_STATES and scalars.TRIAL_BOUND
+MAX_TUPLES = 100_000
+
 
 @dataclass(frozen=True)
 class Disc:
@@ -57,9 +61,6 @@ class Disc:
 
     def radius_sq(self) -> Scalar:
         return scalars.abs_sq(self.q)
-
-    def radius(self) -> float:
-        return math.sqrt(float(real_value(self.radius_sq())))
 
 
 @dataclass(frozen=True)
@@ -209,12 +210,7 @@ class HSPartial:
     partial_sum: Scalar
 
 
-def hs_truncated(
-    config: DiscConfiguration,
-    M: int,
-    N: int,
-    max_tuples: int = 100_000,
-) -> list[HSPartial]:
+def hs_truncated(config: DiscConfiguration, M: int, N: int) -> list[HSPartial]:
     """Cumulative sums of |entry|^2 over all index tuples with modes <= M
     and total particle count <= N, grouped by total insertion count.
 
@@ -226,12 +222,12 @@ def hs_truncated(
     the last bits.  Cost: nothing is built for N < 2, else one kernel per
     cross-disc slot pair and, for N >= 4, floor((N + 2)/4) matrix products
     of (r*M)^3.  The kernels of each disc pair run through the powers of one
-    inverse of the centre difference.  The ``max_tuples`` guard on
-    comb(r*M + N, N) bounds the cost; its worst shape, N = 2 at 2 discs and
-    M = 220, takes about 9 s (a 2 vCPU Xeon, Python 3.11) of exact
-    arithmetic on rationals of hundreds of digits.  Outside the summability
-    regime a RegimeWarning is issued (the amplitude is still defined; only
-    the bound is unavailable).
+    inverse of the centre difference.  A truncation whose tuples number more
+    than ``MAX_TUPLES`` raises ResourceError before anything is built; the
+    slowest shape it admits, N = 2 at 2 discs and M = 220, takes about 9 s
+    (a 2 vCPU Xeon, Python 3.11) of exact arithmetic on rationals of
+    hundreds of digits.  Outside the summability regime a RegimeWarning is
+    issued (the amplitude is still defined; only the bound is unavailable).
     """
     if not isinstance(M, int) or M < 1:
         raise ConfigurationError(_MODULE, f"max mode M must be an integer >= 1, got {M!r}")
@@ -249,12 +245,12 @@ def hs_truncated(
     # r*M (disc, mode) slots with total <= t.  Checked level by level before
     # anything is built, so a huge truncation stops at the first level over.
     for t in range(N + 1):
-        visited = math.comb(r * M + t, t)
-        if visited > max_tuples:
+        tuples = math.comb(r * M + t, t)
+        if tuples > MAX_TUPLES:
             raise ResourceError(
                 _MODULE,
-                f"enumeration would visit {visited} tuples through {t} insertions, "
-                f"above the guard {max_tuples}",
+                f"the truncation holds {tuples} tuples through {t} insertions, "
+                f"above the guard {MAX_TUPLES}",
             )
 
     exact = config.is_exact()

@@ -41,7 +41,7 @@ _ALLOWED_KEYS = {
     "correlator": {"mode", "words"},
     "gram": {"mode", "states", "tolerance"},
     "amplitude": {"mode", "discs", "states"},
-    "hsnorm": {"mode", "discs", "truncation", "max_tuples"},
+    "hsnorm": {"mode", "discs", "truncation"},
     "verify": {"suites", "seed"},
 }
 
@@ -174,7 +174,10 @@ def _parse_occupations(obj, where: str) -> FockIndex:
         try:
             mode = int(key)
         except (TypeError, ValueError):
-            raise SchemaError(f"{where}: mode keys must be integers, got {key!r}") from None
+            mode = None
+        # one spelling per mode: "01" or "1_0" would alias another key
+        if mode is None or key != str(mode):
+            raise SchemaError(f"{where}: mode keys must be decimal integers, got {key!r}")
         if mode < 1:
             raise SchemaError(f"{where}: modes are positive, got {mode}")
         if not isinstance(count, int) or isinstance(count, bool) or count < 1:
@@ -282,15 +285,12 @@ def _run_hsnorm(config: dict) -> dict:
     for label, v in (("M", M), ("N", N)):
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             raise SchemaError(f"hsnorm.truncation.{label}: expected a non-negative integer")
-    max_tuples = config.get("max_tuples", 100_000)
-    if not isinstance(max_tuples, int) or isinstance(max_tuples, bool) or max_tuples < 1:
-        raise SchemaError("hsnorm.max_tuples: expected a positive integer")
     regime = discs.hs_regime()
     bound = hs_bound(discs) if regime else None
     with warnings.catch_warnings():
         # out-of-regime sweeps are allowed here; the flag carries the information
         warnings.simplefilter("ignore", RegimeWarning)
-        rows = hs_truncated(discs, M, N, max_tuples=max_tuples)
+        rows = hs_truncated(discs, M, N)
     return {
         "command": "hsnorm",
         "mode": "exact" if exact else "float",
@@ -311,8 +311,8 @@ def _run_hsnorm(config: dict) -> dict:
 def _run_verify(config: dict) -> dict:
     names = config.get("suites")
     if names is not None:
-        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-            raise SchemaError("verify.suites: expected a list of suite names")
+        if not isinstance(names, list) or not names or not all(isinstance(n, str) for n in names):
+            raise SchemaError("verify.suites: expected a non-empty list of suite names")
     seed = config.get("seed", 2026)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise SchemaError("verify.seed: expected an integer")
@@ -361,12 +361,22 @@ def run(command: str, config: dict, timing: bool = False) -> dict:
 
 # ---------------------------------------------------------------- plumbing
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, refusing a key given twice (json keeps the last)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SchemaError(f"config repeats the key {key!r} in one object")
+        obj[key] = value
+    return obj
+
+
 def _load_config(path) -> dict:
     if path is None:
         return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
+            config = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise SchemaError(f"cannot read config: {exc}") from None
     except ValueError as exc:

@@ -59,7 +59,7 @@ class StructuralError(EngineError):
 
 
 class ResourceError(EngineError):
-    """An enumeration would exceed its configured resource guard."""
+    """Work would exceed one of the engine's fixed resource guards."""
 
 
 class SchemaError(EngineError):

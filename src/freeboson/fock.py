@@ -223,11 +223,11 @@ def _require_power_of_two(nodes: int) -> None:
         raise DomainError(_MODULE, f"node count must be a power of two >= 4, got {nodes!r}")
 
 
-def circle_quadrature(f, radius: float, nodes: int, tol: float = 1e-10, max_nodes: int = 4096) -> complex:
+def circle_quadrature(f, radius: float, nodes: int, max_nodes: int = 4096) -> complex:
     """(1/2pi) * integral over |z| = radius of f(z) dz, by the trapezoid rule.
 
     Spectrally accurate for integrands analytic near the circle; the node
-    count doubles until two successive evaluations agree to tol.
+    count doubles until two successive evaluations agree to 1e-10.
     """
     _require_power_of_two(nodes)
     prev: complex | None = None
@@ -239,7 +239,7 @@ def circle_quadrature(f, radius: float, nodes: int, tol: float = 1e-10, max_node
             z = radius * complex(math.cos(theta_j), math.sin(theta_j))
             total += f(z) * z
         val = 1j * total / n
-        if prev is not None and abs(val - prev) < tol:
+        if prev is not None and abs(val - prev) < 1e-10:
             return val
         if 2 * n > max_nodes:
             return val
@@ -250,14 +250,7 @@ def circle_quadrature(f, radius: float, nodes: int, tol: float = 1e-10, max_node
 _PROBE_POINT = complex(0.35, 0.2)
 
 
-def contour_alpha_check(
-    m: int,
-    G: Optional[WickGroup],
-    radius: float,
-    nodes: int,
-    truncation: int = 60,
-    max_nodes: int = 1024,
-) -> float:
+def contour_alpha_check(m: int, G: Optional[WickGroup], radius: float, nodes: int) -> float:
     """Max discrepancy between the contour definition of alpha_m and ladder.
 
     For a set of probe states P (the vacuum and single creation groups
@@ -265,7 +258,8 @@ def contour_alpha_check(
 
         sqrt(2) * (1/2pi) * integral z^m <theta(P) :[1,z]: G> dz
 
-    against fock_inner(P, ladder(series expansion of G, m)).  G = None means
+    against fock_inner(P, ladder(series expansion of G, m)), the series
+    truncated at level 60 and the quadrature at 1024 nodes.  G = None means
     the vacuum; the contour must enclose all points of G and stay inside the
     unit disc.
     """
@@ -278,7 +272,7 @@ def contour_alpha_check(
             f"radius must lie strictly between max |z_i| = {max_abs:.6g} and 1, got {radius!r}",
         )
     g_word = WickWord.unit() if G is None else WickWord.single_group(G)
-    g_vec = FockVector.vacuum() if G is None else wick_group_to_fock(G, truncation)
+    g_vec = FockVector.vacuum() if G is None else wick_group_to_fock(G, 60)
     target = ladder(g_vec, m)
 
     probes: list[Optional[WickGroup]] = [None]
@@ -293,47 +287,36 @@ def contour_alpha_check(
             probe_vec = FockVector.vacuum()
         else:
             theta_probe = theta(LinearCombination.of(WickWord.single_group(probe)))
-            probe_vec = wick_group_to_fock(probe, truncation)
+            probe_vec = wick_group_to_fock(probe, 60)
 
         def integrand(z: complex) -> complex:
             word = WickWord.single_group(WickGroup.of((1, z))) * g_word
             value = expect_combo(theta_probe * LinearCombination.of(word))
             return z ** m * scalars.to_complex(value)
 
-        lhs = sqrt2 * circle_quadrature(integrand, radius, nodes, max_nodes=max_nodes)
+        lhs = sqrt2 * circle_quadrature(integrand, radius, nodes, max_nodes=1024)
         rhs = scalars.to_complex(fock_inner(probe_vec, target))
         worst = max(worst, abs(lhs - rhs))
     return worst
 
 
-def contour_commutator(
-    m: int,
-    n: int,
-    inner_radius: float = 0.3,
-    outer_radius: float = 0.6,
-    nodes: int = 128,
-) -> complex:
+def contour_commutator(m: int, n: int) -> complex:
     """<vacuum, [alpha_m, alpha_n] vacuum> by nested contour quadrature.
 
     Both ladder factors are realized through their contour integrals (the
-    later-applied operator on the larger circle), so this checks the
-    commutator value m*delta_{m+n} without using the occupation-basis rules.
+    later-applied operator on the larger circle, |z| = 0.6 around |w| = 0.3,
+    from 128 nodes each), so this checks the commutator value m*delta_{m+n}
+    without using the occupation-basis rules.
     """
-    _require_power_of_two(nodes)
-    if not (0.0 < inner_radius < outer_radius < 1.0):
-        raise DomainError(
-            _MODULE,
-            f"need 0 < inner radius < outer radius < 1, got {inner_radius!r}, {outer_radius!r}",
-        )
 
     def pair_expectation(outer_exp: int, inner_exp: int) -> complex:
         def outer_f(z: complex) -> complex:
             def inner_f(w: complex) -> complex:
                 return w ** inner_exp * scalars.to_complex(kernel(1, z, 1, w))
 
-            inner_val = circle_quadrature(inner_f, inner_radius, nodes)
+            inner_val = circle_quadrature(inner_f, 0.3, 128)
             return z ** outer_exp * inner_val
 
-        return 2.0 * circle_quadrature(outer_f, outer_radius, nodes)
+        return 2.0 * circle_quadrature(outer_f, 0.6, 128)
 
     return pair_expectation(m, n) - pair_expectation(n, m)

@@ -15,15 +15,11 @@ from .fock import FockIndex, FockVector
 from .scalars import Exact
 
 
-def rational_point(
-    rng: random.Random,
-    max_den: int = 8,
-    nonzero: bool = True,
-    avoid: Optional[set] = None,
-) -> Exact:
-    """A random exact Gaussian rational in the open unit disc."""
+def rational_point(rng: random.Random, nonzero: bool = True, avoid: Optional[set] = None) -> Exact:
+    """A random exact Gaussian rational in the open unit disc, with
+    denominator 3 to 8."""
     while True:
-        den = rng.randint(3, max_den)
+        den = rng.randint(3, 8)
         re = Fraction(rng.randint(-den + 1, den - 1), den)
         im = Fraction(rng.randint(-den + 1, den - 1), den)
         if re * re + im * im >= 1:
@@ -39,8 +35,8 @@ def rational_point(
         return z
 
 
-def random_orders(rng: random.Random, n: int, max_order: int = 3, max_product: int = 64) -> list[int]:
-    """n insertion orders, biased small, with bounded product (keeps the
+def random_orders(rng: random.Random, n: int, max_order: int = 3) -> list[int]:
+    """n insertion orders, biased small, with product at most 64 (keeps the
     reflection expansion of a word from blowing up)."""
     population = tuple(m for m in (1, 1, 1, 2, 2, 3) if m <= max_order) or (1,)
     while True:
@@ -48,21 +44,16 @@ def random_orders(rng: random.Random, n: int, max_order: int = 3, max_product: i
         prod = 1
         for m in orders:
             prod *= m
-        if prod <= max_product:
+        if prod <= 64:
             return orders
 
 
-def random_plain_word(
-    rng: random.Random,
-    n: int,
-    max_order: int = 3,
-    nonzero: bool = True,
-) -> WickWord:
-    """A plain product of n fields at distinct points: singleton groups."""
+def random_plain_word(rng: random.Random, n: int, max_order: int = 3) -> WickWord:
+    """A plain product of n fields at distinct nonzero points: singleton groups."""
     avoid: set = set()
     orders = random_orders(rng, n, max_order)
     return WickWord.plain(
-        *((m, rational_point(rng, nonzero=nonzero, avoid=avoid)) for m in orders)
+        *((m, rational_point(rng, avoid=avoid)) for m in orders)
     )
 
 
@@ -71,10 +62,10 @@ def random_wick_word(
     n: int,
     max_order: int = 3,
     max_group: int = 3,
-    nonzero: bool = True,
 ) -> WickWord:
     """A Wick word with n insertions split into random groups, all points
-    distinct (so the expectation of its singleton-group expansion is defined)."""
+    distinct and nonzero (so the expectation of its singleton-group expansion
+    is defined)."""
     avoid: set = set()
     orders = random_orders(rng, n, max_order)
     groups = []
@@ -84,7 +75,7 @@ def random_wick_word(
         groups.append(
             WickGroup(
                 tuple(
-                    Insertion(m, rational_point(rng, nonzero=nonzero, avoid=avoid))
+                    Insertion(m, rational_point(rng, avoid=avoid))
                     for m in orders[i : i + size]
                 )
             )
@@ -93,30 +84,26 @@ def random_wick_word(
     return WickWord(tuple(groups))
 
 
-def random_state_group(rng: random.Random, arity: int, max_order: int = 3) -> WickGroup:
-    """A single Wick group with distinct nonzero points in the disc."""
+def random_state_group(rng: random.Random, arity: int) -> WickGroup:
+    """A single Wick group of orders 1 to 3 with distinct nonzero points in the disc."""
     avoid: set = set()
     return WickGroup(
         tuple(
-            Insertion(rng.randint(1, max_order), rational_point(rng, avoid=avoid))
+            Insertion(rng.randint(1, 3), rational_point(rng, avoid=avoid))
             for _ in range(arity)
         )
     )
 
 
-def random_fock_vector(
-    rng: random.Random,
-    max_level: int = 10,
-    n_terms: int = 3,
-    max_mode: int = 6,
-) -> FockVector:
-    """A random exact-coefficient vector with basis levels <= max_level."""
+def random_fock_vector(rng: random.Random, max_level: int = 10) -> FockVector:
+    """A random exact-coefficient vector of up to 3 terms, with modes <= 6
+    and basis levels <= max_level."""
     terms = {}
-    for _ in range(n_terms):
+    for _ in range(3):
         occ: dict[int, int] = {}
         level = 0
         while True:
-            m = rng.randint(1, max_mode)
+            m = rng.randint(1, 6)
             if level + m > max_level or rng.random() < 0.35:
                 break
             occ[m] = occ.get(m, 0) + 1

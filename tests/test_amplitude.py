@@ -15,6 +15,7 @@ from freeboson.amplitude import (
     DiscConfiguration,
     amplitude_apply,
     amplitude_entry,
+    MAX_TUPLES,
     hs_bound,
     hs_truncated,
 )
@@ -25,7 +26,7 @@ from freeboson.errors import (
     ResourceError,
 )
 from freeboson.fock import FockIndex, FockVector
-from freeboson.scalars import ONE, conjugate, rational, root
+from freeboson.scalars import ONE, as_scalar, conjugate, rational, root
 
 
 def _standard() -> DiscConfiguration:
@@ -38,7 +39,7 @@ def _standard() -> DiscConfiguration:
 def test_disc_validation():
     with pytest.raises(ConfigurationError):
         Disc(rational(0), rational(0))
-    assert Disc(rational(0), rational(0, 2)).radius() == 2.0
+    assert Disc(rational(0), rational(0, 2)).radius_sq() == rational(4)
 
 
 def test_configuration_needs_two_discs():
@@ -227,9 +228,10 @@ def test_hs_truncated_m16_n4_budget():
 
 def test_hs_truncated_order_guard():
     # no kernel is built below two insertions, so a huge M is fine there
-    assert hs_truncated(_standard(), 3000, 1, max_tuples=10**6)[-1].partial_sum == ONE
+    assert hs_truncated(_standard(), 3000, 1)[-1].partial_sum == ONE
+    # comb(6002, 2) tuples: refused before any kernel is built
     with pytest.raises(ResourceError):
-        hs_truncated(_standard(), 3000, 2, max_tuples=10**8)
+        hs_truncated(_standard(), 3000, 2)
 
 
 def test_entry_guards_before_prefactor():
@@ -278,9 +280,51 @@ def test_hs_truncated_tuple_counts_closed_form(r, M, N):
     assert [row.tuple_count for row in rows] == [math.comb(r * M + t, t) for t in range(N + 1)]
 
 
+def _annulus_q(config: DiscConfiguration) -> float:
+    """rho^2 for two discs: rho = 2/(s + sqrt(s^2 - 4)) with
+    s = (d^2 - R1^2 - R2^2)/(R1 R2), the modulus of the annulus between the
+    boundary circles (a form free of cancellation when s is large)."""
+    a, b = config.discs
+    d_sq = scalars.real_value(scalars.abs_sq(a.center - b.center))
+    r1_sq, r2_sq = (scalars.real_value(disc.radius_sq()) for disc in (a, b))
+    s = float(d_sq - r1_sq - r2_sq) / math.sqrt(r1_sq * r2_sq)
+    return (2 / (s + math.sqrt(s * s - 4))) ** 2
+
+
+@pytest.mark.parametrize("discs,M", [
+    (((0, 1), (10, 1)), 10),
+    (((0, 1), (rational(7, 3), rational(Fraction(1, 2), Fraction(1, 2)))), 10),
+    # outside the regime d/R > 4 sqrt(2)
+    (((0, 1), (4, 1)), 16),
+], ids=["unit-10-apart", "complex-scale", "unit-4-apart"])
+def test_hs_truncated_two_disc_closed_form(discs, M):
+    # two discs: the level-2n sum tends to q^n / prod_{k<=n} (1 - q^k) and
+    # the full sum to prod_m (1 - q^m)^(-1), q = rho^2 (Euler's identity)
+    config = DiscConfiguration(tuple(Disc(as_scalar(a), as_scalar(q)) for a, q in discs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        rows = hs_truncated(config, M, 4)
+    q = _annulus_q(config)
+    sums = [row.partial_sum.rational() for row in rows]
+    denominator = 1.0
+    for n in (1, 2):
+        denominator *= 1 - q ** n
+        increment = float(sums[2 * n] - sums[2 * n - 2])
+        assert increment == pytest.approx(q ** n / denominator, rel=1e-12)
+    limit = 1 / math.prod(1 - q ** m for m in range(1, 200))
+    assert all(value < limit for value in sums)
+
+
 def test_hs_truncated_resource_guard():
-    with pytest.raises(ResourceError):
-        hs_truncated(_standard(), 4, 4, max_tuples=100)
+    # comb(44, 4) = 135751 tuples through 4 insertions
+    assert math.comb(44, 4) > MAX_TUPLES >= math.comb(44, 3)
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match="135751 tuples through 4 insertions"):
+        hs_truncated(_standard(), 20, 4)
+    assert time.perf_counter() - start < 1.0
+    # the guard is fixed: no argument lifts it
+    with pytest.raises(TypeError):
+        hs_truncated(_standard(), 20, 4, max_tuples=10**12)
 
 
 def test_hs_truncated_out_of_regime_warns():

@@ -148,6 +148,38 @@ def test_run_amplitude():
     assert doc["entries"][2] == "0"
 
 
+_TWO_DISCS = '[{"a_re": 0, "q_re": 1}, {"a_re": 10, "q_re": 1}]'
+
+
+@pytest.mark.parametrize("text", [
+    # two spellings of mode 1: json keeps both keys, int() merged them
+    '{"discs": %s, "states": [[{"1": 1, "01": 1}, {"1": 2}]]}' % _TWO_DISCS,
+    '{"discs": %s, "states": [[{"1_0": 1}, {"10": 1}]]}' % _TWO_DISCS,
+    '{"discs": %s, "states": [[{" 1": 1}, {"1": 1}]]}' % _TWO_DISCS,
+    '{"discs": %s, "states": [[{"+1": 1}, {"1": 1}]]}' % _TWO_DISCS,
+    # one key twice: json would keep the last silently
+    '{"discs": %s, "states": [[{"1": 1, "1": 1}, {"1": 2}]]}' % _TWO_DISCS,
+    '{"discs": %s, "states": [], "states": [[{"1": 1}, {"1": 1}]]}' % _TWO_DISCS,
+], ids=["leading-zero", "underscore", "space", "plus", "repeated-mode", "repeated-key"])
+def test_main_mode_keys_have_one_spelling(tmp_path, capsys, text):
+    path = tmp_path / "a.json"
+    path.write_text(text)
+    assert main(["amplitude", "--config", str(path)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"]["type"] == "SchemaError"
+
+
+def test_main_hsnorm_tuple_guard_is_fixed(tmp_path, capsys):
+    # a config cannot lift the guard: the key is unknown
+    discs = [{"a_re": 0, "q_re": 1}, {"a_re": 10, "q_re": 1}]
+    config = _write(tmp_path, "h.json", {
+        "discs": discs, "truncation": {"M": 40, "N": 4}, "max_tuples": 10 ** 12,
+    })
+    assert main(["hsnorm", "--config", config]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"]["type"] == "SchemaError"
+
+
 def test_run_hsnorm_in_regime():
     config = {
         "discs": [{"a_re": 0, "q_re": 1}, {"a_re": 10, "q_re": 1}],
@@ -175,6 +207,12 @@ def test_run_verify_all_pass():
     doc = run("verify", {"suites": ["d-identity", "commutators"]})
     assert doc["passed"] is True
     assert [s["name"] for s in doc["suites"]] == ["d-identity", "commutators"]
+
+
+def test_verify_refuses_an_empty_suite_list():
+    # an empty list would run nothing and report a pass
+    with pytest.raises(SchemaError):
+        run("verify", {"suites": []})
 
 
 def test_main_writes_json(tmp_path, capsys):

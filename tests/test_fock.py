@@ -207,11 +207,6 @@ def test_contour_commutator_values(m, n, expected):
     assert abs(val - expected) < 1e-9
 
 
-def test_contour_commutator_radius_validation():
-    with pytest.raises(DomainError):
-        contour_commutator(1, -1, inner_radius=0.7, outer_radius=0.3)
-
-
 def test_fock_maps_order_guard():
     started = time.perf_counter()
     with pytest.raises(ResourceError):

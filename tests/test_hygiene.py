@@ -83,3 +83,58 @@ def test_every_private_module_function_and_class_is_used_in_the_package():
             if used_anywhere.get(node.name, 0) - inside <= 0:
                 unused.append(f"{name}:{node.lineno} {node.name}")
     assert unused == []
+
+
+def _defaulted_parameters(func):
+    """(position or None, name) of each parameter of ``func`` with a default;
+    the position is None for a keyword-only parameter."""
+    positional = func.args.posonlyargs + func.args.args
+    first = len(positional) - len(func.args.defaults)
+    for i, arg in enumerate(positional[first:], start=first):
+        yield i, arg.arg
+    for arg, default in zip(func.args.kwonlyargs, func.args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+# The console entry point: ``main(argv=None)`` is called with no argument, so
+# that argparse reads sys.argv, and with an argument list by the tests and the
+# benchmark harness, which live outside the package.
+_ENTRY_POINTS = {("cli.py", "main", "argv")}
+
+
+def test_every_defaulted_parameter_is_set_by_some_package_call():
+    """An option that every caller leaves at its default is a constant: a
+    module-level function parameter with a default must be set, by keyword
+    or by position, by at least one call in the package."""
+    trees = _trees()
+    # per called name: the keywords passed, and the most positional arguments
+    keywords: dict[str, set[str]] = {}
+    positions: dict[str, float] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is None:
+                continue
+            given = keywords.setdefault(name, set())
+            for kw in node.keywords:
+                # **kwargs may set any keyword
+                given.add("*" if kw.arg is None else kw.arg)
+            count = float("inf") if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args)
+            positions[name] = max(positions.get(name, 0), count)
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            given = keywords.get(node.name, set())
+            for position, param in _defaulted_parameters(node):
+                if (module, node.name, param) in _ENTRY_POINTS:
+                    continue
+                by_position = position is not None and positions.get(node.name, 0) > position
+                if not (by_position or param in given or "*" in given):
+                    unused.append(f"{module} {node.name}({param})")
+    assert unused == []
