@@ -31,7 +31,6 @@ from .correlator import (
     expect_combo,
     expect_wick,
     kernel,
-    matchings,
     mobius_check,
 )
 from .errors import (
@@ -60,7 +59,6 @@ from .hilbert import (
     GramReport,
     StateExpression,
     as_state,
-    disc_series_inner,
     gram,
     inner,
     psd_check,
@@ -103,7 +101,6 @@ __all__ = [
     "contour_commutator",
     "d_coeff",
     "d_table",
-    "disc_series_inner",
     "expect_combo",
     "expect_wick",
     "fock_inner",
@@ -113,7 +110,6 @@ __all__ = [
     "inner",
     "kernel",
     "ladder",
-    "matchings",
     "mobius_check",
     "psd_check",
     "rational",

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import scalars
-from .correlator import KernelTable, check_orders
+from .correlator import KernelTable
 from .errors import ConfigurationError, RegimeError, RegimeWarning, ResourceError
 from .fock import FockIndex, FockVector
 from .pairing import hafnian
@@ -279,7 +279,6 @@ def _hs_traces(config: DiscConfiguration, M: int, kmax: int) -> list[Scalar]:
     A' = D^2 conj(K') D^2 K' = D (conj(K) K) D^-1 has the traces of
     conj(K) K and Gaussian-rational entries: no ``root``.
     """
-    check_orders([M], _MODULE)
     exact = config.is_exact()
     zero = scalars.zero_scalar(exact)
     slots = [(j, m) for j in range(config.r) for m in range(1, M + 1)]

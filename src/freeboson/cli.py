@@ -9,12 +9,12 @@ Subcommands:
 
 Results are JSON documents on stdout (or --out).  In exact mode the output
 is byte-identical across runs; rationals are rendered as "p/q" strings.
-Exit codes: 0 success, 1 configuration, domain or resource error, 2 verify
-failure, 3 any other exception (a defect of the engine, a limit of the
-interpreter such as its cap on the digits of an integer printed, or a reader
-of stdout that went away, after which nothing more is written).  Every
-error leaves the same {"error": {"module", "type", "message"}} document on
-stdout and no traceback.
+Exit codes: 0 success, 1 configuration, domain or resource error or a float
+beyond range, 2 verify failure, 3 any other exception (a defect of the
+engine, a limit of the interpreter such as its cap on the digits of an
+integer printed, or a reader of stdout that went away, after which nothing
+more is written).  Every error leaves the same {"error": {"module", "type",
+"message"}} document on stdout and no traceback.
 """
 from __future__ import annotations
 
@@ -498,6 +498,11 @@ def _main(argv) -> int:
         _emit(text, args.out)
     except EngineError as exc:
         _emit_error(exc.module, exc)
+        return 1
+    except OverflowError as exc:
+        # a value beyond float range, like the non-finite result above
+        error = SchemaError(str(exc))
+        _emit_error(error.module, error)
         return 1
     except BrokenPipeError:
         raise

@@ -9,8 +9,8 @@ with matchings restricted to cross-group pairs (pairings inside a
 normal-ordered group are suppressed).  A plain product of fields is the
 word of singleton groups, so every pair of its insertions is allowed.  The
 sum is the hafnian of the word's kernel table, computed once per word by
-``pairing.hafnian``; ``matchings`` enumerates the matchings one by one and
-is kept as the reference the tests compare against.
+``pairing.hafnian``; the tests keep an enumeration of the matchings one by
+one as its reference.
 
 Every kernel comes from a ``KernelTable``, which lives for one call: it
 inverts z1 - z2 once per ordered pair of exact points, builds the powers of
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator
 
 from . import scalars
 from .algebra import MAX_ORDER as MAX_ORDER  # re-exported
@@ -34,9 +33,6 @@ from .scalars import Scalar, is_zero
 
 _MODULE = "correlator"
 
-# A matching is a tuple of index pairs covering 0..n-1 once each.
-Matching = tuple[tuple[int, int], ...]
-
 
 class KernelTable:
     """The pair kernels C(m1, z1, m2, z2) of one computation, each evaluated once.
@@ -45,7 +41,8 @@ class KernelTable:
     z1 - z2 and the powers of it asked for so far: the power after one
     already held costs one product, any other is built by squaring.  Kernel
     values are kept by (m1, z1, m2, z2).  A pair with a float point takes
-    the complex arithmetic of a fresh evaluation, unmemoised.  A table lives
+    the complex arithmetic of a fresh evaluation, unmemoised, and raises
+    OverflowError when (z1 - z2)^(m1 + m2) underflows to 0.  A table lives
     for one call (a combination, an amplitude call, one HS trace sweep);
     nothing is kept across calls.
 
@@ -76,7 +73,10 @@ class KernelTable:
         n = m1 + m2
         c = Fraction(math.factorial(n - 1) * (-1 if m1 % 2 else 1), 2)
         if not exact:
-            return complex(c) / (z1 - z2) ** n
+            power = (z1 - z2) ** n
+            if power == 0:
+                raise OverflowError(f"the kernel at {z1!r}, {z2!r} is beyond float range")
+            return complex(c) / power
         powers = self._powers.get((z1, z2))
         if powers is None:
             powers = self._powers[(z1, z2)] = {1: (z1 - z2).inverse()}
@@ -96,31 +96,6 @@ def kernel(m1: int, z1, m2: int, z2) -> Scalar:
     above MAX_ORDER.
     """
     return KernelTable()(m1, z1, m2, z2)
-
-
-def matchings(n: int) -> Iterator[Matching]:
-    """All perfect matchings of {0..n-1}: (n-1)!! of them for even n, none odd.
-
-    Deterministic order: the first unmatched index pairs with each later
-    index in turn, recursively.
-    """
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(_MODULE, f"matchings needs an integer n >= 0, got {n!r}")
-    yield from _perfect(tuple(range(n)))
-
-
-def _perfect(seq: tuple[int, ...]) -> Iterator[Matching]:
-    if not seq:
-        yield ()
-        return
-    if len(seq) % 2:
-        return
-    head, rest = seq[0], seq[1:]
-    for i in range(len(rest)):
-        partner = rest[i]
-        remaining = rest[:i] + rest[i + 1 :]
-        for sub in _perfect(remaining):
-            yield ((head, partner),) + sub
 
 
 def expect_wick(W: WickWord) -> Scalar:

@@ -5,11 +5,12 @@ open unit disc); the inner product is (F, G) = <theta(F) G>, anti-linear in
 F, and theta is never expanded: a pair of basis words is one hafnian over
 the left and right insertions with weights conj(C), C and the derivative
 pair factor of (1/2)(1 - conj(z) w)^{-2}, all exact and entire in the disc,
-so origin points are allowed on both sides.  The pair factor is in closed
-form (the tests keep a symbolic differentiator as its reference), and
-``verify`` and the tests keep the theta route as the reference.  Vectors
-are never quotiented; equality in the Hilbert space is decided through Gram
-computations.
+so origin points are allowed on both sides.  ``inner`` is the one entry
+point.  The pair factor is in closed form (the tests keep a symbolic
+differentiator as its reference), and ``verify`` and the tests keep the
+theta route as the reference.  Vectors are never quotiented; equality in
+the Hilbert space is decided through Gram computations: ``gram`` builds
+the matrix and ``psd_check`` its one frozen ``GramReport``.
 """
 from __future__ import annotations
 
@@ -90,10 +91,11 @@ def _pair_series_eval(m: int, ell: int, u: Scalar, w: Scalar) -> Scalar:
     can survive, and 1 - u w = 1.  For u = 0 it is
     (1/2) C(m-1, ell-1) (ell-1)! m! w^(m-ell) when ell <= m and 0 otherwise;
     w = 0 is the mirror case.  That term is returned as it stands.
+
+    Precondition: |u|, |w| < 1, so |u w| < 1.  ``inner`` is the only route
+    here, and a ``StateExpression`` keeps every point in the open unit disc.
     """
     uw = u * w
-    if not scalars.in_unit_disc(uw):
-        raise DomainError(_MODULE, f"series pair factor needs |conj(z) w| < 1, got {uw!r}")
     k = min(m, ell)
     if scalars.is_zero(u) or scalars.is_zero(w):
         top = math.comb(m - 1, k - 1) * math.perm(ell - 1, k - 1) * math.factorial(m + ell - k)
@@ -143,18 +145,6 @@ def _word_pair(wF: WickWord, wG: WickWord) -> Scalar:
     )
 
 
-def disc_series_inner(left: WickGroup, right: WickGroup) -> Scalar:
-    """Inner product of two single Wick groups.
-
-    The permanent of the series pair factors over bijections between the
-    groups' insertions; zero when the arities differ.  Groups of more than
-    10 insertions exceed the pairing engine's state guard (ResourceError).
-    """
-    if not isinstance(left, WickGroup) or not isinstance(right, WickGroup):
-        raise DomainError(_MODULE, "disc_series_inner expects two WickGroups")
-    return _word_pair(WickWord.single_group(left), WickWord.single_group(right))
-
-
 def inner(F, G) -> Scalar:
     """The reflection inner product (F, G) = <theta(F) G>, anti-linear in F.
 
@@ -174,7 +164,7 @@ def inner(F, G) -> Scalar:
 # Gram matrices and positivity
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class GramReport:
     """Inner-product matrix of a state list plus positivity diagnostics."""
 
@@ -211,27 +201,19 @@ def gram(states: Sequence, tol: float = 1e-10) -> GramReport:
     matrix = tuple(
         tuple(inner(sts[i], sts[j]) for j in range(n)) for i in range(n)
     )
-    report = GramReport(
-        matrix=matrix, min_eigenvalue=0.0, hermiticity_defect=0.0, psd=True, tol=tol
-    )
-    psd_check(report, tol)
-    return report
+    return psd_check(matrix, tol)
 
 
-def psd_check(report: GramReport, tol: float) -> bool:
-    """True iff min eigenvalue >= -tol * spectral norm; records a witness.
+def psd_check(matrix: tuple[tuple[Scalar, ...], ...], tol: float) -> GramReport:
+    """The report of a square matrix: psd iff min eigenvalue >= -tol *
+    spectral norm, with the eigenvector of the min eigenvalue as the witness
+    when it is not.  The empty matrix is psd.
 
     Raises StructuralError when the matrix is not Hermitian beyond tol.
     """
-    n = report.size
-    if n == 0:
-        report.min_eigenvalue = 0.0
-        report.hermiticity_defect = 0.0
-        report.psd = True
-        report.tol = tol
-        report.witness = None
-        return True
-    m = _float_matrix(report.matrix)
+    if not matrix:
+        return GramReport(matrix, 0.0, 0.0, True, tol)
+    m = _float_matrix(matrix)
     defect = float(np.max(np.abs(m - m.conj().T)))
     scale = float(np.max(np.abs(m))) or 1.0
     if defect > tol * scale:
@@ -243,9 +225,5 @@ def psd_check(report: GramReport, tol: float) -> bool:
     min_eig = float(eigvals[0])
     norm = float(max(abs(eigvals[0]), abs(eigvals[-1])))
     verdict = min_eig >= -tol * norm
-    report.min_eigenvalue = min_eig
-    report.hermiticity_defect = defect
-    report.psd = verdict
-    report.tol = tol
-    report.witness = None if verdict else tuple(complex(x) for x in eigvecs[:, 0])
-    return verdict
+    witness = None if verdict else tuple(complex(x) for x in eigvecs[:, 0])
+    return GramReport(matrix, min_eig, defect, verdict, tol, witness)

@@ -315,6 +315,54 @@ def test_hs_truncated_two_disc_closed_form(discs, M):
     assert all(value < limit for value in sums)
 
 
+def _quadratic_mul(x, y, D):
+    """(a + b sqrt(D)) (c + e sqrt(D)) on pairs of rationals."""
+    return (x[0] * y[0] + x[1] * y[1] * D, x[0] * y[1] + x[1] * y[0])
+
+
+def _quadratic_positive(x, D) -> bool:
+    """a + b sqrt(D) > 0, decided exactly: with a and b of opposite signs,
+    the sign follows from comparing a^2 with b^2 D."""
+    a, b = x
+    if a >= 0 and b >= 0:
+        return a > 0 or b > 0
+    if a <= 0 and b <= 0:
+        return False
+    return a * a > b * b * D if a > 0 else b * b * D > a * a
+
+
+@pytest.mark.parametrize("centre,scales", [
+    (10, (1, 1)),
+    # outside the regime d/R > 4 sqrt(2)
+    (4, (1, 1)),
+    (7, (2, Fraction(1, 2))),
+], ids=["unit-10-apart", "unit-4-apart", "radii-2-and-half"])
+def test_hs_truncated_two_disc_increments_below_limit_exactly(centre, scales):
+    # each level-2n increment of a finite truncation is below its M -> oo
+    # limit rho^(2n) / prod_{k<=n} (1 - rho^(2k)), rho = (s - sqrt(D))/2 with
+    # D = s^2 - 4.  Floats cannot tell: at unit discs 10 apart and n = 1 the
+    # gap is 2.9e-19, far below the float spacing of rows near 1.  Decided as
+    # rho^(2n) - increment * prod_{k<=n} (1 - rho^(2k)) > 0 in Q(sqrt(D)).
+    r1, r2 = (Fraction(q) for q in scales)
+    config = DiscConfiguration((Disc(rational(0), rational(r1)), Disc(rational(centre), rational(r2))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        rows = hs_truncated(config, 8, 6)
+    sums = [row.partial_sum.rational() for row in rows]
+    s = (centre ** 2 - r1 ** 2 - r2 ** 2) / (r1 * r2)
+    D = s * s - 4
+    rho = (s / 2, Fraction(-1, 2))
+    q = _quadratic_mul(rho, rho, D)
+    q_power, product = (Fraction(1), Fraction(0)), (Fraction(1), Fraction(0))
+    for n in (1, 2, 3):
+        q_power = _quadratic_mul(q_power, q, D)
+        product = _quadratic_mul(product, (1 - q_power[0], -q_power[1]), D)
+        assert _quadratic_positive(product, D)
+        increment = sums[2 * n] - sums[2 * n - 2]
+        gap = (q_power[0] - increment * product[0], q_power[1] - increment * product[1])
+        assert _quadratic_positive(gap, D), n
+
+
 def test_hs_truncated_resource_guard():
     # comb(44, 4) = 135751 tuples through 4 insertions
     assert math.comb(44, 4) > MAX_TUPLES >= math.comb(44, 3)

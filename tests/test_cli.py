@@ -128,6 +128,26 @@ def test_main_bad_numbers_are_schema_errors_fast(tmp_path, capsys, text):
     assert out["error"]["type"] == "SchemaError"
 
 
+@pytest.mark.parametrize("command,config", [
+    # the float eigen diagnostics of an exact matrix overflow
+    ("gram", {"states": [[[{"m": 200, "re": "1/2"}]]]}),
+    # (m1 + m2 - 1)! is beyond float range
+    ("correlator", {"mode": "float", "words": [[[{"m": 90, "re": 0}], [{"m": 90, "re": 30}]]]}),
+    # (z1 - z2)^2 underflows to 0
+    ("correlator", {"mode": "float", "words": [[[{"m": 1, "re": 0}], [{"m": 1, "re": 1e-170}]]]}),
+    # (z1 - z2)^2 overflows
+    ("correlator", {"mode": "float", "words": [[[{"m": 1, "re": 0}], [{"m": 1, "re": 1e200}]]]}),
+    ("gram", {"mode": "float", "states": [[[{"m": 90, "re": 0.5}]]]}),
+], ids=["exact-gram-200", "factorial", "underflow", "power", "float-gram-90"])
+def test_main_values_beyond_float_range_are_schema_errors_fast(tmp_path, capsys, command, config):
+    path = _write(tmp_path, "c.json", config)
+    start = time.perf_counter()
+    assert main([command, "--config", path]) == 1
+    assert time.perf_counter() - start < 1.0
+    out = _strict_json(capsys.readouterr().out)
+    assert out["error"]["type"] == "SchemaError"
+
+
 def test_main_gram_origin_multigroup_state(tmp_path, capsys):
     state = [[{"m": 1, "re": 0}], [{"m": 1, "re": "1/2"}]]
     config = _write(tmp_path, "g.json", {"states": [state, [[{"m": 2, "re": "1/3"}]]]})

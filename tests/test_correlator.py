@@ -14,13 +14,13 @@ from freeboson.correlator import (
     expect_combo,
     expect_wick,
     kernel,
-    matchings,
     mobius_check,
 )
 from freeboson.errors import DomainError, PoleError, ResourceError
 from freeboson.pairing import matching_count
 from freeboson.sampling import random_plain_word, random_wick_word, rational_point
 from freeboson.scalars import rational, sort_key
+from matching_reference import matchings
 
 
 def _kernel_reference(m1, z1, m2, z2):

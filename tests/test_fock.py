@@ -20,7 +20,7 @@ from freeboson.fock import (
     wick_group_to_fock,
     wick_origin_to_fock,
 )
-from freeboson.hilbert import disc_series_inner, inner
+from freeboson.hilbert import inner
 from freeboson.sampling import partition_multisets, random_fock_vector
 from freeboson.scalars import I, rational, root
 
@@ -150,7 +150,7 @@ def test_wick_group_to_fock_truncated_inner():
     g = WickGroup.of((1, Fraction(1, 4)))
     v = wick_group_to_fock(g, 40)
     truncated = complex(fock_inner(v, v))
-    closed = complex(disc_series_inner(g, g))
+    closed = complex(inner(g, g))
     assert abs(truncated - closed) < 1e-12
 
 

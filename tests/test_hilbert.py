@@ -9,15 +9,7 @@ from freeboson import scalars
 from freeboson.algebra import LinearCombination, WickGroup, WickWord, theta
 from freeboson.correlator import expect_combo
 from freeboson.errors import DomainError, StructuralError
-from freeboson.hilbert import (
-    GramReport,
-    _pair_series_eval,
-    as_state,
-    disc_series_inner,
-    gram,
-    inner,
-    psd_check,
-)
+from freeboson.hilbert import GramReport, _pair_series_eval, as_state, gram, inner, psd_check
 from freeboson.sampling import random_state_group, random_wick_word
 from freeboson.scalars import rational, root
 
@@ -48,13 +40,6 @@ def test_origin_norms(m):
 def test_inner_half_point():
     g = WickGroup.of((1, Fraction(1, 2)))
     assert inner(g, g) == rational(Fraction(8, 9))
-    assert disc_series_inner(g, g) == rational(Fraction(8, 9))
-
-
-def test_series_constant_term():
-    lhs = WickGroup.of((1, 0))
-    rhs = WickGroup.of((1, 0))
-    assert disc_series_inner(lhs, rhs) == rational(Fraction(1, 2))
 
 
 def _pair_series(j, k):
@@ -149,7 +134,6 @@ def test_series_matches_reflection_route():
             R = random_state_group(rng, arity)
             expected = _via_reflection(L, R)
             assert inner(L, R) == expected
-            assert disc_series_inner(L, R) == expected
 
 
 def test_multigroup_words_match_reflection_route():
@@ -171,7 +155,6 @@ def test_multigroup_words_match_reflection_route():
 def test_arity_mismatch_vanishes():
     a = WickGroup.of((1, Fraction(1, 3)))
     b = WickGroup.of((1, Fraction(1, 4)), (1, Fraction(-1, 4)))
-    assert disc_series_inner(a, b) == rational(0)
     assert inner(a, b) == rational(0)
 
 
@@ -273,31 +256,19 @@ def test_gram_duplicate_state_still_psd():
 
 
 def test_psd_check_flags_negative_matrix():
-    report = GramReport(
-        matrix=((rational(1), rational(2)), (rational(2), rational(1))),
-        min_eigenvalue=0.0,
-        hermiticity_defect=0.0,
-        psd=True,
-        tol=1e-10,
-    )
-    assert not psd_check(report, 1e-10)
+    report = psd_check(((rational(1), rational(2)), (rational(2), rational(1))), 1e-10)
+    assert isinstance(report, GramReport)
+    assert not report.psd
     assert report.min_eigenvalue == pytest.approx(-1.0)
     assert report.witness is not None
 
 
 def test_psd_check_rejects_non_hermitian():
-    report = GramReport(
-        matrix=((rational(1), rational(1)), (rational(0), rational(1))),
-        min_eigenvalue=0.0,
-        hermiticity_defect=0.0,
-        psd=True,
-        tol=1e-10,
-    )
     with pytest.raises(StructuralError):
-        psd_check(report, 1e-10)
+        psd_check(((rational(1), rational(1)), (rational(0), rational(1))), 1e-10)
 
 
 def test_gram_empty():
     report = gram([])
     assert report.size == 0
-    assert report.psd
+    assert (report.min_eigenvalue, report.hermiticity_defect, report.psd) == (0.0, 0.0, True)

@@ -138,3 +138,26 @@ def test_every_defaulted_parameter_is_set_by_some_package_call():
                 if not (by_position or param in given or "*" in given):
                     unused.append(f"{module} {node.name}({param})")
     assert unused == []
+
+
+def _is_frozen_dataclass(decorator) -> bool:
+    return isinstance(decorator, ast.Call) and any(
+        kw.arg == "frozen" and isinstance(kw.value, ast.Constant) and kw.value.value is True
+        for kw in decorator.keywords
+    )
+
+
+def test_every_dataclass_is_frozen():
+    """A value the package hands out is built once: every ``@dataclass`` in
+    the package is ``frozen=True``."""
+    mutable = []
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
+                if name == "dataclass" and not _is_frozen_dataclass(decorator):
+                    mutable.append(f"{module}:{node.lineno} {node.name}")
+    assert mutable == []

@@ -10,9 +10,9 @@ from fractions import Fraction
 from freeboson.algebra import Insertion, LinearCombination, WickWord
 from freeboson.amplitude import Disc, DiscConfiguration, amplitude_entry
 from freeboson.cli import main, run
-from freeboson.correlator import expect_combo, expect_wick, kernel, matchings
+from freeboson.correlator import expect_combo, expect_wick, kernel
 from freeboson.fock import FockIndex
-from freeboson.hilbert import _pair_series_eval, disc_series_inner
+from freeboson.hilbert import _pair_series_eval, inner
 from freeboson.pairing import MAX_STATES, hafnian, matching_count
 from freeboson.sampling import (
     random_plain_word,
@@ -21,6 +21,7 @@ from freeboson.sampling import (
     rational_point,
 )
 from freeboson.scalars import ONE, ZERO, I, conjugate, rational, root
+from matching_reference import matchings
 
 
 def _brute_force(insertions, labels):
@@ -77,7 +78,7 @@ def test_expect_wick_matches_enumeration():
     assert run("correlator", {"words": words})["pairings"] == total
 
 
-def test_disc_series_inner_matches_permutation_permanent():
+def test_single_group_inner_matches_permutation_permanent():
     rng = random.Random(47)
     for n in range(1, 5):
         left = random_state_group(rng, n)
@@ -89,7 +90,7 @@ def test_disc_series_inner_matches_permutation_permanent():
                 a, b = left.insertions[i], right.insertions[j]
                 term = term * _pair_series_eval(a.order, b.order, conjugate(a.point), b.point)
             total = total + term
-        assert disc_series_inner(left, right) == total
+        assert inner(left, right) == total
 
 
 def _expanded_entry(config, indices):
