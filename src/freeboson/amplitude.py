@@ -221,13 +221,15 @@ def hs_truncated(config: DiscConfiguration, M: int, N: int) -> list[HSPartial]:
     rows are rational; float rows may differ from a tuple-by-tuple sum in
     the last bits.  Cost: nothing is built for N < 2, else one kernel per
     cross-disc slot pair and, for N >= 4, floor((N + 2)/4) matrix products
-    of (r*M)^3.  The kernels of each disc pair run through the powers of one
-    inverse of the centre difference.  A truncation whose tuples number more
-    than ``MAX_TUPLES`` raises ResourceError before anything is built; the
-    slowest shape it admits, N = 2 at 2 discs and M = 220, takes about 9 s
-    (a 2 vCPU Xeon, Python 3.11) of exact arithmetic on rationals of
-    hundreds of digits.  Outside the summability regime a RegimeWarning is
-    issued (the amplitude is still defined; only the bound is unavailable).
+    of (r*M)^3.  The kernels of each disc pair are one value per order sum,
+    from running integer powers of the centre difference (``KernelTable``).
+    A truncation whose tuples number more than ``MAX_TUPLES`` raises
+    ResourceError before anything is built; the slowest shape it admits,
+    N = 2 at 2 discs and M = 220, takes about 11 s for discs (centre 0,
+    q = 1/2) and (centre 5, q = 1/3 + i/4) (a 2 vCPU Xeon, Python 3.11) of
+    exact arithmetic on rationals of hundreds of digits.  Outside the
+    summability regime a RegimeWarning is issued (the amplitude is still
+    defined; only the bound is unavailable).
     """
     if not isinstance(M, int) or M < 1:
         raise ConfigurationError(_MODULE, f"max mode M must be an integer >= 1, got {M!r}")

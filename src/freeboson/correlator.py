@@ -12,10 +12,12 @@ sum is the hafnian of the word's kernel table, computed once per word by
 ``pairing.hafnian``; the tests keep an enumeration of the matchings one by
 one as its reference.
 
-Every kernel comes from a ``KernelTable``, which lives for one call: it
-inverts z1 - z2 once per ordered pair of exact points, builds the powers of
-that inverse as they are asked for, and keeps each kernel value, so the
-words of one combination share their point pairs.  ``kernel`` is a table
+Every kernel comes from a ``KernelTable``, which lives for one call.  It
+keeps one value (1/2)(n-1)!/(z1 - z2)^n per ordered pair of exact points
+and order sum n = m1 + m2, built in one integer frame: z1 - z2 = D/d with a
+Gaussian integer D, running integer powers of d conj(D) and |D|^2, and one
+division at the end.  The words of one combination share their point
+pairs, and order pairs with one sum share a value.  ``kernel`` is a table
 used once.  ``MAX_ORDER`` and ``check_orders`` are re-exported from
 ``algebra``, whose maps apply the same guard.
 """
@@ -35,26 +37,31 @@ _MODULE = "correlator"
 
 
 class KernelTable:
-    """The pair kernels C(m1, z1, m2, z2) of one computation, each evaluated once.
+    """The pair kernels C(m1, z1, m2, z2) of one computation, each order sum
+    evaluated once per ordered point pair.
 
-    For each ordered pair of exact points the table holds one inverse of
-    z1 - z2 and the powers of it asked for so far: the power after one
-    already held costs one product, any other is built by squaring.  Kernel
-    values are kept by (m1, z1, m2, z2).  A pair with a float point takes
-    the complex arithmetic of a fresh evaluation, unmemoised, and raises
-    OverflowError when (z1 - z2)^(m1 + m2) underflows to 0.  A table lives
-    for one call (a combination, an amplitude call, one HS trace sweep);
-    nothing is kept across calls.
+    C is (1/2)(n - 1)!/(z1 - z2)^n with n = m1 + m2, negated for odd m1, and
+    the table keeps that value by (z1, z2, n).  For exact Gaussian-rational
+    points it writes z1 - z2 = D/d with a Gaussian integer D and an integer
+    d > 0, and holds the running integer powers of d conj(D) and of
+    N = |D|^2: the value at n is (n - 1)! (d conj(D))^n / (2 N^n), one
+    division at the end (``scalars.from_frame``).  Points with a radical
+    part take c (z1 - z2)^(-n).  A pair with a float point takes the complex
+    arithmetic of a fresh evaluation, unmemoised, and raises OverflowError
+    when (z1 - z2)^n underflows to 0.  A table lives for one call (a
+    combination, an amplitude call, one HS trace sweep); nothing is kept
+    across calls.
 
     Raises DomainError for orders that are not integers >= 1, ResourceError
-    for an order above MAX_ORDER and PoleError for coinciding points.
+    for an order above MAX_ORDER and PoleError for coinciding points, exact
+    or as complex numbers.
     """
 
-    __slots__ = ("_values", "_powers")
+    __slots__ = ("_values", "_runs")
 
     def __init__(self):
-        self._values: dict = {}
-        self._powers: dict = {}
+        self._values: dict = {}  # (z1, z2, n) -> (1/2)(n - 1)!/(z1 - z2)^n
+        self._runs: dict = {}  # (z1, z2) -> [(d conj(D))^k / N^k as (re, im, den), k = 0, 1, ...]
 
     def __call__(self, m1: int, z1, m2: int, z2) -> Scalar:
         if not (isinstance(m1, int) and isinstance(m2, int)) or m1 < 1 or m2 < 1:
@@ -62,31 +69,40 @@ class KernelTable:
         check_orders((m1, m2), _MODULE)
         z1 = scalars.as_scalar(z1)
         z2 = scalars.as_scalar(z2)
-        exact = isinstance(z1, scalars.Exact) and isinstance(z2, scalars.Exact)
-        if exact:
-            key = (m1, z1, m2, z2)
-            value = self._values.get(key)
-            if value is not None:
-                return value
-        if scalars.sort_key(z1) == scalars.sort_key(z2):
-            raise PoleError(_MODULE, ((m1, z1), (m2, z2)))
         n = m1 + m2
-        c = Fraction(math.factorial(n - 1) * (-1 if m1 % 2 else 1), 2)
-        if not exact:
+        if not (isinstance(z1, scalars.Exact) and isinstance(z2, scalars.Exact)):
+            if complex(z1) == complex(z2):
+                raise PoleError(_MODULE, ((m1, z1), (m2, z2)))
             power = (z1 - z2) ** n
             if power == 0:
                 raise OverflowError(f"the kernel at {z1!r}, {z2!r} is beyond float range")
-            return complex(c) / power
-        powers = self._powers.get((z1, z2))
-        if powers is None:
-            powers = self._powers[(z1, z2)] = {1: (z1 - z2).inverse()}
-        power = powers.get(n)
-        if power is None:
-            below = powers.get(n - 1)
-            power = below * powers[1] if below is not None else powers[1] ** n
-            powers[n] = power
-        value = self._values[key] = power * c
-        return value
+            return complex(Fraction(math.factorial(n - 1) * (-1 if m1 % 2 else 1), 2)) / power
+        key = (z1, z2, n)
+        value = self._values.get(key)
+        if value is None:
+            value = self._values[key] = self._unsigned(m1, z1, m2, z2)
+        return -value if m1 % 2 else value
+
+    def _unsigned(self, m1: int, z1: scalars.Exact, m2: int, z2: scalars.Exact) -> scalars.Exact:
+        """(1/2)(n - 1)!/(z1 - z2)^n with n = m1 + m2, for exact points."""
+        n = m1 + m2
+        run = self._runs.get((z1, z2))
+        if run is None:
+            diff = z1 - z2
+            if diff.is_zero():
+                raise PoleError(_MODULE, ((m1, z1), (m2, z2)))
+            frame = scalars.to_frame(diff)
+            if frame is None:
+                return scalars.rational(Fraction(math.factorial(n - 1), 2)) * diff ** (-n)
+            re, im, d = frame
+            run = self._runs[(z1, z2)] = [(1, 0, 1), (d * re, -d * im, re * re + im * im)]
+        step_re, step_im, step_den = run[1]
+        while len(run) <= n:
+            re, im, den = run[-1]
+            run.append((re * step_re - im * step_im, re * step_im + im * step_re, den * step_den))
+        re, im, den = run[n]
+        f = math.factorial(n - 1)
+        return scalars.from_frame(f * re, f * im, 2 * den)
 
 
 def kernel(m1: int, z1, m2: int, z2) -> Scalar:
@@ -117,15 +133,17 @@ def _expect_word(W: WickWord, kernels: KernelTable) -> Scalar:
     for gid, group in enumerate(W.groups):
         for ins in group.insertions:
             flat.append((gid, ins))
-    # cross-group coincidences are poles; intra-group ones are fine
-    points = [ins.key()[1] for _, ins in flat]  # stored point sort keys
+    exact = W.is_exact()
+    # cross-group coincidences are poles; intra-group ones are fine.  Exact
+    # words compare stored point sort keys; a word with a float point
+    # compares complex values, as its kernels do.
+    points = [ins.key()[1] if exact else complex(ins.point) for _, ins in flat]
     for i in range(len(flat)):
         for j in range(i + 1, len(flat)):
             gi, a = flat[i]
             gj, b = flat[j]
             if gi != gj and points[i] == points[j]:
                 raise PoleError(_MODULE, ((a.order, a.point), (b.order, b.point)))
-    exact = W.is_exact()
 
     def weight(i: int, j: int) -> Scalar:
         a, b = flat[i][1], flat[j][1]

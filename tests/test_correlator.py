@@ -5,6 +5,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from freeboson import scalars
 from freeboson.algebra import LinearCombination, WickGroup, WickWord, theta, wick_expand
@@ -19,7 +21,7 @@ from freeboson.correlator import (
 from freeboson.errors import DomainError, PoleError, ResourceError
 from freeboson.pairing import matching_count
 from freeboson.sampling import random_plain_word, random_wick_word, rational_point
-from freeboson.scalars import rational, sort_key
+from freeboson.scalars import rational, root, sort_key
 from matching_reference import matchings
 
 
@@ -292,6 +294,39 @@ def test_kernel_table_matches_reference_on_amplitude_kernels():
     assert kernel(MAX_ORDER, z2, MAX_ORDER, z1) == _kernel_reference(MAX_ORDER, z2, MAX_ORDER, z1)
 
 
+def test_kernel_table_matches_reference_on_radical_points():
+    z1, z2 = root(2) / 4 + rational(0, Fraction(1, 3)), rational(Fraction(1, 5))
+    assert not z1.is_gaussian()
+    table = KernelTable()
+    for m1 in range(1, 7):
+        for m2 in range(1, 7):
+            for args in ((m1, z1, m2, z2), (m2, z2, m1, z1)):
+                assert table(*args) == _kernel_reference(*args), args
+
+
+_wide = st.fractions(min_value=-3, max_value=3, max_denominator=10 ** 6)
+_orders = st.integers(min_value=1, max_value=12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_wide, _wide, _wide, _wide, _orders, _orders)
+def test_kernel_table_matches_reference_on_wide_denominators(a, b, c, d, m1, m2):
+    z1, z2 = rational(a, b), rational(c, d)
+    assume(z1 != z2)
+    table = KernelTable()
+    for args in ((m1, z1, m2, z2), (m2, z2, m1, z1), (m1, z1, m2, z2)):
+        assert table(*args) == _kernel_reference(*args), args
+
+
+def test_kernel_table_keeps_one_value_per_order_sum():
+    z1, z2 = rational(Fraction(1, 3), Fraction(-2, 7)), rational(Fraction(5, 4))
+    table = KernelTable()
+    for m1 in range(1, 9):
+        for m2 in range(1, 9):
+            assert table(m1, z1, m2, z2) == _kernel_reference(m1, z1, m2, z2)
+    assert sorted(n for _, _, n in table._values) == list(range(2, 17))
+
+
 def test_kernel_table_float_is_bit_for_bit():
     rng = random.Random(107)
     points = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(6)]
@@ -320,6 +355,14 @@ def test_kernel_table_checks():
         table(1, Fraction(1, 3), 2, Fraction(1, 3))
     with pytest.raises(PoleError):
         table(1, 0.25, 2, 0.25)
+    # an exact point and a float point of equal value, in both orders
+    with pytest.raises(PoleError):
+        table(1, Fraction(1, 2), 1, 0.5)
+    with pytest.raises(PoleError):
+        table(2, 0.5, 1, Fraction(1, 2))
+    mixed = WickWord((WickGroup.of((1, Fraction(1, 2))), WickGroup.of((1, 0.5))))
+    with pytest.raises(PoleError):
+        expect_wick(mixed)
     started = time.perf_counter()
     with pytest.raises(ResourceError):
         table(MAX_ORDER + 1, 0, 1, 1)
