@@ -28,9 +28,9 @@ from .amplitude import (
     hs_truncated,
 )
 from .correlator import (
+    KernelTable,
     expect_combo,
     expect_wick,
-    kernel,
     mobius_check,
 )
 from .errors import (
@@ -80,6 +80,7 @@ __all__ = [
     "GramReport",
     "HSPartial",
     "Insertion",
+    "KernelTable",
     "LinearCombination",
     "PoleError",
     "RegimeError",
@@ -108,7 +109,6 @@ __all__ = [
     "hs_bound",
     "hs_truncated",
     "inner",
-    "kernel",
     "ladder",
     "mobius_check",
     "psd_check",

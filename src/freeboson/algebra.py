@@ -548,27 +548,30 @@ def wick_expand(G: WickGroup) -> LinearCombination:
     """Expand a Wick group into plain words (singleton groups) over partial pairings.
 
     :Z:_0 = sum_Q prod_{pairs} (-C(m_a, z_a, m_b, z_b)) * prod_{unpaired} [m, z].
-    Requires pairwise distinct points inside the group (the expansion has
-    poles at coincidences).
+    Requires pairwise distinct points inside the group, as complex values in
+    a group with a float point (the expansion has poles at coincidences).
+    One ``KernelTable`` serves every partial pairing.
     """
-    from .correlator import kernel  # deferred: correlator imports this module
+    from .correlator import KernelTable  # deferred: correlator imports this module
 
     if not isinstance(G, WickGroup):
         raise DomainError(_MODULE, f"wick_expand expects a WickGroup, got {type(G).__name__}")
     ins = G.insertions
+    exact = all(scalars.is_exact(i.point) for i in ins)
+    points = [i.key()[1] if exact else complex(i.point) for i in ins]
     for i in range(len(ins)):
         for j in range(i + 1, len(ins)):
-            if ins[i].key()[1] == ins[j].key()[1]:
+            if points[i] == points[j]:
                 raise DomainError(
                     _MODULE,
                     f"wick_expand needs distinct points inside the group; "
                     f"{ins[i].point!r} occurs twice",
                 )
     acc: dict[WickWord, Scalar] = {}
-    exact = all(scalars.is_exact(i.point) for i in ins)
+    kernels = KernelTable()
     for pairs, singles in _partial_pairings(tuple(range(len(ins)))):
         coeff: Scalar = scalars.one_scalar(exact)
         for i, j in pairs:
-            coeff = coeff * (-kernel(ins[i].order, ins[i].point, ins[j].order, ins[j].point))
+            coeff = coeff * (-kernels(ins[i].order, ins[i].point, ins[j].order, ins[j].point))
         add_term(acc, WickWord(tuple(WickGroup((ins[k],)) for k in singles)), coeff)
     return LinearCombination._of_terms(acc)

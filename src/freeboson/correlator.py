@@ -12,13 +12,13 @@ sum is the hafnian of the word's kernel table, computed once per word by
 ``pairing.hafnian``; the tests keep an enumeration of the matchings one by
 one as its reference.
 
-Every kernel comes from a ``KernelTable``, which lives for one call.  It
-keeps one value (1/2)(n-1)!/(z1 - z2)^n per ordered pair of exact points
-and order sum n = m1 + m2, built in one integer frame: z1 - z2 = D/d with a
-Gaussian integer D, running integer powers of d conj(D) and |D|^2, and one
-division at the end.  The words of one combination share their point
-pairs, and order pairs with one sum share a value.  ``kernel`` is a table
-used once.  ``MAX_ORDER`` and ``check_orders`` are re-exported from
+Every kernel comes from a ``KernelTable`` that its caller holds for one
+computation.  It keeps one value (1/2)(n-1)!/(z1 - z2)^n per ordered pair
+of exact points and order sum n = m1 + m2, built in one integer frame:
+z1 - z2 = D/d with a Gaussian integer D, running integer powers of
+d conj(D) and |D|^2, and one division at the end.  The words of one
+combination share their point pairs, and order pairs with one sum share a
+value.  ``MAX_ORDER`` and ``check_orders`` are re-exported from
 ``algebra``, whose maps apply the same guard.
 """
 from __future__ import annotations
@@ -48,9 +48,9 @@ class KernelTable:
     division at the end (``scalars.from_frame``).  Points with a radical
     part take c (z1 - z2)^(-n).  A pair with a float point takes the complex
     arithmetic of a fresh evaluation, unmemoised, and raises OverflowError
-    when (z1 - z2)^n underflows to 0.  A table lives for one call (a
-    combination, an amplitude call, one HS trace sweep); nothing is kept
-    across calls.
+    when (z1 - z2)^n underflows to 0.  A table lives for one computation
+    (a combination, an ``inner`` or ``gram`` call, a ``wick_expand``, an
+    amplitude call, one HS trace sweep); nothing is kept across calls.
 
     Raises DomainError for orders that are not integers >= 1, ResourceError
     for an order above MAX_ORDER and PoleError for coinciding points, exact
@@ -103,15 +103,6 @@ class KernelTable:
         re, im, den = run[n]
         f = math.factorial(n - 1)
         return scalars.from_frame(f * re, f * im, 2 * den)
-
-
-def kernel(m1: int, z1, m2: int, z2) -> Scalar:
-    """The two-point pair kernel C(m1, z1, m2, z2); exact on exact points.
-
-    A one-shot use of ``KernelTable``.  Raises ResourceError for an order
-    above MAX_ORDER.
-    """
-    return KernelTable()(m1, z1, m2, z2)
 
 
 def expect_wick(W: WickWord) -> Scalar:

@@ -25,12 +25,10 @@ class PoleError(DomainError):
     ``pair`` holds the offending ((m1, z1), (m2, z2)) data.
     """
 
-    def __init__(self, module: str, pair, message: str | None = None):
+    def __init__(self, module: str, pair):
         self.pair = pair
-        if message is None:
-            (m1, z1), (m2, z2) = pair
-            message = f"coinciding points: [{m1}, {z1!r}] and [{m2}, {z2!r}]"
-        super().__init__(module, message)
+        (m1, z1), (m2, z2) = pair
+        super().__init__(module, f"coinciding points: [{m1}, {z1!r}] and [{m2}, {z2!r}]")
 
 
 class ConfigurationError(DomainError):

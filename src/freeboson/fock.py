@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Optional, Union
 
 from . import scalars
 from .algebra import Combination, LinearCombination, WickGroup, WickWord, add_term, theta
-from .correlator import check_orders, expect_combo, kernel
+from .correlator import KernelTable, check_orders, expect_combo
 from .errors import DomainError
 from .scalars import I, Scalar, as_scalar, conjugate, is_zero, root
 
@@ -306,13 +306,14 @@ def contour_commutator(m: int, n: int) -> complex:
     Both ladder factors are realized through their contour integrals (the
     later-applied operator on the larger circle, |z| = 0.6 around |w| = 0.3,
     from 128 nodes each), so this checks the commutator value m*delta_{m+n}
-    without using the occupation-basis rules.
+    without using the occupation-basis rules; one ``KernelTable`` per integral.
     """
 
     def pair_expectation(outer_exp: int, inner_exp: int) -> complex:
+        kernels = KernelTable()
         def outer_f(z: complex) -> complex:
             def inner_f(w: complex) -> complex:
-                return w ** inner_exp * scalars.to_complex(kernel(1, z, 1, w))
+                return w ** inner_exp * scalars.to_complex(kernels(1, z, 1, w))
 
             inner_val = circle_quadrature(inner_f, 0.3, 128)
             return z ** outer_exp * inner_val

@@ -6,7 +6,8 @@ F, and theta is never expanded: a pair of basis words is one hafnian over
 the left and right insertions with weights conj(C), C and the derivative
 pair factor of (1/2)(1 - conj(z) w)^{-2}, all exact and entire in the disc,
 so origin points are allowed on both sides.  ``inner`` is the one entry
-point.  The pair factor is in closed form (the tests keep a symbolic
+point; it holds one ``KernelTable`` per call and ``gram`` one for the whole
+matrix.  The pair factor is in closed form (the tests keep a symbolic
 differentiator as its reference), and ``verify`` and the tests keep the
 theta route as the reference.  Vectors are never quotiented; equality in
 the Hilbert space is decided through Gram computations: ``gram`` builds
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import scalars
 from .algebra import LinearCombination, WickGroup, WickWord
-from .correlator import check_orders, kernel
+from .correlator import KernelTable, check_orders
 from .errors import DomainError, StructuralError
 from .pairing import hafnian
 from .scalars import Scalar, conjugate
@@ -36,8 +37,8 @@ class StateExpression:
     """A Hilbert-space vector presented as a combination of Wick words.
 
     Invariants: every point lies in the open unit disc (zero allowed), and
-    points are distinct across the groups of each word so expectations are
-    defined.
+    points are distinct across the groups of each word, as complex values
+    in a word with a float point, so expectations are defined.
     """
 
     combo: LinearCombination
@@ -46,6 +47,7 @@ class StateExpression:
         if not isinstance(self.combo, LinearCombination):
             raise DomainError(_MODULE, "states are combinations of Wick words")
         for word, _ in self.combo.items():
+            exact = word.is_exact()
             seen_cross: dict = {}
             for gid, group in enumerate(word.groups):
                 for ins in group.insertions:
@@ -53,7 +55,7 @@ class StateExpression:
                         raise DomainError(
                             _MODULE, f"state point {ins.point!r} is not in the open unit disc"
                         )
-                    key = scalars.sort_key(ins.point)
+                    key = scalars.sort_key(ins.point) if exact else complex(ins.point)
                     if key in seen_cross and seen_cross[key] != gid:
                         raise DomainError(
                             _MODULE,
@@ -113,13 +115,13 @@ def _pair_series_eval(m: int, ell: int, u: Scalar, w: Scalar) -> Scalar:
     return total
 
 
-def _word_pair(wF: WickWord, wG: WickWord) -> Scalar:
+def _word_pair(wF: WickWord, wG: WickWord, kernels: KernelTable) -> Scalar:
     """(wF, wG) = <theta(wF) wG> as one hafnian over both words' insertions.
 
     Slots are labelled (side, group), so ``hafnian`` pairs no two
-    insertions of one group.  A left-left pair weighs conj(C), the
-    reflection of C; a right-right pair weighs C; a left-right pair weighs
-    the series pair factor at (conj(z_left), z_right).
+    insertions of one group.  A left-left pair weighs conj(C), a right-right
+    pair C, both read from ``kernels``; a left-right pair weighs the series
+    pair factor at (conj(z_left), z_right).
     """
     slots = [
         (side, gid, ins)
@@ -136,7 +138,7 @@ def _word_pair(wF: WickWord, wG: WickWord) -> Scalar:
         side_j, _, b = slots[j]
         if side_i != side_j:
             return _pair_series_eval(a.order, b.order, conjugate(a.point), b.point)
-        c = kernel(a.order, a.point, b.order, b.point)
+        c = kernels(a.order, a.point, b.order, b.point)
         return conjugate(c) if side_i == 0 else c
 
     labels = [(side, gid) for side, gid, _ in slots]
@@ -151,12 +153,14 @@ def inner(F, G) -> Scalar:
     Sum over pairs of basis words of conj(c_F) c_G times the word pair's
     hafnian; origin points are allowed on both sides.
     """
-    F = as_state(F)
-    G = as_state(G)
+    return _inner(as_state(F), as_state(G), KernelTable())
+
+
+def _inner(F: StateExpression, G: StateExpression, kernels: KernelTable) -> Scalar:
     total: Scalar = scalars.ZERO
     for wF, cF in F.combo.items():
         for wG, cG in G.combo.items():
-            total = total + conjugate(cF) * cG * _word_pair(wF, wG)
+            total = total + conjugate(cF) * cG * _word_pair(wF, wG, kernels)
     return total
 
 
@@ -194,13 +198,11 @@ def gram(states: Sequence, tol: float = 1e-10) -> GramReport:
 
     The full matrix is computed entry by entry (no Hermitian shortcut) so the
     reported hermiticity defect is an actual cross-check; on the exact
-    backend it is exactly zero.
+    backend it is exactly zero.  One ``KernelTable`` serves all n^2 entries.
     """
     sts = [as_state(s) for s in states]
-    n = len(sts)
-    matrix = tuple(
-        tuple(inner(sts[i], sts[j]) for j in range(n)) for i in range(n)
-    )
+    kernels = KernelTable()
+    matrix = tuple(tuple(_inner(a, b, kernels) for b in sts) for a in sts)
     return psd_check(matrix, tol)
 
 

@@ -257,8 +257,11 @@ def test_wick_expand_single():
 
 
 def test_wick_expand_coincident_points():
-    with pytest.raises(DomainError):
-        wick_expand(WickGroup.of((1, Fraction(1, 2)), (2, Fraction(1, 2))))
+    # an exact point and a float point of one value coincide too
+    for first, second in ((Fraction(1, 2), Fraction(1, 2)), (0.5, 0.5), (Fraction(1, 2), 0.5)):
+        with pytest.raises(DomainError) as caught:
+            wick_expand(WickGroup.of((1, first), (2, second)))
+        assert type(caught.value) is DomainError and caught.value.module == "algebra"
 
 
 def test_wick_expand_term_count():

@@ -1,12 +1,14 @@
 """Disc configurations, amplitude entries, truncated HS sums and the bound."""
+import cmath
 import math
 import random
 import time
 import warnings
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
+import numpy as np
 import pytest
 
 from freeboson import scalars
@@ -16,6 +18,7 @@ from freeboson.amplitude import (
     amplitude_apply,
     amplitude_entry,
     MAX_TUPLES,
+    _PairMatrix,
     hs_bound,
     hs_truncated,
 )
@@ -361,6 +364,80 @@ def test_hs_truncated_two_disc_increments_below_limit_exactly(centre, scales):
         increment = sums[2 * n] - sums[2 * n - 2]
         gap = (q_power[0] - increment * product[0], q_power[1] - increment * product[1])
         assert _quadratic_positive(gap, D), n
+
+
+def _truncated_det(config: DiscConfiguration, M: int) -> complex:
+    """det(I - A') at mode cutoff M in floats, A' = D^2 conj(K') D^2 K' with
+    D^2 = diag(m) and K' from ``_PairMatrix``, as ``_hs_traces`` builds it."""
+    pair_matrix = _PairMatrix(config)
+    slots = [(j, m) for j in range(config.r) for m in range(1, M + 1)]
+    kp = np.array(
+        [[pair_matrix(ja, ma, jb, mb) if ja != jb else 0 for jb, mb in slots] for ja, ma in slots],
+        dtype=complex,
+    )
+    d2 = np.diag([float(m) for _, m in slots])
+    return complex(np.linalg.det(np.eye(len(slots)) - d2 @ kp.conj() @ d2 @ kp))
+
+
+def _schottky_classes(r: int, max_len: int):
+    """The primitive conjugacy classes of the Schottky group of even words in
+    r reflections, up to word length max_len: cyclically reduced words of
+    even length, one per rotation by an even number of letters, leaving out
+    powers of a shorter even word (a square of an odd word counts)."""
+    for length in range(2, max_len + 1, 2):
+        for word in product(range(r), repeat=length):
+            if any(word[i] == word[(i + 1) % length] for i in range(length)):
+                continue
+            if word != min(word[s:] + word[:s] for s in range(0, length, 2)):
+                continue
+            if any(length % p == 0 and word == word[:p] * (length // p) for p in range(2, length, 2)):
+                continue
+            yield word
+
+
+def _schottky_product(config: DiscConfiguration, max_len: int) -> complex:
+    """prod over classes [gamma] of prod_{m >= 1} (1 - q_gamma^m), classes up
+    to word length max_len (McIntyre & Takhtajan, GAFA 16, 2006).  The
+    reflection in circle j, z -> c_j + R_j^2 / conj(z - c_j), acts on conj(z)
+    by S_j = [[c_j, R_j^2 - |c_j|^2], [1, -conj(c_j)]] / sqrt(-R_j^2), of
+    determinant 1, and the word j1 j2 ... by S_j1 conj(S_j2) S_j3 ...; q_gamma
+    is 1/lambda^2 for its eigenvalue lambda of larger modulus."""
+    generators = []
+    for disc in config.discs:
+        c, r_sq = complex(disc.center), abs(complex(disc.q)) ** 2
+        generators.append(np.array([[c, r_sq - abs(c) ** 2], [1, -c.conjugate()]]) / cmath.sqrt(-r_sq))
+    total = 1 + 0j
+    for word in _schottky_classes(config.r, max_len):
+        matrix = np.eye(2, dtype=complex)
+        for i, j in enumerate(word):
+            matrix = matrix @ (generators[j] if i % 2 == 0 else generators[j].conj())
+        t = complex(np.trace(matrix))
+        # the sign of the root that avoids cancellation in t +- root
+        root_ = cmath.sqrt(t * t - 4)
+        lam = (t + root_) / 2 if abs(t + root_) >= abs(t - root_) else (t - root_) / 2
+        q = 1 / lam ** 2
+        power = q
+        while abs(power) > 1e-20:
+            total *= 1 - power
+            power *= q
+    return total
+
+
+@pytest.mark.parametrize("discs,tol", [
+    (((0, 1), (7 + 3j, (1 + 1j) / 2), (-4 + 6j, 0.75 - 0.5j)), 1e-13),
+    # outside the regime d/R > 4 sqrt(3): d/R = 5
+    (((0, 1), (5, 0.5), (2 + 5j, 0.8j)), 1e-13),
+    # unit discs 3.2 apart: the gap shrinks geometrically with word length
+    (((0, 1), (3.2, 1), (1.6 + 2.9j, 1)), 1e-8),
+    # r = 2: the two classes 01 and 10 give the annulus product, squared
+    (((0, 1), (10, 1)), 1e-13),
+], ids=["in-regime", "d-over-R-5", "unit-discs-close", "two-discs"])
+def test_truncated_det_matches_schottky_product(discs, tol):
+    # det(I - conj(K) K) = prod_[gamma] prod_m (1 - q_gamma^m): the HS norm
+    # of the amplitude in closed form, for any number of disjoint discs
+    config = DiscConfiguration(tuple(Disc(complex(a), complex(q)) for a, q in discs))
+    det = _truncated_det(config, 20)
+    assert abs(_schottky_product(config, 10) - det) <= tol * abs(det)
 
 
 def test_hs_truncated_resource_guard():

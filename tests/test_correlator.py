@@ -1,4 +1,5 @@
 """Pairing kernels, matching enumeration, and expectation values."""
+import hashlib
 import math
 import random
 import time
@@ -15,10 +16,10 @@ from freeboson.correlator import (
     KernelTable,
     expect_combo,
     expect_wick,
-    kernel,
     mobius_check,
 )
 from freeboson.errors import DomainError, PoleError, ResourceError
+from freeboson.hilbert import gram
 from freeboson.pairing import matching_count
 from freeboson.sampling import random_plain_word, random_wick_word, rational_point
 from freeboson.scalars import rational, root, sort_key
@@ -68,7 +69,7 @@ def _assert_table_matches_reference(words):
     (1, 1, 1, 0, Fraction(-1, 2)),
 ])
 def test_kernel_hand_values(m1, z1, m2, z2, expected):
-    assert kernel(m1, z1, m2, z2) == rational(expected)
+    assert KernelTable()(m1, z1, m2, z2) == rational(expected)
 
 
 def test_kernel_symmetry():
@@ -77,23 +78,23 @@ def test_kernel_symmetry():
         z1 = rational_point(rng)
         z2 = rational_point(rng, avoid={sort_key(z1)})
         m1, m2 = rng.randint(1, 4), rng.randint(1, 4)
-        assert kernel(m1, z1, m2, z2) == kernel(m2, z2, m1, z1)
+        assert KernelTable()(m1, z1, m2, z2) == KernelTable()(m2, z2, m1, z1)
 
 
 def test_kernel_float_backend():
-    v = kernel(1, 0.0, 1, 1.0)
+    v = KernelTable()(1, 0.0, 1, 1.0)
     assert isinstance(v, complex)
     assert v == pytest.approx(-0.5)
 
 
 def test_kernel_pole():
     with pytest.raises(PoleError):
-        kernel(1, Fraction(1, 2), 3, Fraction(1, 2))
+        KernelTable()(1, Fraction(1, 2), 3, Fraction(1, 2))
 
 
 def test_kernel_order_validation():
     with pytest.raises(DomainError):
-        kernel(0, 0, 1, 1)
+        KernelTable()(0, 0, 1, 1)
 
 
 @pytest.mark.parametrize("n", [0, 2, 4, 6, 8])
@@ -288,10 +289,10 @@ def test_kernel_table_matches_reference_on_amplitude_kernels():
             for m1 in range(1, 9):
                 for m2 in range(1, 9):
                     assert table(m1, a, m2, b) == _kernel_reference(m1, a, m2, b)
-    # a power far beyond the run held, and a one-shot kernel at the order guard
+    # a power far beyond the run held, and a fresh table at the order guard
     z1, z2 = rational(Fraction(1, 3), Fraction(1, 7)), rational(Fraction(-2, 5))
     assert table(MAX_ORDER, z1, 7, z2) == _kernel_reference(MAX_ORDER, z1, 7, z2)
-    assert kernel(MAX_ORDER, z2, MAX_ORDER, z1) == _kernel_reference(MAX_ORDER, z2, MAX_ORDER, z1)
+    assert KernelTable()(MAX_ORDER, z2, MAX_ORDER, z1) == _kernel_reference(MAX_ORDER, z2, MAX_ORDER, z1)
 
 
 def test_kernel_table_matches_reference_on_radical_points():
@@ -367,7 +368,7 @@ def test_kernel_table_checks():
     with pytest.raises(ResourceError):
         table(MAX_ORDER + 1, 0, 1, 1)
     with pytest.raises(ResourceError):
-        kernel(10 ** 5, 0, 1, 1)
+        KernelTable()(10 ** 5, 0, 1, 1)
     assert time.perf_counter() - started < 1.0
 
 
@@ -380,3 +381,59 @@ def test_expect_combo_shares_one_table():
         for word, coeff in F.items():
             expected = expected + coeff * expect_wick(word)
         assert expect_combo(F) == expected
+
+
+def _count_evaluations(monkeypatch) -> list:
+    """Record the arguments of every exact kernel a table evaluates."""
+    calls = []
+    unsigned = KernelTable._unsigned
+
+    def counted(self, *args):
+        calls.append(args)
+        return unsigned(self, *args)
+
+    monkeypatch.setattr(KernelTable, "_unsigned", counted)
+    return calls
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(repr(values).encode()).hexdigest()
+
+
+def test_gram_evaluates_each_same_side_kernel_once(monkeypatch):
+    # 8 states of groups sized (2, 1, 1): 5 cross-group pairs each, asked
+    # for by every entry in the state's row and column; a fresh table per
+    # kernel evaluated 640
+    def state(k):
+        points = [rational(Fraction(j - 2, 5 + k), Fraction(2 * k - 7, 22)) for j in range(4)]
+        ins = [(1 + (j + k) % 3, z) for j, z in enumerate(points)]
+        return WickWord((WickGroup.of(ins[0], ins[1]), WickGroup.of(ins[2]), WickGroup.of(ins[3])))
+
+    states = [state(k) for k in range(8)]
+    calls = _count_evaluations(monkeypatch)
+    report = gram(states)
+    assert len(set(calls)) == len(calls) == 40
+    # the values a fresh table per kernel gave, and the theta route
+    flat = [x.gaussian() for row in report.matrix for x in row]
+    assert _digest(flat) == "37d31711bc65af18fd83e1e8d24eba89e4886d294f22bbfdaaf099cb0aebf13a"
+    for F, row in zip(states, report.matrix):
+        for G, value in zip(states, row):
+            assert value == expect_combo(theta(LinearCombination.of(F)) * LinearCombination.of(G))
+
+
+def test_wick_expand_evaluates_each_pair_once(monkeypatch):
+    # 6 distinct points: C(6, 2) = 15 pairs over 76 partial pairings, whose
+    # pairs number 150 in all
+    G = WickGroup.of(*((1 + j % 3, rational(Fraction(j, 7), Fraction(j * j % 5, 9))) for j in range(6)))
+    calls = _count_evaluations(monkeypatch)
+    combo = wick_expand(G)
+    assert len(set(calls)) == len(calls) == 15
+    # the values a fresh table per kernel gave
+    terms = sorted(
+        (tuple((ins.order, ins.point.gaussian()) for g in w.groups for ins in g.insertions), c.gaussian())
+        for w, c in combo.items()
+    )
+    assert _digest(terms) == "1cdb790aa5abc3b34b28172ca981b04f11e2480d8f45dddb9b720a0647a42825"
+    # the unit word collects the perfect matchings, each a product of three -C
+    plain = WickWord.plain(*((ins.order, ins.point) for ins in G.insertions))
+    assert combo.coeff(WickWord.unit()) == -expect_wick(plain)

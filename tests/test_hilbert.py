@@ -210,6 +210,11 @@ def test_state_validation():
     w = WickWord((WickGroup.of((1, Fraction(1, 3))), WickGroup.of((2, Fraction(1, 3)))))
     with pytest.raises(DomainError):
         as_state(w)  # coinciding points across groups
+    # an exact point and a float point of one value coincide too
+    mixed = WickWord((WickGroup.of((1, Fraction(1, 2))), WickGroup.of((1, 0.5))))
+    with pytest.raises(DomainError) as caught:
+        inner(mixed, WickGroup.of((1, 0.3)))
+    assert caught.value.module == "hilbert"
 
 
 def test_gram_single_state():

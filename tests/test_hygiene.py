@@ -161,3 +161,28 @@ def test_every_dataclass_is_frozen():
                 if name == "dataclass" and not _is_frozen_dataclass(decorator):
                     mutable.append(f"{module}:{node.lineno} {node.name}")
     assert mutable == []
+
+
+def _is_throwaway_table(node) -> bool:
+    """A call of the form ``KernelTable()(...)``."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Call)):
+        return False
+    made = node.func.func
+    return (made.id if isinstance(made, ast.Name) else getattr(made, "attr", None)) == "KernelTable"
+
+
+def test_no_kernel_table_is_used_for_one_value():
+    """A ``KernelTable`` is held for the length of one computation, so that
+    the computation evaluates each kernel once: no package call builds a
+    table, asks it for one value and drops it."""
+    found: dict[int, str] = {}
+    for module, tree in _trees().items():
+        for scope in ast.walk(tree):
+            if not isinstance(scope, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = f"{module} {getattr(scope, 'name', '<module>')}"
+            for node in ast.walk(scope):
+                # the walk is breadth first: the innermost scope is named last
+                if _is_throwaway_table(node):
+                    found[id(node)] = name
+    assert sorted(found.values()) == []

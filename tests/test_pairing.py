@@ -10,7 +10,7 @@ from fractions import Fraction
 from freeboson.algebra import Insertion, LinearCombination, WickWord
 from freeboson.amplitude import Disc, DiscConfiguration, amplitude_entry
 from freeboson.cli import main, run
-from freeboson.correlator import expect_combo, expect_wick, kernel
+from freeboson.correlator import KernelTable, expect_combo, expect_wick
 from freeboson.fock import FockIndex
 from freeboson.hilbert import _pair_series_eval, inner
 from freeboson.pairing import MAX_STATES, hafnian, matching_count
@@ -35,7 +35,7 @@ def _brute_force(insertions, labels):
         term = ONE
         for i, j in matching:
             a, b = insertions[i], insertions[j]
-            term = term * kernel(a.order, a.point, b.order, b.point)
+            term = term * KernelTable()(a.order, a.point, b.order, b.point)
         total = total + term
         count += 1
     return total, count
