@@ -22,7 +22,6 @@ from .amplitude import (
     Disc,
     DiscConfiguration,
     HSPartial,
-    amplitude_apply,
     amplitude_entry,
     hs_bound,
     hs_truncated,
@@ -47,12 +46,8 @@ from .errors import (
 from .fock import (
     FockIndex,
     FockVector,
-    circle_quadrature,
-    contour_alpha_check,
-    contour_commutator,
     fock_inner,
     ladder,
-    wick_group_to_fock,
     wick_origin_to_fock,
 )
 from .hilbert import (
@@ -93,13 +88,9 @@ __all__ = [
     "SuiteResult",
     "WickGroup",
     "WickWord",
-    "amplitude_apply",
     "amplitude_entry",
     "as_scalar",
     "as_state",
-    "circle_quadrature",
-    "contour_alpha_check",
-    "contour_commutator",
     "d_coeff",
     "d_table",
     "expect_combo",
@@ -119,6 +110,5 @@ __all__ = [
     "scalars",
     "theta",
     "wick_expand",
-    "wick_group_to_fock",
     "wick_origin_to_fock",
 ]

@@ -28,14 +28,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from . import scalars
 from .correlator import KernelTable
-from .errors import ConfigurationError, RegimeError, RegimeWarning, ResourceError
-from .fock import FockIndex, FockVector
+from .errors import ConfigurationError, RegimeError, RegimeWarning, ResourceError, count_text
+from .fock import FockIndex
 from .pairing import hafnian
 from .scalars import Scalar, as_scalar, conjugate, is_zero, real_value, root
 
@@ -76,10 +76,13 @@ class DiscConfiguration:
     """
 
     discs: tuple[Disc, ...]
+    # d^2, kept from the one walk over the disc pairs that tests disjointness
+    _center_gap_sq: Fraction | float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.discs) < 2:
             raise ConfigurationError(_MODULE, "a configuration needs at least two discs")
+        gap_sq = None
         for i in range(len(self.discs)):
             for j in range(i + 1, len(self.discs)):
                 a = self.discs[i]
@@ -92,6 +95,8 @@ class DiscConfiguration:
                     raise ConfigurationError(
                         _MODULE, f"discs {i} and {j} are not disjoint"
                     )
+                gap_sq = gap if gap_sq is None else min(gap_sq, gap)
+        object.__setattr__(self, "_center_gap_sq", gap_sq)
 
     @property
     def r(self) -> int:
@@ -103,11 +108,7 @@ class DiscConfiguration:
         )
 
     def center_gap_sq(self) -> Fraction | float:
-        return min(
-            real_value(scalars.abs_sq(self.discs[i].center - self.discs[j].center))
-            for i in range(self.r)
-            for j in range(i + 1, self.r)
-        )
+        return self._center_gap_sq
 
     def max_radius_sq(self) -> Fraction | float:
         return max(real_value(d.radius_sq()) for d in self.discs)
@@ -180,27 +181,6 @@ def amplitude_entry(config: DiscConfiguration, indices: Sequence) -> Scalar:
     return _PairMatrix(config).entry([_as_index(x) for x in indices])
 
 
-def amplitude_apply(config: DiscConfiguration, vectors: Sequence[FockVector]) -> Scalar:
-    """Multilinear extension of the entry tensor to finite vectors."""
-    if len(vectors) != config.r:
-        raise ConfigurationError(
-            _MODULE, f"expected {config.r} vectors, got {len(vectors)}"
-        )
-    pair_matrix = _PairMatrix(config)
-    total: Scalar = scalars.zero_scalar(pair_matrix.exact)
-
-    def rec(slot: int, indices: list[FockIndex], coeff: Scalar):
-        nonlocal total
-        if slot == len(vectors):
-            total = total + coeff * pair_matrix.entry(indices)
-            return
-        for idx, c in sorted(vectors[slot].items(), key=lambda t: t[0].occupations):
-            rec(slot + 1, indices + [idx], coeff * c)
-
-    rec(0, [], scalars.one_scalar(pair_matrix.exact))
-    return total
-
-
 @dataclass(frozen=True)
 class HSPartial:
     """Cumulative squared-entry sum through one total-insertion level."""
@@ -251,7 +231,7 @@ def hs_truncated(config: DiscConfiguration, M: int, N: int) -> list[HSPartial]:
         if tuples > MAX_TUPLES:
             raise ResourceError(
                 _MODULE,
-                f"the truncation holds {tuples} tuples through {t} insertions, "
+                f"the truncation holds {count_text(tuples)} tuples through {t} insertions, "
                 f"above the guard {MAX_TUPLES}",
             )
 

@@ -126,15 +126,20 @@ def _expect_word(W: WickWord, kernels: KernelTable) -> Scalar:
             flat.append((gid, ins))
     exact = W.is_exact()
     # cross-group coincidences are poles; intra-group ones are fine.  Exact
-    # words compare stored point sort keys; a word with a float point
-    # compares complex values, as its kernels do.
-    points = [ins.key()[1] if exact else complex(ins.point) for _, ins in flat]
-    for i in range(len(flat)):
-        for j in range(i + 1, len(flat)):
-            gi, a = flat[i]
-            gj, b = flat[j]
-            if gi != gj and points[i] == points[j]:
-                raise PoleError(_MODULE, ((a.order, a.point), (b.order, b.point)))
+    # words compare exact points; a word with a float point compares complex
+    # values, as its kernels do.  One pass keeps each point's first
+    # (index, group); the pole reported is the first (i, j) in index order:
+    # the earliest point that another group also holds, with the first later
+    # occurrence of it in a different group.
+    first: dict = {}
+    pole = None
+    for j, (gj, ins) in enumerate(flat):
+        i, gi = first.setdefault(ins.point if exact else complex(ins.point), (j, gj))
+        if gi != gj and (pole is None or i < pole[0]):
+            pole = (i, j)
+    if pole is not None:
+        a, b = flat[pole[0]][1], flat[pole[1]][1]
+        raise PoleError(_MODULE, ((a.order, a.point), (b.order, b.point)))
 
     def weight(i: int, j: int) -> Scalar:
         a, b = flat[i][1], flat[j][1]

@@ -60,6 +60,16 @@ class ResourceError(EngineError):
     """Work would exceed one of the engine's fixed resource guards."""
 
 
+def count_text(n: int) -> str:
+    """A guard's count for its message: ``n`` in decimal when the interpreter
+    will print it, else its size as a power of two (a count of more than
+    ``sys.get_int_max_str_digits()`` digits cannot become a string)."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"at least 2^{n.bit_length() - 1}"
+
+
 class SchemaError(EngineError):
     """A configuration document failed validation."""
 

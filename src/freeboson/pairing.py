@@ -19,7 +19,7 @@ import math
 from collections import Counter
 from typing import Callable, Hashable, Sequence
 
-from .errors import ResourceError
+from .errors import ResourceError, count_text
 
 _MODULE = "pairing"
 
@@ -61,7 +61,7 @@ def hafnian(
     bound = math.prod(c + 1 for c in counts)
     if bound > MAX_STATES:
         raise ResourceError(
-            _MODULE, f"pairing DP bound {bound} states exceeds the guard {MAX_STATES}"
+            _MODULE, f"pairing DP bound {count_text(bound)} states exceeds the guard {MAX_STATES}"
         )
     size = len(counts)
     table: list[list] = [[None] * size for _ in range(size)]

@@ -31,14 +31,7 @@ from freeboson.amplitude import (
 )
 from freeboson.correlator import expect_combo, expect_wick, mobius_check
 from freeboson.errors import RegimeError
-from freeboson.fock import (
-    FockVector,
-    circle_quadrature,
-    contour_alpha_check,
-    fock_inner,
-    ladder,
-    wick_origin_to_fock,
-)
+from freeboson.fock import FockVector, fock_inner, ladder, wick_origin_to_fock
 from freeboson.hilbert import gram, inner
 from freeboson.sampling import (
     partition_multisets,
@@ -49,6 +42,7 @@ from freeboson.sampling import (
     rational_point,
 )
 from freeboson.scalars import ZERO, conjugate, rational, real_value, root, to_complex
+from fock_reference import circle_quadrature, contour_alpha_check
 
 
 @contextmanager

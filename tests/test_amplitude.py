@@ -15,7 +15,6 @@ from freeboson import scalars
 from freeboson.amplitude import (
     Disc,
     DiscConfiguration,
-    amplitude_apply,
     amplitude_entry,
     MAX_TUPLES,
     _PairMatrix,
@@ -69,6 +68,25 @@ def test_configuration_statistics():
     assert cfg.hs_regime()
 
 
+@pytest.mark.parametrize("exact", [True, False])
+def test_center_gap_is_the_least_pair_gap(exact):
+    # the gap kept at construction is the minimum over every disc pair
+    rng = random.Random(11)
+    centers = [complex(8 * k + rng.randint(0, 3), rng.randint(-3, 3)) for k in range(6)]
+    discs = tuple(
+        Disc(rational(int(c.real), int(c.imag)) if exact else c,
+             rational(Fraction(1, 4)) if exact else complex(0.25))
+        for c in centers
+    )
+    cfg = DiscConfiguration(discs)
+    expected = min(
+        scalars.real_value(scalars.abs_sq(a.center - b.center))
+        for i, a in enumerate(discs) for b in discs[i + 1:]
+    )
+    assert cfg.center_gap_sq() == expected
+    assert type(cfg.center_gap_sq()) is (Fraction if exact else float)
+
+
 def test_entry_hand_values():
     cfg = _standard()
     assert amplitude_entry(cfg, ({1: 1}, {1: 1})) == rational(Fraction(1, 100))
@@ -116,11 +134,24 @@ def test_float_backend_agrees():
         assert abs(lhs - rhs) < 1e-12
 
 
+def _amplitude_apply(config: DiscConfiguration, vectors) -> scalars.Scalar:
+    """Reference: the multilinear extension of the entry tensor to finite
+    vectors, summed over their index tuples on one pair matrix."""
+    pair_matrix = _PairMatrix(config)
+    total = scalars.zero_scalar(pair_matrix.exact)
+    for terms in product(*(v.items() for v in vectors)):
+        coeff = scalars.one_scalar(pair_matrix.exact)
+        for _, c in terms:
+            coeff = coeff * c
+        total = total + coeff * pair_matrix.entry([idx for idx, _ in terms])
+    return total
+
+
 def test_amplitude_apply_matches_entry():
     cfg = _standard()
     v = FockVector.basis({1: 1})
     w = FockVector.basis({2: 1})
-    assert amplitude_apply(cfg, [v, w]) == amplitude_entry(cfg, ({1: 1}, {2: 1}))
+    assert _amplitude_apply(cfg, [v, w]) == amplitude_entry(cfg, ({1: 1}, {2: 1}))
 
 
 def test_amplitude_apply_is_linear_not_sesquilinear():
@@ -128,7 +159,7 @@ def test_amplitude_apply_is_linear_not_sesquilinear():
     c = rational(0, 1)  # the imaginary unit as a coefficient
     v = FockVector.basis({1: 1}, c)
     w = FockVector.basis({1: 1})
-    assert amplitude_apply(cfg, [v, w]) == c * amplitude_entry(cfg, ({1: 1}, {1: 1}))
+    assert _amplitude_apply(cfg, [v, w]) == c * amplitude_entry(cfg, ({1: 1}, {1: 1}))
 
 
 def _hs_by_tuples(config: DiscConfiguration, M: int, N: int) -> list:

@@ -447,6 +447,42 @@ def test_main_huge_order_is_refused_fast(tmp_path, capsys, command, payload):
     assert out["error"]["type"] == "ResourceError"
 
 
+@pytest.mark.parametrize("command,payload,module", [
+    # a pairing DP bound of 2^14998 states
+    ("amplitude", {"discs": [{"a_re": 0, "q_re": 1}, {"a_re": 10, "q_re": 1}],
+                   "states": [[{str(m): 1 for m in range(1, 7500)}] * 2]}, "pairing"),
+    # 12 M + 1 tuples through one insertion, M of 4300 digits
+    ("hsnorm", {"discs": [{"a_re": 8 * i, "q_re": "1/8"} for i in range(12)],
+                "truncation": {"M": 10 ** 4300 - 1, "N": 2}}, "amplitude"),
+])
+def test_main_guard_counts_too_long_to_print(tmp_path, capsys, command, payload, module):
+    # a count of more digits than the interpreter prints still makes a message
+    config = _write(tmp_path, "big.json", payload)
+    start = time.perf_counter()
+    assert main([command, "--config", config]) == 1
+    assert time.perf_counter() - start < 1.0
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"]["type"] == "ResourceError"
+    assert out["error"]["module"] == module
+
+
+@pytest.mark.parametrize("n,code", [(15_001, 0), (15_000, 1)])
+def test_main_long_plain_word_is_answered_fast(tmp_path, capsys, n, code):
+    # the cross-group pole scan is one pass: an odd word has no pairing, and
+    # an even one reaches the pairing guard
+    word = [[{"m": 1, "re": k}] for k in range(n)]
+    config = _write(tmp_path, "w.json", {"words": [word]})
+    start = time.perf_counter()
+    assert main(["correlator", "--config", config]) == code
+    assert time.perf_counter() - start < 2.0
+    out = json.loads(capsys.readouterr().out)
+    if code == 0:
+        assert out["expectations"] == ["0"]
+    else:
+        assert out["error"]["type"] == "ResourceError"
+        assert out["error"]["module"] == "pairing"
+
+
 def test_main_unexpected_error_is_a_document(monkeypatch, tmp_path, capsys):
     def broken(command, config, timing=False):
         raise ValueError("Exceeds the limit (4300 digits) for integer string conversion")

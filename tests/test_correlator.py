@@ -172,6 +172,19 @@ def test_expect_wick_cross_coincidence_pole():
         expect_wick(a * b)
 
 
+@pytest.mark.parametrize("a,b", [(Fraction(1, 4), Fraction(1, 2)), (0.25, 0.5)])
+def test_pole_reported_is_the_first_pair_in_index_order(a, b):
+    # A(g0) B(g1) B(g2) A(g3): the B pair closes first, but the A pair starts first
+    w = WickWord((
+        WickGroup.of((1, a)), WickGroup.of((2, b)), WickGroup.of((3, b)), WickGroup.of((4, a)),
+    ))
+    with pytest.raises(PoleError) as info:
+        expect_wick(w)
+    (m1, z1), (m2, z2) = info.value.pair
+    assert (m1, m2) == (1, 4)
+    assert complex(z1) == complex(z2) == complex(a)
+
+
 def test_expect_combo_linearity():
     w = WickWord.plain((1, 0)) * WickWord.plain((1, 1))
     combo = LinearCombination.of(w, 2) + LinearCombination.of(WickWord.unit())

@@ -6,6 +6,7 @@ reference), and a route deleted from the package should take its imports
 with it.
 """
 import ast
+import inspect
 from pathlib import Path
 
 import freeboson
@@ -83,6 +84,38 @@ def test_every_private_module_function_and_class_is_used_in_the_package():
             if used_anywhere.get(node.name, 0) - inside <= 0:
                 unused.append(f"{name}:{node.lineno} {node.name}")
     assert unused == []
+
+
+def _called_name(node) -> str | None:
+    """The name a call node calls: ``f(...)`` or ``obj.f(...)``."""
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_every_exported_function_is_called_in_the_package():
+    """The public API names only what the package itself runs: a function
+    listed in ``freeboson.__all__`` is called by some package code, which
+    may be another function of its own module but not its own body.  A
+    route that only the tests call belongs in the tests, as their
+    reference.  Classes are exempt."""
+    trees = _trees()
+    calls: dict[str, int] = {}
+    own: dict[str, int] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if (name := _called_name(node)) is not None:
+                calls[name] = calls.get(name, 0) + 1
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inside = sum(1 for n in ast.walk(node) if _called_name(n) == node.name)
+                own[node.name] = own.get(node.name, 0) + inside
+    exported = [
+        name for name in freeboson.__all__ if inspect.isfunction(getattr(freeboson, name))
+    ]
+    uncalled = [name for name in exported if calls.get(name, 0) - own.get(name, 0) <= 0]
+    assert uncalled == []
 
 
 def _defaulted_parameters(func):
