@@ -48,6 +48,13 @@ def check_orders(orders, module: str) -> None:
         raise ResourceError(module, f"order {top} exceeds the guard {MAX_ORDER}")
 
 
+def check_point(point: Scalar, module: str, error: type[DomainError] = DomainError) -> None:
+    """Raise ``error`` for an exact point with a radical part: an exact point
+    is a Gaussian rational, and a float point is any complex number."""
+    if scalars.is_exact(point) and not point.is_gaussian():
+        raise error(module, f"an exact point must be a Gaussian rational, got {point!r}")
+
+
 # ---------------------------------------------------------------------------
 # d_{m,a} coefficients: the m-th derivative of f(1/z) expands as
 #   d^m/dz^m f(1/z) = sum_a d_{m,a} z^{-(m+a)} f^{(a)}(1/z),  1 <= a <= m.
@@ -114,7 +121,8 @@ class _Canonical:
 
 
 class Insertion(_Canonical):
-    """The symbol [m, z]: order-m derivative inserted at the point z.
+    """The symbol [m, z]: order-m derivative inserted at the point z, a float
+    or an exact Gaussian rational (``check_point``).
 
     The key (m, scalars.sort_key(z)) and the hash hash((m, z)) are computed
     once, at construction; key()[1] is the point's sort key.
@@ -126,6 +134,7 @@ class Insertion(_Canonical):
         if not isinstance(order, int) or order < 1:
             raise DomainError(_MODULE, f"insertion order must be an integer >= 1, got {order!r}")
         point = as_scalar(point)
+        check_point(point, _MODULE)
         _set(self, "order", order)
         _set(self, "point", point)
         _set(self, "_key", (order, scalars.sort_key(point)))
@@ -379,8 +388,8 @@ def _theta_insertion(ins: Insertion) -> tuple[int, list[tuple[Insertion, Scalar,
 
     For a Gaussian-rational point, w = P/q with P a Gaussian integer and
     q > 0: den is q^(2m) and re + i im = d_{m,a} P^(m+a) q^(m-a) are
-    integers.  For any other point (float or radical), den is 1, re is the
-    scalar d_{m,a} w^(m+a) and im is 0.
+    integers.  For a float point, den is 1, re is the complex
+    d_{m,a} w^(m+a) and im is 0.
     """
     if is_zero(ins.point):
         raise DomainError(_MODULE, "reflection has a pole at the origin: point z = 0")
@@ -440,10 +449,13 @@ def theta(F) -> LinearCombination:
 
     A word whose points and coefficient are exact Gaussian rationals is
     multiplied in one integer frame and each of its output coefficients is
-    one ``Exact``.  Any other word (a float or radical point or coefficient)
-    multiplies the same terms as scalars; float words may then differ from a
-    term-by-term product in the last bits.  Raises ResourceError for an order
-    above MAX_ORDER.
+    one ``Exact``.  Any other word (a float point, or a float or radical
+    coefficient) multiplies the same terms as scalars; float words may then
+    differ from a term-by-term product in the last bits.  A radical
+    coefficient c sqrt(s) gives output coefficients in sqrt(s), so words
+    whose coefficients have different radicands and reflect onto one output
+    word raise StructuralError (``scalars``).  Raises ResourceError for an
+    order above MAX_ORDER.
     """
     F = _as_combination(F)
     distinct = dict.fromkeys(
@@ -471,13 +483,12 @@ def _theta_word(word: WickWord, coeff: Scalar, frames: dict, rank, acc: dict) ->
     word whose coefficient and points are Gaussian rationals multiplies
     Gaussian-integer numerators over one denominator, the coefficient's
     times each insertion's q^(2m), and makes each output coefficient an
-    ``Exact`` once.  Any other word starts from (coeff, 0), reads the terms
-    of its Gaussian insertions as ``Exact``s, and adds the product's re.
+    ``Exact`` once.  Any other word (a float point, or a coefficient that is
+    a float or has a radical) starts from (coeff, 0), reads the terms of its
+    exact insertions as ``Exact``s, and adds the product's re.
     """
     start = scalars.to_frame(coeff)
-    gaussian = start is not None and all(
-        scalars.is_gaussian(ins.point) for g in word.groups for ins in g.insertions
-    )
+    gaussian = start is not None and word.is_exact()
     re, im, den = start if gaussian else (coeff, 0, 1)
     group_factors = []
     for g in word.groups:
@@ -486,7 +497,7 @@ def _theta_word(word: WickWord, coeff: Scalar, frames: dict, rank, acc: dict) ->
             q, factor = frames[ins]
             if gaussian:
                 den *= q
-            elif scalars.is_gaussian(ins.point):
+            elif scalars.is_exact(ins.point):
                 factor = [(o, scalars.from_frame(r, i, q), 0) for o, r, i in factor]
             factors.append(factor)
         group_factors.append(
@@ -509,12 +520,16 @@ def _ranked_group(insertions: tuple[Insertion, ...], rank) -> tuple[tuple[int, .
 def rescale(F, a, q) -> LinearCombination:
     """The affine reparametrization z -> a + q z with weight q^m per insertion.
 
-    Raises ResourceError for an order above MAX_ORDER.
+    Raises ResourceError for an order above MAX_ORDER, and DomainError for
+    an exact a or q with a radical part: the moved points a + q z must be
+    Gaussian rationals (``check_point``).
     """
     F = _as_combination(F)
     check_orders(_orders(F), _MODULE)
     a = as_scalar(a)
     q = as_scalar(q)
+    check_point(a, _MODULE)
+    check_point(q, _MODULE)
     if is_zero(q):
         raise DomainError(_MODULE, "rescale needs q != 0")
     acc: dict[WickWord, Scalar] = {}

@@ -33,6 +33,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import scalars
+from .algebra import check_point
 from .correlator import KernelTable
 from .errors import ConfigurationError, RegimeError, RegimeWarning, ResourceError, count_text
 from .fock import FockIndex
@@ -44,11 +45,16 @@ _MODULE = "amplitude"
 # the HS sweep refuses a truncation with more index tuples than this; a fixed
 # guard like MAX_ORDER, pairing.MAX_STATES and scalars.TRIAL_BOUND
 MAX_TUPLES = 100_000
+# a configuration refuses more discs than this before its exact walk over
+# the r(r - 1)/2 disc pairs (2016 at 64 discs)
+MAX_DISCS = 64
 
 
 @dataclass(frozen=True)
 class Disc:
-    """A parametrized disc: center a, scale q != 0, radius |q|."""
+    """A parametrized disc: center a, scale q != 0, radius |q|.  An exact
+    center is a Gaussian rational (``algebra.check_point``); q may carry a
+    radical, since it enters only products."""
 
     center: Scalar
     q: Scalar
@@ -56,6 +62,7 @@ class Disc:
     def __post_init__(self):
         object.__setattr__(self, "center", as_scalar(self.center))
         object.__setattr__(self, "q", as_scalar(self.q))
+        check_point(self.center, _MODULE, ConfigurationError)
         if is_zero(self.q):
             raise ConfigurationError(_MODULE, "disc scale q must be nonzero")
 
@@ -82,6 +89,8 @@ class DiscConfiguration:
     def __post_init__(self):
         if len(self.discs) < 2:
             raise ConfigurationError(_MODULE, "a configuration needs at least two discs")
+        if len(self.discs) > MAX_DISCS:
+            raise ResourceError(_MODULE, f"{len(self.discs)} discs exceed the guard {MAX_DISCS}")
         gap_sq = None
         for i in range(len(self.discs)):
             for j in range(i + 1, len(self.discs)):
@@ -175,8 +184,10 @@ def amplitude_entry(config: DiscConfiguration, indices: Sequence) -> Scalar:
     """One amplitude tensor entry on a tuple of occupation indices.
 
     Zero whenever no cross-disc perfect matching exists (an odd total, or
-    one disc holding more than half of the insertions); exact on rational
-    disc data, with values in the radical-extended exact ring.
+    one disc holding more than half of the insertions); exact on exact disc
+    data, with each value a Gaussian rational times one square root: the
+    entry's normalisation root(prod m^n / n!), times a radical of q when q
+    has one.
     """
     return _PairMatrix(config).entry([_as_index(x) for x in indices])
 

@@ -88,7 +88,7 @@ def _scalar_json(value):
 
     rational        -> "p/q" string
     gaussian        -> [re_str, im_str]
-    with radicals   -> {"radicals": {"s": [re_str, im_str], ...}}
+    (re + i im) sqrt(s) -> {"radicals": {"s": [re_str, im_str]}}, s > 1
     float           -> [re, im] numbers
     """
     if scalars.is_exact(value):
@@ -97,11 +97,8 @@ def _scalar_json(value):
         if value.is_gaussian():
             g = value.gaussian()
             return [str(g[0]), str(g[1])]
-        return {
-            "radicals": {
-                str(s): [str(re), str(im)] for s, re, im in value.terms
-            }
-        }
+        s, re, im = value.terms[0]
+        return {"radicals": {str(s): [str(re), str(im)]}}
     z = complex(value)
     return [z.real, z.imag]
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from . import scalars
 from .algebra import MAX_ORDER as MAX_ORDER  # re-exported
-from .algebra import Insertion, LinearCombination, WickGroup, WickWord, check_orders
+from .algebra import Insertion, LinearCombination, WickGroup, WickWord, check_orders, check_point
 from .errors import DomainError, PoleError
 from .pairing import hafnian
 from .scalars import Scalar, is_zero
@@ -45,16 +45,17 @@ class KernelTable:
     points it writes z1 - z2 = D/d with a Gaussian integer D and an integer
     d > 0, and holds the running integer powers of d conj(D) and of
     N = |D|^2: the value at n is (n - 1)! (d conj(D))^n / (2 N^n), one
-    division at the end (``scalars.from_frame``).  Points with a radical
-    part take c (z1 - z2)^(-n).  A pair with a float point takes the complex
+    division at the end (``scalars.from_frame``).  An exact point must be a
+    Gaussian rational (``algebra.check_point``), checked once per point pair
+    when its run is started.  A pair with a float point takes the complex
     arithmetic of a fresh evaluation, unmemoised, and raises OverflowError
     when (z1 - z2)^n underflows to 0.  A table lives for one computation
     (a combination, an ``inner`` or ``gram`` call, a ``wick_expand``, an
     amplitude call, one HS trace sweep); nothing is kept across calls.
 
-    Raises DomainError for orders that are not integers >= 1, ResourceError
-    for an order above MAX_ORDER and PoleError for coinciding points, exact
-    or as complex numbers.
+    Raises DomainError for orders that are not integers >= 1 and for an exact
+    point with a radical part, ResourceError for an order above MAX_ORDER
+    and PoleError for coinciding points, exact or as complex numbers.
     """
 
     __slots__ = ("_values", "_runs")
@@ -84,17 +85,16 @@ class KernelTable:
         return -value if m1 % 2 else value
 
     def _unsigned(self, m1: int, z1: scalars.Exact, m2: int, z2: scalars.Exact) -> scalars.Exact:
-        """(1/2)(n - 1)!/(z1 - z2)^n with n = m1 + m2, for exact points."""
+        """(1/2)(n - 1)!/(z1 - z2)^n with n = m1 + m2, for exact Gaussian-rational points."""
         n = m1 + m2
         run = self._runs.get((z1, z2))
         if run is None:
+            check_point(z1, _MODULE)
+            check_point(z2, _MODULE)
             diff = z1 - z2
             if diff.is_zero():
                 raise PoleError(_MODULE, ((m1, z1), (m2, z2)))
-            frame = scalars.to_frame(diff)
-            if frame is None:
-                return scalars.rational(Fraction(math.factorial(n - 1), 2)) * diff ** (-n)
-            re, im, d = frame
+            re, im, d = scalars.to_frame(diff)
             run = self._runs[(z1, z2)] = [(1, 0, 1), (d * re, -d * im, re * re + im * im)]
         step_re, step_im, step_den = run[1]
         while len(run) <= n:

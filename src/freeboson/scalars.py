@@ -1,14 +1,14 @@
 """Dual-backend complex scalars.
 
-The exact backend is the ring Q(i)[sqrt(s) : s squarefree positive integer]:
-finite sums sum_s (a_s + i b_s) sqrt(s) with rational a_s, b_s.  Gaussian
-rationals are the s = 1 slice; square roots enter only through normalization
-prefactors like 1/sqrt(n!) and i*sqrt(2m)/m!, and the ring is closed under
-division, so every identity in the engine can be tested with zero rounding.
-Products, sums and inverses of Gaussian rationals, by far the common case,
-work directly on the two (re, im) Fraction pairs; only operands with radicals
-take the general term-by-term route, and both routes give the same canonical
-terms.
+The exact backend holds the values c sqrt(s): a Gaussian rational c times
+the square root of one squarefree integer s >= 1.  Gaussian rationals are
+the s = 1 values.  Square roots enter only through normalization prefactors
+like 1/sqrt(n!) and i*sqrt(2m)/m!, one per amplitude entry or Fock basis
+coefficient, so every exact number the engine reports has this form and
+every identity can be tested with zero rounding.  Products and inverses
+stay in the type; sums add values with one radicand, and a sum of two
+radicands raises StructuralError.  The general ring Q(i)[sqrt(s), ...]
+lives in the tests as the reference this type is checked against.
 
 The float backend is the builtin ``complex``.  Mixed-backend arithmetic
 promotes to float; exact-with-exact stays exact.
@@ -19,7 +19,9 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm, sqrt as _fsqrt
 from typing import Union
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, StructuralError
+
+_MODULE = "scalars"
 
 RationalLike = Union[int, Fraction]
 
@@ -44,7 +46,7 @@ def _squarefree_split(n: int) -> tuple[int, int]:
             r = isqrt(m)
             if r * r != m:
                 raise ResourceError(
-                    "scalars",
+                    _MODULE,
                     f"square root needs a factorisation: a {m.bit_length()}-bit cofactor "
                     f"has no factor below {TRIAL_BOUND} and is not a square",
                 )
@@ -61,23 +63,16 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     return k, s * m
 
 
-def _smallest_prime_factor(n: int) -> int:
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1 if d == 2 else 2
-    return n
-
-
 class Exact:
-    """An element of Q(i) adjoined square roots of squarefree integers.
+    """A Gaussian rational times one square root: c sqrt(s), with c = re + i*im
+    of rational parts and s a squarefree integer >= 1.
 
-    Stored as a sorted tuple of (s, re, im) triples meaning
-    sum (re + i*im) * sqrt(s); s = 1 carries the Gaussian-rational part.
-    The form is canonical: terms sorted, coefficients of type Fraction, zero
-    terms dropped (zero is the empty tuple), so equality compares the tuples.
-    Instances are immutable and hashable; the hash is computed once.
+    Stored as the tuple of at most one (s, re, im) triple, with Fraction
+    parts; s = 1 is a Gaussian rational and zero is the empty tuple.  The
+    form is canonical, so equality compares the tuples.  A sum of nonzero
+    values with two radicands, such as sqrt(2) + 1, or a dict of two nonzero
+    radicands raises StructuralError.  Instances are immutable and hashable;
+    the hash is computed once.
     """
 
     __slots__ = ("_terms", "_hash")
@@ -90,7 +85,9 @@ class Exact:
                 im = Fraction(im)
                 if re or im:
                     norm.append((int(s), re, im))
-        norm.sort()
+        if len(norm) > 1:
+            radicands = [s for s, _, _ in norm]
+            raise StructuralError(_MODULE, f"one radicand per exact value, got {radicands}")
         self._terms = tuple(norm)
 
     @classmethod
@@ -110,12 +107,10 @@ class Exact:
 
     def is_gaussian(self) -> bool:
         """True when the value lies in Q(i) (no radical part)."""
-        # terms are sorted by s >= 1, so only a lone s = 1 term is Gaussian
-        terms = self._terms
-        return not terms or (len(terms) == 1 and terms[0][0] == 1)
+        return not self._terms or self._terms[0][0] == 1
 
     def is_rational(self) -> bool:
-        return self.is_gaussian() and all(im == 0 for _, _, im in self._terms)
+        return not self._terms or (self._terms[0][0] == 1 and not self._terms[0][2])
 
     def gaussian(self) -> tuple[Fraction, Fraction]:
         if not self.is_gaussian():
@@ -134,36 +129,24 @@ class Exact:
     def conjugate(self) -> "Exact":
         return Exact._raw(tuple((s, re, -im) for s, re, im in self._terms))
 
-    def real_part(self) -> "Exact":
-        return Exact._raw(tuple((s, re, Fraction(0)) for s, re, im in self._terms if re))
-
-    def imag_part(self) -> "Exact":
-        """The imaginary part, as a real element (the b in a + ib)."""
-        return Exact._raw(tuple((s, im, Fraction(0)) for s, re, im in self._terms if im))
-
     def abs_sq(self) -> "Exact":
         return self * self.conjugate()
 
     # -- arithmetic -------------------------------------------------------
 
     def _add_exact(self, other: "Exact", sign: int) -> "Exact":
-        x = self._terms
         y = other._terms
         if not y:
             return self
+        x = self._terms
         if not x:
             return other if sign == 1 else -other
-        if len(x) == 1 and len(y) == 1 and x[0][0] == 1 and y[0][0] == 1:
-            _, a, b = x[0]
-            _, c, d = y[0]
-            if sign == 1:
-                return _gaussian(a + c, b + d)
-            return _gaussian(a - c, b - d)
-        acc = {s: (re, im) for s, re, im in self._terms}
-        for s, re, im in other._terms:
-            a, b = acc.get(s, (Fraction(0), Fraction(0)))
-            acc[s] = (a + sign * re, b + sign * im)
-        return Exact({s: v for s, v in acc.items()})
+        s, a, b = x[0]
+        t, c, d = y[0]
+        if s != t:
+            raise StructuralError(_MODULE, f"sum of two radicands: {self!r} and {other!r}")
+        re, im = (a + c, b + d) if sign == 1 else (a - c, b - d)
+        return Exact._raw(((s, re, im),)) if re or im else ZERO
 
     def __add__(self, other):
         if isinstance(other, Exact):
@@ -198,24 +181,17 @@ class Exact:
             f = Fraction(other)
             return Exact._raw(tuple((s, re * f, im * f) for s, re, im in self._terms))
         if isinstance(other, Exact):
-            x = self._terms
-            y = other._terms
-            if not x or not y:
+            if not self._terms or not other._terms:
                 return ZERO
-            if len(x) == 1 and len(y) == 1 and x[0][0] == 1 and y[0][0] == 1:
-                _, a, b = x[0]
-                _, c, d = y[0]
-                return _gaussian(a * c - b * d, a * d + b * c)
-            acc: dict[int, tuple[Fraction, Fraction]] = {}
-            for s, a, b in self._terms:
-                for t, c, d in other._terms:
-                    g = gcd(s, t)
-                    u = (s // g) * (t // g)
-                    re = (a * c - b * d) * g
-                    im = (a * d + b * c) * g
-                    pa, pb = acc.get(u, (Fraction(0), Fraction(0)))
-                    acc[u] = (pa + re, pb + im)
-            return Exact(acc)
+            s, a, b = self._terms[0]
+            t, c, d = other._terms[0]
+            re = a * c - b * d
+            im = a * d + b * c
+            if s == 1 or t == 1:
+                return Exact._raw(((s * t, re, im),))
+            # sqrt(s) sqrt(t) = g sqrt((s/g)(t/g)) with g = gcd(s, t)
+            g = gcd(s, t)
+            return Exact._raw((((s // g) * (t // g), re * g, im * g),))
         if isinstance(other, (float, complex)):
             return complex(self) * other
         return NotImplemented
@@ -223,35 +199,12 @@ class Exact:
     __rmul__ = __mul__
 
     def inverse(self) -> "Exact":
+        """1/(c sqrt(s)) = conj(c) sqrt(s) / (|c|^2 s)."""
         if not self._terms:
             raise ZeroDivisionError("division by exact zero")
-        if len(self._terms) == 1 and self._terms[0][0] == 1:
-            _, a, b = self._terms[0]
-            r = a * a + b * b
-            return Exact._raw(((1, a / r, -b / r),))
-        num = ONE
-        den = self
-        # Strip radicals one prime at a time: multiplying by the conjugate
-        # that flips every term containing p removes p from the support.
-        while True:
-            p = None
-            for s, _, _ in den._terms:
-                if s > 1:
-                    p = _smallest_prime_factor(s)
-                    break
-            if p is None:
-                break
-            keep = {}
-            flip = {}
-            for s, re, im in den._terms:
-                (flip if s % p == 0 else keep)[s] = (re, im)
-            conj = Exact(keep) - Exact(flip)
-            num = num * conj
-            den = den * conj
-        a, b = den.gaussian()
-        r = a * a + b * b
-        return num * Exact({1: (a / r, -b / r)})
-
+        s, a, b = self._terms[0]
+        r = (a * a + b * b) * s
+        return Exact._raw(((s, a / r, -b / r),))
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             return self * rational(other).inverse()
@@ -308,41 +261,29 @@ class Exact:
         return bool(self._terms)
 
     def __complex__(self):
-        re = 0.0
-        im = 0.0
-        for s, a, b in self._terms:
-            w = _fsqrt(s)
-            re += float(a) * w
-            im += float(b) * w
-        return complex(re, im)
+        if not self._terms:
+            return 0j
+        s, a, b = self._terms[0]
+        w = _fsqrt(s)
+        return complex(float(a) * w, float(b) * w)
 
     def __repr__(self):
         if not self._terms:
             return "Exact(0)"
-        parts = []
-        for s, re, im in self._terms:
-            root_txt = "" if s == 1 else f"*sqrt({s})"
-            if im == 0:
-                parts.append(f"({re}){root_txt}")
-            elif re == 0:
-                parts.append(f"({im}j){root_txt}")
-            else:
-                parts.append(f"({re}+{im}j){root_txt}")
-        return "Exact(" + " + ".join(parts) + ")"
-
-
-def _gaussian(re: Fraction, im: Fraction) -> Exact:
-    """The canonical Exact for re + i*im, from Fraction parts."""
-    if re or im:
-        return Exact._raw(((1, re, im),))
-    return ZERO
+        s, re, im = self._terms[0]
+        root_txt = "" if s == 1 else f"*sqrt({s})"
+        if im == 0:
+            return f"Exact(({re}){root_txt})"
+        if re == 0:
+            return f"Exact(({im}j){root_txt})"
+        return f"Exact(({re}+{im}j){root_txt})"
 
 
 def to_frame(x) -> tuple[int, int, int] | None:
     """(re, im, den) with x = (re + i*im)/den, integers, den > 0 the least
     common denominator of the two parts; None unless x is an exact Gaussian
     rational.  ``from_frame`` is its inverse."""
-    if not is_gaussian(x):
+    if not (isinstance(x, Exact) and x.is_gaussian()):
         return None
     if not x._terms:
         return 0, 0, 1
@@ -353,7 +294,9 @@ def to_frame(x) -> tuple[int, int, int] | None:
 
 def from_frame(re: int, im: int, den: int) -> Exact:
     """The canonical Exact of (re + i*im)/den, for integers re, im and den > 0."""
-    return _gaussian(Fraction(re, den), Fraction(im, den))
+    if re or im:
+        return Exact._raw(((1, Fraction(re, den), Fraction(im, den)),))
+    return ZERO
 
 
 ZERO = Exact()
@@ -377,7 +320,7 @@ def root(x: RationalLike) -> Exact:
     """
     f = Fraction(x)
     if f < 0:
-        raise DomainError("scalars", f"square root of negative rational {f}")
+        raise DomainError(_MODULE, f"square root of negative rational {f}")
     if f == 0:
         return ZERO
     n = f.numerator * f.denominator
@@ -406,11 +349,6 @@ def is_zero(x) -> bool:
     return x == 0
 
 
-def is_gaussian(x) -> bool:
-    """True for an exact Gaussian rational (no radical part, not a float)."""
-    return isinstance(x, Exact) and x.is_gaussian()
-
-
 def conjugate(x: Scalar) -> Scalar:
     if isinstance(x, Exact):
         return x.conjugate()
@@ -430,25 +368,25 @@ def abs_sq(x: Scalar) -> Scalar:
 
 
 def in_unit_disc(z: Scalar) -> bool:
-    """|z| < 1, decided exactly when |z|^2 is rational."""
-    a = abs_sq(z)
-    if isinstance(a, Exact) and a.is_rational():
-        return a.rational() < 1
-    return complex(a).real < 1.0
+    """|z| < 1, decided exactly for an exact z, whose |z|^2 is rational."""
+    if isinstance(z, Exact):
+        return z.abs_sq().rational() < 1
+    return abs_sq(z).real < 1.0
 
 
 def real_value(x) -> Union[Fraction, float]:
     """The real number a scalar represents; exact Fraction when rational.
 
     Raises ValueError for values with a nonzero imaginary part.  Exact values
-    with radical parts come back as floats (only comparisons need them).
+    with a radical part come back as floats (only comparisons need them).
     """
     if isinstance(x, Exact):
-        if x.is_rational():
-            return x.rational()
-        if x.imag_part().is_zero():
-            return complex(x).real
-        raise ValueError(f"not a real value: {x!r}")
+        if not x.terms:
+            return Fraction(0)
+        s, re, im = x.terms[0]
+        if im:
+            raise ValueError(f"not a real value: {x!r}")
+        return re if s == 1 else float(re) * _fsqrt(s)
     x = complex(x)
     if x.imag != 0:
         raise ValueError(f"not a real value: {x!r}")

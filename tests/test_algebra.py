@@ -2,7 +2,7 @@
 import random
 import time
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 
 import pytest
 
@@ -19,10 +19,11 @@ from freeboson.algebra import (
     theta,
     wick_expand,
 )
-from freeboson.errors import DomainError, ResourceError
+from freeboson.errors import DomainError, ResourceError, StructuralError
 from freeboson.fock import FockIndex, FockVector
 from freeboson.sampling import random_plain_word, random_wick_word, rational_point
 from freeboson.scalars import rational
+import exact_reference as ref
 
 
 def test_d_base_case():
@@ -319,14 +320,20 @@ def _product_expansion(factors, start):
             yield coeff * coeff_rest, (ins,) + ins_rest
 
 
-def _theta_reference(F):
+def _theta_reference(F, lift=lambda c: c):
     """theta multiplied out term by term in scalars, with every insertion of
-    every word expanded afresh: the reference for ``theta``."""
+    every word expanded afresh: the reference for ``theta``.  ``F`` maps
+    words to coefficients; ``lift`` takes the expansion's scalars into the
+    coefficients' ring (``exact_reference.of`` for the reference ring)."""
     acc = {}
     for word, coeff in F.items():
-        factors = [_theta_insertion_scalar(ins) for g in word.groups for ins in g.insertions]
+        factors = [
+            [(lift(c), o) for c, o in _theta_insertion_scalar(ins)]
+            for g in word.groups
+            for ins in g.insertions
+        ]
         ends = list(accumulate(len(g) for g in word.groups))
-        for c, inss in _product_expansion(factors, scalars.conjugate(coeff)):
+        for c, inss in _product_expansion(factors, coeff.conjugate()):
             groups = tuple(WickGroup(inss[a:b]) for a, b in zip([0] + ends, ends))
             add_term(acc, WickWord(groups), c)
     return LinearCombination._of_terms(acc)
@@ -385,13 +392,30 @@ def test_theta_radical_coefficients_match_reference():
         F = LinearCombination.of(W, scalars.root(2)) + LinearCombination.of(V, rational(3, -2))
         once = _assert_theta_matches_reference(F)
         _assert_theta_matches_reference(once)
-    # the two routes add into the same output words
+    # a Gaussian and a radical coefficient add into one output word: [1, w]
     z = rational(Fraction(1, 2), Fraction(1, 3))
-    F = LinearCombination.of(WickWord.plain((1, z)), rational(Fraction(3, 7))) + LinearCombination.of(
-        WickWord.plain((2, z)), scalars.root(2) + scalars.I
+    words = WickWord.plain((1, z)), WickWord.plain((2, z))
+    with pytest.raises(StructuralError) as info:
+        scalars.root(2) + scalars.I
+    assert info.value.module == "scalars"
+    F = LinearCombination.of(words[0], rational(Fraction(3, 7))) + LinearCombination.of(
+        words[1], scalars.root(2)
     )
-    out = _assert_theta_matches_reference(F)
-    assert theta(out) == F
+    with pytest.raises(StructuralError) as info:
+        theta(F)
+    assert info.value.module == "scalars"
+    # the same sums, and the coefficient sqrt(2) + i, in the reference ring:
+    # theta is anti-linear, so the reference's term-by-term product must equal
+    # the package's theta of each word times its conjugated coefficient
+    for c in (ref.root(2), ref.root(2) + ref.I):
+        F = {words[0]: ref.rational(Fraction(3, 7)), words[1]: c}
+        out = _theta_reference(F, ref.of)
+        by_word: dict = {}
+        for word, coeff in F.items():
+            for o, d in theta(word).items():
+                by_word[o] = by_word.get(o, ref.ZERO) + coeff.conjugate() * ref.of(d)
+        assert dict(out.items()) == {o: d for o, d in by_word.items() if d}
+        assert dict(_theta_reference(out, ref.of).items()) == F
 
 
 def _assert_theta_close_to_reference(F):
@@ -426,19 +450,87 @@ def test_theta_float_words_match_reference():
         _assert_theta_close_to_reference(once)
 
 
+def _point_key(ins):
+    order, point = ins
+    return order, point.terms
+
+
+def _group_key(group):
+    return [_point_key(ins) for ins in group]
+
+
+def _theta_on_points(F):
+    """theta term by term for words whose points lie in the reference ring:
+    ``F`` maps words, sorted tuples of sorted groups of (order, point), to
+    coefficients, and [m, z] reflects to sum_a d_{m,a} w^(m+a) [a, w] with
+    w = 1/conj(z)."""
+    acc: dict = {}
+    for word, coeff in F.items():
+        group_terms = []
+        for group in word:
+            terms = []
+            for choice in product(*(_reflect_on_point(m, z) for m, z in group)):
+                c = ref.ONE
+                for _, x in choice:
+                    c = c * x
+                terms.append((tuple(sorted((ins for ins, _ in choice), key=_point_key)), c))
+            group_terms.append(terms)
+        for choice in product(*group_terms):
+            c = coeff.conjugate()
+            for _, x in choice:
+                c = c * x
+            out = tuple(sorted((g for g, _ in choice), key=_group_key))
+            acc[out] = acc.get(out, ref.ZERO) + c
+    return {w: c for w, c in acc.items() if c}
+
+
+def _reflect_on_point(m, z):
+    w = z.conjugate().inverse()
+    return [((a, w), d_coeff(m, a) * w ** (m + a)) for a in range(1, m + 1)]
+
+
+def _point_word(word, move=ref.of):
+    """A package word as a sorted tuple of sorted groups of (order, point),
+    each point taken into the reference ring by ``move``."""
+    groups = (
+        tuple(sorted(((i.order, move(i.point)) for i in g.insertions), key=_point_key))
+        for g in word.groups
+    )
+    return tuple(sorted(groups, key=_group_key))
+
+
 def test_theta_radical_points_match_reference():
     rng = random.Random(229)
-    q = scalars.root(2) / 3
-    for _ in range(6):
-        a = rational_point(rng)
-        F = rescale(random_wick_word(rng, rng.randint(1, 3)), a, q)
-        # a word that also holds Gaussian points
-        F = F + F * LinearCombination.of(random_plain_word(rng, 2), rational(1, 2))
-        points = [i.point for w in F.words() for g in w.groups for i in g.insertions]
-        assert any(scalars.is_gaussian(z) for z in points)
-        assert not all(scalars.is_gaussian(z) for z in points)
-        out = _assert_theta_matches_reference(F)
-        assert theta(out) == F
+    # the package refuses the radical points that rescale would build
+    with pytest.raises(DomainError) as info:
+        rescale(random_wick_word(rng, 2), rational_point(rng), scalars.root(2) / 3)
+    assert info.value.module == "algebra"
+    with pytest.raises(DomainError) as info:
+        Insertion(1, scalars.root(2) / 4)
+    assert info.value.module == "algebra"
+    # theta of points moved by z -> a + q z, in the reference ring; on
+    # Gaussian points the point-tuple route must give the package's theta
+    for q in (ref.rational(Fraction(1, 3), Fraction(1, 4)), ref.root(2) / 3):
+        for _ in range(6):
+            a = rational_point(rng)
+            word = random_wick_word(rng, rng.randint(1, 3))
+            plain = random_plain_word(rng, 2)
+            moved = _point_word(word, lambda z: ref.of(a) + q * ref.of(z))
+            # a word that also holds Gaussian points
+            with_plain = tuple(sorted(moved + _point_word(plain), key=_group_key))
+            weight = q ** word.total_order()
+            F = {moved: weight, with_plain: weight * ref.rational(1, 2)}
+            out = _theta_on_points(F)
+            assert _theta_on_points(out) == F
+            if q.is_gaussian():
+                G = rescale(word, a, ref.to_package(q))
+                G = G + G * LinearCombination.of(plain, rational(1, 2))
+                assert {_point_word(w): ref.of(c) for w, c in G.items()} == F
+                assert {_point_word(w): ref.of(c) for w, c in theta(G).items()} == out
+            else:
+                points = [z for w in F for g in w for _, z in g]
+                assert any(z.is_gaussian() for z in points)
+                assert not all(z.is_gaussian() for z in points)
 
 
 def test_theta_words_mixing_gaussian_and_float_points():

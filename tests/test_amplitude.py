@@ -16,6 +16,7 @@ from freeboson.amplitude import (
     Disc,
     DiscConfiguration,
     amplitude_entry,
+    MAX_DISCS,
     MAX_TUPLES,
     _PairMatrix,
     hs_bound,
@@ -91,6 +92,35 @@ def test_entry_hand_values():
     cfg = _standard()
     assert amplitude_entry(cfg, ({1: 1}, {1: 1})) == rational(Fraction(1, 100))
     assert amplitude_entry(cfg, ({1: 1}, {2: 1})) == root(2) * Fraction(-1, 1000)
+
+
+def test_radical_centres_are_refused_and_radical_scales_kept():
+    with pytest.raises(ConfigurationError) as info:
+        Disc(root(2) / 4, ONE)
+    assert info.value.module == "amplitude"
+    # q enters only products, so it may carry a radical
+    qa, qb = root(2) / 8, root(3) / 9
+    cfg = DiscConfiguration((Disc(rational(0), qa), Disc(rational(1, 1), qb)))
+    # C(1, 0, 1, 1 + i) = -(1/2)/(-(1 + i))^2 = -1/(4i) = i/4
+    c = rational(0, Fraction(1, 4))
+    assert amplitude_entry(cfg, ({1: 1}, {1: 1})) == -2 * qa * qb * c
+    assert amplitude_entry(cfg, ({1: 1}, {1: 1})) == rational(0, Fraction(-1, 144)) * root(6)
+    floated = DiscConfiguration(tuple(Disc(complex(d.center), complex(d.q)) for d in cfg.discs))
+    exact_rows = hs_truncated(cfg, 3, 4)
+    float_rows = hs_truncated(floated, 3, 4)
+    for exact, approx in zip(exact_rows, float_rows):
+        assert exact.partial_sum.is_rational()
+        assert complex(exact.partial_sum) == pytest.approx(approx.partial_sum, rel=1e-12)
+
+
+def test_configuration_disc_guard():
+    discs = [Disc(rational(8 * i), rational(Fraction(1, 8))) for i in range(MAX_DISCS + 1)]
+    started = time.perf_counter()
+    with pytest.raises(ResourceError) as info:
+        DiscConfiguration(tuple(discs))
+    assert info.value.module == "amplitude"
+    assert time.perf_counter() - started < 1.0
+    assert DiscConfiguration(tuple(discs[:MAX_DISCS])).r == MAX_DISCS
 
 
 def test_entry_odd_total_vanishes():

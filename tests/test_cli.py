@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import freeboson.cli as cli
+from freeboson.amplitude import MAX_DISCS
 from freeboson.cli import main, run
 from freeboson.errors import SchemaError
 from freeboson.verify import SuiteResult
@@ -464,6 +465,32 @@ def test_main_guard_counts_too_long_to_print(tmp_path, capsys, command, payload,
     out = json.loads(capsys.readouterr().out)
     assert out["error"]["type"] == "ResourceError"
     assert out["error"]["module"] == module
+
+
+@pytest.mark.parametrize("command", ["amplitude", "hsnorm"])
+def test_main_disc_count_guard(tmp_path, capsys, command):
+    # discs of radius 1/8, 8 apart on the real line: pairwise disjoint
+    for n, code in ((MAX_DISCS + 1, 1), (MAX_DISCS, 0)):
+        discs = [{"a_re": 8 * i, "q_re": "1/8"} for i in range(n)]
+        if command == "amplitude":
+            payload = {"discs": discs, "states": [[{"1": 1}, {"1": 1}] + [{}] * (n - 2)]}
+        else:
+            payload = {"discs": discs, "truncation": {"M": 1, "N": 2}}
+        config = _write(tmp_path, "discs.json", payload)
+        start = time.perf_counter()
+        assert main([command, "--config", config]) == code
+        elapsed = time.perf_counter() - start
+        out = json.loads(capsys.readouterr().out)
+        if code:
+            # refused before the walk over the disc pairs
+            assert out["error"]["type"] == "ResourceError"
+            assert out["error"]["module"] == "amplitude"
+            assert elapsed < 1.0
+        elif command == "amplitude":
+            # -2 (1/8)^2 C(1, 0, 1, 8), with C(1, 0, 1, 8) = -1/128
+            assert out["entries"] == ["1/4096"]
+        else:
+            assert len(out["rows"]) == 3
 
 
 @pytest.mark.parametrize("n,code", [(15_001, 0), (15_000, 1)])

@@ -23,6 +23,7 @@ from freeboson.hilbert import gram
 from freeboson.pairing import matching_count
 from freeboson.sampling import random_plain_word, random_wick_word, rational_point
 from freeboson.scalars import rational, root, sort_key
+import exact_reference as ref
 from matching_reference import matchings
 
 
@@ -309,13 +310,24 @@ def test_kernel_table_matches_reference_on_amplitude_kernels():
 
 
 def test_kernel_table_matches_reference_on_radical_points():
-    z1, z2 = root(2) / 4 + rational(0, Fraction(1, 3)), rational(Fraction(1, 5))
+    # the table refuses an exact point with a radical part, on either side
+    z2 = rational(Fraction(1, 5))
+    for z1 in (root(2) / 4, root(3) * rational(Fraction(1, 2), Fraction(1, 3))):
+        for args in ((1, z1, 1, z2), (2, z2, 3, z1)):
+            with pytest.raises(DomainError) as info:
+                KernelTable()(*args)
+            assert type(info.value) is DomainError and info.value.module == "correlator"
+    # the kernel at the point sqrt(2)/4 + i/3, from scratch in the reference
+    # ring, against the complex kernel
+    z1, z2 = ref.root(2) / 4 + ref.rational(0, Fraction(1, 3)), ref.of(z2)
     assert not z1.is_gaussian()
-    table = KernelTable()
     for m1 in range(1, 7):
         for m2 in range(1, 7):
-            for args in ((m1, z1, m2, z2), (m2, z2, m1, z1)):
-                assert table(*args) == _kernel_reference(*args), args
+            for a, p, b, w in ((m1, z1, m2, z2), (m2, z2, m1, z1)):
+                c = Fraction(math.factorial(a + b - 1) * (-1 if a % 2 else 1), 2)
+                exact = ref.rational(c) * (p - w) ** (-(a + b))
+                floated = _kernel_reference(a, complex(p), b, complex(w))
+                assert complex(exact) == pytest.approx(floated, rel=1e-12)
 
 
 _wide = st.fractions(min_value=-3, max_value=3, max_denominator=10 ** 6)

@@ -1,4 +1,5 @@
-"""Exact scalar ring: arithmetic laws, radicals, inversion, conversions."""
+"""Exact scalars: arithmetic laws, radicals, inversion, conversions, and
+agreement with the multi-radical reference ring."""
 import math
 import random
 import time
@@ -9,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freeboson import scalars
-from freeboson.errors import DomainError, ResourceError
+from freeboson.errors import DomainError, ResourceError, StructuralError
 from freeboson.scalars import I, ONE, ZERO, as_scalar, rational, root
+import exact_reference as ref
 
 fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=12
@@ -66,12 +68,19 @@ def test_i_squares_to_minus_one():
 
 
 def test_inverse_radical():
-    x = rational(1) + root(2)
+    # 1/(c sqrt(s)) = conj(c) sqrt(s) / (|c|^2 s)
+    x = rational(1, 2) * root(6)
+    assert x.inverse() == rational(1, -2) * root(6) / 30
     assert x * x.inverse() == ONE
-    y = root(2) + root(3) * I + rational(Fraction(1, 7), Fraction(2, 3))
-    assert y * y.inverse() == ONE
     with pytest.raises(ZeroDivisionError):
         ZERO.inverse()
+    # sums of radicals invert in the reference ring
+    x = ref.ONE + ref.root(2)
+    assert x * x.inverse() == ref.ONE
+    y = ref.root(2) + ref.root(3) * ref.I + ref.rational(Fraction(1, 7), Fraction(2, 3))
+    assert y * y.inverse() == ref.ONE
+    with pytest.raises(ZeroDivisionError):
+        ref.ZERO.inverse()
 
 
 def test_division_forms():
@@ -88,11 +97,16 @@ def test_power():
 
 
 def test_conjugate_and_parts():
-    x = rational(1, 2) + root(3) * I
-    assert x.conjugate() == rational(1, -2) - root(3) * I
-    assert x.real_part() == rational(1)
-    assert x.imag_part() == rational(2) + root(3)
-    assert scalars.abs_sq(x) == x * x.conjugate()
+    x = rational(1, 2) * root(3)
+    assert x.conjugate() == rational(1, -2) * root(3)
+    assert scalars.abs_sq(x) == x * x.conjugate() == rational(15)
+    assert scalars.real_value(x * rational(1, -2)) == pytest.approx(5 * 3 ** 0.5)
+    # the parts of a sum of radicals, in the reference ring
+    x = ref.rational(1, 2) + ref.root(3) * ref.I
+    assert x.conjugate() == ref.rational(1, -2) - ref.root(3) * ref.I
+    assert x.real_part() == ref.rational(1)
+    assert x.imag_part() == ref.rational(2) + ref.root(3)
+    assert x.abs_sq() == x * x.conjugate()
 
 
 def test_equality_and_hash():
@@ -117,8 +131,8 @@ def _random_gaussian_parts(rng):
 
 def test_gaussian_canonical_form():
     # Gaussian-rational products, sums and inverses must give the same
-    # canonical terms as the general route: one (1, re, im) triple with
-    # Fraction coefficients, and the empty tuple for zero.
+    # canonical terms as the reference ring's general route: one (1, re, im)
+    # triple with Fraction coefficients, and the empty tuple for zero.
     rng = random.Random(2024)
     for _ in range(50):
         ar, ai = _random_gaussian_parts(rng)
@@ -133,9 +147,11 @@ def test_gaussian_canonical_form():
             (a.inverse(), ar / norm, -ai / norm),
             (a * a.conjugate(), norm, Fraction(0)),
         ]
-        for value, re, im in cases:
+        ra, rb = ref.of(a), ref.of(b)
+        general = [ra * rb, ra + rb, ra - rb, ra.inverse(), ra * ra.conjugate()]
+        for (value, re, im), reference in zip(cases, general):
             expected = ((1, re, im),) if re or im else ()
-            assert value.terms == expected
+            assert value.terms == expected == reference.terms
             for s, x, y in value.terms:
                 assert type(s) is int
                 assert type(x) is Fraction and type(y) is Fraction
@@ -147,7 +163,10 @@ def test_gaussian_canonical_form():
         assert (ZERO * a).terms == ()
         assert (a + ZERO) == a and (ZERO - a) == -a
         assert (a * root(2)) / root(2) == a
-        assert (a * root(6) + b) - a * root(6) == b
+        with pytest.raises(StructuralError) as info:
+            (a * root(6) + b) - a * root(6)
+        assert info.value.module == "scalars"
+        assert (ra * ref.root(6) + rb) - ra * ref.root(6) == rb
 
 
 def test_float_promotion():
@@ -157,7 +176,11 @@ def test_float_promotion():
 
 
 def test_complex_conversion():
-    z = complex(rational(Fraction(1, 4), Fraction(-1, 3)) + root(2))
+    z = complex(rational(Fraction(1, 4), Fraction(-1, 3)) * root(2))
+    assert z == pytest.approx(complex(2 ** 0.5 / 4, -(2 ** 0.5) / 3))
+    assert complex(ZERO) == 0j
+    # a sum of radicals, in the reference ring
+    z = complex(ref.rational(Fraction(1, 4), Fraction(-1, 3)) + ref.root(2))
     assert z == pytest.approx(complex(0.25 + 2 ** 0.5, -1 / 3))
 
 
@@ -196,11 +219,79 @@ def test_ring_laws(a, b, c):
 @settings(max_examples=60, deadline=None)
 @given(gaussians, st.sampled_from([1, 2, 3, 5, 6]), fractions)
 def test_inverse_roundtrip(g, s, f):
-    x = g + root(s) * f
-    if x.is_zero():
-        return
-    assert x * x.inverse() == ONE
-    assert x.inverse().inverse() == x
+    x = g * root(s)
+    if not x.is_zero():
+        assert x * x.inverse() == ONE
+        assert x.inverse().inverse() == x
+    # a Gaussian rational plus a radical, in the reference ring
+    x = ref.of(g) + ref.root(s) * f
+    if not x.is_zero():
+        assert x * x.inverse() == ref.ONE
+        assert x.inverse().inverse() == x
+
+
+def test_sums_of_two_radicands_are_refused():
+    for make in (
+        lambda: root(2) + 1,
+        lambda: 1 - root(2),
+        lambda: root(2) + root(3),
+        lambda: root(2) * I - root(3),
+        lambda: scalars.Exact({2: (1, 0), 3: (1, 0)}),
+    ):
+        with pytest.raises(StructuralError) as info:
+            make()
+        assert info.value.module == "scalars"
+    # zero adds to anything, and one radicand adds
+    assert root(2) + ZERO == root(2) and ZERO - root(3) == -root(3)
+    assert root(2) * I + root(8) == rational(2, 1) * root(2)
+    assert (root(2) - root(2)).terms == ()
+    assert scalars.Exact({2: (1, 0), 3: (0, 0)}) == root(2)
+
+
+def test_in_unit_disc_is_exact_on_radicals():
+    # |c sqrt(s)|^2 = |c|^2 s is rational
+    assert scalars.in_unit_disc(root(2) / 2)
+    assert not scalars.in_unit_disc(root(2) * rational(Fraction(1, 2), Fraction(1, 2)) * root(2))
+    assert not scalars.in_unit_disc(root(Fraction(1, 2)) * rational(1, 1))
+    assert scalars.in_unit_disc(rational(Fraction(1, 2), Fraction(-1, 3)))
+    assert scalars.in_unit_disc(complex(0.5, 0.5)) and not scalars.in_unit_disc(1.0)
+
+
+# single radicals: squarefree radicands, and the roots of random rationals
+radicals = st.one_of(
+    st.sampled_from([1, 2, 3, 5, 6, 10, 15]).map(root),
+    st.fractions(min_value=0, max_value=50, max_denominator=30).map(root),
+)
+
+
+def _assert_same_value(got, want):
+    assert got.terms == want.terms
+    assert hash(got) == hash(want)
+    assert repr(got) == repr(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(gaussians, gaussians, gaussians, radicals, radicals, st.integers(min_value=-4, max_value=4))
+def test_single_radical_values_agree_with_the_reference(g, h, k, r, t, n):
+    # x and y share a radicand, z has its own
+    x, y, z = g * r, h * r, k * t
+    rx, ry, rz = ref.of(x), ref.of(y), ref.of(z)
+    _assert_same_value(x * z, rx * rz)
+    _assert_same_value(x * Fraction(3, 7), rx * Fraction(3, 7))
+    _assert_same_value(x + y, rx + ry)
+    _assert_same_value(x - y, rx - ry)
+    _assert_same_value(-x, -rx)
+    _assert_same_value(x.conjugate(), rx.conjugate())
+    _assert_same_value(x.abs_sq(), rx.abs_sq())
+    _assert_same_value(scalars.abs_sq(z), rz.abs_sq())
+    if z:
+        _assert_same_value(z.inverse(), rz.inverse())
+        _assert_same_value(x / z, rx / rz)
+    if x or n >= 0:
+        _assert_same_value(x ** n, rx ** n)
+    assert complex(x) == complex(rx) and complex(z) == complex(rz)
+    assert bool(x) == bool(rx) and bool(z) == bool(rz)
+    assert ref.to_package(rx * rz) == x * z
 
 
 def _squarefree_reference(n):
