@@ -92,13 +92,10 @@ def _scalar_json(value):
     float           -> [re, im] numbers
     """
     if scalars.is_exact(value):
-        if value.is_rational():
-            return str(value.rational())
-        if value.is_gaussian():
-            g = value.gaussian()
-            return [str(g[0]), str(g[1])]
-        s, re, im = value.terms[0]
-        return {"radicals": {str(s): [str(re), str(im)]}}
+        if value.s > 1:
+            return {"radicals": {str(value.s): [str(value.re), str(value.im)]}}
+        re, im = value.gaussian()
+        return [str(re), str(im)] if im else str(re)
     z = complex(value)
     return [z.real, z.imag]
 

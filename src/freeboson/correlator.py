@@ -179,12 +179,16 @@ def mobius_check(W: WickWord, coeffs) -> tuple[Scalar, Scalar]:
 
     whose equality expresses that the two-point structure transforms as a
     one-form in each insertion.  The map keeps every insertion in its group.
+    An exact coefficient must be a Gaussian rational (``algebra.check_point``),
+    as an exact point must.
     """
     if not isinstance(W, WickWord):
         raise DomainError(_MODULE, f"mobius_check expects a WickWord, got {type(W).__name__}")
     if any(ins.order != 1 for g in W.groups for ins in g.insertions):
         raise DomainError(_MODULE, "mobius_check is defined for words with all orders equal to 1")
     a, b, c, d = (scalars.as_scalar(x) for x in coeffs)
+    for x in (a, b, c, d):
+        check_point(x, _MODULE)
     det = a * d - b * c
     if is_zero(det):
         raise DomainError(_MODULE, "degenerate map: a d - b c = 0")

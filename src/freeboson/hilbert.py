@@ -184,15 +184,6 @@ class GramReport:
         return len(self.matrix)
 
 
-def _float_matrix(matrix) -> np.ndarray:
-    n = len(matrix)
-    out = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = scalars.to_complex(matrix[i][j])
-    return out
-
-
 def gram(states: Sequence, tol: float = 1e-10) -> GramReport:
     """Gram matrix G[i][j] = inner(s_i, s_j) with eigenvalue diagnostics.
 
@@ -215,7 +206,7 @@ def psd_check(matrix: tuple[tuple[Scalar, ...], ...], tol: float) -> GramReport:
     """
     if not matrix:
         return GramReport(matrix, 0.0, 0.0, True, tol)
-    m = _float_matrix(matrix)
+    m = np.array([[complex(v) for v in row] for row in matrix], dtype=complex)
     defect = float(np.max(np.abs(m - m.conj().T)))
     scale = float(np.max(np.abs(m))) or 1.0
     if defect > tol * scale:

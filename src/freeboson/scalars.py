@@ -64,134 +64,114 @@ def _squarefree_split(n: int) -> tuple[int, int]:
 
 
 class Exact:
-    """A Gaussian rational times one square root: c sqrt(s), with c = re + i*im
-    of rational parts and s a squarefree integer >= 1.
+    """A Gaussian rational times one square root: c sqrt(s), with
+    c = re + i*im of Fraction parts and s a squarefree integer >= 1, or zero.
 
-    Stored as the tuple of at most one (s, re, im) triple, with Fraction
-    parts; s = 1 is a Gaussian rational and zero is the empty tuple.  The
-    form is canonical, so equality compares the tuples.  A sum of nonzero
-    values with two radicands, such as sqrt(2) + 1, or a dict of two nonzero
-    radicands raises StructuralError.  Instances are immutable and hashable;
-    the hash is computed once.
+    Held as the three parts s, re and im, read through read-only properties;
+    s = 1 is a Gaussian rational and zero is s = 0 with re = im = 0.  The
+    form is canonical, so equality compares the parts.  There is no public
+    constructor: values come from ``rational``, ``root``, ``from_frame`` and
+    arithmetic.  A sum of nonzero values with two radicands, such as
+    sqrt(2) + 1, raises StructuralError.  Instances are immutable and
+    hashable; the hash is computed once.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_s", "_re", "_im", "_hash")
 
-    def __init__(self, terms=None):
-        norm = []
-        if terms:
-            for s, (re, im) in terms.items():
-                re = Fraction(re)
-                im = Fraction(im)
-                if re or im:
-                    norm.append((int(s), re, im))
-        if len(norm) > 1:
-            radicands = [s for s, _, _ in norm]
-            raise StructuralError(_MODULE, f"one radicand per exact value, got {radicands}")
-        self._terms = tuple(norm)
+    def __init__(self, *args, **kwargs):
+        raise TypeError("Exact has no public constructor; build values with rational() or root()")
 
-    @classmethod
-    def _raw(cls, terms: tuple) -> "Exact":
-        obj = cls.__new__(cls)
-        obj._terms = terms
-        return obj
+    def __setattr__(self, name, value=None):
+        raise AttributeError("Exact is immutable")
+
+    __delattr__ = __setattr__
 
     # -- structure queries ------------------------------------------------
 
-    @property
-    def terms(self) -> tuple:
-        return self._terms
+    s = property(lambda self: self._s, doc="The radicand: 1 for a Gaussian rational, 0 for zero.")
+    re = property(lambda self: self._re, doc="The real part of c.")
+    im = property(lambda self: self._im, doc="The imaginary part of c.")
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._s
 
     def is_gaussian(self) -> bool:
         """True when the value lies in Q(i) (no radical part)."""
-        return not self._terms or self._terms[0][0] == 1
+        return self._s <= 1
 
     def is_rational(self) -> bool:
-        return not self._terms or (self._terms[0][0] == 1 and not self._terms[0][2])
+        return self._s <= 1 and not self._im
 
     def gaussian(self) -> tuple[Fraction, Fraction]:
-        if not self.is_gaussian():
+        if self._s > 1:
             raise ValueError(f"not a Gaussian rational: {self!r}")
-        if not self._terms:
-            return Fraction(0), Fraction(0)
-        _, re, im = self._terms[0]
-        return re, im
+        return self._re, self._im
 
     def rational(self) -> Fraction:
-        re, im = self.gaussian()
-        if im:
+        if self._s > 1 or self._im:
             raise ValueError(f"not rational: {self!r}")
-        return re
+        return self._re
 
     def conjugate(self) -> "Exact":
-        return Exact._raw(tuple((s, re, -im) for s, re, im in self._terms))
+        return _make(self._s, self._re, -self._im)
 
     def abs_sq(self) -> "Exact":
         return self * self.conjugate()
 
     # -- arithmetic -------------------------------------------------------
 
-    def _add_exact(self, other: "Exact", sign: int) -> "Exact":
-        y = other._terms
-        if not y:
+    def _add(self, other, sign: int):
+        """self + other for sign 1, self - other for sign -1."""
+        if isinstance(other, (int, Fraction)):
+            other = rational(other)
+        elif not isinstance(other, Exact):
+            if isinstance(other, (float, complex)):
+                return complex(self) + other if sign == 1 else complex(self) - other
+            return NotImplemented
+        t = other._s
+        if not t:
             return self
-        x = self._terms
-        if not x:
+        s = self._s
+        if not s:
             return other if sign == 1 else -other
-        s, a, b = x[0]
-        t, c, d = y[0]
         if s != t:
             raise StructuralError(_MODULE, f"sum of two radicands: {self!r} and {other!r}")
+        a, b, c, d = self._re, self._im, other._re, other._im
         re, im = (a + c, b + d) if sign == 1 else (a - c, b - d)
-        return Exact._raw(((s, re, im),)) if re or im else ZERO
+        return _make(s, re, im) if re or im else ZERO
 
     def __add__(self, other):
-        if isinstance(other, Exact):
-            return self._add_exact(other, 1)
-        if isinstance(other, (int, Fraction)):
-            return self._add_exact(rational(other), 1)
-        if isinstance(other, (float, complex)):
-            return complex(self) + other
-        return NotImplemented
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Exact):
-            return self._add_exact(other, -1)
-        if isinstance(other, (int, Fraction)):
-            return self._add_exact(rational(other), -1)
-        if isinstance(other, (float, complex)):
-            return complex(self) - other
-        return NotImplemented
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        return Exact._raw(tuple((s, -re, -im) for s, re, im in self._terms))
+        return _make(self._s, -self._re, -self._im)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
                 return ZERO
             f = Fraction(other)
-            return Exact._raw(tuple((s, re * f, im * f) for s, re, im in self._terms))
+            return _make(self._s, self._re * f, self._im * f)
         if isinstance(other, Exact):
-            if not self._terms or not other._terms:
+            s, t = self._s, other._s
+            if not s or not t:
                 return ZERO
-            s, a, b = self._terms[0]
-            t, c, d = other._terms[0]
+            a, b, c, d = self._re, self._im, other._re, other._im
             re = a * c - b * d
             im = a * d + b * c
             if s == 1 or t == 1:
-                return Exact._raw(((s * t, re, im),))
+                return _make(s * t, re, im)
             # sqrt(s) sqrt(t) = g sqrt((s/g)(t/g)) with g = gcd(s, t)
             g = gcd(s, t)
-            return Exact._raw((((s // g) * (t // g), re * g, im * g),))
+            return _make((s // g) * (t // g), re * g, im * g)
         if isinstance(other, (float, complex)):
             return complex(self) * other
         return NotImplemented
@@ -200,11 +180,13 @@ class Exact:
 
     def inverse(self) -> "Exact":
         """1/(c sqrt(s)) = conj(c) sqrt(s) / (|c|^2 s)."""
-        if not self._terms:
+        s = self._s
+        if not s:
             raise ZeroDivisionError("division by exact zero")
-        s, a, b = self._terms[0]
+        a, b = self._re, self._im
         r = (a * a + b * b) * s
-        return Exact._raw(((s, a / r, -b / r),))
+        return _make(s, a / r, -b / r)
+
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             return self * rational(other).inverse()
@@ -215,12 +197,7 @@ class Exact:
         return NotImplemented
 
     def __rtruediv__(self, other):
-        inv = self.inverse()
-        if isinstance(other, (int, Fraction, Exact)):
-            return inv * other
-        if isinstance(other, (float, complex)):
-            return other * complex(inv)
-        return NotImplemented
+        return self.inverse() * other
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -240,37 +217,31 @@ class Exact:
 
     def __eq__(self, other):
         if isinstance(other, Exact):
-            return self._terms == other._terms
+            return self._s == other._s and self._re == other._re and self._im == other._im
         if isinstance(other, (int, Fraction)):
-            return self._terms == rational(other)._terms
+            return self._s <= 1 and not self._im and self._re == other
         return NotImplemented
 
     def __hash__(self):
         try:
             return self._hash
         except AttributeError:
-            pass
-        if self.is_rational():
-            h = hash(self.rational())
-        else:
-            h = hash(self._terms)
-        self._hash = h
-        return h
+            # a rational hashes as its Fraction, so Exact == int/Fraction stays consistent
+            h = hash(self._re) if self.is_rational() else hash(((self._s, self._re, self._im),))
+            _set_hash(self, h)
+            return h
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self._s)
 
     def __complex__(self):
-        if not self._terms:
-            return 0j
-        s, a, b = self._terms[0]
-        w = _fsqrt(s)
-        return complex(float(a) * w, float(b) * w)
+        w = _fsqrt(self._s)
+        return complex(float(self._re) * w, float(self._im) * w)
 
     def __repr__(self):
-        if not self._terms:
+        s, re, im = self._s, self._re, self._im
+        if not s:
             return "Exact(0)"
-        s, re, im = self._terms[0]
         root_txt = "" if s == 1 else f"*sqrt({s})"
         if im == 0:
             return f"Exact(({re}){root_txt})"
@@ -279,15 +250,30 @@ class Exact:
         return f"Exact(({re}+{im}j){root_txt})"
 
 
+_new = object.__new__
+_set_s = Exact._s.__set__
+_set_re = Exact._re.__set__
+_set_im = Exact._im.__set__
+_set_hash = Exact._hash.__set__
+
+
+def _make(s: int, re: Fraction, im: Fraction) -> Exact:
+    """The Exact of canonical parts: s squarefree and re + i*im nonzero, or
+    (0, 0, 0) for zero.  Every value is built here."""
+    obj = _new(Exact)
+    _set_s(obj, s)
+    _set_re(obj, re)
+    _set_im(obj, im)
+    return obj
+
+
 def to_frame(x) -> tuple[int, int, int] | None:
     """(re, im, den) with x = (re + i*im)/den, integers, den > 0 the least
     common denominator of the two parts; None unless x is an exact Gaussian
     rational.  ``from_frame`` is its inverse."""
     if not (isinstance(x, Exact) and x.is_gaussian()):
         return None
-    if not x._terms:
-        return 0, 0, 1
-    _, re, im = x._terms[0]
+    re, im = x._re, x._im
     den = lcm(re.denominator, im.denominator)
     return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den
 
@@ -295,20 +281,21 @@ def to_frame(x) -> tuple[int, int, int] | None:
 def from_frame(re: int, im: int, den: int) -> Exact:
     """The canonical Exact of (re + i*im)/den, for integers re, im and den > 0."""
     if re or im:
-        return Exact._raw(((1, Fraction(re, den), Fraction(im, den)),))
+        return _make(1, Fraction(re, den), Fraction(im, den))
     return ZERO
 
 
-ZERO = Exact()
-ONE = Exact({1: (1, 0)})
-I = Exact({1: (0, 1)})
+ZERO = _make(0, Fraction(0), Fraction(0))
+ONE = _make(1, Fraction(1), Fraction(0))
+I = _make(1, Fraction(0), Fraction(1))
 
 Scalar = Union[Exact, complex]
 
 
 def rational(re: RationalLike, im: RationalLike = 0) -> Exact:
     """Exact Gaussian rational re + i*im."""
-    return Exact({1: (Fraction(re), Fraction(im))})
+    re, im = Fraction(re), Fraction(im)
+    return _make(1, re, im) if re or im else ZERO
 
 
 def root(x: RationalLike) -> Exact:
@@ -323,9 +310,8 @@ def root(x: RationalLike) -> Exact:
         raise DomainError(_MODULE, f"square root of negative rational {f}")
     if f == 0:
         return ZERO
-    n = f.numerator * f.denominator
-    k, s = _squarefree_split(n)
-    return Exact({s: (Fraction(k, f.denominator), 0)})
+    k, s = _squarefree_split(f.numerator * f.denominator)
+    return _make(s, Fraction(k, f.denominator), Fraction(0))
 
 
 def as_scalar(x) -> Scalar:
@@ -355,10 +341,6 @@ def conjugate(x: Scalar) -> Scalar:
     return complex(x).conjugate()
 
 
-def to_complex(x) -> complex:
-    return complex(x)
-
-
 def abs_sq(x: Scalar) -> Scalar:
     """x * conj(x); real, exact on the exact backend."""
     if isinstance(x, Exact):
@@ -375,18 +357,12 @@ def in_unit_disc(z: Scalar) -> bool:
 
 
 def real_value(x) -> Union[Fraction, float]:
-    """The real number a scalar represents; exact Fraction when rational.
-
-    Raises ValueError for values with a nonzero imaginary part.  Exact values
-    with a radical part come back as floats (only comparisons need them).
+    """The real number a scalar represents: a Fraction for an exact value,
+    a float otherwise.  Raises ValueError for a value with a nonzero
+    imaginary part, and for an exact value with a radical part.
     """
     if isinstance(x, Exact):
-        if not x.terms:
-            return Fraction(0)
-        s, re, im = x.terms[0]
-        if im:
-            raise ValueError(f"not a real value: {x!r}")
-        return re if s == 1 else float(re) * _fsqrt(s)
+        return x.rational()
     x = complex(x)
     if x.imag != 0:
         raise ValueError(f"not a real value: {x!r}")
@@ -396,7 +372,7 @@ def real_value(x) -> Union[Fraction, float]:
 def sort_key(x: Scalar):
     """Deterministic ordering key; exact values sort before float values."""
     if isinstance(x, Exact):
-        return (0, x.terms)
+        return (0, x._s, x._re, x._im)
     x = complex(x)
     return (1, x.real, x.imag)
 

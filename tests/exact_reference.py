@@ -307,7 +307,7 @@ def rational(re, im=0) -> Exact:
 def of(x) -> Exact:
     """The reference value of a package scalar, int or Fraction."""
     if isinstance(x, scalars.Exact):
-        return Exact._raw(x.terms)
+        return Exact._raw(((x.s, x.re, x.im),) if x else ())
     return rational(x)
 
 
@@ -318,4 +318,7 @@ def root(x) -> Exact:
 
 def to_package(x: Exact) -> scalars.Exact:
     """The package value of a reference value with at most one radical."""
-    return scalars.Exact({s: (re, im) for s, re, im in x.terms})
+    if not x.terms:
+        return scalars.ZERO
+    ((s, re, im),) = x.terms
+    return scalars.rational(re, im) * scalars.root(s)

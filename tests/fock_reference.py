@@ -99,7 +99,7 @@ def contour_alpha_check(m: int, G: Optional[WickGroup], radius: float, nodes: in
     unit disc.
     """
     _require_power_of_two(nodes)
-    points = [] if G is None else [scalars.to_complex(ins.point) for ins in G.insertions]
+    points = [] if G is None else [complex(ins.point) for ins in G.insertions]
     max_abs = max((abs(p) for p in points), default=0.0)
     if not (max_abs < radius < 1.0):
         raise DomainError(
@@ -127,10 +127,10 @@ def contour_alpha_check(m: int, G: Optional[WickGroup], radius: float, nodes: in
         def integrand(z: complex) -> complex:
             word = WickWord.single_group(WickGroup.of((1, z))) * g_word
             value = expect_combo(theta_probe * LinearCombination.of(word))
-            return z ** m * scalars.to_complex(value)
+            return z ** m * complex(value)
 
         lhs = sqrt2 * circle_quadrature(integrand, radius, nodes, max_nodes=1024)
-        rhs = scalars.to_complex(fock_inner(probe_vec, target))
+        rhs = complex(fock_inner(probe_vec, target))
         worst = max(worst, abs(lhs - rhs))
     return worst
 
@@ -148,7 +148,7 @@ def contour_commutator(m: int, n: int) -> complex:
         kernels = KernelTable()
         def outer_f(z: complex) -> complex:
             def inner_f(w: complex) -> complex:
-                return w ** inner_exp * scalars.to_complex(kernels(1, z, 1, w))
+                return w ** inner_exp * complex(kernels(1, z, 1, w))
 
             inner_val = circle_quadrature(inner_f, 0.3, 128)
             return z ** outer_exp * inner_val

@@ -41,7 +41,7 @@ from freeboson.sampling import (
     random_wick_word,
     rational_point,
 )
-from freeboson.scalars import ZERO, conjugate, rational, real_value, root, to_complex
+from freeboson.scalars import ZERO, conjugate, rational, real_value, root
 from fock_reference import circle_quadrature, contour_alpha_check
 
 
@@ -163,7 +163,7 @@ def test_08_contour_realization_of_ladder():
         # the vacuum component directly: sqrt(2) * (1/2pi) int z <:[1,z]::[1,1/4]:> dz
         def integrand(z: complex) -> complex:
             word = WickWord.single_group(WickGroup.of((1, z))) * WickWord.single_group(group)
-            return z * to_complex(expect_wick(word))
+            return z * complex(expect_wick(word))
 
         lhs = math.sqrt(2.0) * circle_quadrature(integrand, 0.5, 64, max_nodes=1024)
         assert abs(lhs - complex(0.0, -1.0 / math.sqrt(2.0))) < 1e-10

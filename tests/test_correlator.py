@@ -244,6 +244,16 @@ def test_mobius_degenerate_map():
         mobius_check(WickWord.plain((1, 1)), (1, 2, 1, 2))
 
 
+def test_mobius_refuses_a_radical_coefficient():
+    # an exact coefficient must be a Gaussian rational, whatever the map's
+    # shape: (sqrt2 z)/1, (z + sqrt2)/1 and (sqrt2 z)/sqrt2 are all refused
+    W = WickWord.plain((1, Fraction(1, 2)), (1, Fraction(1, 3)))
+    for coeffs in ((root(2), 0, 0, 1), (1, root(2), 0, 1), (root(2), 0, 0, root(2))):
+        with pytest.raises(DomainError) as info:
+            mobius_check(W, coeffs)
+        assert type(info.value) is DomainError and info.value.module == "correlator"
+
+
 def test_plain_times_wick_product():
     # [1,0][1,1/3] against :[1,1/2][1,-1/2]:, the group's own pair forbidden:
     # C(0,1/2) C(1/3,-1/2) + C(0,-1/2) C(1/3,1/2) = 36/25 + 36

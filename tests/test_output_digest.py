@@ -1,0 +1,142 @@
+"""The exact-mode CLI output, pinned by one sha256.
+
+Nineteen seeded configs cover every command: plain and grouped
+correlator words, Gram matrices with origin states, 3-disc amplitude entries
+whose normalisation leaves a radical, HS sweeps in and out of the
+summability regime, and verify at one seed.  Their documents, serialised
+with sorted keys, hash to ``DIGEST``.  A change to how exact values are
+stored, multiplied or encoded that moves a single output byte fails here.
+
+The float fields of a Gram report (``min_eigenvalue``,
+``hermiticity_defect``, ``psd``, ``witness``) come from a floating-point
+eigensolver and may differ between platforms, so they are left out, as is
+any ``timing`` entry.
+"""
+import hashlib
+import json
+import random
+import time
+from fractions import Fraction
+
+from freeboson.cli import run
+
+DIGEST = "d440e1965c41d314e5db96ab3728f9b2707e0f780c7ea86c85710ecad19e4dcf"
+
+_FLOAT_FIELDS = ("min_eigenvalue", "hermiticity_defect", "psd", "witness", "timing")
+
+
+def _frac(x: Fraction):
+    return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def _points(rng: random.Random, n: int, den: int, span: int) -> list:
+    """n distinct nonzero Gaussian rationals (a + b i)/den, |a|, |b| <= span."""
+    out: list = []
+    while len(out) < n:
+        p = (Fraction(rng.randint(-span, span), den), Fraction(rng.randint(-span, span), den))
+        if (p[0] or p[1]) and p not in out:
+            out.append(p)
+    return out
+
+
+def _word(rng: random.Random, orders, groups=None) -> list:
+    flat = [
+        {"m": m, "re": _frac(re), "im": _frac(im)}
+        for m, (re, im) in zip(orders, _points(rng, len(orders), 4, 8))
+    ]
+    if groups is None:
+        return [[ins] for ins in flat]
+    out, at = [], 0
+    for size in groups:
+        out.append(flat[at : at + size])
+        at += size
+    return out
+
+
+def _gram_states(rng: random.Random, size: int) -> list:
+    states = []
+    for j in range(size):
+        orders = ((1,), (2, 1), (3,), (1, 2))[j % 4]
+        if j % 4 == 3:
+            group = [{"m": m, "re": 0, "im": 0} for m in orders]
+        else:
+            pts = _points(rng, len(orders), 8, 5)
+            group = [{"m": m, "re": _frac(re), "im": _frac(im)} for m, (re, im) in zip(orders, pts)]
+        states.append([group])
+    return states
+
+
+def _discs(rng: random.Random, r: int, spacing: int, max_q: int) -> list:
+    out = []
+    for cx, cy in ((0, 0), (1, 0), (0, 1))[:r]:
+        a_re = Fraction(cx * spacing) + Fraction(rng.randint(-1, 1), 4)
+        a_im = Fraction(cy * spacing) + Fraction(rng.randint(-1, 1), 4)
+        q_re = Fraction(rng.choice((-1, 1)) * rng.randint(1, max_q), 8)
+        q_im = Fraction(rng.choice((-1, 1)) * rng.randint(1, max_q), 8)
+        out.append({"a_re": _frac(a_re), "a_im": _frac(a_im), "q_re": _frac(q_re), "q_im": _frac(q_im)})
+    return out
+
+
+# occupation maps per disc; {"2": 1} and {"1": 2} carry the roots sqrt(2)
+# and sqrt(1/2) into an entry's normalisation
+_AMPLITUDE_STATES = (
+    [[{"2": 1}, {"1": 1}, {}], [{"1": 2}, {"3": 1}, {"1": 1}]],
+    [[{"1": 1, "2": 1}, {"2": 1}, {"1": 1}], [{}, {"3": 1}, {"3": 1}]],
+    [[{"2": 2}, {"1": 1}, {"1": 1}], [{"1": 3}, {"1": 1}, {}]],
+)
+
+
+def _configs() -> list:
+    rng = random.Random("freeboson-output-digest")
+    out = []
+    for orders, groups in (
+        ((1, 1, 1, 1), None),
+        ((2, 1, 1, 2, 1, 1), None),
+        ((3, 1, 2, 1, 1, 2), None),
+        ((1, 1, 1, 1, 1, 1), (2, 2, 2)),
+        ((2, 1, 2, 1), (2, 2)),
+        ((1, 2, 1, 1, 3, 2), (3, 1, 2)),
+    ):
+        out.append(("correlator", {"words": [_word(rng, orders, groups)]}))
+    out.append(("correlator", {"words": [_word(rng, (1, 2)), _word(rng, (1, 1, 2, 2), (2, 2))]}))
+    for size in (8, 6, 9):
+        out.append(("gram", {"states": _gram_states(rng, size)}))
+    for states in _AMPLITUDE_STATES:
+        out.append(("amplitude", {"discs": _discs(rng, 3, 3, 4), "states": states}))
+    for r, M, N, wide in (
+        (2, 3, 3, True),
+        (3, 2, 3, True),
+        (2, 3, 3, False),
+        (3, 2, 2, False),
+        (2, 2, 4, False),
+    ):
+        spacing, max_q = (8, 3) if wide else (3, 4)
+        discs = _discs(rng, r, spacing, max_q)
+        out.append(("hsnorm", {"discs": discs, "truncation": {"M": M, "N": N}}))
+    out.append(("verify", {"seed": 11}))
+    return out
+
+
+def _document_bytes(command: str, config: dict) -> bytes:
+    doc = run(command, config)
+    for key in _FLOAT_FIELDS:
+        doc.pop(key, None)
+    return json.dumps(doc, sort_keys=True).encode("utf-8")
+
+
+def test_configs_cover_every_output_form():
+    docs = [json.loads(_document_bytes(c, cfg)) for c, cfg in _configs()]
+    text = json.dumps(docs)
+    assert '"radicals"' in text
+    regimes = {doc["regime"] for doc in docs if doc["command"] == "hsnorm"}
+    assert regimes == {True, False}
+    assert all(doc["passed"] for doc in docs if doc["command"] == "verify")
+
+
+def test_exact_output_digest_is_pinned():
+    started = time.perf_counter()
+    h = hashlib.sha256()
+    for command, config in _configs():
+        h.update(_document_bytes(command, config))
+    assert h.hexdigest() == DIGEST
+    assert time.perf_counter() - started < 5.0

@@ -20,6 +20,10 @@ fractions = st.fractions(
 gaussians = st.builds(rational, fractions, fractions)
 
 
+def _parts(x):
+    return x.s, x.re, x.im
+
+
 def test_rational_construction():
     x = rational(Fraction(3, 4), Fraction(-1, 2))
     assert x.gaussian() == (Fraction(3, 4), Fraction(-1, 2))
@@ -45,7 +49,7 @@ def test_zero_handling():
 ])
 def test_root_squarefree(n, expected_s, expected_k):
     r = root(n)
-    assert r.terms == ((expected_s, Fraction(expected_k), Fraction(0)),)
+    assert _parts(r) == (expected_s, Fraction(expected_k), Fraction(0))
 
 
 def test_root_rational():
@@ -100,7 +104,9 @@ def test_conjugate_and_parts():
     x = rational(1, 2) * root(3)
     assert x.conjugate() == rational(1, -2) * root(3)
     assert scalars.abs_sq(x) == x * x.conjugate() == rational(15)
-    assert scalars.real_value(x * rational(1, -2)) == pytest.approx(5 * 3 ** 0.5)
+    assert complex(x * rational(1, -2)) == pytest.approx(5 * 3 ** 0.5)
+    with pytest.raises(ValueError):
+        scalars.real_value(x * rational(1, -2))  # real, but not rational
     # the parts of a sum of radicals, in the reference ring
     x = ref.rational(1, 2) + ref.root(3) * ref.I
     assert x.conjugate() == ref.rational(1, -2) - ref.root(3) * ref.I
@@ -131,8 +137,9 @@ def _random_gaussian_parts(rng):
 
 def test_gaussian_canonical_form():
     # Gaussian-rational products, sums and inverses must give the same
-    # canonical terms as the reference ring's general route: one (1, re, im)
-    # triple with Fraction coefficients, and the empty tuple for zero.
+    # canonical value as the reference ring's general route: the parts
+    # (1, re, im) with Fraction coefficients, and (0, 0, 0) for zero, where
+    # the reference holds one (1, re, im) triple or the empty tuple.
     rng = random.Random(2024)
     for _ in range(50):
         ar, ai = _random_gaussian_parts(rng)
@@ -150,17 +157,18 @@ def test_gaussian_canonical_form():
         ra, rb = ref.of(a), ref.of(b)
         general = [ra * rb, ra + rb, ra - rb, ra.inverse(), ra * ra.conjugate()]
         for (value, re, im), reference in zip(cases, general):
-            expected = ((1, re, im),) if re or im else ()
-            assert value.terms == expected == reference.terms
-            for s, x, y in value.terms:
-                assert type(s) is int
-                assert type(x) is Fraction and type(y) is Fraction
+            expected = (1, re, im) if re or im else (0, 0, 0)
+            assert _parts(value) == expected
+            assert reference.terms == ((expected,) if re or im else ())
+            s, x, y = _parts(value)
+            assert type(s) is int
+            assert type(x) is Fraction and type(y) is Fraction
             assert hash(value) == hash(rational(re, im))
             assert hash(value) == hash(value)
         assert hash(a * a.conjugate()) == hash(norm)
-        assert (a - a).terms == ()
-        assert (a * ZERO).terms == ()
-        assert (ZERO * a).terms == ()
+        assert _parts(a - a) == (0, 0, 0)
+        assert _parts(a * ZERO) == (0, 0, 0)
+        assert _parts(ZERO * a) == (0, 0, 0)
         assert (a + ZERO) == a and (ZERO - a) == -a
         assert (a * root(2)) / root(2) == a
         with pytest.raises(StructuralError) as info:
@@ -195,7 +203,9 @@ def test_as_scalar_dispatch():
 
 def test_real_value():
     assert scalars.real_value(rational(Fraction(2, 3))) == Fraction(2, 3)
-    assert scalars.real_value(root(2)) == pytest.approx(2 ** 0.5)
+    with pytest.raises(ValueError):
+        scalars.real_value(root(2))  # a radical is not a rational
+    assert complex(root(2)) == pytest.approx(2 ** 0.5)
     assert scalars.real_value(complex(1.5, 0)) == 1.5
     with pytest.raises(ValueError):
         scalars.real_value(I)
@@ -236,16 +246,19 @@ def test_sums_of_two_radicands_are_refused():
         lambda: 1 - root(2),
         lambda: root(2) + root(3),
         lambda: root(2) * I - root(3),
-        lambda: scalars.Exact({2: (1, 0), 3: (1, 0)}),
     ):
         with pytest.raises(StructuralError) as info:
             make()
         assert info.value.module == "scalars"
+    # values are built by rational and root alone: no constructor takes parts
+    for args in (({2: (1, 0), 3: (1, 0)},), ({2: (1, 0), 3: (0, 0)},), ()):
+        with pytest.raises(TypeError, match="rational.*root"):
+            scalars.Exact(*args)
     # zero adds to anything, and one radicand adds
     assert root(2) + ZERO == root(2) and ZERO - root(3) == -root(3)
     assert root(2) * I + root(8) == rational(2, 1) * root(2)
-    assert (root(2) - root(2)).terms == ()
-    assert scalars.Exact({2: (1, 0), 3: (0, 0)}) == root(2)
+    assert _parts(root(2) - root(2)) == (0, 0, 0)
+    assert root(2) + 0 * root(3) == root(2)
 
 
 def test_in_unit_disc_is_exact_on_radicals():
@@ -265,7 +278,7 @@ radicals = st.one_of(
 
 
 def _assert_same_value(got, want):
-    assert got.terms == want.terms
+    assert ((_parts(got),) if got else ()) == want.terms
     assert hash(got) == hash(want)
     assert repr(got) == repr(want)
 
@@ -294,6 +307,33 @@ def test_single_radical_values_agree_with_the_reference(g, h, k, r, t, n):
     assert ref.to_package(rx * rz) == x * z
 
 
+radical_values = st.one_of(st.just(ZERO), st.builds(lambda g, r: g * r, gaussians, radicals))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(radical_values, max_size=10))
+def test_sort_key_orders_as_the_reference_terms(xs):
+    # the key (0, s, re, im) orders values as (0, terms) of the reference
+    # ring does, zero (the empty tuple there) first
+    by_key = sorted(xs, key=scalars.sort_key)
+    assert by_key == sorted(xs, key=lambda x: (0, ref.of(x).terms))
+    for x in xs:
+        assert scalars.sort_key(ZERO) <= scalars.sort_key(x)
+        for y in xs:
+            assert (scalars.sort_key(x) == scalars.sort_key(y)) == (x == y)
+
+
+def test_parts_are_read_only():
+    x = rational(1, 2) * root(3)
+    assert _parts(x) == (3, 1, 2) and _parts(ZERO) == (0, 0, 0) and _parts(I) == (1, 0, 1)
+    for name in ("s", "re", "im", "_s", "_re", "_im", "_hash"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert x == rational(1, 2) * root(3) and hash(x) == hash(rational(1, 2) * root(3))
+
+
 def _squarefree_reference(n):
     """(k, s) with n = k*k*s, s squarefree, by unbounded trial division."""
     k, s, d = 1, 1, 2
@@ -309,9 +349,10 @@ def _squarefree_reference(n):
 
 
 def _root_reference(x):
+    """The parts (s, re, im) of sqrt(x), for a rational x > 0."""
     f = Fraction(x)
     k, s = _squarefree_reference(f.numerator * f.denominator)
-    return scalars.Exact({s: (Fraction(k, f.denominator), 0)})
+    return s, Fraction(k, f.denominator), Fraction(0)
 
 
 def test_root_values_unchanged_under_the_trial_bound():
@@ -323,7 +364,7 @@ def test_root_values_unchanged_under_the_trial_bound():
     assert scalars.TRIAL_BOUND ** 2 > 4294967291
     values += [Fraction(4294967291), Fraction(65537 ** 2 * 12), Fraction(3, 65537 ** 2)]
     for x in values:
-        assert root(x) == _root_reference(x), x
+        assert _parts(root(x)) == _root_reference(x), x
     assert root((2 ** 61 - 1) ** 2 * 3) == (2 ** 61 - 1) * root(3)
     assert root(Fraction(5, (2 ** 89 - 1) ** 2)) == root(5) / (2 ** 89 - 1)
 
