@@ -29,7 +29,6 @@ from .amplitude import (
 from .correlator import (
     KernelTable,
     expect_combo,
-    expect_wick,
     mobius_check,
 )
 from .errors import (
@@ -94,7 +93,6 @@ __all__ = [
     "d_coeff",
     "d_table",
     "expect_combo",
-    "expect_wick",
     "fock_inner",
     "gram",
     "hs_bound",

@@ -102,9 +102,6 @@ class _Canonical:
 
     __slots__ = ("_key", "_hash")
 
-    def key(self):
-        return self._key
-
     def __hash__(self):
         return self._hash
 
@@ -125,7 +122,7 @@ class Insertion(_Canonical):
     or an exact Gaussian rational (``check_point``).
 
     The key (m, scalars.sort_key(z)) and the hash hash((m, z)) are computed
-    once, at construction; key()[1] is the point's sort key.
+    once, at construction.
     """
 
     __slots__ = ("order", "point")
@@ -231,6 +228,27 @@ class WickWord(_Sorted):
         return all(
             scalars.is_exact(ins.point) for g in self.groups for ins in g.insertions
         )
+
+    def coincidence(self) -> tuple[Insertion, Insertion] | None:
+        """The first pair of insertions from different groups that sit at one
+        point, or None.  Such a pair is a pole of the word's expectation;
+        points may coincide inside one group.
+
+        An exact word compares exact points; a word with a float point
+        compares complex values, as its kernels do.  With the insertions
+        read in group order, the pair is the first (i, j) in index order:
+        the earliest point that another group also holds, with its first
+        later occurrence in a different group.
+        """
+        exact = self.is_exact()
+        first: dict = {}  # point -> (index, group, insertion) of its first occurrence
+        pole = None
+        flat = ((g, ins) for g, group in enumerate(self.groups) for ins in group.insertions)
+        for j, (gj, ins) in enumerate(flat):
+            i, gi, a = first.setdefault(ins.point if exact else complex(ins.point), (j, gj, ins))
+            if gi != gj and (pole is None or i < pole[0]):
+                pole = (i, a, ins)
+        return None if pole is None else pole[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -563,25 +581,24 @@ def wick_expand(G: WickGroup) -> LinearCombination:
     """Expand a Wick group into plain words (singleton groups) over partial pairings.
 
     :Z:_0 = sum_Q prod_{pairs} (-C(m_a, z_a, m_b, z_b)) * prod_{unpaired} [m, z].
-    Requires pairwise distinct points inside the group, as complex values in
-    a group with a float point (the expansion has poles at coincidences).
-    One ``KernelTable`` serves every partial pairing.
+    Requires pairwise distinct points inside the group (the expansion has
+    poles at coincidences): the plain word of its insertions must have no
+    ``WickWord.coincidence``.  One ``KernelTable`` serves every partial
+    pairing.
     """
     from .correlator import KernelTable  # deferred: correlator imports this module
 
     if not isinstance(G, WickGroup):
         raise DomainError(_MODULE, f"wick_expand expects a WickGroup, got {type(G).__name__}")
     ins = G.insertions
-    exact = all(scalars.is_exact(i.point) for i in ins)
-    points = [i.key()[1] if exact else complex(i.point) for i in ins]
-    for i in range(len(ins)):
-        for j in range(i + 1, len(ins)):
-            if points[i] == points[j]:
-                raise DomainError(
-                    _MODULE,
-                    f"wick_expand needs distinct points inside the group; "
-                    f"{ins[i].point!r} occurs twice",
-                )
+    plain = WickWord(tuple(WickGroup((i,)) for i in ins))
+    pole = plain.coincidence()
+    if pole is not None:
+        raise DomainError(
+            _MODULE,
+            f"wick_expand needs distinct points inside the group; {pole[0].point!r} occurs twice",
+        )
+    exact = plain.is_exact()
     acc: dict[WickWord, Scalar] = {}
     kernels = KernelTable()
     for pairs, singles in _partial_pairings(tuple(range(len(ins)))):

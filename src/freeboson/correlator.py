@@ -7,10 +7,12 @@ matchings of its insertions of the product of pair kernels
 
 with matchings restricted to cross-group pairs (pairings inside a
 normal-ordered group are suppressed).  A plain product of fields is the
-word of singleton groups, so every pair of its insertions is allowed.  The
-sum is the hafnian of the word's kernel table, computed once per word by
-``pairing.hafnian``; the tests keep an enumeration of the matchings one by
-one as its reference.
+word of singleton groups, so every pair of its insertions is allowed.
+``expect_combo`` is the one entry point, for a word or a combination; a
+word with a ``WickWord.coincidence`` (two groups at one point) is a pole.
+The sum is the hafnian of the word's kernel table, computed once per word
+by ``pairing.hafnian``; the tests keep an enumeration of the matchings one
+by one as its reference.
 
 Every kernel comes from a ``KernelTable`` that its caller holds for one
 computation.  It keeps one value (1/2)(n-1)!/(z1 - z2)^n per ordered pair
@@ -18,8 +20,7 @@ of exact points and order sum n = m1 + m2, built in one integer frame:
 z1 - z2 = D/d with a Gaussian integer D, running integer powers of
 d conj(D) and |D|^2, and one division at the end.  The words of one
 combination share their point pairs, and order pairs with one sum share a
-value.  ``MAX_ORDER`` and ``check_orders`` are re-exported from
-``algebra``, whose maps apply the same guard.
+value.
 """
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ import math
 from fractions import Fraction
 
 from . import scalars
-from .algebra import MAX_ORDER as MAX_ORDER  # re-exported
 from .algebra import Insertion, LinearCombination, WickGroup, WickWord, check_orders, check_point
 from .errors import DomainError, PoleError
 from .pairing import hafnian
@@ -105,41 +105,11 @@ class KernelTable:
         return scalars.from_frame(f * re, f * im, 2 * den)
 
 
-def expect_wick(W: WickWord) -> Scalar:
-    """Expectation of a product of Wick groups: cross-group pairing sum.
-
-    Points may coincide inside one group (those pairings are suppressed) but
-    must be distinct across groups.  A lone non-empty group has expectation
-    zero; the empty word has expectation one.  The sum is the hafnian of the
-    word's kernel table with same-group pairs forbidden, each allowed kernel
-    evaluated once; ``pairing.matching_count`` counts its matchings.
-    """
-    if not isinstance(W, WickWord):
-        raise DomainError(_MODULE, f"expect_wick expects a WickWord, got {type(W).__name__}")
-    return _expect_word(W, KernelTable())
-
-
 def _expect_word(W: WickWord, kernels: KernelTable) -> Scalar:
-    flat: list[tuple[int, Insertion]] = []
-    for gid, group in enumerate(W.groups):
-        for ins in group.insertions:
-            flat.append((gid, ins))
-    exact = W.is_exact()
-    # cross-group coincidences are poles; intra-group ones are fine.  Exact
-    # words compare exact points; a word with a float point compares complex
-    # values, as its kernels do.  One pass keeps each point's first
-    # (index, group); the pole reported is the first (i, j) in index order:
-    # the earliest point that another group also holds, with the first later
-    # occurrence of it in a different group.
-    first: dict = {}
-    pole = None
-    for j, (gj, ins) in enumerate(flat):
-        i, gi = first.setdefault(ins.point if exact else complex(ins.point), (j, gj))
-        if gi != gj and (pole is None or i < pole[0]):
-            pole = (i, j)
-    if pole is not None:
-        a, b = flat[pole[0]][1], flat[pole[1]][1]
+    if (pole := W.coincidence()) is not None:
+        a, b = pole
         raise PoleError(_MODULE, ((a.order, a.point), (b.order, b.point)))
+    flat = [(gid, ins) for gid, group in enumerate(W.groups) for ins in group.insertions]
 
     def weight(i: int, j: int) -> Scalar:
         a, b = flat[i][1], flat[j][1]
@@ -147,11 +117,20 @@ def _expect_word(W: WickWord, kernels: KernelTable) -> Scalar:
 
     labels = [gid for gid, _ in flat]
     counts = (1,) * len(flat)
+    exact = W.is_exact()
     return hafnian(weight, labels, counts, scalars.one_scalar(exact), scalars.zero_scalar(exact))
 
 
 def expect_combo(F) -> Scalar:
-    """Linear extension of expect_wick to combinations.
+    """Expectation of a word or a combination of words, linear in the words.
+
+    A word's expectation is its cross-group pairing sum.  Points may
+    coincide inside one group (those pairings are suppressed) but not
+    across groups: ``WickWord.coincidence`` names the first such pair, and
+    PoleError reports it.  A lone non-empty group has expectation zero; the
+    empty word has expectation one.  Each word's sum is the hafnian of its
+    kernel table with same-group pairs forbidden, each allowed kernel
+    evaluated once; ``pairing.matching_count`` counts its matchings.
 
     One ``KernelTable`` serves every word, so a point pair shared by the
     words (as in a theta or Wick expansion) is evaluated once per order pair.
@@ -203,4 +182,4 @@ def mobius_check(W: WickWord, coeffs) -> tuple[Scalar, Scalar]:
             moved.append(Insertion(1, (a * ins.point + b) / denom))
             jacobian = jacobian * det / denom ** 2
         image.append(WickGroup(tuple(moved)))
-    return expect_wick(W), expect_wick(WickWord(tuple(image))) * jacobian
+    return expect_combo(W), expect_combo(WickWord(tuple(image))) * jacobian

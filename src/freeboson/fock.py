@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 from . import scalars
 from .algebra import Combination, add_term, check_orders
 from .errors import DomainError
-from .scalars import I, Scalar, as_scalar, conjugate, is_zero, root
+from .scalars import I, Scalar, conjugate, is_zero, root
 
 _MODULE = "fock"
 
@@ -60,12 +60,6 @@ class FockIndex:
                 return n
         return 0
 
-    def level(self) -> int:
-        return sum(m * n for m, n in self.occupations)
-
-    def particles(self) -> int:
-        return sum(n for _, n in self.occupations)
-
     def norm_sq(self) -> int:
         out = 1
         for m, n in self.occupations:
@@ -94,10 +88,6 @@ class FockVector(Combination):
     @classmethod
     def vacuum(cls) -> "FockVector":
         return cls({FockIndex(): scalars.ONE})
-
-    @classmethod
-    def basis(cls, occupations: Mapping[int, int], coeff=1) -> "FockVector":
-        return cls({FockIndex.of(occupations): as_scalar(coeff)})
 
     def __repr__(self):
         if not self._terms:
@@ -146,30 +136,22 @@ def fock_inner(v: FockVector, w: FockVector) -> Scalar:
     return total if started else scalars.ZERO
 
 
-def _order_counts(orders) -> dict[int, int]:
-    if isinstance(orders, Mapping):
-        counts = {int(m): int(n) for m, n in orders.items() if n}
-    else:
-        counts = {}
-        for m in orders:
-            counts[int(m)] = counts.get(int(m), 0) + 1
-    for m, n in counts.items():
-        if m < 1:
-            raise DomainError(_MODULE, f"order must be >= 1, got {m}")
-        if n < 0:
-            raise DomainError(_MODULE, f"count must be >= 0, got {n}")
-    return {m: n for m, n in counts.items() if n}
-
-
-def wick_origin_to_fock(orders: Union[Iterable[int], Mapping[int, int]]) -> FockVector:
-    """The vector of :prod_m [m,0]^{n_m}: in the occupation basis.
+def wick_origin_to_fock(orders: Iterable[int]) -> FockVector:
+    """The vector of :prod_m [m,0]^{n_m}: in the occupation basis, for the
+    multiset of orders m, each counted n_m times.
 
     Inverting alpha_{-m}^{n_m} applied to the vacuum =
     (sqrt(2) i/(m-1)!)^{n_m} times the normal-ordered state gives the
     coefficient prod_m ((m-1)!/(sqrt(2) i))^{n_m}; the empty multiset is the
-    vacuum.  Raises ResourceError for an order above MAX_ORDER.
+    vacuum.  Raises DomainError for an order below 1 and ResourceError for
+    an order above MAX_ORDER.
     """
-    counts = _order_counts(orders)
+    counts: dict[int, int] = {}
+    for m in orders:
+        m = int(m)
+        if m < 1:
+            raise DomainError(_MODULE, f"order must be >= 1, got {m}")
+        counts[m] = counts.get(m, 0) + 1
     check_orders(counts.keys(), _MODULE)
     coeff: Scalar = scalars.ONE
     for m, n in counts.items():

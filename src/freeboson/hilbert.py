@@ -7,7 +7,9 @@ the left and right insertions with weights conj(C), C and the derivative
 pair factor of (1/2)(1 - conj(z) w)^{-2}, all exact and entire in the disc,
 so origin points are allowed on both sides.  ``inner`` is the one entry
 point; it holds one ``KernelTable`` per call and ``gram`` one for the whole
-matrix.  The pair factor is in closed form (the tests keep a symbolic
+matrix.  A ``StateExpression`` checks its words once, when it is built:
+points in the disc, no ``WickWord.coincidence``, orders within MAX_ORDER.
+The pair factor is in closed form (the tests keep a symbolic
 differentiator as its reference), and ``verify`` and the tests keep the
 theta route as the reference.  Vectors are never quotiented; equality in
 the Hilbert space is decided through Gram computations: ``gram`` builds
@@ -23,8 +25,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import scalars
-from .algebra import LinearCombination, WickGroup, WickWord
-from .correlator import KernelTable, check_orders
+from .algebra import LinearCombination, WickGroup, WickWord, check_orders
+from .correlator import KernelTable
 from .errors import DomainError, StructuralError
 from .pairing import hafnian
 from .scalars import Scalar, conjugate
@@ -36,9 +38,9 @@ _MODULE = "hilbert"
 class StateExpression:
     """A Hilbert-space vector presented as a combination of Wick words.
 
-    Invariants: every point lies in the open unit disc (zero allowed), and
-    points are distinct across the groups of each word, as complex values
-    in a word with a float point, so expectations are defined.
+    Invariants: every point lies in the open unit disc (zero allowed), no
+    word has a ``WickWord.coincidence`` (points are distinct across its
+    groups), so expectations are defined, and no order exceeds MAX_ORDER.
     """
 
     combo: LinearCombination
@@ -46,22 +48,20 @@ class StateExpression:
     def __post_init__(self):
         if not isinstance(self.combo, LinearCombination):
             raise DomainError(_MODULE, "states are combinations of Wick words")
-        for word, _ in self.combo.items():
-            exact = word.is_exact()
-            seen_cross: dict = {}
-            for gid, group in enumerate(word.groups):
+        orders = []
+        for word in self.combo.words():
+            for group in word.groups:
                 for ins in group.insertions:
                     if not scalars.in_unit_disc(ins.point):
                         raise DomainError(
                             _MODULE, f"state point {ins.point!r} is not in the open unit disc"
                         )
-                    key = scalars.sort_key(ins.point) if exact else complex(ins.point)
-                    if key in seen_cross and seen_cross[key] != gid:
-                        raise DomainError(
-                            _MODULE,
-                            f"state has coinciding points across groups: {ins.point!r}",
-                        )
-                    seen_cross[key] = gid
+                    orders.append(ins.order)
+            if (pole := word.coincidence()) is not None:
+                raise DomainError(
+                    _MODULE, f"state has coinciding points across groups: {pole[0].point!r}"
+                )
+        check_orders(orders, _MODULE)
 
 
 def as_state(F) -> StateExpression:
@@ -130,7 +130,6 @@ def _word_pair(wF: WickWord, wG: WickWord, kernels: KernelTable) -> Scalar:
         for ins in group.insertions
     ]
     exact = wF.is_exact() and wG.is_exact()
-    check_orders([ins.order for _, _, ins in slots], _MODULE)
 
     def weight(i: int, j: int) -> Scalar:
         # left slots come first, so a mixed pair has i on the left

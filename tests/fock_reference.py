@@ -20,6 +20,16 @@ from freeboson.scalars import Scalar
 _MODULE = "fock"
 
 
+def level(idx: FockIndex) -> int:
+    """The level sum_m m n_m of an occupation index."""
+    return sum(m * n for m, n in idx.occupations)
+
+
+def basis(occupations, coeff=1) -> FockVector:
+    """coeff times the occupation basis state of a {mode: count} map."""
+    return FockVector({FockIndex.of(occupations): coeff})
+
+
 def wick_group_to_fock(G: WickGroup, M: int) -> FockVector:
     """Truncated series expansion of a single Wick group at points in the disc.
 
@@ -45,7 +55,7 @@ def wick_group_to_fock(G: WickGroup, M: int) -> FockVector:
         new_states: dict[FockIndex, Scalar] = {}
         for idx, coeff in states.items():
             zpow: Scalar = scalars.one_scalar(scalars.is_exact(z))
-            for k in range(m, M - idx.level() + 1):
+            for k in range(m, M - level(idx) + 1):
                 c = coeff * Fraction(math.factorial(k - 1), math.factorial(k - m)) * zpow
                 add_term(new_states, idx.raised(k), c)
                 zpow = zpow * z

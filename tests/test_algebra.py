@@ -90,16 +90,16 @@ def test_word_keys_and_hashes_are_order_free(exact):
             WickGroup(tuple(inss[k] for k in order if k >= 3)),
             WickGroup(tuple(inss[k] for k in order if k < 3)),
         ))
-        assert a == b and a.key() == b.key() and hash(a) == hash(b)
+        assert a == b and a._key == b._key and hash(a) == hash(b)
         for g, h in zip(a.groups, b.groups):
-            assert g == h and g.key() == h.key() and hash(g) == hash(h)
+            assert g == h and g._key == h._key and hash(g) == hash(h)
             assert hash(g) == hash((g.insertions,))
         assert hash(a) == hash((a.groups,))
         for ins in inss:
             # stored at construction, with the value of hash((order, point))
             assert hash(ins) == hash((ins.order, ins.point))
-            assert ins.key() == (ins.order, scalars.sort_key(ins.point))
-        assert all(x.key() <= y.key() for x, y in zip(a.groups, a.groups[1:]))
+            assert ins._key == (ins.order, scalars.sort_key(ins.point))
+        assert all(x._key <= y._key for x, y in zip(a.groups, a.groups[1:]))
 
 
 def test_words_are_immutable():

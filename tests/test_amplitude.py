@@ -28,8 +28,9 @@ from freeboson.errors import (
     RegimeWarning,
     ResourceError,
 )
-from freeboson.fock import FockIndex, FockVector
+from freeboson.fock import FockIndex
 from freeboson.scalars import ONE, as_scalar, conjugate, rational, root
+from fock_reference import basis
 
 
 def _standard() -> DiscConfiguration:
@@ -179,16 +180,16 @@ def _amplitude_apply(config: DiscConfiguration, vectors) -> scalars.Scalar:
 
 def test_amplitude_apply_matches_entry():
     cfg = _standard()
-    v = FockVector.basis({1: 1})
-    w = FockVector.basis({2: 1})
+    v = basis({1: 1})
+    w = basis({2: 1})
     assert _amplitude_apply(cfg, [v, w]) == amplitude_entry(cfg, ({1: 1}, {2: 1}))
 
 
 def test_amplitude_apply_is_linear_not_sesquilinear():
     cfg = _standard()
     c = rational(0, 1)  # the imaginary unit as a coefficient
-    v = FockVector.basis({1: 1}, c)
-    w = FockVector.basis({1: 1})
+    v = basis({1: 1}, c)
+    w = basis({1: 1})
     assert _amplitude_apply(cfg, [v, w]) == c * amplitude_entry(cfg, ({1: 1}, {1: 1}))
 
 

@@ -1,5 +1,6 @@
 """Pairing kernels, matching enumeration, and expectation values."""
 import hashlib
+import itertools
 import math
 import random
 import time
@@ -10,16 +11,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from freeboson import scalars
-from freeboson.algebra import LinearCombination, WickGroup, WickWord, theta, wick_expand
-from freeboson.correlator import (
+from freeboson.algebra import (
     MAX_ORDER,
-    KernelTable,
-    expect_combo,
-    expect_wick,
-    mobius_check,
+    Insertion,
+    LinearCombination,
+    WickGroup,
+    WickWord,
+    theta,
+    wick_expand,
 )
+from freeboson.correlator import KernelTable, expect_combo, mobius_check
 from freeboson.errors import DomainError, PoleError, ResourceError
-from freeboson.hilbert import gram
+from freeboson.hilbert import as_state, gram
 from freeboson.pairing import matching_count
 from freeboson.sampling import random_plain_word, random_wick_word, rational_point
 from freeboson.scalars import rational, root, sort_key
@@ -119,13 +122,13 @@ def test_matchings_cover_indices():
 
 
 def test_expect_empty_and_odd():
-    assert expect_wick(WickWord.unit()) == rational(1)
-    assert expect_wick(WickWord.plain((1, 1))) == rational(0)
+    assert expect_combo(WickWord.unit()) == rational(1)
+    assert expect_combo(WickWord.plain((1, 1))) == rational(0)
 
 
 def test_expect_four_point_golden():
     w = WickWord.plain(*((1, k) for k in range(4)))
-    assert expect_wick(w) == rational(Fraction(169, 576))
+    assert expect_combo(w) == rational(Fraction(169, 576))
 
 
 def test_expect_four_point_is_pair_sum():
@@ -137,7 +140,7 @@ def test_expect_four_point_is_pair_sum():
 def test_plain_word_pole():
     w = WickWord.plain((1, 1)) * WickWord.plain((2, 1))
     with pytest.raises(PoleError):
-        expect_wick(w)
+        expect_combo(w)
 
 
 def test_plain_word_stats():
@@ -150,27 +153,27 @@ def test_plain_word_stats():
 def test_expect_wick_cross_pairs_only():
     lhs = WickWord.single_group(WickGroup.of((1, 0)))
     rhs = WickWord.single_group(WickGroup.of((1, 1)))
-    assert expect_wick(lhs * rhs) == rational(Fraction(-1, 2))
+    assert expect_combo(lhs * rhs) == rational(Fraction(-1, 2))
 
 
 def test_expect_wick_degenerate_group():
     # :[1,0][1,0]: :[1,1][1,1]: has two cross matchings of weight (-1/2)^2
     a = WickWord.single_group(WickGroup.of((1, 0), (1, 0)))
     b = WickWord.single_group(WickGroup.of((1, 1), (1, 1)))
-    assert expect_wick(a * b) == rational(Fraction(1, 2))
+    assert expect_combo(a * b) == rational(Fraction(1, 2))
 
 
 def test_expect_wick_lone_group_vanishes():
     w = WickWord.single_group(WickGroup.of((1, 0), (2, 1), (1, 2)))
-    assert expect_wick(w) == rational(0)
-    assert expect_wick(WickWord.unit()) == rational(1)
+    assert expect_combo(w) == rational(0)
+    assert expect_combo(WickWord.unit()) == rational(1)
 
 
 def test_expect_wick_cross_coincidence_pole():
     a = WickWord.single_group(WickGroup.of((1, Fraction(1, 2))))
     b = WickWord.single_group(WickGroup.of((2, Fraction(1, 2))))
     with pytest.raises(PoleError):
-        expect_wick(a * b)
+        expect_combo(a * b)
 
 
 @pytest.mark.parametrize("a,b", [(Fraction(1, 4), Fraction(1, 2)), (0.25, 0.5)])
@@ -180,10 +183,83 @@ def test_pole_reported_is_the_first_pair_in_index_order(a, b):
         WickGroup.of((1, a)), WickGroup.of((2, b)), WickGroup.of((3, b)), WickGroup.of((4, a)),
     ))
     with pytest.raises(PoleError) as info:
-        expect_wick(w)
+        expect_combo(w)
     (m1, z1), (m2, z2) = info.value.pair
     assert (m1, m2) == (1, 4)
     assert complex(z1) == complex(z2) == complex(a)
+
+
+# Points in the unit disc.  1/3 and 1/3 + 10^-30 are distinct exact points
+# with one complex value, so a word that holds a float point joins them.
+_POOL = (
+    (Fraction(0), Fraction(0)),
+    (Fraction(1, 2), Fraction(0)),
+    (Fraction(-1, 3), Fraction(1, 4)),
+    (Fraction(1, 3), Fraction(0)),
+    (Fraction(1, 3) + Fraction(1, 10 ** 30), Fraction(0)),
+)
+
+
+@st.composite
+def _coincident_words(draw) -> WickWord:
+    """Words of 1-4 groups and at most 8 insertions over a small pool of
+    points, so that most draws hold a coincidence; exact, float or mixed."""
+    kind = draw(st.sampled_from(("exact", "float", "mixed")))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(lambda s: sum(s) <= 8))
+    groups = []
+    for size in sizes:
+        insertions = []
+        for _ in range(size):
+            re, im = draw(st.sampled_from(_POOL))
+            floated = kind == "float" or (kind == "mixed" and draw(st.booleans()))
+            point = complex(re, im) if floated else rational(re, im)
+            insertions.append(Insertion(draw(st.integers(1, 3)), point))
+        groups.append(WickGroup(tuple(insertions)))
+    return WickWord(tuple(groups))
+
+
+def _first_coincidence(word: WickWord):
+    """Brute force: the lexicographically first (i, j), i < j, of insertions
+    in different groups at one point, compared exactly in an exact word and
+    as complex values otherwise."""
+    flat = [(g, ins) for g, group in enumerate(word.groups) for ins in group.insertions]
+    same = (lambda u, v: u == v) if word.is_exact() else (lambda u, v: complex(u) == complex(v))
+    for (gi, a), (gj, b) in itertools.combinations(flat, 2):
+        if gi != gj and same(a.point, b.point):
+            return a, b
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(_coincident_words())
+def test_coincidence_is_the_first_cross_group_pair(word):
+    expected = _first_coincidence(word)
+    found = word.coincidence()
+    if expected is None:
+        assert found is None
+        expect_combo(word)
+        as_state(word)
+    else:
+        assert found[0] is expected[0] and found[1] is expected[1]
+        a, b = expected
+        with pytest.raises(PoleError) as pole:
+            expect_combo(word)
+        assert pole.value.module == "correlator"
+        assert pole.value.pair == ((a.order, a.point), (b.order, b.point))
+        with pytest.raises(DomainError) as state:
+            as_state(word)
+        assert type(state.value) is DomainError and state.value.module == "hilbert"
+        assert repr(a.point) in str(state.value)
+    # wick_expand of one group of all the insertions asks its plain word
+    group = WickGroup(tuple(ins for g in word.groups for ins in g.insertions))
+    expected = _first_coincidence(WickWord(tuple(WickGroup((ins,)) for ins in group.insertions)))
+    if expected is None:
+        wick_expand(group)
+    else:
+        with pytest.raises(DomainError) as expansion:
+            wick_expand(group)
+        assert type(expansion.value) is DomainError and expansion.value.module == "algebra"
+        assert f"{expected[0].point!r} occurs twice" in str(expansion.value)
 
 
 def test_expect_combo_linearity():
@@ -201,7 +277,7 @@ def test_wick_equals_plain_after_expansion():
         for group in W.groups:
             term = wick_expand(group)
             expanded = term if expanded is None else expanded * term
-        assert expect_wick(W) == expect_combo(expanded)
+        assert expect_combo(W) == expect_combo(expanded)
 
 
 def test_lone_group_expectation_matches_expansion():
@@ -259,7 +335,7 @@ def test_plain_times_wick_product():
     # C(0,1/2) C(1/3,-1/2) + C(0,-1/2) C(1/3,1/2) = 36/25 + 36
     plain = WickWord.plain((1, 0), (1, Fraction(1, 3)))
     group = WickWord.single_group(WickGroup.of((1, Fraction(1, 2)), (1, Fraction(-1, 2))))
-    assert expect_wick(plain * group) == rational(Fraction(936, 25))
+    assert expect_combo(plain * group) == rational(Fraction(936, 25))
     assert expect_combo(LinearCombination.of(plain) * group) == rational(Fraction(936, 25))
 
 
@@ -398,7 +474,7 @@ def test_kernel_table_checks():
         table(2, 0.5, 1, Fraction(1, 2))
     mixed = WickWord((WickGroup.of((1, Fraction(1, 2))), WickGroup.of((1, 0.5))))
     with pytest.raises(PoleError):
-        expect_wick(mixed)
+        expect_combo(mixed)
     started = time.perf_counter()
     with pytest.raises(ResourceError):
         table(MAX_ORDER + 1, 0, 1, 1)
@@ -414,7 +490,7 @@ def test_expect_combo_shares_one_table():
         F = theta(LinearCombination.of(random_wick_word(rng, rng.randint(2, 5))))
         expected = scalars.ZERO
         for word, coeff in F.items():
-            expected = expected + coeff * expect_wick(word)
+            expected = expected + coeff * expect_combo(word)
         assert expect_combo(F) == expected
 
 
@@ -471,4 +547,4 @@ def test_wick_expand_evaluates_each_pair_once(monkeypatch):
     assert _digest(terms) == "1cdb790aa5abc3b34b28172ca981b04f11e2480d8f45dddb9b720a0647a42825"
     # the unit word collects the perfect matchings, each a product of three -C
     plain = WickWord.plain(*((ins.order, ins.point) for ins in G.insertions))
-    assert combo.coeff(WickWord.unit()) == -expect_wick(plain)
+    assert combo.coeff(WickWord.unit()) == -expect_combo(plain)

@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from freeboson import scalars
-from freeboson.algebra import LinearCombination, WickGroup, WickWord, theta
+from freeboson.algebra import MAX_ORDER, LinearCombination, WickGroup, WickWord, theta
 from freeboson.correlator import expect_combo
-from freeboson.errors import DomainError, StructuralError
+from freeboson.errors import DomainError, ResourceError, StructuralError
 from freeboson.hilbert import GramReport, _pair_series_eval, as_state, gram, inner, psd_check
 from freeboson.sampling import random_state_group, random_wick_word
 from freeboson.scalars import rational, root
@@ -214,6 +214,13 @@ def test_state_validation():
     mixed = WickWord((WickGroup.of((1, Fraction(1, 2))), WickGroup.of((1, 0.5))))
     with pytest.raises(DomainError) as caught:
         inner(mixed, WickGroup.of((1, 0.3)))
+    assert caught.value.module == "hilbert"
+
+
+def test_gram_refuses_an_order_above_the_guard():
+    state = WickGroup.of((MAX_ORDER + 1, Fraction(1, 2)))
+    with pytest.raises(ResourceError) as caught:
+        gram([WickGroup.of((1, Fraction(1, 3))), state])
     assert caught.value.module == "hilbert"
 
 

@@ -118,28 +118,31 @@ def test_every_exported_function_is_called_in_the_package():
     assert uncalled == []
 
 
-def test_every_public_method_of_exact_is_used_in_the_package():
-    """The exact scalar type holds only what the package runs: each public
-    method or property of ``scalars.Exact`` is read as an attribute by some
+def test_every_public_method_of_every_class_is_used_in_the_package():
+    """A class holds only what the package runs: each public method or
+    property of every class in the package is read as an attribute by some
     package code outside its own body.  Like the exported-function scan it
-    matches by name, so a module function of the same name counts too."""
+    matches by name, so a method of another class or a module function of
+    the same name counts too."""
     trees = _trees()
-    (exact,) = (
-        node for node in trees["scalars.py"].body
-        if isinstance(node, ast.ClassDef) and node.name == "Exact"
-    )
     reads: dict[str, int] = {}
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
                 reads[node.attr] = reads.get(node.attr, 0) + 1
     unused = []
-    for node in exact.body:
-        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
-            continue
-        inside = sum(1 for n in ast.walk(node) if isinstance(n, ast.Attribute) and n.attr == node.name)
-        if reads.get(node.name, 0) - inside <= 0:
-            unused.append(node.name)
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                    continue
+                inside = sum(
+                    1 for n in ast.walk(node) if isinstance(n, ast.Attribute) and n.attr == node.name
+                )
+                if reads.get(node.name, 0) - inside <= 0:
+                    unused.append(f"{module} {cls.name}.{node.name}")
     assert unused == []
 
 

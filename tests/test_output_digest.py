@@ -1,4 +1,4 @@
-"""The exact-mode CLI output, pinned by one sha256.
+"""The CLI output, pinned by one sha256 per mode.
 
 Nineteen seeded configs cover every command: plain and grouped
 correlator words, Gram matrices with origin states, 3-disc amplitude entries
@@ -6,6 +6,10 @@ whose normalisation leaves a radical, HS sweeps in and out of the
 summability regime, and verify at one seed.  Their documents, serialised
 with sorted keys, hash to ``DIGEST``.  A change to how exact values are
 stored, multiplied or encoded that moves a single output byte fails here.
+
+The same correlator, gram, amplitude and hsnorm configs run again in float
+mode, each "p/q" value read as the nearest float, and hash to
+``FLOAT_DIGEST``: a change to the order of float arithmetic fails there.
 
 The float fields of a Gram report (``min_eigenvalue``,
 ``hermiticity_defect``, ``psd``, ``witness``) come from a floating-point
@@ -21,6 +25,7 @@ from fractions import Fraction
 from freeboson.cli import run
 
 DIGEST = "d440e1965c41d314e5db96ab3728f9b2707e0f780c7ea86c85710ecad19e4dcf"
+FLOAT_DIGEST = "f2be3956c51c3aa51b48efd4a669ebc3f4f9aa28df130cc502e8040076653541"
 
 _FLOAT_FIELDS = ("min_eigenvalue", "hermiticity_defect", "psd", "witness", "timing")
 
@@ -117,6 +122,25 @@ def _configs() -> list:
     return out
 
 
+def _as_floats(value):
+    """The config with every "p/q" string read as a float."""
+    if isinstance(value, str):
+        return float(Fraction(value))
+    if isinstance(value, list):
+        return [_as_floats(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _as_floats(v) for k, v in value.items()}
+    return value
+
+
+def _float_configs() -> list:
+    return [
+        (command, {**_as_floats(config), "mode": "float"})
+        for command, config in _configs()
+        if command != "verify"
+    ]
+
+
 def _document_bytes(command: str, config: dict) -> bytes:
     doc = run(command, config)
     for key in _FLOAT_FIELDS:
@@ -133,10 +157,20 @@ def test_configs_cover_every_output_form():
     assert all(doc["passed"] for doc in docs if doc["command"] == "verify")
 
 
+def _digest(configs) -> str:
+    h = hashlib.sha256()
+    for command, config in configs:
+        h.update(_document_bytes(command, config))
+    return h.hexdigest()
+
+
 def test_exact_output_digest_is_pinned():
     started = time.perf_counter()
-    h = hashlib.sha256()
-    for command, config in _configs():
-        h.update(_document_bytes(command, config))
-    assert h.hexdigest() == DIGEST
+    assert _digest(_configs()) == DIGEST
+    assert time.perf_counter() - started < 5.0
+
+
+def test_float_output_digest_is_pinned():
+    started = time.perf_counter()
+    assert _digest(_float_configs()) == FLOAT_DIGEST
     assert time.perf_counter() - started < 5.0

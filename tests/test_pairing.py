@@ -10,7 +10,7 @@ from fractions import Fraction
 from freeboson.algebra import Insertion, LinearCombination, WickWord
 from freeboson.amplitude import Disc, DiscConfiguration, amplitude_entry
 from freeboson.cli import main, run
-from freeboson.correlator import KernelTable, expect_combo, expect_wick
+from freeboson.correlator import KernelTable, expect_combo
 from freeboson.fock import FockIndex
 from freeboson.hilbert import _pair_series_eval, inner
 from freeboson.pairing import MAX_STATES, hafnian, matching_count
@@ -58,7 +58,7 @@ def test_plain_word_matches_enumeration():
     for n in range(0, 9):
         W = random_plain_word(rng, n)
         value, count = _brute_force([g.insertions[0] for g in W.groups], range(n))
-        assert expect_wick(W) == value
+        assert expect_combo(W) == value
         assert matching_count(_sizes(W)) == count
 
 
@@ -69,7 +69,7 @@ def test_expect_wick_matches_enumeration():
         W = random_wick_word(rng, rng.randint(1, 8))
         flat = [(gid, ins) for gid, g in enumerate(W.groups) for ins in g.insertions]
         value, count = _brute_force([ins for _, ins in flat], [gid for gid, _ in flat])
-        assert expect_wick(W) == value
+        assert expect_combo(W) == value
         assert matching_count(_sizes(W)) == count
         doc = run("correlator", {"words": [_word_json(W)]})
         assert doc["pairings"] == count
@@ -181,11 +181,11 @@ def test_matchable_agrees_with_hafnian_count():
 def test_hafnian_leaves_no_cyclic_garbage():
     # the DP memo is freed on return, not left in a cycle for the collector
     word = WickWord.plain(*[(1 + k % 3, Fraction(k - 4, 9)) for k in range(8)])
-    expected = expect_wick(word)
+    expected = expect_combo(word)
     gc.collect()
     gc.disable()
     try:
-        assert expect_wick(word) == expected
+        assert expect_combo(word) == expected
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -291,7 +291,7 @@ def test_order_one_correlator_is_a_determinant():
         avoid: set = set()
         points = [rational_point(rng, avoid=avoid) for _ in range(n)]
         expected = _fermion_det(points)
-        assert expect_wick(WickWord.plain(*((1, z) for z in points))) == expected, n
+        assert expect_combo(WickWord.plain(*((1, z) for z in points))) == expected, n
         if n % 2 == 0:
             assert expected != ZERO
 
