@@ -390,14 +390,16 @@ class LinearCombination(Combination):
 # theta, rescale, wick expansion
 # ---------------------------------------------------------------------------
 
-def _as_combination(F) -> LinearCombination:
-    if isinstance(F, LinearCombination):
-        return F
+def as_combination(F, module: str) -> LinearCombination:
+    """F as a combination: a word or a lone group as its one term.  Raises
+    DomainError from ``module`` for anything else."""
+    if isinstance(F, WickGroup):
+        F = WickWord.single_group(F)
     if isinstance(F, WickWord):
         return LinearCombination.of(F)
-    if isinstance(F, WickGroup):
-        return LinearCombination.of(WickWord.single_group(F))
-    raise DomainError(_MODULE, f"expected a word or linear combination, got {type(F).__name__}")
+    if isinstance(F, LinearCombination):
+        return F
+    raise DomainError(module, f"expected a group, word or combination, got {type(F).__name__}")
 
 
 def _theta_insertion(ins: Insertion) -> tuple[int, list[tuple[Insertion, Scalar, Scalar]]]:
@@ -475,7 +477,7 @@ def theta(F) -> LinearCombination:
     word raise StructuralError (``scalars``).  Raises ResourceError for an
     order above MAX_ORDER.
     """
-    F = _as_combination(F)
+    F = as_combination(F, _MODULE)
     distinct = dict.fromkeys(
         ins for word in F.words() for g in word.groups for ins in g.insertions
     )
@@ -542,7 +544,7 @@ def rescale(F, a, q) -> LinearCombination:
     an exact a or q with a radical part: the moved points a + q z must be
     Gaussian rationals (``check_point``).
     """
-    F = _as_combination(F)
+    F = as_combination(F, _MODULE)
     check_orders(_orders(F), _MODULE)
     a = as_scalar(a)
     q = as_scalar(q)

@@ -321,7 +321,7 @@ def hs_bound(config: DiscConfiguration) -> Scalar:
     d_sq = config.center_gap_sq()
     r_sq = config.max_radius_sq()
     r = config.r
-    if not d_sq > 16 * r * r_sq:
+    if not config.hs_regime():
         ratio = math.sqrt(float(d_sq) / float(r_sq))
         raise RegimeError(_MODULE, ratio, 4.0 * math.sqrt(r))
     y = 8 * r_sq / d_sq

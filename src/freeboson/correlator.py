@@ -1,4 +1,4 @@
-"""Pair kernel and expectation values of Wick words.
+"""Pair kernel, the pairing sum over words, and expectation values.
 
 Expectations are Gaussian: a word's expectation is the sum over perfect
 matchings of its insertions of the product of pair kernels
@@ -8,11 +8,12 @@ matchings of its insertions of the product of pair kernels
 with matchings restricted to cross-group pairs (pairings inside a
 normal-ordered group are suppressed).  A plain product of fields is the
 word of singleton groups, so every pair of its insertions is allowed.
-``expect_combo`` is the one entry point, for a word or a combination; a
-word with a ``WickWord.coincidence`` (two groups at one point) is a pole.
-The sum is the hafnian of the word's kernel table, computed once per word
-by ``pairing.hafnian``; the tests keep an enumeration of the matchings one
-by one as its reference.
+``pair_sum`` is the one pairing sum over words, the reflection pairing
+(F, G) = <theta(F) G> with theta never expanded: one ``pairing.hafnian``
+per pair of words.  ``expect_combo``, the one expectation entry point, is
+its case <F> = (1, F), and ``hilbert.inner`` and ``gram`` call it on
+states.  The tests keep an enumeration of the matchings one by one as its
+reference.
 
 Every kernel comes from a ``KernelTable`` that its caller holds for one
 computation.  It keeps one value (1/2)(n-1)!/(z1 - z2)^n per ordered pair
@@ -28,12 +29,15 @@ import math
 from fractions import Fraction
 
 from . import scalars
-from .algebra import Insertion, LinearCombination, WickGroup, WickWord, check_orders, check_point
+from .algebra import Insertion, LinearCombination, WickGroup, WickWord, as_combination
+from .algebra import check_orders, check_point
 from .errors import DomainError, PoleError
 from .pairing import hafnian
-from .scalars import Scalar, is_zero
+from .scalars import Scalar, conjugate, is_zero
 
 _MODULE = "correlator"
+
+UNIT = LinearCombination.of(WickWord.unit())
 
 
 class KernelTable:
@@ -105,48 +109,106 @@ class KernelTable:
         return scalars.from_frame(f * re, f * im, 2 * den)
 
 
-def _expect_word(W: WickWord, kernels: KernelTable) -> Scalar:
-    if (pole := W.coincidence()) is not None:
-        a, b = pole
-        raise PoleError(_MODULE, ((a.order, a.point), (b.order, b.point)))
-    flat = [(gid, ins) for gid, group in enumerate(W.groups) for ins in group.insertions]
+def _pair_series_eval(m: int, ell: int, u: Scalar, w: Scalar) -> Scalar:
+    """The pair factor for orders (m, ell) at u = conj(z_left), w = z_right:
+    d^(m-1)/du^(m-1) d^(ell-1)/dw^(ell-1) of (1/2)(1 - u w)^(-2), by Leibniz
+
+        (1/2) sum_{i < min(m, ell)} C(m-1, i) (ell-1)!/(ell-1-i)! (m+ell-1-i)!
+              u^(ell-1-i) w^(m-1-i) (1 - u w)^(-(m+ell-i)),
+
+    summed from the top i down over running powers of one inverse of 1 - u w.
+    At an origin point (u = 0 or w = 0) only the top term i = min(m, ell) - 1
+    can survive, and 1 - u w = 1.  For u = 0 it is
+    (1/2) C(m-1, ell-1) (ell-1)! m! w^(m-ell) when ell <= m and 0 otherwise;
+    w = 0 is the mirror case.  That term is returned as it stands.
+
+    Precondition: |u|, |w| < 1, so |u w| < 1.  Only ``hilbert.inner`` and
+    ``hilbert.gram`` reach it (``expect_combo``'s left word is empty), and
+    a ``StateExpression`` keeps every point in the open unit disc.
+    """
+    uw = u * w
+    k = min(m, ell)
+    if scalars.is_zero(u) or scalars.is_zero(w):
+        top = math.comb(m - 1, k - 1) * math.perm(ell - 1, k - 1) * math.factorial(m + ell - k)
+        return Fraction(top, 2) * u ** (ell - k) * w ** (m - k)
+    exact = isinstance(uw, scalars.Exact)
+    base = scalars.one_scalar(exact) - uw
+    inv = base.inverse() if exact else 1 / base
+    up, wp, ip = u ** (ell - k), w ** (m - k), inv ** (m + ell - k + 1)
+    total = scalars.zero_scalar(exact)
+    for i in reversed(range(k)):
+        c = math.comb(m - 1, i) * math.perm(ell - 1, i) * math.factorial(m + ell - 1 - i)
+        total = total + Fraction(c, 2) * up * wp * ip
+        if i:
+            up, wp, ip = up * u, wp * w, ip * inv
+    return total
+
+
+def _word_pair(wF: WickWord, wG: WickWord, kernels: KernelTable) -> Scalar:
+    """(wF, wG) = <theta(wF) wG> as one hafnian over both words' insertions.
+
+    Slots are labelled (side, group), so ``hafnian`` pairs no two
+    insertions of one group.  A left-left pair weighs conj(C), a right-right
+    pair C, both read from ``kernels``; a left-right pair weighs the series
+    pair factor at (conj(z_left), z_right).
+    """
+    slots = [
+        (side, gid, ins)
+        for side, word in enumerate((wF, wG))
+        for gid, group in enumerate(word.groups)
+        for ins in group.insertions
+    ]
+    exact = wF.is_exact() and wG.is_exact()
 
     def weight(i: int, j: int) -> Scalar:
-        a, b = flat[i][1], flat[j][1]
-        return kernels(a.order, a.point, b.order, b.point)
+        # left slots come first, so a mixed pair has i on the left
+        side_i, _, a = slots[i]
+        side_j, _, b = slots[j]
+        if side_i != side_j:
+            return _pair_series_eval(a.order, b.order, conjugate(a.point), b.point)
+        c = kernels(a.order, a.point, b.order, b.point)
+        return conjugate(c) if side_i == 0 else c
 
-    labels = [gid for gid, _ in flat]
-    counts = (1,) * len(flat)
-    exact = W.is_exact()
-    return hafnian(weight, labels, counts, scalars.one_scalar(exact), scalars.zero_scalar(exact))
+    labels = [(side, gid) for side, gid, _ in slots]
+    return hafnian(
+        weight, labels, (1,) * len(slots), scalars.one_scalar(exact), scalars.zero_scalar(exact)
+    )
+
+
+def pair_sum(F: LinearCombination, G: LinearCombination, kernels: KernelTable) -> Scalar:
+    """(F, G) = <theta(F) G>, the sum over word pairs of conj(c_F) c_G times
+    ``_word_pair``, started from its first term; the empty sum is exact zero."""
+    total = None
+    for wF, cF in F.items():
+        cF = conjugate(cF)
+        for wG, cG in G.items():
+            term = cF * cG * _word_pair(wF, wG, kernels)
+            total = term if total is None else total + term
+    return scalars.ZERO if total is None else total
 
 
 def expect_combo(F) -> Scalar:
-    """Expectation of a word or a combination of words, linear in the words.
+    """Expectation of a group, a word or a combination, <F> = (1, F).
 
     A word's expectation is its cross-group pairing sum.  Points may
     coincide inside one group (those pairings are suppressed) but not
     across groups: ``WickWord.coincidence`` names the first such pair, and
-    PoleError reports it.  A lone non-empty group has expectation zero; the
-    empty word has expectation one.  Each word's sum is the hafnian of its
+    PoleError reports it for the first word that has one, before any word
+    is evaluated.  A lone non-empty group has expectation zero; the empty
+    word has expectation one.  Each word's sum is the hafnian of its
     kernel table with same-group pairs forbidden, each allowed kernel
     evaluated once; ``pairing.matching_count`` counts its matchings.
 
     One ``KernelTable`` serves every word, so a point pair shared by the
     words (as in a theta or Wick expansion) is evaluated once per order pair.
+    A coefficient c enters as conj(1) c: (1+0j) c for a float c.
     """
-    if isinstance(F, WickWord):
-        F = LinearCombination.of(F)
-    if not isinstance(F, LinearCombination):
-        raise DomainError(_MODULE, f"expect_combo expects a combination, got {type(F).__name__}")
-    kernels = KernelTable()
-    total: Scalar = scalars.ZERO
-    started = False
-    for word, coeff in F.items():
-        term = coeff * _expect_word(word, kernels)
-        total = term if not started else total + term
-        started = True
-    return total if started else scalars.ZERO
+    F = as_combination(F, _MODULE)
+    for word in F.words():
+        if (pole := word.coincidence()) is not None:
+            a, b = pole
+            raise PoleError(_MODULE, ((a.order, a.point), (b.order, b.point)))
+    return pair_sum(UNIT, F, KernelTable())
 
 
 def mobius_check(W: WickWord, coeffs) -> tuple[Scalar, Scalar]:

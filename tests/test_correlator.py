@@ -17,6 +17,7 @@ from freeboson.algebra import (
     LinearCombination,
     WickGroup,
     WickWord,
+    rescale,
     theta,
     wick_expand,
 )
@@ -167,6 +168,35 @@ def test_expect_wick_lone_group_vanishes():
     w = WickWord.single_group(WickGroup.of((1, 0), (2, 1), (1, 2)))
     assert expect_combo(w) == rational(0)
     assert expect_combo(WickWord.unit()) == rational(1)
+
+
+def test_word_inputs_are_read_alike():
+    # a group, its word and its one-term combination are one input
+    g = WickGroup.of((1, Fraction(1, 3)), (2, Fraction(-1, 4)))
+    combo = LinearCombination.of(WickWord.single_group(g))
+    for F in (g, WickWord.single_group(g), combo):
+        assert expect_combo(F) == rational(0)
+        assert theta(F) == theta(combo)
+        assert as_state(F).combo == combo
+    for call, module in (
+        (expect_combo, "correlator"),
+        (as_state, "hilbert"),
+        (theta, "algebra"),
+        (lambda F: rescale(F, 0, 1), "algebra"),
+    ):
+        with pytest.raises(DomainError) as caught:
+            call((1, Fraction(1, 3)))
+        assert caught.value.module == module
+
+
+def test_every_word_is_checked_for_a_pole_before_any_is_evaluated():
+    # 22 insertions put the pairing DP over its guard
+    big = WickWord.plain(*((1, Fraction(k, 100)) for k in range(1, 23)))
+    with pytest.raises(ResourceError):
+        expect_combo(big)
+    pole = WickWord((WickGroup.of((1, Fraction(1, 2))), WickGroup.of((1, Fraction(1, 2)))))
+    with pytest.raises(PoleError):
+        expect_combo(LinearCombination.of(big) + LinearCombination.of(pole))
 
 
 def test_expect_wick_cross_coincidence_pole():

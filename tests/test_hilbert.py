@@ -4,12 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freeboson import scalars
-from freeboson.algebra import MAX_ORDER, LinearCombination, WickGroup, WickWord, theta
-from freeboson.correlator import expect_combo
+from freeboson.algebra import MAX_ORDER, Insertion, LinearCombination, WickGroup, WickWord, theta
+from freeboson.correlator import _pair_series_eval, expect_combo
 from freeboson.errors import DomainError, ResourceError, StructuralError
-from freeboson.hilbert import GramReport, _pair_series_eval, as_state, gram, inner, psd_check
+from freeboson.hilbert import GramReport, as_state, gram, inner, psd_check
 from freeboson.sampling import random_state_group, random_wick_word
 from freeboson.scalars import rational, root
 
@@ -173,6 +175,38 @@ def test_inner_vacuum_cases():
     assert inner(vac, vac) == rational(1)
     assert inner(vac, WickGroup.of((1, 0))) == rational(0)
     assert inner(WickGroup.of((2, 0)), vac) == rational(0)
+
+
+_DISC_POINTS = tuple(
+    (Fraction(a, 4), Fraction(b, 4)) for a in range(-3, 4) for b in range(-3, 4) if a * a + b * b < 16
+)
+
+
+@st.composite
+def _disc_states(draw):
+    """A combination of two to four words with points in the open unit disc
+    (the origin included), exact or all float, and Gaussian coefficients."""
+    floated = draw(st.booleans())
+    combo = LinearCombination.zero()
+    for _ in range(draw(st.integers(2, 4))):
+        points = draw(st.lists(st.sampled_from(_DISC_POINTS), min_size=1, max_size=5, unique=True))
+        groups: dict = {}
+        for re, im in points:
+            point = complex(re, im) if floated else rational(re, im)
+            groups.setdefault(draw(st.integers(0, 2)), []).append(
+                Insertion(draw(st.integers(1, 3)), point)
+            )
+        word = WickWord(tuple(WickGroup(tuple(g)) for g in groups.values()))
+        re, im = (Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4))) for _ in range(2))
+        combo = combo + LinearCombination.of(word, complex(re, im) if floated else rational(re, im))
+    return combo
+
+
+@settings(max_examples=80, deadline=None)
+@given(_disc_states())
+def test_expectation_is_the_inner_product_with_the_vacuum(F):
+    # <F> = (1, F): the vacuum on the left reflects to itself
+    assert inner(WickWord.unit(), F) == expect_combo(F)
 
 
 def _origin_multigroup_states():

@@ -11,6 +11,12 @@ The same correlator, gram, amplitude and hsnorm configs run again in float
 mode, each "p/q" value read as the nearest float, and hash to
 ``FLOAT_DIGEST``: a change to the order of float arithmetic fails there.
 
+The float values of ``expect_combo``, ``inner`` and ``gram`` on seeded
+words and states at points of the real and imaginary axes and the origin,
+where many kernels and pair factors have a zero part, hash with the sign of
+each zero part to ``ZERO_SIGN_DIGEST``: a change to where a float sum
+starts, which can turn -0.0 into +0.0, fails there.
+
 The float fields of a Gram report (``min_eigenvalue``,
 ``hermiticity_defect``, ``psd``, ``witness``) come from a floating-point
 eigensolver and may differ between platforms, so they are left out, as is
@@ -18,14 +24,20 @@ any ``timing`` entry.
 """
 import hashlib
 import json
+import math
 import random
 import time
 from fractions import Fraction
 
+from freeboson import scalars
+from freeboson.algebra import Insertion, LinearCombination, WickGroup, WickWord
 from freeboson.cli import run
+from freeboson.correlator import expect_combo
+from freeboson.hilbert import gram, inner
 
 DIGEST = "d440e1965c41d314e5db96ab3728f9b2707e0f780c7ea86c85710ecad19e4dcf"
 FLOAT_DIGEST = "f2be3956c51c3aa51b48efd4a669ebc3f4f9aa28df130cc502e8040076653541"
+ZERO_SIGN_DIGEST = "9c86e16b0feac9a6ab6de4bac5ed976a8d7b91127bd4c3c94b1e2274994db2a1"
 
 _FLOAT_FIELDS = ("min_eigenvalue", "hermiticity_defect", "psd", "witness", "timing")
 
@@ -174,3 +186,79 @@ def test_float_output_digest_is_pinned():
     started = time.perf_counter()
     assert _digest(_float_configs()) == FLOAT_DIGEST
     assert time.perf_counter() - started < 5.0
+
+
+def _axis_point(rng: random.Random, taken: set) -> complex:
+    """A float point of the open unit disc not in ``taken``: the origin one
+    time in six, else k/8 on the real or the imaginary axis."""
+    while True:
+        if rng.random() < 1 / 6:
+            z = 0j
+        else:
+            t = rng.choice((-1, 1)) * rng.randint(1, 7) / 8
+            z = complex(t, 0.0) if rng.random() < 0.5 else complex(0.0, t)
+        if z not in taken:
+            taken.add(z)
+            return z
+
+
+def _axis_word(rng: random.Random) -> WickWord:
+    """A float word of one to three groups of one to three insertions, its
+    points distinct axis points."""
+    taken: set = set()
+    return WickWord(
+        tuple(
+            WickGroup(
+                tuple(
+                    Insertion(rng.randint(1, 3), _axis_point(rng, taken))
+                    for _ in range(rng.choice((1, 1, 2, 3)))
+                )
+            )
+            for _ in range(rng.randint(1, 3))
+        )
+    )
+
+
+def _axis_coefficient(rng: random.Random):
+    """Exact one (every CLI word carries it), a Gaussian rational, or a float
+    with no -0.0 part.  ``expect_combo`` multiplies a coefficient c by the
+    vacuum's exact one, (1+0j) c for a float c, which can turn a -0.0 part
+    of c into +0.0; that is not pinned here."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return scalars.ONE
+    re, im = (rng.choice((-2, -1, 0, 1, 3)) / 2 for _ in range(2))
+    if kind == 1:
+        return scalars.rational(Fraction(re), Fraction(im)) if re or im else scalars.ONE
+    if kind == 2:
+        return complex(re or 1.0, 0.0)
+    return complex(re or 1.0, im or 0.5)
+
+
+def _axis_state(rng: random.Random) -> LinearCombination:
+    combo = LinearCombination.zero()
+    for _ in range(rng.randint(1, 3)):
+        combo = combo + LinearCombination.of(_axis_word(rng), _axis_coefficient(rng))
+    return combo
+
+
+def _zero_sign_values() -> list:
+    rng = random.Random("freeboson-zero-signs")
+    out = []
+    for _ in range(600):
+        out.append(expect_combo(_axis_state(rng)))
+    for _ in range(150):
+        out.append(inner(_axis_state(rng), _axis_state(rng)))
+    for _ in range(10):
+        out.extend(v for row in gram([_axis_state(rng) for _ in range(4)]).matrix for v in row)
+    return out
+
+
+def test_float_zero_signs_are_pinned():
+    started = time.perf_counter()
+    h = hashlib.sha256()
+    for value in _zero_sign_values():
+        z = complex(value)
+        h.update(repr((z.real, z.imag, math.copysign(1, z.real), math.copysign(1, z.imag))).encode())
+    assert h.hexdigest() == ZERO_SIGN_DIGEST
+    assert time.perf_counter() - started < 2.0

@@ -10,9 +10,9 @@ from fractions import Fraction
 from freeboson.algebra import Insertion, LinearCombination, WickWord
 from freeboson.amplitude import Disc, DiscConfiguration, amplitude_entry
 from freeboson.cli import main, run
-from freeboson.correlator import KernelTable, expect_combo
+from freeboson.correlator import KernelTable, _pair_series_eval, expect_combo
 from freeboson.fock import FockIndex
-from freeboson.hilbert import _pair_series_eval, inner
+from freeboson.hilbert import inner
 from freeboson.pairing import MAX_STATES, hafnian, matching_count
 from freeboson.sampling import (
     random_plain_word,
