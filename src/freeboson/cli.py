@@ -9,17 +9,19 @@ Subcommands:
 
 Results are JSON documents on stdout (or --out).  In exact mode the output
 is byte-identical across runs; rationals are rendered as "p/q" strings.
-Exit codes: 0 success, 1 configuration, domain or resource error or a float
-beyond range, 2 verify failure, 3 any other exception (a defect of the
-engine, a limit of the interpreter such as its cap on the digits of an
-integer printed, or a reader of stdout that went away, after which nothing
-more is written).  Every error leaves the same {"error": {"module", "type",
-"message"}} document on stdout and no traceback.
+Exit codes: 0 success, 1 configuration, domain or resource error (an exact
+output integer of more than MAX_DIGITS digits included) or a float beyond
+range, 2 verify failure, 3 any other exception (a defect of
+the engine, a limit of the interpreter, or a reader of stdout that went
+away, after which nothing more is written).  Every error leaves the same
+{"error": {"module", "type", "message"}} document on stdout and no
+traceback.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -31,11 +33,19 @@ from . import scalars
 from .algebra import Insertion, LinearCombination, WickGroup, WickWord
 from .amplitude import Disc, DiscConfiguration, amplitude_entry, hs_bound, hs_truncated
 from .correlator import expect_combo
-from .errors import EngineError, RegimeWarning, SchemaError
+from .errors import EngineError, RegimeWarning, ResourceError, SchemaError
 from .fock import FockIndex
 from .hilbert import gram
 from .pairing import matching_count
 from .verify import run_suites
+
+# Largest number of decimal digits in one integer of an exact output: the
+# conversion to decimal takes time quadratic in the digits, which is why the
+# interpreter caps it at 4300 by default.  A fixed guard like
+# pairing.MAX_STATES.  _MAX_BITS is the bit length of 10^MAX_DIGITS, so a
+# shorter integer has at most MAX_DIGITS digits.
+MAX_DIGITS = 100_000
+_MAX_BITS = int(MAX_DIGITS * math.log2(10)) + 1
 
 _ALLOWED_KEYS = {
     "correlator": {"mode", "words"},
@@ -83,6 +93,26 @@ def _parse_point(obj, exact: bool, where: str, re_key="re", im_key="im"):
     return complex(re, im)
 
 
+def _decimal(x: Fraction | int) -> str:
+    """x in decimal, "p/q" for a fraction, with the interpreter's digit cap
+    lifted for the conversion and restored after it.
+
+    Raises ResourceError, before any conversion, when the numerator or the
+    denominator has more than MAX_DIGITS digits.
+    """
+    for n in (x.numerator, x.denominator):
+        if n.bit_length() >= _MAX_BITS and abs(n) >= 10 ** MAX_DIGITS:
+            raise ResourceError(
+                "cli", f"an exact output holds an integer of more than {MAX_DIGITS} digits"
+            )
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
 def _scalar_json(value):
     """Encode a scalar for JSON output.
 
@@ -93,9 +123,9 @@ def _scalar_json(value):
     """
     if scalars.is_exact(value):
         if value.s > 1:
-            return {"radicals": {str(value.s): [str(value.re), str(value.im)]}}
+            return {"radicals": {_decimal(value.s): [_decimal(value.re), _decimal(value.im)]}}
         re, im = value.gaussian()
-        return [str(re), str(im)] if im else str(re)
+        return [_decimal(re), _decimal(im)] if im else _decimal(re)
     z = complex(value)
     return [z.real, z.imag]
 

@@ -5,7 +5,8 @@ open unit disc); the inner product (F, G) = <theta(F) G>, anti-linear in F,
 is ``correlator.pair_sum``, which never expands theta: its weights are
 exact and entire in the disc, so origin points are allowed on both sides.
 ``inner`` is the one entry point; it holds one ``KernelTable`` per call and
-``gram`` one for the whole matrix.  A ``StateExpression`` checks its words
+``gram`` one for the whole matrix, whose exact entries below the diagonal
+are the conjugates of those above it.  A ``StateExpression`` checks its words
 once, when it is built: points in the disc, no ``WickWord.coincidence``,
 orders within MAX_ORDER.  ``verify`` and the tests keep the theta route as
 the reference.  Vectors are never quotiented; equality in the Hilbert
@@ -100,15 +101,29 @@ class GramReport:
 def gram(states: Sequence, tol: float = 1e-10) -> GramReport:
     """Gram matrix G[i][j] = inner(s_i, s_j) with eigenvalue diagnostics.
 
-    The full matrix is computed entry by entry (no Hermitian shortcut) so the
-    reported hermiticity defect is an actual cross-check; on the exact
-    backend it is exactly zero.  One ``KernelTable`` serves all n^2 entries.
+    The entries on and above the diagonal are computed through
+    ``correlator.pair_sum``, with one ``KernelTable`` for the whole matrix.
+    An exact G[i][j] gives G[j][i] as its conjugate, since (G, F) =
+    conj((F, G)) is an identity of the pairing sum: the exact matrix is
+    Hermitian by construction and its defect is 0.  Every other entry below
+    the diagonal is computed too, so float mode computes all n^2 entries and
+    measures the reported defect.  The type of the value decides, not that
+    of the points: a float coefficient on exact points gives float entries.
     """
     combos = [as_state(s).combo for s in states]
     kernels = KernelTable()
-    # each entry starts from exact zero, as ``inner`` does
-    matrix = tuple(tuple(scalars.ZERO + pair_sum(a, b, kernels) for b in combos) for a in combos)
-    return psd_check(matrix, tol)
+    matrix: list[list[Scalar]] = []
+    for i, a in enumerate(combos):
+        row = []
+        for j, b in enumerate(combos):
+            mirror = matrix[j][i] if j < i else None
+            if isinstance(mirror, scalars.Exact):
+                row.append(mirror.conjugate())
+            else:
+                # each entry starts from exact zero, as ``inner`` does
+                row.append(scalars.ZERO + pair_sum(a, b, kernels))
+        matrix.append(row)
+    return psd_check(tuple(map(tuple, matrix)), tol)
 
 
 def psd_check(matrix: tuple[tuple[Scalar, ...], ...], tol: float) -> GramReport:

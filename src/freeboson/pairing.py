@@ -9,8 +9,10 @@ are never paired.  The sum is organised as a dynamic program over
 remaining-count vectors (the standard treatment of hafnians with repeated
 rows): the first occupied slot gives up one copy and pairs with each
 differently labelled slot k, and because the copies of k are
-interchangeable that pairing is counted reduced[k] times.  With all counts
-1 the states are the subsets of unmatched insertions.  ``matching_count``
+interchangeable that pairing is counted reduced[k] times.  The reachable
+states are collected one pair at a time and valued bottom-up, so the depth
+of the DP (one level per pair) takes no stack.  With all counts 1 the
+states are the subsets of unmatched insertions.  ``matching_count``
 runs the same DP on an all-ones table to count matchings.
 """
 from __future__ import annotations
@@ -69,33 +71,48 @@ def hafnian(
         for j in range(i + 1, size):
             if counts[i] and counts[j] and labels[i] != labels[j]:
                 table[i][j] = table[j][i] = weight(i, j)
-    memo = {(0,) * size: one}
-
-    def rec(state: tuple[int, ...]):
-        cached = memo.get(state)
-        if cached is not None:
-            return cached
-        first = next(i for i, c in enumerate(state) if c)
-        reduced = list(state)
-        reduced[first] -= 1
-        row = table[first]
-        total = None
-        for k, c in enumerate(reduced):
-            w = row[k]
-            if not c or w is None:
+    # the states reachable from counts under the first-occupied-slot rule,
+    # one level (one pair) at a time.  A state's moves: its first occupied
+    # slot gives up one copy to each differently labelled occupied slot k,
+    # k ascending, as (copies of k left, weight, index of the state after
+    # the pair on the next level); the empty state has None
+    moves_of: list[list] = []
+    level = (counts,)
+    while level:
+        below: dict = {}
+        level_moves: list = []
+        for state in level:
+            first = next((i for i, c in enumerate(state) if c), None)
+            if first is None:
+                level_moves.append(None)
                 continue
-            sub = reduced.copy()
-            sub[k] -= 1
-            term = w * rec(tuple(sub))
-            if c > 1:
-                term = c * term
-            total = term if total is None else total + term
-        memo[state] = zero if total is None else total
-        return memo[state]
-
-    try:
-        return rec(counts)
-    finally:
-        # rec holds itself through its closure: break that cycle so the memo
-        # is freed on return rather than by the cyclic collector
-        del rec
+            moves = []
+            reduced = list(state)
+            reduced[first] -= 1
+            row = table[first]
+            for k, c in enumerate(reduced):
+                w = row[k]
+                if c and w is not None:
+                    sub = reduced.copy()
+                    sub[k] -= 1
+                    moves.append((c, w, below.setdefault(tuple(sub), len(below))))
+            level_moves.append(moves)
+        moves_of.append(level_moves)
+        level = below
+    # valued bottom-up, one level at a time
+    values: list = []
+    for level_moves in reversed(moves_of):
+        above = []
+        for moves in level_moves:
+            if moves is None:
+                above.append(one)
+                continue
+            total = None
+            for c, w, j in moves:
+                term = w * values[j]
+                if c > 1:
+                    term = c * term
+                total = term if total is None else total + term
+            above.append(zero if total is None else total)
+        values = above
+    return values[0]

@@ -10,9 +10,12 @@ from pathlib import Path
 import pytest
 
 import freeboson.cli as cli
+from freeboson.algebra import WickWord
 from freeboson.amplitude import MAX_DISCS
 from freeboson.cli import main, run
-from freeboson.errors import SchemaError
+from freeboson.correlator import expect_combo
+from freeboson.errors import ResourceError, SchemaError
+from freeboson.scalars import rational
 from freeboson.verify import SuiteResult
 
 FOUR_POINT = [[{"m": 1, "re": 0}], [{"m": 1, "re": 1}],
@@ -465,6 +468,42 @@ def test_main_guard_counts_too_long_to_print(tmp_path, capsys, command, payload,
     out = json.loads(capsys.readouterr().out)
     assert out["error"]["type"] == "ResourceError"
     assert out["error"]["module"] == module
+
+
+def test_main_exact_output_over_the_interpreter_digit_cap(tmp_path, capsys):
+    # 12 singletons of order 3 at k/p_k + i(k+1)/p'_k, the primes 101..167
+    # forwards and backwards: parts of over 9000 digits, beyond the
+    # interpreter's default cap of 4300
+    primes = [p for p in range(101, 168) if all(p % d for d in range(2, p))]
+    points = [(Fraction(k, primes[k - 1]), Fraction(k + 1, primes[-k])) for k in range(1, 13)]
+    word = [[{"m": 3, "re": str(re), "im": str(im)}] for re, im in points]
+    config = _write(tmp_path, "w.json", {"words": [word]})
+    cap = sys.get_int_max_str_digits()
+    code = main(["correlator", "--config", config])
+    assert sys.get_int_max_str_digits() == cap
+    out = json.loads(capsys.readouterr().out)
+    if code:
+        assert code == 1 and out["error"]["type"] == "ResourceError"
+        return
+    expected = expect_combo(WickWord.plain(*[(3, rational(re, im)) for re, im in points]))
+    sys.set_int_max_str_digits(0)
+    try:
+        assert [Fraction(part) for part in out["expectations"][0]] == list(expected.gaussian())
+    finally:
+        sys.set_int_max_str_digits(cap)
+    assert max(len(part) for part in out["expectations"][0]) > 4300
+
+
+def test_exact_output_digit_guard():
+    cap = sys.get_int_max_str_digits()
+    at_guard = Fraction(1, 10 ** cli.MAX_DIGITS - 1)  # MAX_DIGITS nines
+    assert cli._scalar_json(rational(0, at_guard)) == ["0", f"1/{'9' * cli.MAX_DIGITS}"]
+    for over in (Fraction(10 ** cli.MAX_DIGITS, 7), Fraction(1, 2 ** cli._MAX_BITS)):
+        with pytest.raises(ResourceError) as caught:
+            cli._scalar_json(rational(over))
+        assert caught.value.module == "cli"
+    # the interpreter's cap is restored on both ways out
+    assert sys.get_int_max_str_digits() == cap
 
 
 @pytest.mark.parametrize("command", ["amplitude", "hsnorm"])

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freeboson import scalars
+from freeboson import hilbert, scalars
 from freeboson.algebra import MAX_ORDER, Insertion, LinearCombination, WickGroup, WickWord, theta
-from freeboson.correlator import _pair_series_eval, expect_combo
+from freeboson.correlator import KernelTable, _pair_series_eval, expect_combo, pair_sum
 from freeboson.errors import DomainError, ResourceError, StructuralError
 from freeboson.hilbert import GramReport, as_state, gram, inner, psd_check
 from freeboson.sampling import random_state_group, random_wick_word
@@ -183,10 +183,11 @@ _DISC_POINTS = tuple(
 
 
 @st.composite
-def _disc_states(draw):
+def _disc_states(draw, floated=st.booleans()):
     """A combination of two to four words with points in the open unit disc
-    (the origin included), exact or all float, and Gaussian coefficients."""
-    floated = draw(st.booleans())
+    (the origin included), exact or all float as ``floated`` draws, and
+    Gaussian coefficients."""
+    floated = draw(floated)
     combo = LinearCombination.zero()
     for _ in range(draw(st.integers(2, 4))):
         points = draw(st.lists(st.sampled_from(_DISC_POINTS), min_size=1, max_size=5, unique=True))
@@ -282,16 +283,72 @@ def test_gram_fock_normalized_origin_states():
     assert report.min_eigenvalue == pytest.approx(1.0)
 
 
-def test_gram_exactly_hermitian():
-    rng = random.Random(53)
-    states = [random_state_group(rng, rng.randint(1, 2)) for _ in range(6)]
-    report = gram(states)
-    n = report.size
-    for i in range(n):
-        for j in range(n):
-            assert report.matrix[i][j] == scalars.conjugate(report.matrix[j][i])
+@settings(max_examples=40, deadline=None)
+@given(_disc_states(st.just(False)), _disc_states(st.just(False)))
+def test_pair_sum_is_hermitian(F, G):
+    # (G, F) = conj((F, G)) exactly: the identity ``gram`` mirrors by
+    assert pair_sum(G, F, KernelTable()) == scalars.conjugate(pair_sum(F, G, KernelTable()))
+
+
+def _seeded_states(seed):
+    rng = random.Random(seed)
+    states = [random_state_group(rng, rng.randint(1, 2)) for _ in range(4)]
+    states += [random_wick_word(rng, rng.randint(2, 4), max_group=2) for _ in range(3)]
+    return states + _origin_multigroup_states()
+
+
+@pytest.mark.parametrize("seed", [53, 54])
+def test_gram_matches_the_full_matrix(seed):
+    # the oracle computes all n^2 entries, each with a table of its own
+    combos = [as_state(s).combo for s in _seeded_states(seed)]
+    full = tuple(tuple(scalars.ZERO + pair_sum(a, b, KernelTable()) for b in combos)
+                 for a in combos)
+    report = gram(combos)
+    assert report.matrix == full
     assert report.hermiticity_defect == 0.0
     assert report.psd
+
+
+def _float_points(state):
+    """The state with every point as a complex number."""
+    return sum(
+        (LinearCombination.of(WickWord(tuple(
+            WickGroup(tuple(Insertion(ins.order, complex(ins.point)) for ins in g.insertions))
+            for g in word.groups)), complex(c))
+         for word, c in as_state(state).combo.items()),
+        LinearCombination.zero(),
+    )
+
+
+def test_gram_mirrors_exact_entries_only(monkeypatch):
+    calls = []
+
+    def counted(F, G, kernels):
+        calls.append((F, G))
+        return pair_sum(F, G, kernels)
+
+    monkeypatch.setattr(hilbert, "pair_sum", counted)
+    exact = _seeded_states(57)[:5]
+    n = len(exact)
+    floated = [_float_points(s) for s in exact]
+    # exact points, each state with a float coefficient
+    float_coeff = [LinearCombination.of(WickWord.single_group(s), 0.5) for s in exact[:4]]
+    float_coeff.append(LinearCombination.of(WickWord.unit(), 0.5))
+    # one state with a float coefficient: only its row and column are float
+    one_float = exact[:4] + [float_coeff[0]]
+    for states, expected in ((exact, n * (n + 1) // 2), (floated, n * n),
+                             (float_coeff, n * n), (one_float, 4 * 5 // 2 + 2 * n - 1)):
+        calls.clear()
+        report = gram(states)
+        assert len(calls) == expected
+        for i in range(n):
+            for j in range(n):
+                value = report.matrix[i][j]
+                assert isinstance(value, scalars.Exact) == isinstance(report.matrix[j][i],
+                                                                      scalars.Exact)
+                if not isinstance(value, scalars.Exact):
+                    # a float entry is computed, never mirrored
+                    assert (as_state(states[i]).combo, as_state(states[j]).combo) in calls
 
 
 def test_gram_duplicate_state_still_psd():
@@ -312,6 +369,9 @@ def test_psd_check_flags_negative_matrix():
 def test_psd_check_rejects_non_hermitian():
     with pytest.raises(StructuralError):
         psd_check(((rational(1), rational(1)), (rational(0), rational(1))), 1e-10)
+    # a float matrix, as ``gram`` computes it in float mode, is checked too
+    with pytest.raises(StructuralError):
+        psd_check(((1 + 0j, 0.5 + 0.25j), (0.5 + 0.25j, 1 + 0j)), 1e-10)
 
 
 def test_gram_empty():

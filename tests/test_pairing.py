@@ -179,7 +179,7 @@ def test_matchable_agrees_with_hafnian_count():
 
 
 def test_hafnian_leaves_no_cyclic_garbage():
-    # the DP memo is freed on return, not left in a cycle for the collector
+    # the DP's tables are freed on return, not left in a cycle for the collector
     word = WickWord.plain(*[(1 + k % 3, Fraction(k - 4, 9)) for k in range(8)])
     expected = expect_combo(word)
     gc.collect()
@@ -248,6 +248,21 @@ def test_amplitude_huge_counts_stop_early(tmp_path, capsys):
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["type"] == "ResourceError"
     assert error["module"] == "pairing"
+
+
+def test_amplitude_deep_dp_answers(tmp_path, capsys):
+    # one pair per DP level: 1000 levels, 1001 states, under the state guard
+    discs = [{"a_re": 0, "q_re": "1/8"}, {"a_re": 10, "q_re": "1/8"}]
+    config = tmp_path / "a.json"
+    config.write_text(json.dumps({"discs": discs, "states": [[{"1": 1000}, {"1": 1000}]]}))
+    code = main(["amplitude", "--config", str(config)])
+    out = json.loads(capsys.readouterr().out)
+    if code:
+        assert code == 1 and out["error"]["type"] == "ResourceError"
+    else:
+        # K' = 1/6400 across the discs, and the n! matchings cancel the
+        # prefactor root(1/(n!)^2): the entry is 6400^-n
+        assert out["entries"] == [f"1/{6400 ** 1000}"]
 
 
 def _det(matrix):
