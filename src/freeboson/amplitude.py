@@ -19,6 +19,9 @@ coefficient of det(I - x conj(K) K)^(-1/2) (Berezin, The Method of Second
 Quantization, 1966).  ``hs_truncated`` takes its truncated sums from that
 series, through the traces of the Gaussian-rational matrix
 A' = D^2 conj(K') D^2 K', similar to conj(K) K, without visiting the tuples.
+K' is symmetric, so each power of A' is D^2 times a Hermitian matrix: in
+exact mode half of each power and of each trace is the mirror of the other
+half (``_matmul``, ``_trace_product``).
 
 When the separation satisfies d/R > 4 sqrt(r), the squared entries are
 summable and bounded by the closed form 1/(1 - x) with
@@ -38,7 +41,7 @@ from .correlator import KernelTable
 from .errors import ConfigurationError, RegimeError, RegimeWarning, ResourceError, count_text
 from .fock import FockIndex
 from .pairing import hafnian
-from .scalars import Scalar, as_scalar, conjugate, is_zero, real_value, root
+from .scalars import Exact, Scalar, as_scalar, conjugate, is_zero, real_value, root
 
 _MODULE = "amplitude"
 
@@ -212,8 +215,9 @@ def hs_truncated(config: DiscConfiguration, M: int, N: int) -> list[HSPartial]:
     rows are rational; float rows may differ from a tuple-by-tuple sum in
     the last bits.  Cost: nothing is built for N < 2, else one kernel per
     cross-disc slot pair and, for N >= 4, floor((N + 2)/4) matrix products
-    of (r*M)^3.  The kernels of each disc pair are one value per order sum,
-    from running integer powers of the centre difference (``KernelTable``).
+    of (r*M)^3, halved in exact mode by the mirror of ``_matmul``.  The
+    kernels of each disc pair are one value per order sum, from running
+    integer powers of the centre difference (``KernelTable``).
     A truncation whose tuples number more than ``MAX_TUPLES`` raises
     ResourceError before anything is built; the slowest shape it admits,
     N = 2 at 2 discs and M = 220, takes about 11 s for discs (centre 0,
@@ -270,7 +274,11 @@ def _hs_traces(config: DiscConfiguration, M: int, kmax: int) -> list[Scalar]:
 
     With K' from ``_PairMatrix`` and D = diag(sqrt(m)),
     A' = D^2 conj(K') D^2 K' = D (conj(K) K) D^-1 has the traces of
-    conj(K) K and Gaussian-rational entries: no ``root``.
+    conj(K) K and Gaussian-rational entries: no ``root``.  K' is symmetric,
+    so with left = diag(m) conj(K') and right = diag(m) K' every power is
+    A'^p = diag(m) H_p with H_p Hermitian: ``_matmul`` mirrors the exact
+    entries below the diagonal, and ``_trace_product`` sums each exact
+    trace over the pairs i <= j.
     """
     exact = config.is_exact()
     zero = scalars.zero_scalar(exact)
@@ -294,22 +302,67 @@ def _hs_traces(config: DiscConfiguration, M: int, kmax: int) -> list[Scalar]:
     left = [[m * conjugate(x) for x in row] for m, row in zip(modes, kp)]
     right = [[m * x for x in row] for m, row in zip(modes, kp)]
     # powers[p] = A'^p up to ceil(kmax/2), and tr(A'^k) = sum_ij (A'^ceil)_ij (A'^floor)_ji
-    powers = [None, _matmul(left, right, zero)]
+    powers = [None, _matmul(left, right, modes, zero)]
     while 2 * (len(powers) - 1) < kmax:
-        powers.append(_matmul(powers[-1], powers[1], zero))
+        powers.append(_matmul(powers[-1], powers[1], modes, zero))
     for k in range(2, kmax + 1):
-        hi, lo = powers[(k + 1) // 2], powers[k // 2]
-        traces.append(sum((hi[i][j] * lo[j][i] for i in range(n) for j in range(n)), zero))
+        traces.append(_trace_product(powers[(k + 1) // 2], powers[k // 2], zero))
     return traces
 
 
-def _matmul(x: list[list[Scalar]], y: list[list[Scalar]], zero: Scalar) -> list[list[Scalar]]:
-    """The matrix product x y, skipping the zero entries of x (the same-disc blocks)."""
-    out = []
-    for row in x:
+def _matmul(
+    x: list[list[Scalar]], y: list[list[Scalar]], modes: list[int], zero: Scalar
+) -> list[list[Scalar]]:
+    """The power x y of A', for x = left or a power of A' and y = A' (see
+    ``_hs_traces``), skipping the zero entries of x (the same-disc blocks).
+
+    The entries on and above the diagonal are summed.  Below it,
+    A'^p[i][j] = (m_i/m_j) conj(A'^p[j][i]), because A'^p = diag(m) H_p with
+    H_p Hermitian; that holds only for K' symmetric, left = diag(m) conj(K')
+    and right = diag(m) K'.  The mirror is taken when A'^p[j][i] is an
+    ``Exact``; a float entry is summed, so float powers keep all n^2 sums.
+    """
+    out: list[list[Scalar]] = []
+    for i, row in enumerate(x):
         terms = [(v, y[l]) for l, v in enumerate(row) if not is_zero(v)]
-        out.append([sum((v * yl[j] for v, yl in terms), zero) for j in range(len(y[0]))])
+        m_i = modes[i]
+        out_row = []
+        for j in range(len(y[0])):
+            mirror = out[j][i] if j < i else None
+            if isinstance(mirror, Exact):
+                m_j = modes[j]
+                conj = mirror.conjugate()
+                out_row.append(conj if m_i == m_j else conj * Fraction(m_i, m_j))
+            else:
+                out_row.append(sum((v * yl[j] for v, yl in terms), zero))
+        out.append(out_row)
     return out
+
+
+def _trace_product(hi: list[list[Scalar]], lo: list[list[Scalar]], zero: Scalar) -> Scalar:
+    """tr(hi lo) for two powers of A' from ``_matmul``.
+
+    Exact: tr(hi lo) is real and hi_ji lo_ij = conj(hi_ij lo_ji) (the mirror
+    rule of ``_matmul``), so the trace is sum_i Re(hi_ii lo_ii) plus twice
+    sum_{i<j} Re(hi_ij lo_ji).  Both factors of a pair carry one radicand s,
+    so each real part is the rational s (a.re b.re - a.im b.im).  Float: the
+    sum over all n^2 pairs.
+    """
+    n = len(hi)
+    if not isinstance(zero, Exact):
+        return sum((hi[i][j] * lo[j][i] for i in range(n) for j in range(n)), zero)
+    diagonal = off_diagonal = Fraction(0)
+    for i in range(n):
+        hi_row = hi[i]
+        for j in range(i, n):
+            a, b = hi_row[j], lo[j][i]
+            if a and b:
+                part = a.s * (a.re * b.re - a.im * b.im)
+                if i == j:
+                    diagonal += part
+                else:
+                    off_diagonal += part
+    return scalars.rational(diagonal + 2 * off_diagonal)
 
 
 def hs_bound(config: DiscConfiguration) -> Scalar:

@@ -9,13 +9,14 @@ Subcommands:
 
 Results are JSON documents on stdout (or --out).  In exact mode the output
 is byte-identical across runs; rationals are rendered as "p/q" strings.
-Exit codes: 0 success, 1 configuration, domain or resource error (an exact
-output integer of more than MAX_DIGITS digits included) or a float beyond
-range, 2 verify failure, 3 any other exception (a defect of
-the engine, a limit of the interpreter, or a reader of stdout that went
-away, after which nothing more is written).  Every error leaves the same
-{"error": {"module", "type", "message"}} document on stdout and no
-traceback.
+Exit codes: 0 success (--help included), 1 a usage error of the command
+line, a configuration, domain or resource error (an exact output integer of
+more than MAX_DIGITS digits included) or a float beyond range, 2 verify
+failure, 3 any other exception (a defect of the engine, a limit of the
+interpreter, or a reader of stdout that went away, after which nothing more
+is written).  Every error leaves the same
+{"error": {"module", "type", "message"}} document on stdout, nothing on
+stderr and no traceback.
 """
 from __future__ import annotations
 
@@ -460,6 +461,13 @@ def _origin(exc: Exception) -> str:
     return module
 
 
+def _usage_error(message: str):
+    """argparse's error hook on every parser: a usage error raises
+    SchemaError, reported as an error document, in place of usage text on
+    stderr and exit 2."""
+    raise SchemaError(message)
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it unchanged."""
@@ -467,9 +475,11 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="freeboson",
         description="free boson correlators, Gram matrices, and disc amplitudes",
     )
+    parser.error = _usage_error
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("correlator", "gram", "amplitude", "hsnorm", "verify"):
         p = sub.add_parser(name)
+        p.error = _usage_error
         p.add_argument("--config", required=name != "verify", metavar="PATH")
         p.add_argument("--out", metavar="PATH")
         p.add_argument("--timing", action="store_true")
@@ -497,9 +507,12 @@ def main(argv=None) -> int:
 def _main(argv) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; fold that into the config-error code
-        return 0 if exc.code in (0, None) else 1
+    except SystemExit:
+        # --help prints its text and exits 0; a usage error raises SchemaError
+        return 0
+    except SchemaError as exc:
+        _emit_error(exc.module, exc)
+        return 1
 
     started = time.perf_counter()
     try:

@@ -204,13 +204,15 @@ class Exact:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        if not n:
+            return ONE
+        # left to right over the bits below the top one: a square per bit and
+        # a product by self per set bit, (bit_length - 1) + (popcount - 1) in all
+        result = self
+        for bit in range(n.bit_length() - 2, -1, -1):
+            result = result * result
+            if n >> bit & 1:
+                result = result * self
         return result
 
     # -- comparisons / conversions ---------------------------------------
@@ -243,11 +245,26 @@ class Exact:
         if not s:
             return "Exact(0)"
         root_txt = "" if s == 1 else f"*sqrt({s})"
-        if im == 0:
+        re, im = _fraction_text(re), _fraction_text(im)
+        if im == "0":
             return f"Exact(({re}){root_txt})"
-        if re == 0:
+        if re == "0":
             return f"Exact(({im}j){root_txt})"
         return f"Exact(({re}+{im}j){root_txt})"
+
+
+def _fraction_text(x: Fraction) -> str:
+    """str(x), with an integer too long for the interpreter's decimal
+    conversion cap shown by its bit length, so ``repr`` never raises."""
+    num = _integer_text(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{_integer_text(x.denominator)}"
+
+
+def _integer_text(k: int) -> str:
+    try:
+        return str(k)
+    except ValueError:
+        return f"{'-' if k < 0 else ''}<{abs(k).bit_length()}-bit integer>"
 
 
 _new = object.__new__

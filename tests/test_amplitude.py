@@ -19,6 +19,8 @@ from freeboson.amplitude import (
     MAX_DISCS,
     MAX_TUPLES,
     _PairMatrix,
+    _hs_traces,
+    _matmul,
     hs_bound,
     hs_truncated,
 )
@@ -29,8 +31,9 @@ from freeboson.errors import (
     ResourceError,
 )
 from freeboson.fock import FockIndex
-from freeboson.scalars import ONE, as_scalar, conjugate, rational, root
+from freeboson.scalars import ONE, ZERO, as_scalar, conjugate, rational, root
 from fock_reference import basis
+import hs_reference
 
 
 def _standard() -> DiscConfiguration:
@@ -275,6 +278,101 @@ def test_hs_truncated_float_matches_tuple_sweep():
         assert row.tuple_count == count
         assert abs(row.partial_sum - value) <= 1e-12 * abs(value)
         assert row.partial_sum.imag == 0.0
+
+
+def _radical_config() -> DiscConfiguration:
+    """Three discs whose scales carry the radicals sqrt(2) and sqrt(3)."""
+    return DiscConfiguration((
+        Disc(rational(0), root(2) / 4),
+        Disc(rational(5), rational(Fraction(1, 8), Fraction(1, 8)) * root(3)),
+        Disc(rational(0, 6), rational(Fraction(1, 5), Fraction(-1, 10))),
+    ))
+
+
+# (seed, discs, spacing, max_q, M, kmax): kmax = N // 2 of a sweep to N = 9
+_TRACE_CASES = [
+    (11, 2, 8, 3, 5, 4),
+    (12, 2, 3, 4, 4, 3),
+    (13, 3, 8, 3, 4, 4),
+    (14, 3, 3, 4, 3, 4),
+    (15, 4, 8, 3, 3, 4),
+    (16, 4, 3, 4, 2, 2),
+]
+
+
+@pytest.mark.parametrize("seed,r,spacing,max_q,M,kmax", _TRACE_CASES)
+def test_hs_traces_equal_the_full_product_oracle(seed, r, spacing, max_q, M, kmax):
+    cfg = _seeded_config(seed, r, spacing, max_q)
+    assert _hs_traces(cfg, M, kmax) == hs_reference.hs_traces(cfg, M, kmax)
+
+
+def test_hs_traces_keep_a_radical_scale_exact():
+    cfg = _radical_config()
+    traces = _hs_traces(cfg, 4, 4)
+    assert traces == hs_reference.hs_traces(cfg, 4, 4)
+    assert all(t.is_rational() for t in traces)
+    # a mirrored entry below the diagonal carries the radicals of its slots
+    modes, left, right = hs_reference.left_and_right(cfg, 4)
+    power = _matmul(left, right, modes, ZERO)
+    assert power == hs_reference.matmul(left, right, ZERO)
+    assert {x.s for row in power for x in row} >= {2, 3, 6}
+
+
+def test_hs_traces_float_bits_equal_the_full_product_oracle():
+    for seed, r in ((17, 2), (18, 3)):
+        cfg = _seeded_config(seed, r, 3, 4, exact=False)
+        got, want = _hs_traces(cfg, 4, 4), hs_reference.hs_traces(cfg, 4, 4)
+        assert [repr(t) for t in got] == [repr(t) for t in want]
+
+
+def test_hs_traces_sum_half_of_each_exact_power(monkeypatch):
+    # N = 8 at r = 3, M = 4: A'^1 and A'^2 over 12 slots, and three traces
+    # of products.  An exact power sums only its n(n + 1)/2 entries j >= i
+    # and a trace multiplies no Exacts, so the oracle's extra products are
+    # those of the i entries left of the diagonal in each row i, one per
+    # nonzero term of the row, and the n^2 terms of each trace.
+    cfg = _seeded_config(19, 3, 8, 3)
+    M, kmax = 4, 4
+    modes, left, right = hs_reference.left_and_right(cfg, M)
+    n = len(modes)
+    factors = (left, hs_reference.matmul(left, right, ZERO))
+    saved = sum(
+        i * sum(1 for v in row if v) for x in factors for i, row in enumerate(x)
+    ) + (kmax - 1) * n * n
+    products = []
+    multiply = scalars.Exact.__mul__
+
+    def counted(a, b):
+        if isinstance(b, scalars.Exact):
+            products.append(1)
+        return multiply(a, b)
+
+    monkeypatch.setattr(scalars.Exact, "__mul__", counted)
+    _hs_traces(cfg, M, kmax)
+    mirrored = len(products)
+    products.clear()
+    hs_reference.hs_traces(cfg, M, kmax)
+    assert len(products) - mirrored == saved
+
+
+def test_float_powers_sum_every_entry():
+    # a float entry is never mirrored: n^2 sums of the nonzero terms of its row
+    products = []
+
+    class Counted(complex):
+        def __mul__(self, other):
+            products.append(1)
+            return complex(self) * other
+
+    cfg = _seeded_config(20, 3, 8, 3, exact=False)
+    modes, left, right = hs_reference.left_and_right(cfg, 3)
+    n = len(modes)
+    counted_left = [[Counted(v) for v in row] for row in left]
+    power = _matmul(counted_left, right, modes, 0j)
+    assert len(products) == n * sum(1 for row in left for v in row if v)
+    assert [repr(v) for row in power for v in row] == [
+        repr(v) for row in hs_reference.matmul(left, right, 0j) for v in row
+    ]
 
 
 def test_hs_truncated_hand_value():

@@ -340,9 +340,20 @@ def test_main_invalid_json(tmp_path, capsys):
 
 
 def test_main_usage_errors_exit_one(capsys):
-    assert main([]) == 1
-    assert main(["correlator"]) == 1  # --config is required
-    capsys.readouterr()
+    # one error document on stdout, no usage text on stderr
+    for argv, message in (
+        ([], "the following arguments are required: command"),
+        (["correlator"], "the following arguments are required: --config"),
+        (["verify", "--bogus"], "unrecognized arguments: --bogus"),
+        (["gram", "--config", "c.json", "--mode", "fast"], "argument --mode: invalid choice"),
+        (["grams"], "argument command: invalid choice"),
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        error = json.loads(captured.out)["error"]
+        assert (error["module"], error["type"]) == ("cli", "SchemaError")
+        assert error["message"].startswith(message), argv
 
 
 def test_parser_is_built_once_and_survives_usage_errors(tmp_path, capsys):
@@ -363,7 +374,9 @@ def test_parser_is_built_once_and_survives_usage_errors(tmp_path, capsys):
 
 def test_main_help_exits_zero(capsys):
     assert main(["--help"]) == 0
-    capsys.readouterr()
+    assert main(["hsnorm", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert "usage: freeboson" in captured.out and captured.err == ""
 
 
 def test_main_verify_passes(capsys):
@@ -584,6 +597,23 @@ def test_module_entry_point_runs_without_warning(tmp_path):
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["expectations"] == ["169/576"]
+
+
+def test_module_entry_point_usage_error_is_a_document(tmp_path):
+    config = _write(tmp_path, "c.json", {"words": [FOUR_POINT]})
+    proc = _python(
+        ["-m", "freeboson.cli", "gram", "--config", config, "--bogus"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == {
+        "error": {
+            "module": "cli",
+            "type": "SchemaError",
+            "message": "unrecognized arguments: --bogus",
+        }
+    }
 
 
 def test_closed_stdout_exits_3_without_traceback(tmp_path):

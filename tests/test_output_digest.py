@@ -11,6 +11,10 @@ The same correlator, gram, amplitude and hsnorm configs run again in float
 mode, each "p/q" value read as the nearest float, and hash to
 ``FLOAT_DIGEST``: a change to the order of float arithmetic fails there.
 
+Those hsnorm configs stop at N = 4, whose traces need no power of A' beyond
+the first; exact hsnorm documents at N = 8 on 2 and 3 discs, whose traces
+reach A'^2, hash to ``HS_POWERS_DIGEST``.
+
 The float values of ``expect_combo``, ``inner`` and ``gram`` on seeded
 words and states at points of the real and imaginary axes and the origin,
 where many kernels and pair factors have a zero part, hash with the sign of
@@ -37,6 +41,7 @@ from freeboson.hilbert import gram, inner
 
 DIGEST = "d440e1965c41d314e5db96ab3728f9b2707e0f780c7ea86c85710ecad19e4dcf"
 FLOAT_DIGEST = "f2be3956c51c3aa51b48efd4a669ebc3f4f9aa28df130cc502e8040076653541"
+HS_POWERS_DIGEST = "cf7c8cda9340e5f4099b1af3281ac164472b37b6797cef04a8b4e6d91b7fc3f5"
 ZERO_SIGN_DIGEST = "9c86e16b0feac9a6ab6de4bac5ed976a8d7b91127bd4c3c94b1e2274994db2a1"
 
 _FLOAT_FIELDS = ("min_eigenvalue", "hermiticity_defect", "psd", "witness", "timing")
@@ -134,6 +139,17 @@ def _configs() -> list:
     return out
 
 
+def _hs_powers_configs() -> list:
+    """hsnorm at N = 8: tr(A'^3) and tr(A'^4) come from A'^2."""
+    rng = random.Random("freeboson-hs-powers")
+    out = []
+    for r, M, wide in ((2, 4, True), (2, 5, False), (3, 3, True), (3, 2, False)):
+        spacing, max_q = (8, 3) if wide else (3, 4)
+        discs = _discs(rng, r, spacing, max_q)
+        out.append(("hsnorm", {"discs": discs, "truncation": {"M": M, "N": 8}}))
+    return out
+
+
 def _as_floats(value):
     """The config with every "p/q" string read as a float."""
     if isinstance(value, str):
@@ -186,6 +202,14 @@ def test_float_output_digest_is_pinned():
     started = time.perf_counter()
     assert _digest(_float_configs()) == FLOAT_DIGEST
     assert time.perf_counter() - started < 5.0
+
+
+def test_hs_powers_digest_is_pinned():
+    configs = _hs_powers_configs()
+    assert {run(c, cfg)["regime"] for c, cfg in configs} == {True, False}
+    started = time.perf_counter()
+    assert _digest(configs) == HS_POWERS_DIGEST
+    assert time.perf_counter() - started < 2.0
 
 
 def _axis_point(rng: random.Random, taken: set) -> complex:

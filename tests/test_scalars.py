@@ -100,6 +100,58 @@ def test_power():
     assert x ** -2 == (x * x).inverse()
 
 
+@pytest.mark.parametrize("x", [rational(Fraction(1, 2), Fraction(-2, 3)), rational(Fraction(3, 4), 1) * root(6)])
+def test_power_is_the_repeated_product(x):
+    for n in range(-6, 10):
+        base = x if n >= 0 else x.inverse()
+        product = ONE
+        for _ in range(abs(n)):
+            product = product * base
+        assert x ** n == product, n
+    assert ZERO ** 0 == ONE
+    with pytest.raises(ZeroDivisionError):
+        ZERO ** -1
+
+
+def test_power_makes_no_wasted_product(monkeypatch):
+    # left-to-right square and multiply: one square per bit below the top one
+    # and one product per set bit below it, none thrown away
+    calls = []
+    product = scalars.Exact.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(scalars.Exact, "__mul__", counted)
+    x = rational(Fraction(2, 3), Fraction(1, 5)) * root(2)
+    for n in list(range(1, 40)) + [-7, -12, 1000]:
+        calls.clear()
+        x ** n
+        m = abs(n)
+        assert len(calls) == (m.bit_length() - 1) + (bin(m).count("1") - 1), n
+
+
+def test_repr_of_parts_over_the_interpreter_digit_cap():
+    # the expectation of 12 singletons of order 3 at k/p_k + i(k+1)/p'_k, the
+    # primes 101..167 forwards and backwards: parts of over 4300 digits
+    from freeboson.algebra import WickWord
+    from freeboson.correlator import expect_combo
+
+    primes = [p for p in range(101, 168) if all(p % d for d in range(2, p))]
+    points = [(Fraction(k, primes[k - 1]), Fraction(k + 1, primes[-k])) for k in range(1, 13)]
+    value = expect_combo(WickWord.plain(*[(3, rational(re, im)) for re, im in points]))
+    text = repr(value)
+    re, im = value.gaussian()
+    bits = [abs(k).bit_length() for k in (re.numerator, re.denominator, im.numerator, im.denominator)]
+    assert text == (
+        f"Exact(({'-' if re < 0 else ''}<{bits[0]}-bit integer>/<{bits[1]}-bit integer>"
+        f"+{'-' if im < 0 else ''}<{bits[2]}-bit integer>/<{bits[3]}-bit integer>j))"
+    )
+    # parts under the cap keep their decimal form
+    assert repr(rational(Fraction(-3, 4), 5) * root(2)) == "Exact((-3/4+5j)*sqrt(2))"
+
+
 def test_conjugate_and_parts():
     x = rational(1, 2) * root(3)
     assert x.conjugate() == rational(1, -2) * root(3)
