@@ -7,6 +7,13 @@ Subcommands:
     hsnorm       truncated Hilbert-Schmidt partial sums with the closed-form bound
     verify       run the cross-module identity suites
 
+Each command is declared once, in ``_COMMANDS``: its handler and the config
+keys it reads.  ``run`` refuses any other key and writes ``command`` into the
+document; for a command that reads ``mode`` it also validates the mode,
+hands the handler ``exact`` and writes ``mode``.  The parser builds one
+subcommand per entry, with --mode and a required --config for a command
+that reads a mode.
+
 Results are JSON documents on stdout (or --out).  In exact mode the output
 is byte-identical across runs; rationals are rendered as "p/q" strings.
 Exit codes: 0 success (--help included), 1 a usage error of the command
@@ -47,15 +54,7 @@ from .verify import run_suites
 # shorter integer has at most MAX_DIGITS digits.
 MAX_DIGITS = 100_000
 _MAX_BITS = int(MAX_DIGITS * math.log2(10)) + 1
-
-_ALLOWED_KEYS = {
-    "correlator": {"mode", "words"},
-    "gram": {"mode", "states", "tolerance"},
-    "amplitude": {"mode", "discs", "states"},
-    "hsnorm": {"mode", "discs", "truncation"},
-    "verify": {"suites", "seed"},
-}
-
+_MODES = ("exact", "float")
 
 # ---------------------------------------------------------------- scalars i/o
 
@@ -139,6 +138,13 @@ def _require(config: dict, key: str, command: str):
     return config[key]
 
 
+def _entries(config: dict, key: str, command: str) -> list:
+    entries = _require(config, key, command)
+    if not isinstance(entries, list) or not entries:
+        raise SchemaError(f"{command}.{key}: expected a non-empty list")
+    return entries
+
+
 def _parse_insertion(obj, exact: bool, where: str) -> Insertion:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an insertion object")
@@ -211,47 +217,20 @@ def _parse_occupations(obj, where: str) -> FockIndex:
     return FockIndex.of(occ)
 
 
-def _check_keys(config: dict, command: str):
-    if not isinstance(config, dict):
-        raise SchemaError("config document must be a JSON object")
-    extra = set(config) - _ALLOWED_KEYS[command]
-    if extra:
-        raise SchemaError(f"unknown config keys for {command}: {sorted(extra)}")
-
-
-def _mode(config: dict) -> bool:
-    mode = config.get("mode", "exact")
-    if mode not in ("exact", "float"):
-        raise SchemaError(f"mode must be 'exact' or 'float', got {mode!r}")
-    return mode == "exact"
-
-
 # ---------------------------------------------------------------- commands
 
-def _run_correlator(config: dict) -> dict:
-    exact = _mode(config)
-    entries = _require(config, "words", "correlator")
-    if not isinstance(entries, list) or not entries:
-        raise SchemaError("correlator.words: expected a non-empty list")
+def _run_correlator(config: dict, exact: bool) -> dict:
     expectations = []
     pairings = 0
-    for i, obj in enumerate(entries):
+    for i, obj in enumerate(_entries(config, "words", "correlator")):
         word = _parse_word(obj, exact, f"words[{i}]")
         expectations.append(_scalar_json(expect_combo(LinearCombination.of(word))))
         pairings += matching_count([len(g) for g in word.groups])
-    return {
-        "command": "correlator",
-        "mode": "exact" if exact else "float",
-        "expectations": expectations,
-        "pairings": pairings,
-    }
+    return {"expectations": expectations, "pairings": pairings}
 
 
-def _run_gram(config: dict) -> dict:
-    exact = _mode(config)
-    entries = _require(config, "states", "gram")
-    if not isinstance(entries, list) or not entries:
-        raise SchemaError("gram.states: expected a non-empty list")
+def _run_gram(config: dict, exact: bool) -> dict:
+    entries = _entries(config, "states", "gram")
     tol = config.get("tolerance", 1e-10)
     # the upper end rejects inf and integers too large for a float; NaN fails both
     finite = isinstance(tol, (int, float)) and 0 < tol <= sys.float_info.max
@@ -260,8 +239,6 @@ def _run_gram(config: dict) -> dict:
     states = [_parse_word(obj, exact, f"states[{i}]") for i, obj in enumerate(entries)]
     report = gram(states, tol=float(tol))
     doc = {
-        "command": "gram",
-        "mode": "exact" if exact else "float",
         "size": report.size,
         "matrix": [[_scalar_json(v) for v in row] for row in report.matrix],
         "min_eigenvalue": report.min_eigenvalue,
@@ -274,14 +251,10 @@ def _run_gram(config: dict) -> dict:
     return doc
 
 
-def _run_amplitude(config: dict) -> dict:
-    exact = _mode(config)
+def _run_amplitude(config: dict, exact: bool) -> dict:
     discs = _parse_discs(_require(config, "discs", "amplitude"), exact, "amplitude")
-    tuples = _require(config, "states", "amplitude")
-    if not isinstance(tuples, list) or not tuples:
-        raise SchemaError("amplitude.states: expected a non-empty list")
     entries = []
-    for i, tup in enumerate(tuples):
+    for i, tup in enumerate(_entries(config, "states", "amplitude")):
         if not isinstance(tup, list) or len(tup) != len(discs.discs):
             raise SchemaError(
                 f"amplitude.states[{i}]: expected one occupation map per disc "
@@ -292,16 +265,10 @@ def _run_amplitude(config: dict) -> dict:
             for j, obj in enumerate(tup)
         )
         entries.append(_scalar_json(amplitude_entry(discs, indices)))
-    return {
-        "command": "amplitude",
-        "mode": "exact" if exact else "float",
-        "discs": len(discs.discs),
-        "entries": entries,
-    }
+    return {"discs": len(discs.discs), "entries": entries}
 
 
-def _run_hsnorm(config: dict) -> dict:
-    exact = _mode(config)
+def _run_hsnorm(config: dict, exact: bool) -> dict:
     discs = _parse_discs(_require(config, "discs", "hsnorm"), exact, "hsnorm")
     trunc = _require(config, "truncation", "hsnorm")
     if not isinstance(trunc, dict) or set(trunc) != {"M", "N"}:
@@ -317,8 +284,6 @@ def _run_hsnorm(config: dict) -> dict:
         warnings.simplefilter("ignore", RegimeWarning)
         rows = hs_truncated(discs, M, N)
     return {
-        "command": "hsnorm",
-        "mode": "exact" if exact else "float",
         "truncation": {"M": M, "N": N},
         "regime": regime,
         "bound": None if bound is None else _scalar_json(bound),
@@ -343,7 +308,6 @@ def _run_verify(config: dict) -> dict:
         raise SchemaError("verify.seed: expected an integer")
     results = run_suites(names, seed=seed)
     return {
-        "command": "verify",
         "seed": seed,
         "suites": [
             {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
@@ -358,12 +322,15 @@ def _run_verify(config: dict) -> dict:
     }
 
 
+# Each command once: its handler and the config keys it reads.  A command
+# that reads "mode" computes from its config, so its --config is required;
+# verify, which reads no mode, runs without one.
 _COMMANDS = {
-    "correlator": _run_correlator,
-    "gram": _run_gram,
-    "amplitude": _run_amplitude,
-    "hsnorm": _run_hsnorm,
-    "verify": _run_verify,
+    "correlator": (_run_correlator, {"mode", "words"}),
+    "gram": (_run_gram, {"mode", "states", "tolerance"}),
+    "amplitude": (_run_amplitude, {"mode", "discs", "states"}),
+    "hsnorm": (_run_hsnorm, {"mode", "discs", "truncation"}),
+    "verify": (_run_verify, {"suites", "seed"}),
 }
 
 
@@ -373,11 +340,21 @@ def run(command: str, config: dict, timing: bool = False) -> dict:
     A command may time its own parts (verify: seconds and cases per suite);
     that ``timing`` entry stays in the document only when ``timing`` is set.
     """
-    handler = _COMMANDS.get(command)
-    if handler is None:
+    if command not in _COMMANDS:
         raise SchemaError(f"unknown command {command!r}")
-    _check_keys(config, command)
-    doc = handler(config)
+    handler, keys = _COMMANDS[command]
+    if not isinstance(config, dict):
+        raise SchemaError("config document must be a JSON object")
+    extra = set(config) - keys
+    if extra:
+        raise SchemaError(f"unknown config keys for {command}: {sorted(extra)}")
+    if "mode" in keys:
+        mode = config.get("mode", "exact")
+        if mode not in _MODES:
+            raise SchemaError(f"mode must be 'exact' or 'float', got {mode!r}")
+        doc = {"command": command, "mode": mode, **handler(config, mode == "exact")}
+    else:
+        doc = {"command": command, **handler(config)}
     parts = doc.pop("timing", None)
     if timing and parts is not None:
         doc["timing"] = parts
@@ -477,14 +454,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.error = _usage_error
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("correlator", "gram", "amplitude", "hsnorm", "verify"):
+    for name, (_, keys) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.error = _usage_error
-        p.add_argument("--config", required=name != "verify", metavar="PATH")
+        p.add_argument("--config", required="mode" in keys, metavar="PATH")
         p.add_argument("--out", metavar="PATH")
         p.add_argument("--timing", action="store_true")
-        if name != "verify":
-            p.add_argument("--mode", choices=("exact", "float"))
+        if "mode" in keys:
+            p.add_argument("--mode", choices=_MODES)
         if name == "hsnorm":
             p.add_argument("--csv", action="store_true")
     return parser

@@ -1,16 +1,23 @@
 """Cross-module identity suites.
 
-Each suite exercises one of the exact identities the engine is built on,
-on deterministic pseudo-random data, and reports pass/fail with a short
-detail string, the number of cases it checked and its wall-clock time.  All checks are exact (no tolerances) except where a suite
-explicitly says otherwise.
+Each suite exercises one of the exact identities the engine is built on, on
+deterministic pseudo-random data; every check is exact.  A suite is called
+as ``suite(rng, check)``, calls ``check(passed, detail, *args)`` once per
+check and returns its summary line.  ``run_suites`` owns the rest: the first
+failed check ends the suite with ``detail.format(*args)`` as its detail (a
+detail is formatted only then), and each result carries the verdict, the
+number of checks made and the suite's wall-clock time.  A suite does all of
+its work inside its call, so a wrapper around a ``SUITES`` entry times all
+of it.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import scalars
@@ -43,7 +50,7 @@ _MODULE = "verify"
 @dataclass(frozen=True)
 class SuiteResult:
     """One suite's verdict; ``cases`` counts the checks made (up to the first
-    failure) and ``seconds`` is filled in by ``run_suites``."""
+    failure) and ``seconds`` is the suite's wall-clock time."""
 
     name: str
     passed: bool
@@ -52,23 +59,19 @@ class SuiteResult:
     seconds: float = 0.0
 
 
-def _suite_d_identity(rng: random.Random) -> SuiteResult:
+class _Failed(Exception):
+    """A suite's first failed check; its one argument is the detail."""
+
+
+def _suite_d_identity(rng: random.Random, check) -> str:
     max_m = 20
-    cases = 0
     for m in range(1, max_m + 1):
         for b in range(1, m + 1):
-            cases += 1
             total = sum(d_coeff(m, a) * d_coeff(a, b) for a in range(b, m + 1))
-            if total != (1 if m == b else 0):
-                return SuiteResult("d-identity", False, f"failed at (m,b)=({m},{b})", cases)
-    table = d_table(12)
-    for (m, a), value in table.items():
-        cases += 1
-        if d_coeff(m, a) != value:
-            return SuiteResult("d-identity", False, f"recursion mismatch at ({m},{a})", cases)
-    return SuiteResult(
-        "d-identity", True, f"involution identity to m={max_m}, recursion to m=12", cases
-    )
+            check(total == (1 if m == b else 0), "failed at (m,b)=({},{})", m, b)
+    for (m, a), value in d_table(12).items():
+        check(d_coeff(m, a) == value, "recursion mismatch at ({},{})", m, a)
+    return f"involution identity to m={max_m}, recursion to m=12"
 
 
 def _random_word(rng: random.Random, n: int):
@@ -77,88 +80,67 @@ def _random_word(rng: random.Random, n: int):
     return LinearCombination.of(random_wick_word(rng, n))
 
 
-def _suite_theta_involution(rng: random.Random) -> SuiteResult:
-    cases = 30
-    for i in range(cases):
+def _suite_theta_involution(rng: random.Random, check) -> str:
+    words = 30
+    for _ in range(words):
         F = _random_word(rng, rng.randint(1, 6))
-        if theta(theta(F)) != F:
-            return SuiteResult("theta-involution", False, "theta(theta(F)) != F", i + 1)
-    return SuiteResult("theta-involution", True, f"{cases} random words, exact", cases)
+        check(theta(theta(F)) == F, "theta(theta(F)) != F")
+    return f"{words} random words, exact"
 
 
-def _suite_conjugation(rng: random.Random) -> SuiteResult:
-    cases = 30
-    for i in range(cases):
+def _suite_conjugation(rng: random.Random, check) -> str:
+    words = 30
+    for _ in range(words):
         F = _random_word(rng, rng.randint(2, 6))
-        lhs = expect_combo(theta(F))
-        rhs = scalars.conjugate(expect_combo(F))
-        if lhs != rhs:
-            return SuiteResult("conjugation", False, "expect(theta F) != conj(expect F)", i + 1)
-    return SuiteResult("conjugation", True, f"{cases} random words, exact", cases)
+        lhs, rhs = expect_combo(theta(F)), scalars.conjugate(expect_combo(F))
+        check(lhs == rhs, "expect(theta F) != conj(expect F)")
+    return f"{words} random words, exact"
 
 
-def _suite_scaling(rng: random.Random) -> SuiteResult:
-    cases = 30
-    for i in range(cases):
+def _suite_scaling(rng: random.Random, check) -> str:
+    for _ in range(30):
         W = random_plain_word(rng, rng.randint(2, 6))
         a = rational_point(rng, nonzero=False)
         q = rational_point(rng)
         lhs = expect_combo(W)
         rhs = expect_combo(rescale(LinearCombination.of(W), a, q))
-        if lhs != rhs:
-            return SuiteResult("scaling", False, "expect(rescale(W)) != expect(W)", i + 1)
+        check(lhs == rhs, "expect(rescale(W)) != expect(W)")
     for _ in range(8):
         n = rng.choice((2, 4))
         W = random_plain_word(rng, n, max_order=1)
         lhs, rhs = mobius_check(W, (0, 1, 1, 0))
-        cases += 1
-        if lhs != rhs:
-            return SuiteResult("scaling", False, "inversion map covariance failed", cases)
+        check(lhs == rhs, "inversion map covariance failed")
         coeffs = (rational_point(rng), rational_point(rng, nonzero=False), scalars.ZERO, scalars.ONE)
         lhs, rhs = mobius_check(W, coeffs)
-        cases += 1
-        if lhs != rhs:
-            return SuiteResult("scaling", False, "affine map covariance failed", cases)
-    return SuiteResult(
-        "scaling", True, "30 rescalings and 16 fractional-linear maps, exact", cases
-    )
+        check(lhs == rhs, "affine map covariance failed")
+    return "30 rescalings and 16 fractional-linear maps, exact"
 
 
-def _suite_wick_plain(rng: random.Random) -> SuiteResult:
-    cases = 12
-    for i in range(cases):
+def _suite_wick_plain(rng: random.Random, check) -> str:
+    words = 12
+    for _ in range(words):
         W = random_wick_word(rng, rng.randint(2, 6))
-        direct = expect_combo(W)
-        expanded: LinearCombination | None = None
-        for group in W.groups:
-            term = wick_expand(group)
-            expanded = term if expanded is None else expanded * term
-        via_plain = expect_combo(expanded) if expanded is not None else scalars.ONE
-        if direct != via_plain:
-            return SuiteResult("wick-plain", False, "grouped word != its Wick expansion", i + 1)
-    return SuiteResult("wick-plain", True, f"{cases} random words with <= 6 insertions, exact", cases)
+        expanded = functools.reduce(operator.mul, (wick_expand(g) for g in W.groups))
+        check(expect_combo(W) == expect_combo(expanded), "grouped word != its Wick expansion")
+    return f"{words} random words with <= 6 insertions, exact"
 
 
-def _suite_commutators(rng: random.Random) -> SuiteResult:
+def _suite_commutators(rng: random.Random, check) -> str:
     vectors = [random_fock_vector(rng, max_level=8) for _ in range(3)]
-    cases = 0
     for v in vectors:
         for m in range(-4, 5):
             for n in range(-4, 5):
-                cases += 1
                 lhs = ladder(ladder(v, n), m) - ladder(ladder(v, m), n)
                 rhs = v.scaled(m) if m + n == 0 else FockVector.zero()
-                if lhs != rhs:
-                    return SuiteResult("commutators", False, f"[alpha_{m}, alpha_{n}] failed", cases)
+                check(lhs == rhs, "[alpha_{}, alpha_{}] failed", m, n)
     v, w = vectors[0], vectors[1]
     for m in range(-4, 5):
-        cases += 1
-        if fock_inner(ladder(v, -m), w) != fock_inner(v, ladder(w, m)):
-            return SuiteResult("commutators", False, f"adjointness failed at m={m}", cases)
-    return SuiteResult("commutators", True, "modes |m|,|n| <= 4 on 3 random vectors, exact", cases)
+        lhs, rhs = fock_inner(ladder(v, -m), w), fock_inner(v, ladder(w, m))
+        check(lhs == rhs, "adjointness failed at m={}", m)
+    return "modes |m|,|n| <= 4 on 3 random vectors, exact"
 
 
-def _suite_dictionary(rng: random.Random) -> SuiteResult:
+def _suite_dictionary(rng: random.Random, check) -> str:
     multisets = partition_multisets(6)
     vectors = [wick_origin_to_fock(A) for A in multisets]
     states = [
@@ -167,18 +149,13 @@ def _suite_dictionary(rng: random.Random) -> SuiteResult:
         )
         for A in multisets
     ]
-    checked = 0
     for A, vA, sA in zip(multisets, vectors, states):
         for B, vB, sB in zip(multisets, vectors, states):
-            checked += 1
-            if fock_inner(vA, vB) != inner(sA, sB):
-                return SuiteResult("dictionary", False, f"mismatch at {A} vs {B}", checked)
-    return SuiteResult(
-        "dictionary", True, f"{checked} origin-state pairs with sum <= 6, exact", checked
-    )
+            check(fock_inner(vA, vB) == inner(sA, sB), "mismatch at {} vs {}", A, B)
+    return f"{len(multisets) ** 2} origin-state pairs with sum <= 6, exact"
 
 
-def _suite_oracle_agreement(rng: random.Random) -> SuiteResult:
+def _suite_oracle_agreement(rng: random.Random, check) -> str:
     pairs = [
         tuple(WickWord.single_group(random_state_group(rng, n)) for n in arities)
         for arities in itertools.product((1, 2, 3), repeat=2)
@@ -190,15 +167,10 @@ def _suite_oracle_agreement(rng: random.Random) -> SuiteResult:
         for _ in range(2)
     ]
     for i, (L, R) in enumerate(pairs):
-        if inner(L, R) != expect_combo(theta(L) * R):
-            return SuiteResult("oracle-agreement", False, f"word pair {i}", i + 1)
-    cases = len(pairs) + 1
+        check(inner(L, R) == expect_combo(theta(L) * R), "word pair {}", i)
     origin = WickGroup.of((1, 0))
-    if inner(origin, origin) != scalars.rational(Fraction(1, 2)):
-        return SuiteResult("oracle-agreement", False, "norm of :[1,0]: is not 1/2", cases)
-    return SuiteResult(
-        "oracle-agreement", True, f"{len(pairs)} random word pairs plus origin value, exact", cases
-    )
+    check(inner(origin, origin) == scalars.rational(Fraction(1, 2)), "norm of :[1,0]: is not 1/2")
+    return f"{len(pairs)} random word pairs plus origin value, exact"
 
 
 SUITES = {
@@ -215,7 +187,7 @@ SUITES = {
 
 def run_suites(names=None, seed: int = 2026) -> list[SuiteResult]:
     """Run the named identity suites (all by default) with a fixed seed,
-    each result carrying its wall-clock seconds."""
+    by the check rule of the module docstring."""
     if names is None:
         names = list(SUITES)
     results = []
@@ -223,7 +195,18 @@ def run_suites(names=None, seed: int = 2026) -> list[SuiteResult]:
         fn = SUITES.get(name)
         if fn is None:
             raise DomainError(_MODULE, f"unknown suite {name!r}; available: {', '.join(SUITES)}")
+        cases = 0
+
+        def check(passed: bool, detail: str, *args) -> None:
+            nonlocal cases
+            cases += 1
+            if not passed:
+                raise _Failed(detail.format(*args))
+
         started = time.perf_counter()
-        result = fn(random.Random(seed))
-        results.append(replace(result, seconds=time.perf_counter() - started))
+        try:
+            passed, detail = True, fn(random.Random(seed), check)
+        except _Failed as failure:
+            passed, detail = False, failure.args[0]
+        results.append(SuiteResult(name, passed, detail, cases, time.perf_counter() - started))
     return results

@@ -14,7 +14,7 @@ from freeboson.algebra import WickWord
 from freeboson.amplitude import MAX_DISCS
 from freeboson.cli import main, run
 from freeboson.correlator import expect_combo
-from freeboson.errors import ResourceError, SchemaError
+from freeboson.errors import EngineError, ResourceError, SchemaError
 from freeboson.scalars import rational
 from freeboson.verify import SuiteResult
 
@@ -67,6 +67,62 @@ def test_unknown_keys_rejected():
         run("bogus", {})
 
 
+_DISCS = [{"a_re": 0, "q_re": 1}, {"a_re": 10, "q_re": 1}]
+_SUITE_NAMES = ("d-identity, theta-involution, conjugation, scaling, wick-plain, "
+                "commutators, dictionary, oracle-agreement")
+
+
+@pytest.mark.parametrize("command,config,error,message", [
+    ("bogus", {}, "SchemaError", "unknown command 'bogus'"),
+    ("correlator", [FOUR_POINT], "SchemaError", "config document must be a JSON object"),
+    ("verify", "seed", "SchemaError", "config document must be a JSON object"),
+    ("correlator", {"words": [FOUR_POINT], "extra": 1}, "SchemaError",
+     "unknown config keys for correlator: ['extra']"),
+    ("gram", {"extra": 1, "tol": 1}, "SchemaError", "unknown config keys for gram: ['extra', 'tol']"),
+    ("amplitude", {"discs": _DISCS, "truncation": {}}, "SchemaError",
+     "unknown config keys for amplitude: ['truncation']"),
+    ("hsnorm", {"states": []}, "SchemaError", "unknown config keys for hsnorm: ['states']"),
+    ("verify", {"words": []}, "SchemaError", "unknown config keys for verify: ['words']"),
+    ("verify", {"mode": "exact"}, "SchemaError", "unknown config keys for verify: ['mode']"),
+    ("correlator", {"mode": "fast", "words": [FOUR_POINT]}, "SchemaError",
+     "mode must be 'exact' or 'float', got 'fast'"),
+    # the mode is read before any other key
+    ("gram", {"mode": "Exact"}, "SchemaError", "mode must be 'exact' or 'float', got 'Exact'"),
+    ("amplitude", {"mode": None}, "SchemaError", "mode must be 'exact' or 'float', got None"),
+    ("hsnorm", {"mode": 1, "discs": _DISCS}, "SchemaError", "mode must be 'exact' or 'float', got 1"),
+    ("correlator", {}, "SchemaError", "correlator config requires the key 'words'"),
+    ("gram", {"mode": "float"}, "SchemaError", "gram config requires the key 'states'"),
+    ("amplitude", {}, "SchemaError", "amplitude config requires the key 'discs'"),
+    ("amplitude", {"discs": _DISCS}, "SchemaError", "amplitude config requires the key 'states'"),
+    ("hsnorm", {}, "SchemaError", "hsnorm config requires the key 'discs'"),
+    ("hsnorm", {"discs": _DISCS}, "SchemaError", "hsnorm config requires the key 'truncation'"),
+    ("correlator", {"words": FOUR_POINT[0][0]}, "SchemaError", "correlator.words: expected a non-empty list"),
+    ("correlator", {"words": []}, "SchemaError", "correlator.words: expected a non-empty list"),
+    ("gram", {"states": "x"}, "SchemaError", "gram.states: expected a non-empty list"),
+    ("gram", {"states": []}, "SchemaError", "gram.states: expected a non-empty list"),
+    ("amplitude", {"discs": _DISCS, "states": 3}, "SchemaError",
+     "amplitude.states: expected a non-empty list"),
+    ("amplitude", {"discs": _DISCS, "states": []}, "SchemaError",
+     "amplitude.states: expected a non-empty list"),
+    ("verify", {"suites": []}, "SchemaError", "verify.suites: expected a non-empty list of suite names"),
+    ("verify", {"suites": "d-identity"}, "SchemaError",
+     "verify.suites: expected a non-empty list of suite names"),
+    ("verify", {"suites": ["d-identity", 1]}, "SchemaError",
+     "verify.suites: expected a non-empty list of suite names"),
+    ("verify", {"suites": ["nope"]}, "DomainError", f"unknown suite 'nope'; available: {_SUITE_NAMES}"),
+    ("verify", {"seed": "1"}, "SchemaError", "verify.seed: expected an integer"),
+    ("verify", {"seed": True}, "SchemaError", "verify.seed: expected an integer"),
+    ("verify", {"seed": 1.5}, "SchemaError", "verify.seed: expected an integer"),
+])
+def test_run_error_messages(command, config, error, message):
+    with pytest.raises(EngineError) as caught:
+        run(command, config)
+    module = "verify" if error == "DomainError" else "cli"
+    assert (type(caught.value).__name__, caught.value.module, str(caught.value)) == (
+        error, module, message
+    )
+
+
 def test_run_gram():
     states = [
         [[{"m": 1, "re": "1/3"}]],
@@ -106,19 +162,19 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
-_WORD_AT = '{{"mode": "{mode}", "words": [[[{{"m": 1, "re": {re}}}]]]}}'
+FOUR_POINT_AT = '{{"mode": "{mode}", "words": [[[{{"m": 1, "re": {re}}}]]]}}'
 
 
 @pytest.mark.parametrize("text", [
     # Fraction would build 10**1000000 for the exponent
-    _WORD_AT.format(mode="exact", re='"1e1000000"'),
-    _WORD_AT.format(mode="exact", re='"3E-2"'),
+    FOUR_POINT_AT.format(mode="exact", re='"1e1000000"'),
+    FOUR_POINT_AT.format(mode="exact", re='"3E-2"'),
     # json refuses integer literals beyond the interpreter's digit cap
-    _WORD_AT.format(mode="exact", re="1" + "0" * 5000),
-    _WORD_AT.format(mode="float", re="NaN"),
-    _WORD_AT.format(mode="float", re="-Infinity"),
-    _WORD_AT.format(mode="float", re="1e999"),
-    _WORD_AT.format(mode="float", re="1" + "0" * 400),
+    FOUR_POINT_AT.format(mode="exact", re="1" + "0" * 5000),
+    FOUR_POINT_AT.format(mode="float", re="NaN"),
+    FOUR_POINT_AT.format(mode="float", re="-Infinity"),
+    FOUR_POINT_AT.format(mode="float", re="1e999"),
+    FOUR_POINT_AT.format(mode="float", re="1" + "0" * 400),
     # the order-23 pair kernel overflows to NaN this close
     '{"mode": "float", "words": [[[{"m": 23, "re": 0.5}], [{"m": 23, "re": 0.5000001}]]]}',
 ], ids=["exponent", "exponent-upper", "digits", "nan", "infinity", "1e999", "int-400", "overflow"])
