@@ -37,7 +37,6 @@ from .errors import (
     EngineError,
     PoleError,
     RegimeError,
-    RegimeWarning,
     ResourceError,
     SchemaError,
     StructuralError,
@@ -78,7 +77,6 @@ __all__ = [
     "LinearCombination",
     "PoleError",
     "RegimeError",
-    "RegimeWarning",
     "ResourceError",
     "Scalar",
     "SchemaError",

@@ -30,14 +30,15 @@ from typing import Mapping
 
 from . import scalars
 from .errors import DomainError, ResourceError
-from .scalars import Scalar, as_scalar, conjugate, is_zero
+from .scalars import Scalar, as_scalar
 
 _MODULE = "algebra"
 
 # Largest insertion order (or mode) any map or pairing weight is built for.
 # The kernel holds (m1 + m2 - 1)! and (z1 - z2)^(m1 + m2), theta expands an
 # order-m insertion into m terms with powers up to 2m, and the series pair
-# factor of ``hilbert`` has O(m^2) terms, so the cost grows fast with m.
+# factor (``correlator._pair_series_eval``) sums min(m1, m2) Leibniz terms,
+# so the cost grows fast with m.
 MAX_ORDER = 500
 
 
@@ -51,7 +52,7 @@ def check_orders(orders, module: str) -> None:
 def check_point(point: Scalar, module: str, error: type[DomainError] = DomainError) -> None:
     """Raise ``error`` for an exact point with a radical part: an exact point
     is a Gaussian rational, and a float point is any complex number."""
-    if scalars.is_exact(point) and not point.is_gaussian():
+    if isinstance(point, scalars.Exact) and not point.is_gaussian():
         raise error(module, f"an exact point must be a Gaussian rational, got {point!r}")
 
 
@@ -226,7 +227,7 @@ class WickWord(_Sorted):
 
     def is_exact(self) -> bool:
         return all(
-            scalars.is_exact(ins.point) for g in self.groups for ins in g.insertions
+            isinstance(ins.point, scalars.Exact) for g in self.groups for ins in g.insertions
         )
 
     def coincidence(self) -> tuple[Insertion, Insertion] | None:
@@ -264,7 +265,7 @@ def add_term(acc: dict, key, coeff: Scalar) -> None:
     """
     if key in acc:
         coeff = acc[key] + coeff
-    if is_zero(coeff):
+    if not coeff:
         acc.pop(key, None)
     else:
         acc[key] = coeff
@@ -312,9 +313,6 @@ class Combination:
     def __len__(self):
         return len(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -334,7 +332,7 @@ class Combination:
     def scaled(self, coeff):
         coeff = as_scalar(coeff)
         acc: dict = {}
-        if not is_zero(coeff):
+        if coeff:
             for key, c in self._terms.items():
                 add_term(acc, key, c * coeff)
         return self._of_terms(acc)
@@ -411,10 +409,10 @@ def _theta_insertion(ins: Insertion) -> tuple[int, list[tuple[Insertion, Scalar,
     integers.  For a float point, den is 1, re is the complex
     d_{m,a} w^(m+a) and im is 0.
     """
-    if is_zero(ins.point):
+    if not ins.point:
         raise DomainError(_MODULE, "reflection has a pole at the origin: point z = 0")
     m = ins.order
-    zbar = conjugate(ins.point)
+    zbar = ins.point.conjugate()
     w = 1 / zbar if isinstance(zbar, complex) else zbar.inverse()
     frame = scalars.to_frame(w)
     if frame is None:
@@ -491,7 +489,7 @@ def theta(F) -> LinearCombination:
     rank = {ins: n for n, ins in enumerate(sorted(reflected, key=_KEY))}.__getitem__
     acc: dict[WickWord, Scalar] = {}
     for word, coeff in F.items():
-        _theta_word(word, conjugate(coeff), frames, rank, acc)
+        _theta_word(word, coeff.conjugate(), frames, rank, acc)
     return LinearCombination._of_terms(acc)
 
 
@@ -517,7 +515,7 @@ def _theta_word(word: WickWord, coeff: Scalar, frames: dict, rank, acc: dict) ->
             q, factor = frames[ins]
             if gaussian:
                 den *= q
-            elif scalars.is_exact(ins.point):
+            elif isinstance(ins.point, scalars.Exact):
                 factor = [(o, scalars.from_frame(r, i, q), 0) for o, r, i in factor]
             factors.append(factor)
         group_factors.append(
@@ -550,7 +548,7 @@ def rescale(F, a, q) -> LinearCombination:
     q = as_scalar(q)
     check_point(a, _MODULE)
     check_point(q, _MODULE)
-    if is_zero(q):
+    if not q:
         raise DomainError(_MODULE, "rescale needs q != 0")
     acc: dict[WickWord, Scalar] = {}
     for word, coeff in F.items():

@@ -30,7 +30,6 @@ x = (r/4) * (8R^2/d^2)/(1 - 8R^2/d^2).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -38,10 +37,10 @@ from typing import Sequence
 from . import scalars
 from .algebra import check_point
 from .correlator import KernelTable
-from .errors import ConfigurationError, RegimeError, RegimeWarning, ResourceError, count_text
+from .errors import ConfigurationError, RegimeError, ResourceError, count_text
 from .fock import FockIndex
 from .pairing import hafnian
-from .scalars import Exact, Scalar, as_scalar, conjugate, is_zero, real_value, root
+from .scalars import Exact, Scalar, as_scalar, real_value, root
 
 _MODULE = "amplitude"
 
@@ -66,7 +65,7 @@ class Disc:
         object.__setattr__(self, "center", as_scalar(self.center))
         object.__setattr__(self, "q", as_scalar(self.q))
         check_point(self.center, _MODULE, ConfigurationError)
-        if is_zero(self.q):
+        if not self.q:
             raise ConfigurationError(_MODULE, "disc scale q must be nonzero")
 
     def radius_sq(self) -> Scalar:
@@ -115,9 +114,7 @@ class DiscConfiguration:
         return len(self.discs)
 
     def is_exact(self) -> bool:
-        return all(
-            scalars.is_exact(d.center) and scalars.is_exact(d.q) for d in self.discs
-        )
+        return all(isinstance(d.center, Exact) and isinstance(d.q, Exact) for d in self.discs)
 
     def center_gap_sq(self) -> Fraction | float:
         return self._center_gap_sq
@@ -177,7 +174,7 @@ class _PairMatrix:
             scalars.zero_scalar(exact),
         )
         # no factorial of a count is built for an entry with no matching
-        if is_zero(pairing):
+        if not pairing:
             return pairing
         norm = math.prod(Fraction(m ** n, math.factorial(n)) for (_, m), n in zip(slots, counts))
         return root(norm) * pairing
@@ -223,20 +220,14 @@ def hs_truncated(config: DiscConfiguration, M: int, N: int) -> list[HSPartial]:
     N = 2 at 2 discs and M = 220, takes about 11 s for discs (centre 0,
     q = 1/2) and (centre 5, q = 1/3 + i/4) (a 2 vCPU Xeon, Python 3.11) of
     exact arithmetic on rationals of hundreds of digits.  Outside the
-    summability regime a RegimeWarning is issued (the amplitude is still
-    defined; only the bound is unavailable).
+    summability regime the sums are computed all the same (the amplitude is
+    still defined; only the bound is unavailable): ``config.hs_regime()``
+    tells the caller which case holds.
     """
     if not isinstance(M, int) or M < 1:
         raise ConfigurationError(_MODULE, f"max mode M must be an integer >= 1, got {M!r}")
     if not isinstance(N, int) or N < 0:
         raise ConfigurationError(_MODULE, f"particle cap N must be an integer >= 0, got {N!r}")
-    if not config.hs_regime():
-        warnings.warn(
-            "disc separation is outside the summability regime d/R > 4*sqrt(r); "
-            "partial sums are computed but unbounded in principle",
-            RegimeWarning,
-            stacklevel=2,
-        )
     r = config.r
     # tuples through level t number comb(r*M + t, t): the count vectors of the
     # r*M (disc, mode) slots with total <= t.  Checked level by level before
@@ -299,7 +290,7 @@ def _hs_traces(config: DiscConfiguration, M: int, kmax: int) -> list[Scalar]:
     if kmax < 2:
         return traces
     modes = [m for _, m in slots]
-    left = [[m * conjugate(x) for x in row] for m, row in zip(modes, kp)]
+    left = [[m * x.conjugate() for x in row] for m, row in zip(modes, kp)]
     right = [[m * x for x in row] for m, row in zip(modes, kp)]
     # powers[p] = A'^p up to ceil(kmax/2), and tr(A'^k) = sum_ij (A'^ceil)_ij (A'^floor)_ji
     powers = [None, _matmul(left, right, modes, zero)]
@@ -324,7 +315,7 @@ def _matmul(
     """
     out: list[list[Scalar]] = []
     for i, row in enumerate(x):
-        terms = [(v, y[l]) for l, v in enumerate(row) if not is_zero(v)]
+        terms = [(v, y[l]) for l, v in enumerate(row) if v]
         m_i = modes[i]
         out_row = []
         for j in range(len(y[0])):

@@ -33,7 +33,6 @@ import math
 import os
 import sys
 import time
-import warnings
 from fractions import Fraction
 from functools import cache
 
@@ -41,7 +40,7 @@ from . import scalars
 from .algebra import Insertion, LinearCombination, WickGroup, WickWord
 from .amplitude import Disc, DiscConfiguration, amplitude_entry, hs_bound, hs_truncated
 from .correlator import expect_combo
-from .errors import EngineError, RegimeWarning, ResourceError, SchemaError
+from .errors import EngineError, ResourceError, SchemaError
 from .fock import FockIndex
 from .hilbert import gram
 from .pairing import matching_count
@@ -83,9 +82,7 @@ def _parse_component(value, exact: bool, where: str) -> Fraction | float:
     raise SchemaError(f"{where}: float mode takes numbers only, got {value!r}")
 
 
-def _parse_point(obj, exact: bool, where: str, re_key="re", im_key="im"):
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: expected an object")
+def _parse_point(obj: dict, exact: bool, where: str, re_key="re", im_key="im"):
     re = _parse_component(obj.get(re_key, 0), exact, f"{where}.{re_key}")
     im = _parse_component(obj.get(im_key, 0), exact, f"{where}.{im_key}")
     if exact:
@@ -121,7 +118,7 @@ def _scalar_json(value):
     (re + i im) sqrt(s) -> {"radicals": {"s": [re_str, im_str]}}, s > 1
     float           -> [re, im] numbers
     """
-    if scalars.is_exact(value):
+    if isinstance(value, scalars.Exact):
         if value.s > 1:
             return {"radicals": {_decimal(value.s): [_decimal(value.re), _decimal(value.im)]}}
         re, im = value.gaussian()
@@ -279,10 +276,7 @@ def _run_hsnorm(config: dict, exact: bool) -> dict:
             raise SchemaError(f"hsnorm.truncation.{label}: expected a non-negative integer")
     regime = discs.hs_regime()
     bound = hs_bound(discs) if regime else None
-    with warnings.catch_warnings():
-        # out-of-regime sweeps are allowed here; the flag carries the information
-        warnings.simplefilter("ignore", RegimeWarning)
-        rows = hs_truncated(discs, M, N)
+    rows = hs_truncated(discs, M, N)
     return {
         "truncation": {"M": M, "N": N},
         "regime": regime,

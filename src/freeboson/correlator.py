@@ -33,7 +33,7 @@ from .algebra import Insertion, LinearCombination, WickGroup, WickWord, as_combi
 from .algebra import check_orders, check_point
 from .errors import DomainError, PoleError
 from .pairing import hafnian
-from .scalars import Scalar, conjugate, is_zero
+from .scalars import Scalar
 
 _MODULE = "correlator"
 
@@ -79,7 +79,7 @@ class KernelTable:
             if complex(z1) == complex(z2):
                 raise PoleError(_MODULE, ((m1, z1), (m2, z2)))
             power = (z1 - z2) ** n
-            if power == 0:
+            if not power:
                 raise OverflowError(f"the kernel at {z1!r}, {z2!r} is beyond float range")
             return complex(Fraction(math.factorial(n - 1) * (-1 if m1 % 2 else 1), 2)) / power
         key = (z1, z2, n)
@@ -96,7 +96,7 @@ class KernelTable:
             check_point(z1, _MODULE)
             check_point(z2, _MODULE)
             diff = z1 - z2
-            if diff.is_zero():
+            if not diff:
                 raise PoleError(_MODULE, ((m1, z1), (m2, z2)))
             re, im, d = scalars.to_frame(diff)
             run = self._runs[(z1, z2)] = [(1, 0, 1), (d * re, -d * im, re * re + im * im)]
@@ -128,7 +128,7 @@ def _pair_series_eval(m: int, ell: int, u: Scalar, w: Scalar) -> Scalar:
     """
     uw = u * w
     k = min(m, ell)
-    if scalars.is_zero(u) or scalars.is_zero(w):
+    if not u or not w:
         # the loop below gives the same value, but this branch more than halves
         # the time of verify's all-origin dictionary suite (0.05-0.09 s against
         # 0.17-0.18 s in 7-run minima on a 2-vCPU Xeon, Python 3.11)
@@ -168,9 +168,9 @@ def _word_pair(wF: WickWord, wG: WickWord, kernels: KernelTable) -> Scalar:
         side_i, _, a = slots[i]
         side_j, _, b = slots[j]
         if side_i != side_j:
-            return _pair_series_eval(a.order, b.order, conjugate(a.point), b.point)
+            return _pair_series_eval(a.order, b.order, a.point.conjugate(), b.point)
         c = kernels(a.order, a.point, b.order, b.point)
-        return conjugate(c) if side_i == 0 else c
+        return c.conjugate() if side_i == 0 else c
 
     labels = [(side, gid) for side, gid, _ in slots]
     return hafnian(
@@ -183,7 +183,7 @@ def pair_sum(F: LinearCombination, G: LinearCombination, kernels: KernelTable) -
     ``_word_pair``, started from its first term; the empty sum is exact zero."""
     total = None
     for wF, cF in F.items():
-        cF = conjugate(cF)
+        cF = cF.conjugate()
         for wG, cG in G.items():
             term = cF * cG * _word_pair(wF, wG, kernels)
             total = term if total is None else total + term
@@ -234,7 +234,7 @@ def mobius_check(W: WickWord, coeffs) -> tuple[Scalar, Scalar]:
     for x in (a, b, c, d):
         check_point(x, _MODULE)
     det = a * d - b * c
-    if is_zero(det):
+    if not det:
         raise DomainError(_MODULE, "degenerate map: a d - b c = 0")
     jacobian: Scalar = scalars.one_scalar(W.is_exact())
     image = []
@@ -242,7 +242,7 @@ def mobius_check(W: WickWord, coeffs) -> tuple[Scalar, Scalar]:
         moved = []
         for ins in group.insertions:
             denom = c * ins.point + d
-            if is_zero(denom):
+            if not denom:
                 raise DomainError(_MODULE, f"map pole: c z + d = 0 at z = {ins.point!r}")
             moved.append(Insertion(1, (a * ins.point + b) / denom))
             jacobian = jacobian * det / denom ** 2

@@ -11,7 +11,6 @@ class EngineError(Exception):
 
     def __init__(self, module: str, message: str):
         self.module = module
-        self.message = message
         super().__init__(message)
 
 
@@ -46,10 +45,6 @@ class RegimeError(DomainError):
             f"separation ratio d/R = {d_over_r:.6g} is not above the required "
             f"threshold 4*sqrt(r) = {threshold:.6g}",
         )
-
-
-class RegimeWarning(UserWarning):
-    """Computation proceeds, but the summability guarantee does not apply."""
 
 
 class StructuralError(EngineError):

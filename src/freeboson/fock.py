@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 from . import scalars
 from .algebra import Combination, add_term, check_orders
 from .errors import DomainError
-from .scalars import I, Scalar, conjugate, is_zero, root
+from .scalars import I, Scalar, root
 
 _MODULE = "fock"
 
@@ -128,9 +128,9 @@ def fock_inner(v: FockVector, w: FockVector) -> Scalar:
     started = False
     for idx, cv in v.items():
         cw = w.coeff(idx)
-        if is_zero(cw):
+        if not cw:
             continue
-        term = conjugate(cv) * cw * idx.norm_sq()
+        term = cv.conjugate() * cw * idx.norm_sq()
         total = term if not started else total + term
         started = True
     return total if started else scalars.ZERO

@@ -112,11 +112,11 @@ def random_fock_vector(rng: random.Random, max_level: int = 10) -> FockVector:
             Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
             Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
         )
-        if not coeff.is_zero():
+        if coeff:
             idx = FockIndex.of(occ)
             terms[idx] = terms.get(idx, scalars.ZERO) + coeff
     v = FockVector(terms)
-    return v if not v.is_zero() else FockVector.vacuum()
+    return v or FockVector.vacuum()
 
 
 def partition_multisets(total: int) -> list[tuple[int, ...]]:

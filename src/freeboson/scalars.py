@@ -11,7 +11,9 @@ radicands raises StructuralError.  The general ring Q(i)[sqrt(s), ...]
 lives in the tests as the reference this type is checked against.
 
 The float backend is the builtin ``complex``.  Mixed-backend arithmetic
-promotes to float; exact-with-exact stays exact.
+promotes to float; exact-with-exact stays exact.  On either backend a zero
+test is ``not x``, the conjugate is ``x.conjugate()``, an exact value is an
+``isinstance(x, Exact)`` and |x|^2 is ``abs_sq(x)``.
 """
 from __future__ import annotations
 
@@ -92,9 +94,6 @@ class Exact:
     re = property(lambda self: self._re, doc="The real part of c.")
     im = property(lambda self: self._im, doc="The imaginary part of c.")
 
-    def is_zero(self) -> bool:
-        return not self._s
-
     def is_gaussian(self) -> bool:
         """True when the value lies in Q(i) (no radical part)."""
         return self._s <= 1
@@ -114,9 +113,6 @@ class Exact:
 
     def conjugate(self) -> "Exact":
         return _make(self._s, self._re, -self._im)
-
-    def abs_sq(self) -> "Exact":
-        return self * self.conjugate()
 
     # -- arithmetic -------------------------------------------------------
 
@@ -342,35 +338,17 @@ def as_scalar(x) -> Scalar:
     raise TypeError(f"cannot interpret {x!r} as a scalar")
 
 
-def is_exact(x) -> bool:
-    return isinstance(x, Exact)
-
-
-def is_zero(x) -> bool:
-    if isinstance(x, Exact):
-        return x.is_zero()
-    return x == 0
-
-
-def conjugate(x: Scalar) -> Scalar:
-    if isinstance(x, Exact):
-        return x.conjugate()
-    return complex(x).conjugate()
-
-
 def abs_sq(x: Scalar) -> Scalar:
     """x * conj(x); real, exact on the exact backend."""
     if isinstance(x, Exact):
-        return x.abs_sq()
+        return x * x.conjugate()
     x = complex(x)
     return complex(x.real * x.real + x.imag * x.imag, 0.0)
 
 
 def in_unit_disc(z: Scalar) -> bool:
     """|z| < 1, decided exactly for an exact z, whose |z|^2 is rational."""
-    if isinstance(z, Exact):
-        return z.abs_sq().rational() < 1
-    return abs_sq(z).real < 1.0
+    return real_value(abs_sq(z)) < 1
 
 
 def real_value(x) -> Union[Fraction, float]:

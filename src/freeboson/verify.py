@@ -92,7 +92,7 @@ def _suite_conjugation(rng: random.Random, check) -> str:
     words = 30
     for _ in range(words):
         F = _random_word(rng, rng.randint(2, 6))
-        lhs, rhs = expect_combo(theta(F)), scalars.conjugate(expect_combo(F))
+        lhs, rhs = expect_combo(theta(F)), expect_combo(F).conjugate()
         check(lhs == rhs, "expect(theta F) != conj(expect F)")
     return f"{words} random words, exact"
 
@@ -190,11 +190,12 @@ def run_suites(names=None, seed: int = 2026) -> list[SuiteResult]:
     by the check rule of the module docstring."""
     if names is None:
         names = list(SUITES)
+    # every name is checked before the first suite runs
+    for name in names:
+        if name not in SUITES:
+            raise DomainError(_MODULE, f"unknown suite {name!r}; available: {', '.join(SUITES)}")
     results = []
     for name in names:
-        fn = SUITES.get(name)
-        if fn is None:
-            raise DomainError(_MODULE, f"unknown suite {name!r}; available: {', '.join(SUITES)}")
         cases = 0
 
         def check(passed: bool, detail: str, *args) -> None:
@@ -205,7 +206,7 @@ def run_suites(names=None, seed: int = 2026) -> list[SuiteResult]:
 
         started = time.perf_counter()
         try:
-            passed, detail = True, fn(random.Random(seed), check)
+            passed, detail = True, SUITES[name](random.Random(seed), check)
         except _Failed as failure:
             passed, detail = False, failure.args[0]
         results.append(SuiteResult(name, passed, detail, cases, time.perf_counter() - started))

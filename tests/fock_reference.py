@@ -54,7 +54,7 @@ def wick_group_to_fock(G: WickGroup, M: int) -> FockVector:
         m, z = ins.order, ins.point
         new_states: dict[FockIndex, Scalar] = {}
         for idx, coeff in states.items():
-            zpow: Scalar = scalars.one_scalar(scalars.is_exact(z))
+            zpow: Scalar = scalars.one_scalar(isinstance(z, scalars.Exact))
             for k in range(m, M - level(idx) + 1):
                 c = coeff * Fraction(math.factorial(k - 1), math.factorial(k - m)) * zpow
                 add_term(new_states, idx.raised(k), c)

@@ -4,7 +4,7 @@ reference that the tests check ``amplitude._hs_traces`` against, which
 mirrors half of each exact power and of each exact trace."""
 from freeboson import scalars
 from freeboson.amplitude import DiscConfiguration, _PairMatrix
-from freeboson.scalars import Scalar, conjugate, is_zero
+from freeboson.scalars import Scalar
 
 
 def hs_traces(config: DiscConfiguration, M: int, kmax: int) -> list[Scalar]:
@@ -27,7 +27,7 @@ def hs_traces(config: DiscConfiguration, M: int, kmax: int) -> list[Scalar]:
     if kmax < 2:
         return traces
     modes = [m for _, m in slots]
-    left = [[m * conjugate(x) for x in row] for m, row in zip(modes, kp)]
+    left = [[m * x.conjugate() for x in row] for m, row in zip(modes, kp)]
     right = [[m * x for x in row] for m, row in zip(modes, kp)]
     powers = [None, matmul(left, right, zero)]
     while 2 * (len(powers) - 1) < kmax:
@@ -42,7 +42,7 @@ def matmul(x: list[list[Scalar]], y: list[list[Scalar]], zero: Scalar) -> list[l
     """The matrix product x y, every entry summed, skipping the zero entries of x."""
     out = []
     for row in x:
-        terms = [(v, y[l]) for l, v in enumerate(row) if not is_zero(v)]
+        terms = [(v, y[l]) for l, v in enumerate(row) if v]
         out.append([sum((v * yl[j] for v, yl in terms), zero) for j in range(len(y[0]))])
     return out
 
@@ -58,6 +58,6 @@ def left_and_right(config: DiscConfiguration, M: int) -> tuple[list, list, list]
         for ja, ma in slots
     ]
     modes = [m for _, m in slots]
-    left = [[m * conjugate(x) for x in row] for m, row in zip(modes, kp)]
+    left = [[m * x.conjugate() for x in row] for m, row in zip(modes, kp)]
     right = [[m * x for x in row] for m, row in zip(modes, kp)]
     return modes, left, right

@@ -62,7 +62,7 @@ def test_insertion_validation():
     with pytest.raises(DomainError):
         Insertion(-2, 1)
     ins = Insertion(2, Fraction(1, 3))
-    assert scalars.is_exact(ins.point)
+    assert isinstance(ins.point, scalars.Exact)
 
 
 def test_word_canonicalization():
@@ -121,7 +121,7 @@ def test_empty_group_rejected():
 def test_linear_combination_merging():
     w = WickWord.plain((1, 0))
     combo = LinearCombination({w: rational(1)}) + LinearCombination({w: rational(-1)})
-    assert combo.is_zero()
+    assert not combo
     combo = LinearCombination.of(w, 2) * LinearCombination.of(WickWord.unit(), Fraction(1, 2))
     assert combo.coeff(w) == rational(1)
 
@@ -146,12 +146,12 @@ def test_combination_laws(cls):
     total = a + b
     assert list(total.items()) == [(k2, rational(Fraction(4, 3)))]
     assert total.coeff(k1) == scalars.ZERO
-    assert (a - a).is_zero() and a - a == cls.zero()
+    assert not (a - a) and a - a == cls.zero()
     assert a.scaled(0) == cls.zero()
     assert -a == a.scaled(-1) and a - b == a + (-b)
     assert a == cls({k2: Fraction(1, 3), k1: 2}) and a != b
     # float products that underflow to zero are dropped like exact zeros
-    assert cls({k1: 1e-200}).scaled(1e-200).is_zero()
+    assert not cls({k1: 1e-200}).scaled(1e-200)
     other = FockVector.vacuum() if cls is LinearCombination else LinearCombination.zero()
     with pytest.raises(TypeError):
         a + other
@@ -166,7 +166,7 @@ def test_combination_scalar_product():
     c = LinearCombination.of(w)
     assert (c * 3).coeff(w) == rational(3)
     assert (Fraction(1, 2) * c).coeff(w) == rational(Fraction(1, 2))
-    assert (c * 0).is_zero()
+    assert not c * 0
 
 
 def test_theta_hand_value():
@@ -283,7 +283,7 @@ def test_plain_word_is_the_singleton_group_word():
     assert plain == groups
     assert hash(plain) == hash(groups)
     assert plain == WickWord.plain((1, z)) * WickWord.plain((2, w))
-    assert (LinearCombination.of(plain) - LinearCombination.of(groups)).is_zero()
+    assert not LinearCombination.of(plain) - LinearCombination.of(groups)
     assert WickWord.plain() == WickWord.unit()
 
 
@@ -299,7 +299,7 @@ def test_theta_sums_coinciding_expansion_terms():
 
 def _theta_insertion_scalar(ins):
     """theta of one insertion as scalars: [(d_{m,a} w^(m+a), [a, w])], w = 1/conj(z)."""
-    zbar = scalars.conjugate(ins.point)
+    zbar = ins.point.conjugate()
     w = 1 / zbar if isinstance(zbar, complex) else zbar.inverse()
     power = w ** ins.order
     out = []

@@ -113,6 +113,71 @@ _SUITE_NAMES = ("d-identity, theta-involution, conjugation, scaling, wick-plain,
     ("verify", {"seed": "1"}, "SchemaError", "verify.seed: expected an integer"),
     ("verify", {"seed": True}, "SchemaError", "verify.seed: expected an integer"),
     ("verify", {"seed": 1.5}, "SchemaError", "verify.seed: expected an integer"),
+    # every suite name is checked before any suite runs
+    ("verify", {"suites": ["dictionary", "conjugation", "nope"]}, "DomainError",
+     f"unknown suite 'nope'; available: {_SUITE_NAMES}"),
+    # the per-field schema of words, states, discs and truncations
+    ("correlator", {"words": [[[{"m": 1, "re": True}]]]}, "SchemaError",
+     "words[0][0][0].re: expected a number, got a boolean"),
+    ("correlator", {"mode": "float", "words": [[[{"m": 1, "im": False}]]]}, "SchemaError",
+     "words[0][0][0].im: expected a number, got a boolean"),
+    ("correlator", {"words": [[[{"m": 1, "re": "x"}]]]}, "SchemaError",
+     "words[0][0][0].re: cannot parse 'x' as a rational"),
+    ("gram", {"states": [[[{"m": 1, "im": "1/0"}]]]}, "SchemaError",
+     "states[0][0][0].im: cannot parse '1/0' as a rational"),
+    ("correlator", {"words": [[[1]]]}, "SchemaError", "words[0][0][0]: expected an insertion object"),
+    ("correlator", {"words": [[[{"m": 1, "z": 0}]]]}, "SchemaError", "words[0][0][0]: unknown keys ['z']"),
+    ("correlator", {"words": [[[{"m": 0}]]]}, "SchemaError",
+     "words[0][0][0].m: expected a positive integer order"),
+    ("correlator", {"words": [[[{"m": True}]]]}, "SchemaError",
+     "words[0][0][0].m: expected a positive integer order"),
+    ("gram", {"states": [[[{"re": 0}]]]}, "SchemaError",
+     "states[0][0][0].m: expected a positive integer order"),
+    ("correlator", {"words": [FOUR_POINT, []]}, "SchemaError",
+     "words[1]: expected a non-empty list of groups"),
+    ("gram", {"states": ["x"]}, "SchemaError", "states[0]: expected a non-empty list of groups"),
+    ("correlator", {"words": [[[]]]}, "SchemaError", "words[0][0]: expected a non-empty list of insertions"),
+    ("gram", {"states": [[{"m": 1}]]}, "SchemaError",
+     "states[0][0]: expected a non-empty list of insertions"),
+    ("amplitude", {"discs": {}, "states": [[{}, {}]]}, "SchemaError", "amplitude.discs: expected a list"),
+    ("hsnorm", {"discs": "x", "truncation": {"M": 1, "N": 2}}, "SchemaError",
+     "hsnorm.discs: expected a list"),
+    ("amplitude", {"discs": [1, _DISCS[1]], "states": [[{}, {}]]}, "SchemaError",
+     "amplitude.discs[0]: expected an object"),
+    ("hsnorm", {"discs": [_DISCS[0], {"a_re": 10, "r": 1}], "truncation": {"M": 1, "N": 2}},
+     "SchemaError", "hsnorm.discs[1]: unknown keys ['r']"),
+    ("amplitude", {"discs": _DISCS, "states": [[[], {}]]}, "SchemaError",
+     "amplitude.states[0][0]: expected an occupation map"),
+    ("amplitude", {"discs": _DISCS, "states": [[{}, {"01": 1}]]}, "SchemaError",
+     "amplitude.states[0][1]: mode keys must be decimal integers, got '01'"),
+    ("amplitude", {"discs": _DISCS, "states": [[{"x": 1}, {}]]}, "SchemaError",
+     "amplitude.states[0][0]: mode keys must be decimal integers, got 'x'"),
+    ("amplitude", {"discs": _DISCS, "states": [[{"0": 1}, {}]]}, "SchemaError",
+     "amplitude.states[0][0]: modes are positive, got 0"),
+    ("amplitude", {"discs": _DISCS, "states": [[{"-1": 1}, {}]]}, "SchemaError",
+     "amplitude.states[0][0]: modes are positive, got -1"),
+    ("amplitude", {"discs": _DISCS, "states": [[{"1": 0}, {}]]}, "SchemaError",
+     "amplitude.states[0][0][1]: counts are positive integers"),
+    ("amplitude", {"discs": _DISCS, "states": [[{"1": True}, {}]]}, "SchemaError",
+     "amplitude.states[0][0][1]: counts are positive integers"),
+    ("amplitude", {"discs": _DISCS, "states": [[{"1": 1.0}, {}]]}, "SchemaError",
+     "amplitude.states[0][0][1]: counts are positive integers"),
+    ("amplitude", {"discs": _DISCS, "states": [[{}]]}, "SchemaError",
+     "amplitude.states[0]: expected one occupation map per disc (2 discs)"),
+    ("amplitude", {"discs": _DISCS, "states": [{}]}, "SchemaError",
+     "amplitude.states[0]: expected one occupation map per disc (2 discs)"),
+    ("hsnorm", {"discs": _DISCS, "truncation": {"M": 1}}, "SchemaError",
+     "hsnorm.truncation: expected an object with keys M and N"),
+    ("hsnorm", {"discs": _DISCS, "truncation": {"M": 1, "N": 2, "T": 0}}, "SchemaError",
+     "hsnorm.truncation: expected an object with keys M and N"),
+    ("hsnorm", {"discs": _DISCS, "truncation": [1, 2]}, "SchemaError",
+     "hsnorm.truncation: expected an object with keys M and N"),
+    ("hsnorm", {"discs": _DISCS, "truncation": {"M": -1, "N": 2}}, "SchemaError",
+     "hsnorm.truncation.M: expected a non-negative integer"),
+    ("hsnorm", {"discs": _DISCS, "truncation": {"M": 1, "N": True}}, "SchemaError",
+     "hsnorm.truncation.N: expected a non-negative integer"),
+    ("hsnorm", {"discs": _DISCS, "truncation": {"M": 1, "N": 2.0}}, "SchemaError",
+     "hsnorm.truncation.N: expected a non-negative integer"),
 ])
 def test_run_error_messages(command, config, error, message):
     with pytest.raises(EngineError) as caught:
@@ -645,14 +710,21 @@ def _python(args, **kwargs):
 
 
 def test_module_entry_point_runs_without_warning(tmp_path):
-    config = _write(tmp_path, "c.json", {"words": [FOUR_POINT]})
-    proc = _python(
-        ["-W", "error", "-m", "freeboson.cli", "correlator", "--config", config],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stderr == ""
-    assert json.loads(proc.stdout)["expectations"] == ["169/576"]
+    # an hsnorm outside the regime d/R > 4 sqrt(r) reports it in the document only
+    out_of_regime = {"discs": [{"a_re": 0, "q_re": 1}, {"a_re": 3, "q_re": 1}],
+                     "truncation": {"M": 1, "N": 2}}
+    for command, payload, key, expected in [
+        ("correlator", {"words": [FOUR_POINT]}, "expectations", ["169/576"]),
+        ("hsnorm", out_of_regime, "regime", False),
+    ]:
+        config = _write(tmp_path, f"{command}.json", payload)
+        proc = _python(
+            ["-W", "error", "-m", "freeboson.cli", command, "--config", config],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)[key] == expected
 
 
 def test_module_entry_point_usage_error_is_a_document(tmp_path):

@@ -56,6 +56,23 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def test_no_module_imports_warnings():
+    """The CLI promises nothing on stderr, where a warning goes: the package
+    reports through return values and exceptions only."""
+    found = []
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.partition(".")[0] == "warnings" for module in modules):
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
 def test_every_private_module_function_and_class_is_used_in_the_package():
     trees = _trees()
     used_anywhere: dict[str, int] = {}

@@ -20,7 +20,7 @@ from freeboson.sampling import (
     random_wick_word,
     rational_point,
 )
-from freeboson.scalars import ONE, ZERO, I, conjugate, rational, root
+from freeboson.scalars import ONE, ZERO, I, rational, root
 from matching_reference import matchings
 
 
@@ -88,7 +88,7 @@ def test_single_group_inner_matches_permutation_permanent():
             term = ONE
             for i, j in enumerate(perm):
                 a, b = left.insertions[i], right.insertions[j]
-                term = term * _pair_series_eval(a.order, b.order, conjugate(a.point), b.point)
+                term = term * _pair_series_eval(a.order, b.order, a.point.conjugate(), b.point)
             total = total + term
         assert inner(left, right) == total
 
@@ -271,7 +271,7 @@ def _det(matrix):
     n = len(a)
     det = ONE
     for col in range(n):
-        pivot = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
         if pivot is None:
             return ZERO
         if pivot != col:
@@ -281,7 +281,7 @@ def _det(matrix):
         inv = a[col][col].inverse()
         for r in range(col + 1, n):
             factor = a[r][col] * inv
-            if not factor.is_zero():
+            if factor:
                 a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
     return det
 

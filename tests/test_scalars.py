@@ -33,8 +33,8 @@ def test_rational_construction():
 
 
 def test_zero_handling():
-    assert ZERO.is_zero()
-    assert (rational(1) - rational(1)).is_zero()
+    assert not ZERO
+    assert not rational(1) - rational(1)
     assert not bool(ZERO)
     assert bool(ONE)
 
@@ -282,7 +282,7 @@ def test_ring_laws(a, b, c):
 @given(gaussians, st.sampled_from([1, 2, 3, 5, 6]), fractions)
 def test_inverse_roundtrip(g, s, f):
     x = g * root(s)
-    if not x.is_zero():
+    if x:
         assert x * x.inverse() == ONE
         assert x.inverse().inverse() == x
     # a Gaussian rational plus a radical, in the reference ring
@@ -347,7 +347,7 @@ def test_single_radical_values_agree_with_the_reference(g, h, k, r, t, n):
     _assert_same_value(x - y, rx - ry)
     _assert_same_value(-x, -rx)
     _assert_same_value(x.conjugate(), rx.conjugate())
-    _assert_same_value(x.abs_sq(), rx.abs_sq())
+    _assert_same_value(scalars.abs_sq(x), rx.abs_sq())
     _assert_same_value(scalars.abs_sq(z), rz.abs_sq())
     if z:
         _assert_same_value(z.inverse(), rz.inverse())

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 import freeboson.verify as verify
+from freeboson.errors import DomainError
 from freeboson.verify import SUITES, run_suites
 
 # (detail, cases) of every suite at the default seed 2026
@@ -113,3 +114,24 @@ def test_each_suite_works_inside_its_suites_call(monkeypatch):
     assert all(result.passed for result in run_suites())
     assert calls[None] == 0
     assert set(calls) == set(SUITES)
+
+
+def test_every_suite_name_is_checked_before_any_suite_runs(monkeypatch):
+    calls = Counter()
+
+    def spied(name, suite):
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return suite(*args, **kwargs)
+        return counting
+
+    for name, suite in list(SUITES.items()):
+        monkeypatch.setitem(SUITES, name, spied(name, suite))
+    refusals = []
+    for names in (["nope"], ["dictionary", "conjugation", "nope"]):
+        with pytest.raises(DomainError) as caught:
+            run_suites(names)
+        refusals.append((caught.value.module, str(caught.value)))
+    message = f"unknown suite 'nope'; available: {', '.join(SUITES)}"
+    assert refusals[0] == refusals[1] == ("verify", message)
+    assert calls == Counter()
