@@ -8,20 +8,24 @@ the (disc, mode) slots, with K = D K' D, D = diag(sqrt(m)) and
     K'_ab = -2 s_a s_b C(m_a, a_a, m_b, a_b),   s = q^m / m!,
 
 across discs and 0 on one disc; one ``_PairMatrix`` gives K' to the
-entries and to the HS sweep.  The entry on occupation indices, n copies of
-each slot, is root(prod m^n / n!) times the hafnian of K' with the counts
-as multiplicities and the disc as the label (``pairing.hafnian``), rather
-than a sum over all (n-1)!! matchings.  An entry with no cross-disc perfect
-matching is zero before its root is built.
+entries and to the float HS sweep.  The entry on occupation indices, n
+copies of each slot, is root(prod m^n / n!) times the hafnian of K' with
+the counts as multiplicities and the disc as the label
+(``pairing.hafnian``), rather than a sum over all (n-1)!! matchings.  An
+entry with no cross-disc perfect matching is zero before its root is built.
 
 The sum of squared entries over the tuples of 2n insertions is the x^n
 coefficient of det(I - x conj(K) K)^(-1/2) (Berezin, The Method of Second
 Quantization, 1966).  ``hs_truncated`` takes its truncated sums from that
-series, through the traces of the Gaussian-rational matrix
-A' = D^2 conj(K') D^2 K', similar to conj(K) K, without visiting the tuples.
-K' is symmetric, so each power of A' is D^2 times a Hermitian matrix: in
-exact mode half of each power and of each trace is the mirror of the other
-half (``_matmul``, ``_trace_product``).
+series, through the traces of A' = D^2 conj(K') D^2 K', similar to
+conj(K) K, without visiting the tuples.  The exact sweep reads them off the
+bare kernels H_ab = K'_ab / (s_a s_b), with no scale in a product: tr(A')
+is a convolution of rationals over the order sums, and A' is similar to
+Y = P conj(H) P H with P = diag(m |s|^2) rational.  The blocks of Y are
+summed over disc triples, and each power of Y is P times a Hermitian
+matrix, so half of each power and of each trace is the mirror of the other
+half (``_matmul``, ``_trace_product``).  At two discs Y is block-diagonal
+with blocks of equal traces, and one M x M block is built.
 
 When the separation satisfies d/R > 4 sqrt(r), the squared entries are
 summable and bounded by the closed form 1/(1 - x) with
@@ -40,7 +44,7 @@ from .correlator import KernelTable
 from .errors import ConfigurationError, RegimeError, ResourceError, count_text
 from .fock import FockIndex
 from .pairing import hafnian
-from .scalars import Exact, Scalar, as_scalar, real_value, root
+from .scalars import ZERO, Exact, Scalar, as_scalar, real_value, root
 
 _MODULE = "amplitude"
 
@@ -135,7 +139,8 @@ def _as_index(x) -> FockIndex:
 class _PairMatrix:
     """K'_ab = -2 s_a s_b C(m_a, a_a, m_b, a_b) for (disc, mode) slots a, b
     on different discs, s = q^m / m!: one kernel table and one running list
-    of s per disc, shared by the entries of one call or by one HS sweep."""
+    of s per disc, shared by the entries of one call or by one float HS
+    sweep (the exact sweep reads the kernels without the scales)."""
 
     def __init__(self, config: DiscConfiguration):
         self.config = config
@@ -210,16 +215,19 @@ def hs_truncated(config: DiscConfiguration, M: int, N: int) -> list[HSPartial]:
     from ``_hs_traces``, the level-2n sum f_n of the Gaussian-state series
     (module docstring) obeys f_0 = 1, n f_n = sum_k k g_k f_{n-k}.  Exact
     rows are rational; float rows may differ from a tuple-by-tuple sum in
-    the last bits.  Cost: nothing is built for N < 2, else one kernel per
-    cross-disc slot pair and, for N >= 4, floor((N + 2)/4) matrix products
-    of (r*M)^3, halved in exact mode by the mirror of ``_matmul``.  The
-    kernels of each disc pair are one value per order sum, from running
-    integer powers of the centre difference (``KernelTable``).
+    the last bits.  Cost: nothing is built for N < 2.  In exact mode,
+    N = 2 or 3 needs only tr(A'): M^2 integer products per disc pair, no
+    kernel.  For N >= 4 the kernels of each ordered disc pair are one value
+    per order sum (``KernelTable``), and Y costs M products per entry and
+    per third disc, on its upper half; at two discs only its M x M block of
+    disc 0 is built.  For N >= 6, floor((N + 2)/4) - 1 products of Y's
+    powers follow, each halved by the mirror of ``_matmul``.  Float mode
+    builds every K' entry and sums the (r*M)^3 products in full.
     A truncation whose tuples number more than ``MAX_TUPLES`` raises
     ResourceError before anything is built; the slowest shape it admits,
-    N = 2 at 2 discs and M = 220, takes about 11 s for discs (centre 0,
-    q = 1/2) and (centre 5, q = 1/3 + i/4) (a 2 vCPU Xeon, Python 3.11) of
-    exact arithmetic on rationals of hundreds of digits.  Outside the
+    N = 2 at 2 discs and M = 220, takes about 0.3 s for discs (centre 0,
+    q = 1/2) and (centre 5, q = 1/3 + i/4) (a 2 vCPU Xeon, Python 3.11),
+    against about 9 s when it summed M^2 Gaussian products of K'.  Outside the
     summability regime the sums are computed all the same (the amplitude is
     still defined; only the bound is unavailable): ``config.hs_regime()``
     tells the caller which case holds.
@@ -265,21 +273,35 @@ def _hs_traces(config: DiscConfiguration, M: int, kmax: int) -> list[Scalar]:
 
     With K' from ``_PairMatrix`` and D = diag(sqrt(m)),
     A' = D^2 conj(K') D^2 K' = D (conj(K) K) D^-1 has the traces of
-    conj(K) K and Gaussian-rational entries: no ``root``.  K' is symmetric,
-    so with left = diag(m) conj(K') and right = diag(m) K' every power is
-    A'^p = diag(m) H_p with H_p Hermitian: ``_matmul`` mirrors the exact
-    entries below the diagonal, and ``_trace_product`` sums each exact
-    trace over the pairs i <= j.
+    conj(K) K.  Write K' = S H S with S = diag(s) and the bare kernels
+    H_ab = -2 C(m_a, a_I, m_b, a_J) across discs (0 on one disc), and set
+    P = diag(m |s|^2), which is rational even when q has a radical.  Then
+    A' = S^-1 Y S with Y = P conj(H) P H, so tr(A'^k) = tr(Y^k) and no
+    scale s enters a product.  In exact mode tr(A') comes from
+    ``_first_trace`` and the higher traces from the powers of Y, built by
+    ``_first_power``: H is symmetric, so every power of Y is P times a
+    Hermitian matrix, mirrored by ``_matmul`` and ``_trace_product``.  At
+    two discs Y is block-diagonal, and its two blocks give equal traces
+    (with G = H^01, the transpose of P^1 G* P^0 G is a cyclic shift of the
+    factors of P^0 conj(G) P^1 G^T), so only the block of disc 0 is built
+    and its traces are doubled.  Float mode
+    sums K' itself: tr(A') = sum_ab m_a m_b |K'_ab|^2, and the powers of
+    A' = (diag(m) conj(K')) (diag(m) K') in full.
     """
-    exact = config.is_exact()
-    zero = scalars.zero_scalar(exact)
+    if config.is_exact():
+        traces = [_first_trace(config, M)]
+        if kmax < 2:
+            return traces
+        y, weights = _first_power(config, M)
+        copies = 2 if config.r == 2 else 1
+        return traces + [copies * t for t in _power_traces(y, weights, ZERO, kmax)]
     slots = [(j, m) for j in range(config.r) for m in range(1, M + 1)]
     n = len(slots)
     pair_matrix = _PairMatrix(config)
-    kp = [[zero] * n for _ in range(n)]
+    kp = [[0j] * n for _ in range(n)]
     # tr(A') = sum_ab m_a m_b |K'_ab|^2 needs no product: twice the sum over
     # the cross-disc pairs a < b
-    half_trace = zero
+    half_trace = 0j
     for a, (disc_a, m_a) in enumerate(slots):
         for b in range(a + 1, n):
             disc_b, m_b = slots[b]
@@ -292,38 +314,146 @@ def _hs_traces(config: DiscConfiguration, M: int, kmax: int) -> list[Scalar]:
     modes = [m for _, m in slots]
     left = [[m * x.conjugate() for x in row] for m, row in zip(modes, kp)]
     right = [[m * x for x in row] for m, row in zip(modes, kp)]
-    # powers[p] = A'^p up to ceil(kmax/2), and tr(A'^k) = sum_ij (A'^ceil)_ij (A'^floor)_ji
-    powers = [None, _matmul(left, right, modes, zero)]
+    return traces + _power_traces(_matmul(left, right, modes, 0j), modes, 0j, kmax)
+
+
+def _power_traces(y: list[list[Scalar]], weights: list, zero: Scalar, kmax: int) -> list[Scalar]:
+    """tr(y^k) for k = 2..kmax, with tr(y^k) = sum_ij (y^ceil(k/2))_ij (y^floor(k/2))_ji."""
+    powers = [None, y]
     while 2 * (len(powers) - 1) < kmax:
-        powers.append(_matmul(powers[-1], powers[1], modes, zero))
-    for k in range(2, kmax + 1):
-        traces.append(_trace_product(powers[(k + 1) // 2], powers[k // 2], zero))
-    return traces
+        powers.append(_matmul(powers[-1], y, weights, zero))
+    return [_trace_product(powers[(k + 1) // 2], powers[k // 2], zero) for k in range(2, kmax + 1)]
+
+
+def _first_trace(config: DiscConfiguration, M: int) -> Exact:
+    """The exact tr(A') = sum_ab P_a P_b |H_ab|^2 (see ``_hs_traces``), with
+    |H_ab|^2 = ((n - 1)!)^2 / |a_I - a_J|^(2n) at the order sum n = m_a + m_b:
+
+        2 sum_{I<J} sum_n ((n - 1)!)^2 / |a_I - a_J|^(2n) sum_{a+b=n} P^I_a P^J_b,
+
+    P^I_m = m |q_I|^(2m) / (m!)^2.  Every term is rational, so no Gaussian
+    value is built.  The P^I_m are integers over one denominator per disc,
+    and a disc pair sums its order sums over one more: one Fraction per
+    pair.
+    """
+    factorials = [math.factorial(k) for k in range(2 * M)]
+    top = factorials[M]
+    numerators, denominators = [], []
+    for disc in config.discs:
+        radius_sq = real_value(disc.radius_sq())
+        u, v = radius_sq.numerator, radius_sq.denominator
+        numerators.append(
+            [m * u ** m * v ** (M - m) * (top // factorials[m]) ** 2 for m in range(1, M + 1)]
+        )
+        denominators.append(v ** M * top * top)
+    total = Fraction(0)
+    for i, disc_i in enumerate(config.discs):
+        for j in range(i + 1, config.r):
+            gap_sq = real_value(scalars.abs_sq(disc_i.center - config.discs[j].center))
+            g, h = gap_sq.numerator, gap_sq.denominator
+            p_i, p_j = numerators[i], numerators[j]
+            # sum_n ((n - 1)!)^2 h^n g^(2M - n) c_n by Horner in g, with c_n
+            # the convolution of the numerators at order sum n
+            pair, h_power = 0, h
+            for n in range(2, 2 * M + 1):
+                h_power *= h
+                c = sum(p_i[a - 1] * p_j[n - a - 1] for a in range(max(1, n - M), min(M, n - 1) + 1))
+                pair = pair * g + factorials[n - 1] ** 2 * h_power * c
+            total += Fraction(pair, g ** (2 * M) * denominators[i] * denominators[j])
+    return scalars.rational(2 * total)
+
+
+def _first_power(config: DiscConfiguration, M: int) -> tuple[list[list[Exact]], list[Fraction]]:
+    """Y = P conj(H) P H of ``_hs_traces`` and its weights 2P, over the slots
+    of every disc, or of disc 0 alone at two discs.
+
+    With the weights W = 2P and the kernels C = -H/2, Y = W conj(C) W C.  The
+    kernels of the discs i and l are one value per order sum n,
+    c^il_n = C(1, a_i, n - 1, a_l) from one ``KernelTable``, and
+    C(m, a_i, o, a_l) = (-1)^(m+1) c^il_(m+o): the sign rides on the
+    weights.  C vanishes on one disc, so the entry of the modes m on disc i
+    and k on disc j is summed over the other discs l only, and no product
+    meets a zero:
+
+        Y_(i,m)(j,k) = (-1)^(m+1) W^i_m sum_(l != i, j) sum_o
+                       conj(c^il_(m+o)) (-1)^(o+1) W^l_o c^lj_(o+k).
+
+    The entries on and after the diagonal are summed; below it
+    Y_ba = (W_b / W_a) conj(Y_ab), the mirror rule of ``_matmul``.
+    """
+    r = config.r
+    centres = [disc.center for disc in config.discs]
+    table = KernelTable()
+    orders = range(1, M + 1)
+    weights = []
+    for disc in config.discs:
+        radius_sq, power, row = real_value(disc.radius_sq()), Fraction(1), []
+        for m in orders:
+            power = power * radius_sq / (m * m)  # |q|^(2m) / (m!)^2
+            row.append(2 * m * power)
+        weights.append(row)
+    signed = [[w if m % 2 else -w for m, w in zip(orders, row)] for row in weights]
+
+    def kernels(i: int, l: int) -> list:
+        # c^il_n at n = 2..2M, from index 0
+        return [table(1, centres[i], n - 1, centres[l]) for n in range(2, 2 * M + 1)]
+
+    # at two discs only the block of disc 0 (see ``_hs_traces``)
+    kept = range(1 if r == 2 else r)
+    # left[i, l][m - 1] is the row conj(c^il_(m+o)) and right[l, j][k - 1]
+    # the column (-1)^(o+1) W_o c^lj_(o+k), both over o = 1..M
+    left, right = {}, {}
+    for i in kept:
+        for l in range(r):
+            if l != i:
+                conj = [x.conjugate() for x in kernels(i, l)]
+                left[i, l] = [conj[m - 1:m - 1 + M] for m in orders]
+                c = kernels(l, i)
+                right[l, i] = [[w * c[o + k - 2] for o, w in zip(orders, signed[l])] for k in orders]
+    slots = [(i, m) for i in kept for m in orders]
+    slot_weights = [weights[i][m - 1] for i, m in slots]
+    n = len(slots)
+    y = [[ZERO] * n for _ in range(n)]
+    for a, (i, m) in enumerate(slots):
+        for b in range(a, n):
+            j, k = slots[b]
+            total = sum(
+                (x * w for l in range(r) if l != i and l != j
+                 for x, w in zip(left[i, l][m - 1], right[l, j][k - 1])),
+                ZERO,
+            )
+            # Y_ab = s W_a total, and Y_ba = (W_b / W_a) conj(Y_ab) = s W_b conj(total)
+            # with s = (-1)^(m+1)
+            y[a][b] = total * signed[i][m - 1]
+            if b > a:
+                w = slot_weights[b]
+                y[b][a] = total.conjugate() * (w if m % 2 else -w)
+    return y, slot_weights
 
 
 def _matmul(
-    x: list[list[Scalar]], y: list[list[Scalar]], modes: list[int], zero: Scalar
+    x: list[list[Scalar]], y: list[list[Scalar]], weights: list, zero: Scalar
 ) -> list[list[Scalar]]:
-    """The power x y of A', for x = left or a power of A' and y = A' (see
-    ``_hs_traces``), skipping the zero entries of x (the same-disc blocks).
+    """The product x y of two powers of Y (exact) or of A' (float), see
+    ``_hs_traces``, skipping the zero entries of x.
 
     The entries on and above the diagonal are summed.  Below it,
-    A'^p[i][j] = (m_i/m_j) conj(A'^p[j][i]), because A'^p = diag(m) H_p with
-    H_p Hermitian; that holds only for K' symmetric, left = diag(m) conj(K')
-    and right = diag(m) K'.  The mirror is taken when A'^p[j][i] is an
-    ``Exact``; a float entry is summed, so float powers keep all n^2 sums.
+    Y^p[i][j] = (W_i/W_j) conj(Y^p[j][i]) with the positive weights W,
+    because Y^p = diag(W) times a Hermitian matrix.  The mirror is taken
+    when Y^p[j][i] is an ``Exact``; a float entry is summed, so float
+    powers keep all n^2 sums and never read the weights.
     """
     out: list[list[Scalar]] = []
     for i, row in enumerate(x):
         terms = [(v, y[l]) for l, v in enumerate(row) if v]
-        m_i = modes[i]
+        w_i = weights[i]
         out_row = []
         for j in range(len(y[0])):
             mirror = out[j][i] if j < i else None
             if isinstance(mirror, Exact):
-                m_j = modes[j]
+                w_j = weights[j]
                 conj = mirror.conjugate()
-                out_row.append(conj if m_i == m_j else conj * Fraction(m_i, m_j))
+                out_row.append(conj if w_i == w_j else conj * (w_i / w_j))
             else:
                 out_row.append(sum((v * yl[j] for v, yl in terms), zero))
         out.append(out_row)
@@ -331,13 +461,13 @@ def _matmul(
 
 
 def _trace_product(hi: list[list[Scalar]], lo: list[list[Scalar]], zero: Scalar) -> Scalar:
-    """tr(hi lo) for two powers of A' from ``_matmul``.
+    """tr(hi lo) for two powers from ``_matmul``.
 
     Exact: tr(hi lo) is real and hi_ji lo_ij = conj(hi_ij lo_ji) (the mirror
     rule of ``_matmul``), so the trace is sum_i Re(hi_ii lo_ii) plus twice
-    sum_{i<j} Re(hi_ij lo_ji).  Both factors of a pair carry one radicand s,
-    so each real part is the rational s (a.re b.re - a.im b.im).  Float: the
-    sum over all n^2 pairs.
+    sum_{i<j} Re(hi_ij lo_ji).  The entries are Gaussian rationals, so each
+    real part is the rational a.re b.re - a.im b.im.  Float: the sum over
+    all n^2 pairs.
     """
     n = len(hi)
     if not isinstance(zero, Exact):
@@ -348,7 +478,7 @@ def _trace_product(hi: list[list[Scalar]], lo: list[list[Scalar]], zero: Scalar)
         for j in range(i, n):
             a, b = hi_row[j], lo[j][i]
             if a and b:
-                part = a.s * (a.re * b.re - a.im * b.im)
+                part = a.re * b.re - a.im * b.im
                 if i == j:
                     diagonal += part
                 else:

@@ -271,9 +271,10 @@ def _run_hsnorm(config: dict, exact: bool) -> dict:
     if not isinstance(trunc, dict) or set(trunc) != {"M", "N"}:
         raise SchemaError("hsnorm.truncation: expected an object with keys M and N")
     M, N = trunc["M"], trunc["N"]
-    for label, v in (("M", M), ("N", N)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise SchemaError(f"hsnorm.truncation.{label}: expected a non-negative integer")
+    for label, v, least in (("M", M, 1), ("N", N, 0)):
+        if not isinstance(v, int) or isinstance(v, bool) or v < least:
+            kind = "a positive" if least else "a non-negative"
+            raise SchemaError(f"hsnorm.truncation.{label}: expected {kind} integer")
     regime = discs.hs_regime()
     bound = hs_bound(discs) if regime else None
     rows = hs_truncated(discs, M, N)

@@ -1,7 +1,10 @@
-"""The traces tr(A'^k) of the HS sweep by full matrix products: every entry
-of every power summed, and each trace summed over all n^2 index pairs.  The
-reference that the tests check ``amplitude._hs_traces`` against, which
-mirrors half of each exact power and of each exact trace."""
+"""The traces tr(A'^k) of the HS sweep by full matrix products of K': every
+entry of every power summed, and each trace summed over all n^2 index pairs.
+The reference that the tests check ``amplitude._hs_traces`` against, whose
+exact sweep takes tr(A') from a convolution over order sums and the higher
+traces from the bare kernels, mirroring half of each power and of each
+trace, and builds one block at two discs.  Float mode sums the same K'
+products as this reference, in its order."""
 from freeboson import scalars
 from freeboson.amplitude import DiscConfiguration, _PairMatrix
 from freeboson.scalars import Scalar

@@ -19,6 +19,7 @@ from freeboson.amplitude import (
     MAX_DISCS,
     MAX_TUPLES,
     _PairMatrix,
+    _first_power,
     _hs_traces,
     _matmul,
     hs_bound,
@@ -226,8 +227,9 @@ def _hs_by_tuples(config: DiscConfiguration, M: int, N: int) -> list:
     return rows
 
 
-def _seeded_config(seed: int, r: int, spacing: int, max_q: int, exact: bool = True):
-    """r discs on a jittered grid with complex scales |Re q|, |Im q| <= max_q/8."""
+def _seeded_config(seed: int, r: int, spacing: int, max_q: int, exact: bool = True, radicand: int = 1):
+    """r discs on a jittered grid with complex scales |Re q|, |Im q| <= max_q/8,
+    each times sqrt(radicand) on exact discs."""
     rng = random.Random(seed)
     cells = [(0, 0), (1, 0), (0, 1), (1, 1)]
     rng.shuffle(cells)
@@ -237,7 +239,7 @@ def _seeded_config(seed: int, r: int, spacing: int, max_q: int, exact: bool = Tr
              Fraction(cy * spacing) + Fraction(rng.randint(-1, 1), 4))
         q = tuple(Fraction(rng.choice((-1, 1)) * rng.randint(1, max_q), 8) for _ in range(2))
         if exact:
-            discs.append(Disc(rational(*a), rational(*q)))
+            discs.append(Disc(rational(*a), rational(*q) * root(radicand)))
         else:
             discs.append(Disc(complex(*map(float, a)), complex(*map(float, q))))
     return DiscConfiguration(tuple(discs))
@@ -284,21 +286,42 @@ def _radical_config() -> DiscConfiguration:
     ))
 
 
-# (seed, discs, spacing, max_q, M, kmax): kmax = N // 2 of a sweep to N = 9
+# (seed, discs, spacing, max_q, M, kmax, radicand): kmax = N // 2 of a sweep
+# to N = 9.  Four discs sum each block of Y over two other discs; the
+# radical cases multiply every scale by sqrt(radicand).
 _TRACE_CASES = [
-    (11, 2, 8, 3, 5, 4),
-    (12, 2, 3, 4, 4, 3),
-    (13, 3, 8, 3, 4, 4),
-    (14, 3, 3, 4, 3, 4),
-    (15, 4, 8, 3, 3, 4),
-    (16, 4, 3, 4, 2, 2),
+    (11, 2, 8, 3, 5, 4, 1),
+    (12, 2, 3, 4, 4, 3, 1),
+    (13, 3, 8, 3, 4, 4, 1),
+    (14, 3, 3, 4, 3, 4, 1),
+    (15, 4, 8, 3, 3, 4, 1),
+    (16, 4, 3, 4, 2, 2, 1),
+    (21, 4, 8, 3, 3, 4, 2),
+    (22, 2, 8, 3, 4, 4, 3),
 ]
 
 
-@pytest.mark.parametrize("seed,r,spacing,max_q,M,kmax", _TRACE_CASES)
-def test_hs_traces_equal_the_full_product_oracle(seed, r, spacing, max_q, M, kmax):
-    cfg = _seeded_config(seed, r, spacing, max_q)
+@pytest.mark.parametrize(
+    "seed,r,spacing,max_q,M,kmax,radicand",
+    _TRACE_CASES,
+    ids=["-".join(map(str, case[:6])) + (f"-sqrt{case[6]}" if case[6] > 1 else "") for case in _TRACE_CASES],
+)
+def test_hs_traces_equal_the_full_product_oracle(seed, r, spacing, max_q, M, kmax, radicand):
+    cfg = _seeded_config(seed, r, spacing, max_q, radicand=radicand)
     assert _hs_traces(cfg, M, kmax) == hs_reference.hs_traces(cfg, M, kmax)
+
+
+@pytest.mark.parametrize("seed,r", [(23, 2), (24, 3)])
+def test_hs_first_trace_is_a_convolution_over_order_sums(seed, r):
+    # tr(A') from rationals per order sum, against the sum of m_a m_b |K'_ab|^2
+    # over every slot pair, at a mode cutoff where the order sums reach 80
+    cfg = _seeded_config(seed, r, 8, 3)
+    assert _hs_traces(cfg, 40, 1) == hs_reference.hs_traces(cfg, 40, 1)
+
+
+def _scales(config: DiscConfiguration, M: int) -> list:
+    """s = q^m / m! over the r*M (disc, mode) slots."""
+    return [disc.q ** m / math.factorial(m) for disc in config.discs for m in range(1, M + 1)]
 
 
 def test_hs_traces_keep_a_radical_scale_exact():
@@ -306,11 +329,18 @@ def test_hs_traces_keep_a_radical_scale_exact():
     traces = _hs_traces(cfg, 4, 4)
     assert traces == hs_reference.hs_traces(cfg, 4, 4)
     assert all(t.is_rational() for t in traces)
-    # a mirrored entry below the diagonal carries the radicals of its slots
+    # Y = S^-1 A' S is built from the bare kernels: no entry carries the
+    # radicals of the scales, the mirrored ones below the diagonal included
+    y, weights = _first_power(cfg, 4)
     modes, left, right = hs_reference.left_and_right(cfg, 4)
-    power = _matmul(left, right, modes, ZERO)
-    assert power == hs_reference.matmul(left, right, ZERO)
+    power = hs_reference.matmul(left, right, ZERO)
+    s = _scales(cfg, 4)
+    n = len(modes)
+    assert all(y[a][b] * s[b] == power[a][b] * s[a] for a in range(n) for b in range(n))
+    assert all(x.is_gaussian() for row in y for x in row)
     assert {x.s for row in power for x in row} >= {2, 3, 6}
+    # the mirrored square is the full product
+    assert _matmul(y, y, weights, ZERO) == hs_reference.matmul(y, y, ZERO)
 
 
 def test_hs_traces_float_bits_equal_the_full_product_oracle():
@@ -321,19 +351,18 @@ def test_hs_traces_float_bits_equal_the_full_product_oracle():
 
 
 def test_hs_traces_sum_half_of_each_exact_power(monkeypatch):
-    # N = 8 at r = 3, M = 4: A'^1 and A'^2 over 12 slots, and three traces
-    # of products.  An exact power sums only its n(n + 1)/2 entries j >= i
-    # and a trace multiplies no Exacts, so the oracle's extra products are
-    # those of the i entries left of the diagonal in each row i, one per
-    # nonzero term of the row, and the n^2 terms of each trace.
-    cfg = _seeded_config(19, 3, 8, 3)
+    # N = 8 at M = 4: Y and Y^2, and three traces.  The traces multiply no
+    # Exacts, and an entry below the diagonal is a mirror.  Y sums, for its
+    # entries on and after the diagonal, M products per disc other than the
+    # discs of the two slots; Y^2 sums n products for each of its n(n + 1)/2
+    # entries.  At two discs Y is the block of disc 0 alone, so n = M: 10
+    # entries of 4 products, twice.  The rest are |q|^2 once per disc for
+    # tr(A') and once for Y, and |a_i - a_j|^2 once per disc pair for tr(A').
     M, kmax = 4, 4
-    modes, left, right = hs_reference.left_and_right(cfg, M)
-    n = len(modes)
-    factors = (left, hs_reference.matmul(left, right, ZERO))
-    saved = sum(
-        i * sum(1 for v in row if v) for x in factors for i, row in enumerate(x)
-    ) + (kmax - 1) * n * n
+    cases = [
+        (_seeded_config(19, 2, 8, 3), 10 * 4 + 10 * 4 + 2 * 2 + 1),
+        (_seeded_config(19, 3, 8, 3), 3 * 10 * 8 + 3 * 16 * 4 + 78 * 12 + 2 * 3 + 3),
+    ]
     products = []
     multiply = scalars.Exact.__mul__
 
@@ -343,11 +372,10 @@ def test_hs_traces_sum_half_of_each_exact_power(monkeypatch):
         return multiply(a, b)
 
     monkeypatch.setattr(scalars.Exact, "__mul__", counted)
-    _hs_traces(cfg, M, kmax)
-    mirrored = len(products)
-    products.clear()
-    hs_reference.hs_traces(cfg, M, kmax)
-    assert len(products) - mirrored == saved
+    for config, want in cases:
+        products.clear()
+        _hs_traces(config, M, kmax)
+        assert len(products) == want, config.r
 
 
 def test_float_powers_sum_every_entry():
@@ -382,6 +410,20 @@ def test_hs_truncated_m16_n4_budget():
     rows = hs_truncated(_standard(), 16, 4)
     assert time.perf_counter() - start < 3.0
     assert rows[-1].tuple_count == 58905
+
+
+def test_hs_truncated_worst_admitted_shape_budget():
+    # the slowest truncation under MAX_TUPLES: N = 2 at 2 discs, M = 220, so
+    # only tr(A'), over order sums up to 440
+    config = DiscConfiguration((
+        Disc(rational(0), rational(Fraction(1, 2))),
+        Disc(rational(5), rational(Fraction(1, 3), Fraction(1, 4))),
+    ))
+    start = time.perf_counter()
+    rows = hs_truncated(config, 220, 2)
+    assert time.perf_counter() - start < 2.0
+    assert rows[-1].tuple_count == math.comb(442, 2) <= MAX_TUPLES
+    assert rows[-1].partial_sum.rational() > 1
 
 
 def test_hs_truncated_order_guard():

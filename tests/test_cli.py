@@ -173,11 +173,14 @@ _SUITE_NAMES = ("d-identity, theta-involution, conjugation, scaling, wick-plain,
     ("hsnorm", {"discs": _DISCS, "truncation": [1, 2]}, "SchemaError",
      "hsnorm.truncation: expected an object with keys M and N"),
     ("hsnorm", {"discs": _DISCS, "truncation": {"M": -1, "N": 2}}, "SchemaError",
-     "hsnorm.truncation.M: expected a non-negative integer"),
+     "hsnorm.truncation.M: expected a positive integer"),
     ("hsnorm", {"discs": _DISCS, "truncation": {"M": 1, "N": True}}, "SchemaError",
      "hsnorm.truncation.N: expected a non-negative integer"),
     ("hsnorm", {"discs": _DISCS, "truncation": {"M": 1, "N": 2.0}}, "SchemaError",
      "hsnorm.truncation.N: expected a non-negative integer"),
+    # the sweep needs a mode: M = 0 is refused here, not by the amplitude module
+    ("hsnorm", {"discs": _DISCS, "truncation": {"M": 0, "N": 2}}, "SchemaError",
+     "hsnorm.truncation.M: expected a positive integer"),
 ])
 def test_run_error_messages(command, config, error, message):
     with pytest.raises(EngineError) as caught:
