@@ -21,11 +21,12 @@ series, through the traces of A' = D^2 conj(K') D^2 K', similar to
 conj(K) K, without visiting the tuples.  The exact sweep reads them off the
 bare kernels H_ab = K'_ab / (s_a s_b), with no scale in a product: tr(A')
 is a convolution of rationals over the order sums, and A' is similar to
-Y = P conj(H) P H with P = diag(m |s|^2) rational.  The blocks of Y are
-summed over disc triples, and each power of Y is P times a Hermitian
-matrix, so half of each power and of each trace is the mirror of the other
-half (``_matmul``, ``_trace_product``).  At two discs Y is block-diagonal
-with blocks of equal traces, and one M x M block is built.
+Y = P conj(H) P H with P = diag(m |s|^2) rational.  Y and each of its
+powers are P times a Hermitian matrix, and all of them come from one
+product, ``_matmul``: it sums half of each product, skipping the zeros of
+both factors, and ``_trace_product`` half of each trace.  At two discs Y
+is block-diagonal with blocks of equal traces, and one M x M block is
+built.
 
 When the separation satisfies d/R > 4 sqrt(r), the squared entries are
 summable and bounded by the closed form 1/(1 - x) with
@@ -89,29 +90,28 @@ class DiscConfiguration:
     """
 
     discs: tuple[Disc, ...]
-    # d^2, kept from the one walk over the disc pairs that tests disjointness
+    # d^2, kept from the one walk over the disc pairs that tests disjointness,
+    # and R^2 from the radii it reads, one |q|^2 per disc
     _center_gap_sq: Fraction | float = field(init=False, repr=False, compare=False)
+    _max_radius_sq: Fraction | float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.discs) < 2:
             raise ConfigurationError(_MODULE, "a configuration needs at least two discs")
         if len(self.discs) > MAX_DISCS:
             raise ResourceError(_MODULE, f"{len(self.discs)} discs exceed the guard {MAX_DISCS}")
+        radii_sq = [real_value(d.radius_sq()) for d in self.discs]
         gap_sq = None
-        for i in range(len(self.discs)):
+        for i, (a, ra) in enumerate(zip(self.discs, radii_sq)):
             for j in range(i + 1, len(self.discs)):
-                a = self.discs[i]
-                b = self.discs[j]
-                gap = real_value(scalars.abs_sq(a.center - b.center))
-                ra = real_value(a.radius_sq())
-                rb = real_value(b.radius_sq())
+                gap = real_value(scalars.abs_sq(a.center - self.discs[j].center))
+                rb = radii_sq[j]
                 t = gap - ra - rb
                 if not (t > 0 and t * t > 4 * ra * rb):
-                    raise ConfigurationError(
-                        _MODULE, f"discs {i} and {j} are not disjoint"
-                    )
+                    raise ConfigurationError(_MODULE, f"discs {i} and {j} are not disjoint")
                 gap_sq = gap if gap_sq is None else min(gap_sq, gap)
         object.__setattr__(self, "_center_gap_sq", gap_sq)
+        object.__setattr__(self, "_max_radius_sq", max(radii_sq))
 
     @property
     def r(self) -> int:
@@ -124,7 +124,7 @@ class DiscConfiguration:
         return self._center_gap_sq
 
     def max_radius_sq(self) -> Fraction | float:
-        return max(real_value(d.radius_sq()) for d in self.discs)
+        return self._max_radius_sq
 
     def hs_regime(self) -> bool:
         return self.center_gap_sq() > 16 * self.r * self.max_radius_sq()
@@ -217,12 +217,12 @@ def hs_truncated(config: DiscConfiguration, M: int, N: int) -> list[HSPartial]:
     rows are rational; float rows may differ from a tuple-by-tuple sum in
     the last bits.  Cost: nothing is built for N < 2.  In exact mode,
     N = 2 or 3 needs only tr(A'): M^2 integer products per disc pair, no
-    kernel.  For N >= 4 the kernels of each ordered disc pair are one value
-    per order sum (``KernelTable``), and Y costs M products per entry and
+    kernel.  For N >= 4 the kernels of each disc pair are one value per
+    order sum (``KernelTable``), and Y costs M products per entry and
     per third disc, on its upper half; at two discs only its M x M block of
     disc 0 is built.  For N >= 6, floor((N + 2)/4) - 1 products of Y's
     powers follow, each halved by the mirror of ``_matmul``.  Float mode
-    builds every K' entry and sums the (r*M)^3 products in full.
+    builds every K' entry and sums every product of two nonzero entries.
     A truncation whose tuples number more than ``MAX_TUPLES`` raises
     ResourceError before anything is built; the slowest shape it admits,
     N = 2 at 2 discs and M = 220, takes about 0.3 s for discs (centre 0,
@@ -279,13 +279,13 @@ def _hs_traces(config: DiscConfiguration, M: int, kmax: int) -> list[Scalar]:
     A' = S^-1 Y S with Y = P conj(H) P H, so tr(A'^k) = tr(Y^k) and no
     scale s enters a product.  In exact mode tr(A') comes from
     ``_first_trace`` and the higher traces from the powers of Y, built by
-    ``_first_power``: H is symmetric, so every power of Y is P times a
-    Hermitian matrix, mirrored by ``_matmul`` and ``_trace_product``.  At
-    two discs Y is block-diagonal, and its two blocks give equal traces
-    (with G = H^01, the transpose of P^1 G* P^0 G is a cyclic shift of the
-    factors of P^0 conj(G) P^1 G^T), so only the block of disc 0 is built
-    and its traces are doubled.  Float mode
-    sums K' itself: tr(A') = sum_ab m_a m_b |K'_ab|^2, and the powers of
+    ``_first_power``: H is symmetric, so Y and every power of Y are P times
+    a Hermitian matrix, all multiplied and mirrored by ``_matmul`` and
+    summed by ``_trace_product``.  At two discs Y is block-diagonal, and
+    its two blocks give equal traces (with G = H^01, the transpose of
+    P^1 G* P^0 G is a cyclic shift of the factors of P^0 conj(G) P^1 G^T),
+    so only the block of disc 0 is built and its traces are doubled.  Float
+    mode sums K' itself: tr(A') = sum_ab m_a m_b |K'_ab|^2, and the powers of
     A' = (diag(m) conj(K')) (diag(m) K') in full.
     """
     if config.is_exact():
@@ -367,81 +367,50 @@ def _first_power(config: DiscConfiguration, M: int) -> tuple[list[list[Exact]], 
     """Y = P conj(H) P H of ``_hs_traces`` and its weights 2P, over the slots
     of every disc, or of disc 0 alone at two discs.
 
-    With the weights W = 2P and the kernels C = -H/2, Y = W conj(C) W C.  The
-    kernels of the discs i and l are one value per order sum n,
-    c^il_n = C(1, a_i, n - 1, a_l) from one ``KernelTable``, and
-    C(m, a_i, o, a_l) = (-1)^(m+1) c^il_(m+o): the sign rides on the
-    weights.  C vanishes on one disc, so the entry of the modes m on disc i
-    and k on disc j is summed over the other discs l only, and no product
-    meets a zero:
-
-        Y_(i,m)(j,k) = (-1)^(m+1) W^i_m sum_(l != i, j) sum_o
-                       conj(c^il_(m+o)) (-1)^(o+1) W^l_o c^lj_(o+k).
-
-    The entries on and after the diagonal are summed; below it
-    Y_ba = (W_b / W_a) conj(Y_ab), the mirror rule of ``_matmul``.
+    With the weights W = 2P and the kernels C = -H/2, Y = W conj(C) W C.  C
+    is symmetric, C(m, a_I, k, a_J) = C(k, a_J, m, a_I), and is read once per
+    cross-disc slot pair from one ``KernelTable``; it vanishes on one disc.
+    So the core conj(C) W C is Hermitian, and ``_matmul`` sums it with unit
+    weights: half of it, skipping the zeros of both factors, so that no
+    product meets a same-disc zero.  Y is the core with row a times W_a.
     """
-    r = config.r
     centres = [disc.center for disc in config.discs]
     table = KernelTable()
-    orders = range(1, M + 1)
     weights = []
     for disc in config.discs:
-        radius_sq, power, row = real_value(disc.radius_sq()), Fraction(1), []
-        for m in orders:
+        radius_sq, power = real_value(disc.radius_sq()), Fraction(1)
+        for m in range(1, M + 1):
             power = power * radius_sq / (m * m)  # |q|^(2m) / (m!)^2
-            row.append(2 * m * power)
-        weights.append(row)
-    signed = [[w if m % 2 else -w for m, w in zip(orders, row)] for row in weights]
-
-    def kernels(i: int, l: int) -> list:
-        # c^il_n at n = 2..2M, from index 0
-        return [table(1, centres[i], n - 1, centres[l]) for n in range(2, 2 * M + 1)]
-
-    # at two discs only the block of disc 0 (see ``_hs_traces``)
-    kept = range(1 if r == 2 else r)
-    # left[i, l][m - 1] is the row conj(c^il_(m+o)) and right[l, j][k - 1]
-    # the column (-1)^(o+1) W_o c^lj_(o+k), both over o = 1..M
-    left, right = {}, {}
-    for i in kept:
-        for l in range(r):
-            if l != i:
-                conj = [x.conjugate() for x in kernels(i, l)]
-                left[i, l] = [conj[m - 1:m - 1 + M] for m in orders]
-                c = kernels(l, i)
-                right[l, i] = [[w * c[o + k - 2] for o, w in zip(orders, signed[l])] for k in orders]
-    slots = [(i, m) for i in kept for m in orders]
-    slot_weights = [weights[i][m - 1] for i, m in slots]
+            weights.append(2 * m * power)
+    slots = [(i, m) for i in range(config.r) for m in range(1, M + 1)]
     n = len(slots)
-    y = [[ZERO] * n for _ in range(n)]
+    c = [[ZERO] * n for _ in range(n)]
     for a, (i, m) in enumerate(slots):
-        for b in range(a, n):
+        for b in range((i + 1) * M, n):
             j, k = slots[b]
-            total = sum(
-                (x * w for l in range(r) if l != i and l != j
-                 for x, w in zip(left[i, l][m - 1], right[l, j][k - 1])),
-                ZERO,
-            )
-            # Y_ab = s W_a total, and Y_ba = (W_b / W_a) conj(Y_ab) = s W_b conj(total)
-            # with s = (-1)^(m+1)
-            y[a][b] = total * signed[i][m - 1]
-            if b > a:
-                w = slot_weights[b]
-                y[b][a] = total.conjugate() * (w if m % 2 else -w)
-    return y, slot_weights
+            c[a][b] = c[b][a] = table(m, centres[i], k, centres[j])
+    # at two discs only the block of disc 0 (see ``_hs_traces``)
+    kept = range(M if config.r == 2 else n)
+    left = [[x.conjugate() for x in c[a]] for a in kept]
+    right = [[w * row[b] if row[b] else ZERO for b in kept] for w, row in zip(weights, c)]
+    core = _matmul(left, right, [1] * len(kept), ZERO)
+    return [[weights[a] * x for x in row] for a, row in zip(kept, core)], weights[:len(kept)]
 
 
 def _matmul(
     x: list[list[Scalar]], y: list[list[Scalar]], weights: list, zero: Scalar
 ) -> list[list[Scalar]]:
-    """The product x y of two powers of Y (exact) or of A' (float), see
-    ``_hs_traces``, skipping the zero entries of x.
+    """The product x y of two powers of Y or the factors of Y's Hermitian
+    core (exact), or of two powers of A' (float), see ``_hs_traces``.  A
+    term is summed only where both its factors are nonzero: a float sum
+    starts at +0, so a skipped +-0 term never changes its bits.
 
     The entries on and above the diagonal are summed.  Below it,
     Y^p[i][j] = (W_i/W_j) conj(Y^p[j][i]) with the positive weights W,
-    because Y^p = diag(W) times a Hermitian matrix.  The mirror is taken
-    when Y^p[j][i] is an ``Exact``; a float entry is summed, so float
-    powers keep all n^2 sums and never read the weights.
+    because Y^p = diag(W) times a Hermitian matrix (unit weights for a
+    Hermitian product).  The mirror is taken when Y^p[j][i] is an
+    ``Exact``; a float entry is summed, so float products keep all n^2
+    sums and never read the weights.
     """
     out: list[list[Scalar]] = []
     for i, row in enumerate(x):
@@ -455,7 +424,7 @@ def _matmul(
                 conj = mirror.conjugate()
                 out_row.append(conj if w_i == w_j else conj * (w_i / w_j))
             else:
-                out_row.append(sum((v * yl[j] for v, yl in terms), zero))
+                out_row.append(sum((v * yl[j] for v, yl in terms if yl[j]), zero))
         out.append(out_row)
     return out
 

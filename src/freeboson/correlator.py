@@ -53,9 +53,10 @@ class KernelTable:
     Gaussian rational (``algebra.check_point``), checked once per point pair
     when its run is started.  A pair with a float point takes the complex
     arithmetic of a fresh evaluation, unmemoised, and raises OverflowError
-    when (z1 - z2)^n underflows to 0.  A table lives for one computation
-    (a combination, an ``inner`` or ``gram`` call, a ``wick_expand``, an
-    amplitude call, one HS trace sweep); nothing is kept across calls.
+    when (z1 - z2)^n underflows to 0 or overflows.  A table lives for one
+    computation (a combination, an ``inner`` or ``gram`` call, a
+    ``wick_expand``, an amplitude call, one HS trace sweep); nothing is kept
+    across calls.
 
     Raises DomainError for orders that are not integers >= 1 and for an exact
     point with a radical part, ResourceError for an order above MAX_ORDER
@@ -78,7 +79,10 @@ class KernelTable:
         if not (isinstance(z1, scalars.Exact) and isinstance(z2, scalars.Exact)):
             if complex(z1) == complex(z2):
                 raise PoleError(_MODULE, ((m1, z1), (m2, z2)))
-            power = (z1 - z2) ** n
+            try:
+                power = (z1 - z2) ** n
+            except OverflowError:
+                power = 0  # beyond float range either way: one message
             if not power:
                 raise OverflowError(f"the kernel at {z1!r}, {z2!r} is beyond float range")
             return complex(Fraction(math.factorial(n - 1) * (-1 if m1 % 2 else 1), 2)) / power

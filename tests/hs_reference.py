@@ -4,7 +4,9 @@ The reference that the tests check ``amplitude._hs_traces`` against, whose
 exact sweep takes tr(A') from a convolution over order sums and the higher
 traces from the bare kernels, mirroring half of each power and of each
 trace, and builds one block at two discs.  Float mode sums the same K'
-products as this reference, in its order."""
+products as this reference, in its order, less the terms with a zero
+factor in ``amplitude._matmul``: a float sum starts at +0, so those leave
+its bits as they are."""
 from freeboson import scalars
 from freeboson.amplitude import DiscConfiguration, _PairMatrix
 from freeboson.scalars import Scalar

@@ -127,6 +127,22 @@ def test_configuration_disc_guard():
     assert DiscConfiguration(tuple(discs[:MAX_DISCS])).r == MAX_DISCS
 
 
+def test_configuration_reads_each_radius_once(monkeypatch):
+    # |q|^2 once per disc: the pair walk and the regime test reuse the radii
+    calls = []
+    radius_sq = Disc.radius_sq
+    monkeypatch.setattr(Disc, "radius_sq", lambda disc: calls.append(disc) or radius_sq(disc))
+    discs = tuple(
+        Disc(rational(8 * (k % 8), 8 * (k // 8)), rational(Fraction(1, 8), Fraction(k % 3, 8)))
+        for k in range(MAX_DISCS)
+    )
+    cfg = DiscConfiguration(discs)
+    assert len(calls) == MAX_DISCS == 64
+    assert cfg.max_radius_sq() == Fraction(5, 64)
+    assert cfg.hs_regime() is False
+    assert len(calls) == MAX_DISCS
+
+
 def test_entry_odd_total_vanishes():
     cfg = _standard()
     assert amplitude_entry(cfg, ({1: 1}, {})) == scalars.ZERO
@@ -344,7 +360,7 @@ def test_hs_traces_keep_a_radical_scale_exact():
 
 
 def test_hs_traces_float_bits_equal_the_full_product_oracle():
-    for seed, r in ((17, 2), (18, 3)):
+    for seed, r in ((17, 2), (18, 3), (25, 4)):
         cfg = _seeded_config(seed, r, 3, 4, exact=False)
         got, want = _hs_traces(cfg, 4, 4), hs_reference.hs_traces(cfg, 4, 4)
         assert [repr(t) for t in got] == [repr(t) for t in want]
@@ -356,12 +372,15 @@ def test_hs_traces_sum_half_of_each_exact_power(monkeypatch):
     # entries on and after the diagonal, M products per disc other than the
     # discs of the two slots; Y^2 sums n products for each of its n(n + 1)/2
     # entries.  At two discs Y is the block of disc 0 alone, so n = M: 10
-    # entries of 4 products, twice.  The rest are |q|^2 once per disc for
-    # tr(A') and once for Y, and |a_i - a_j|^2 once per disc pair for tr(A').
+    # entries of 4 products, twice.  At four discs an entry of Y sums over
+    # three other discs on one disc and two across.  The rest are |q|^2 once
+    # per disc for tr(A') and once for Y, and |a_i - a_j|^2 once per disc
+    # pair for tr(A').
     M, kmax = 4, 4
     cases = [
         (_seeded_config(19, 2, 8, 3), 10 * 4 + 10 * 4 + 2 * 2 + 1),
         (_seeded_config(19, 3, 8, 3), 3 * 10 * 8 + 3 * 16 * 4 + 78 * 12 + 2 * 3 + 3),
+        (_seeded_config(19, 4, 8, 3), 4 * 10 * 12 + 6 * 16 * 8 + 136 * 16 + 2 * 4 + 6),
     ]
     products = []
     multiply = scalars.Exact.__mul__
@@ -379,7 +398,8 @@ def test_hs_traces_sum_half_of_each_exact_power(monkeypatch):
 
 
 def test_float_powers_sum_every_entry():
-    # a float entry is never mirrored: n^2 sums of the nonzero terms of its row
+    # a float entry is never mirrored: n^2 sums, each over the terms whose
+    # two factors are nonzero
     products = []
 
     class Counted(complex):
@@ -392,10 +412,64 @@ def test_float_powers_sum_every_entry():
     n = len(modes)
     counted_left = [[Counted(v) for v in row] for row in left]
     power = _matmul(counted_left, right, modes, 0j)
-    assert len(products) == n * sum(1 for row in left for v in row if v)
+    assert len(products) == sum(
+        1 for i in range(n) for j in range(n) for l in range(n) if left[i][l] and right[l][j]
+    )
     assert [repr(v) for row in power for v in row] == [
         repr(v) for row in hs_reference.matmul(left, right, 0j) for v in row
     ]
+
+
+def _coefficient_kernel(phi_a, dphi_a, phi_b, dphi_b, modes: int):
+    """K'_ab = (1/(m_a m_b)) [zeta^(m_a - 1) eta^(m_b - 1)]
+    phi_a'(zeta) phi_b'(eta) / (phi_a(zeta) - phi_b(eta))^2 for modes 1..modes,
+    the kernel of two discs of any parametrisations phi, read by a 64 x 64
+    FFT on the circles |zeta| = |eta| = 0.9."""
+    nodes, radius = 64, 0.9
+    t = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    zeta, eta = t[:, None], t[None, :]
+    f = dphi_a(zeta) * dphi_b(eta) / (phi_a(zeta) - phi_b(eta)) ** 2
+    powers = radius ** np.add.outer(np.arange(nodes), np.arange(nodes))
+    coefficients = np.fft.fft2(f) / nodes ** 2 / powers
+    m = np.arange(1, modes + 1)
+    return coefficients[:modes, :modes] / np.outer(m, m)
+
+
+def test_pair_matrix_sews_across_a_glued_circle():
+    # Glue disc D = 0 of A to disc E = 0 of B by zeta_D = 1/zeta_E.  On the
+    # glued sphere B's disc 1 is eta -> g(3 + 2 eta/5) inside D, with
+    # g(w) = a_D + q_D q_E/(w - a_E), and the kernel between A's disc 1 and
+    # it is the sum over the modes k of the glued circle
+    #     K'_glued(a, b) = - sum_k k K'_A(a, (D, k)) K'_B((E, k), b).
+    # The k-th term falls like (3/20)^k (1/3)^k = 20^-k up to a power of k,
+    # so 40 modes leave a tail far below the FFT's rounding; the opposite
+    # sign misses by O(1).
+    a = _PairMatrix(DiscConfiguration((
+        Disc(rational(0), rational(Fraction(3, 10))), Disc(rational(2), rational(Fraction(1, 2))),
+    )))
+    b = _PairMatrix(DiscConfiguration((
+        Disc(rational(0), ONE), Disc(rational(3), rational(Fraction(2, 5))),
+    )))
+    a_d, q_d, a_e, q_e = 0.0, 0.3, 0.0, 1.0
+
+    def g(w):
+        return a_d + q_d * q_e / (w - a_e)
+
+    def dg(w):
+        return -q_d * q_e / (w - a_e) ** 2
+
+    glued = _coefficient_kernel(
+        lambda z: 2 + z / 2, lambda z: np.full_like(z, 0.5),
+        lambda e: g(3 + 0.4 * e), lambda e: 0.4 * dg(3 + 0.4 * e),
+        6,
+    )
+    sewn = np.array([
+        [-sum(k * complex(a(1, m_a, 0, k)) * complex(b(0, k, 1, m_b)) for k in range(1, 41))
+         for m_b in range(1, 7)]
+        for m_a in range(1, 7)
+    ])
+    np.testing.assert_allclose(glued, sewn, rtol=1e-10, atol=0)
+    assert not np.allclose(glued, -sewn, rtol=0.5, atol=0)
 
 
 def test_hs_truncated_hand_value():

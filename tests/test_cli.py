@@ -256,24 +256,30 @@ def test_main_bad_numbers_are_schema_errors_fast(tmp_path, capsys, text):
     assert out["error"]["type"] == "SchemaError"
 
 
-@pytest.mark.parametrize("command,config", [
+@pytest.mark.parametrize("command,config,message", [
     # the float eigen diagnostics of an exact matrix overflow
-    ("gram", {"states": [[[{"m": 200, "re": "1/2"}]]]}),
+    ("gram", {"states": [[[{"m": 200, "re": "1/2"}]]]}, None),
     # (m1 + m2 - 1)! is beyond float range
-    ("correlator", {"mode": "float", "words": [[[{"m": 90, "re": 0}], [{"m": 90, "re": 30}]]]}),
+    ("correlator", {"mode": "float", "words": [[[{"m": 90, "re": 0}], [{"m": 90, "re": 30}]]]}, None),
     # (z1 - z2)^2 underflows to 0
-    ("correlator", {"mode": "float", "words": [[[{"m": 1, "re": 0}], [{"m": 1, "re": 1e-170}]]]}),
-    # (z1 - z2)^2 overflows
-    ("correlator", {"mode": "float", "words": [[[{"m": 1, "re": 0}], [{"m": 1, "re": 1e200}]]]}),
-    ("gram", {"mode": "float", "states": [[[{"m": 90, "re": 0.5}]]]}),
-], ids=["exact-gram-200", "factorial", "underflow", "power", "float-gram-90"])
-def test_main_values_beyond_float_range_are_schema_errors_fast(tmp_path, capsys, command, config):
+    ("correlator", {"mode": "float", "words": [[[{"m": 1, "re": 0}], [{"m": 1, "re": 1e-170}]]]}, None),
+    # (z1 - z2)^2 overflows: the message of the underflow, not Python's
+    ("correlator", {"mode": "float", "words": [[[{"m": 1, "re": 0}], [{"m": 1, "re": 1e200}]]]},
+     "the kernel at 0j, (1e+200+0j) is beyond float range"),
+    ("hsnorm", {"mode": "float", "discs": [{"a_re": 0, "q_re": 1}, {"a_re": 1e300, "q_re": 1}],
+                "truncation": {"M": 1, "N": 2}},
+     "the kernel at 0j, (1e+300+0j) is beyond float range"),
+    ("gram", {"mode": "float", "states": [[[{"m": 90, "re": 0.5}]]]}, None),
+], ids=["exact-gram-200", "factorial", "underflow", "power", "hsnorm-power", "float-gram-90"])
+def test_main_values_beyond_float_range_are_schema_errors_fast(tmp_path, capsys, command, config, message):
     path = _write(tmp_path, "c.json", config)
     start = time.perf_counter()
     assert main([command, "--config", path]) == 1
     assert time.perf_counter() - start < 1.0
     out = _strict_json(capsys.readouterr().out)
     assert out["error"]["type"] == "SchemaError"
+    if message is not None:
+        assert out["error"]["message"] == message
 
 
 def test_main_gram_origin_multigroup_state(tmp_path, capsys):

@@ -6,7 +6,10 @@ reference), and a route deleted from the package should take its imports
 with it.
 """
 import ast
+import functools
+import importlib
 import inspect
+import re
 from pathlib import Path
 
 import freeboson
@@ -264,3 +267,42 @@ def test_no_kernel_table_is_used_for_one_value():
                 if _is_throwaway_table(node):
                     found[id(node)] = name
     assert sorted(found.values()) == []
+
+
+
+_NAME = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+
+
+def _has_path(root, dotted: str) -> bool:
+    try:
+        functools.reduce(getattr, dotted.split("."), root)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_every_named_helper_in_a_docstring_exists():
+    """A docstring that names a package object in double backquotes names
+    one that exists: each such token that is a dotted name, or starts with
+    ``_`` or a capital, resolves in its own module, in ``freeboson``, or in
+    the package module named by its first segment.  A helper that is
+    deleted or renamed takes the docstrings that name it along."""
+    modules = {
+        path.stem: freeboson if path.stem == "__init__" else importlib.import_module(f"freeboson.{path.stem}")
+        for path in MODULES
+    }
+    missing = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for token in re.findall(r"``([^`]+)``", ast.get_docstring(node) or ""):
+                first, _, rest = token.partition(".")
+                if not (_NAME.fullmatch(token) and (rest or first[0] == "_" or first[0].isupper())):
+                    continue
+                homes = [(modules[path.stem], token), (freeboson, token)]
+                if rest and first in modules:
+                    homes.append((modules[first], rest))
+                if not any(_has_path(root, name) for root, name in homes):
+                    missing.append(f"{path.name}:{getattr(node, 'lineno', 1)} {token}")
+    assert missing == []
