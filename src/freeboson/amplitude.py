@@ -25,8 +25,7 @@ Y = P conj(H) P H with P = diag(m |s|^2) rational.  Y and each of its
 powers are P times a Hermitian matrix, and all of them come from one
 product, ``_matmul``: it sums half of each product, skipping the zeros of
 both factors, and ``_trace_product`` half of each trace.  At two discs Y
-is block-diagonal with blocks of equal traces, and one M x M block is
-built.
+is block-diagonal with blocks of equal traces; one M x M block is built.
 
 When the separation satisfies d/R > 4 sqrt(r), the squared entries are
 summable and bounded by the closed form 1/(1 - x) with
@@ -79,39 +78,35 @@ class Disc:
 
 @dataclass(frozen=True)
 class DiscConfiguration:
-    """r >= 2 pairwise disjoint discs with derived separation statistics.
-
-    d^2 = min over pairs of |a_i - a_j|^2 (center separation) and
-    R^2 = max radius squared are kept in squared form so the disjointness
-    and regime tests are exact on rational data:
+    """r >= 2 pairwise disjoint discs.  One walk keeps each R_i^2 = |q_i|^2
+    and each centre gap |a_i - a_j|^2, i < j, which the statistics and the
+    HS sweep read; squared, so the tests below are exact on rational data,
+    with d^2 the least gap and R^2 the largest R_i^2:
 
         disjoint:   t = |a_i-a_j|^2 - R_i^2 - R_j^2 > 0  and  t^2 > 4 R_i^2 R_j^2
         HS regime:  d^2 > 16 r R^2   (equivalent to d/R > 4 sqrt(r))
     """
 
     discs: tuple[Disc, ...]
-    # d^2, kept from the one walk over the disc pairs that tests disjointness,
-    # and R^2 from the radii it reads, one |q|^2 per disc
-    _center_gap_sq: Fraction | float = field(init=False, repr=False, compare=False)
-    _max_radius_sq: Fraction | float = field(init=False, repr=False, compare=False)
+    _radii_sq: tuple[Fraction | float, ...] = field(init=False, repr=False, compare=False)
+    _gaps_sq: dict[tuple[int, int], Fraction | float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.discs) < 2:
             raise ConfigurationError(_MODULE, "a configuration needs at least two discs")
         if len(self.discs) > MAX_DISCS:
             raise ResourceError(_MODULE, f"{len(self.discs)} discs exceed the guard {MAX_DISCS}")
-        radii_sq = [real_value(d.radius_sq()) for d in self.discs]
-        gap_sq = None
+        radii_sq = tuple(real_value(d.radius_sq()) for d in self.discs)
+        gaps_sq = {}
         for i, (a, ra) in enumerate(zip(self.discs, radii_sq)):
             for j in range(i + 1, len(self.discs)):
-                gap = real_value(scalars.abs_sq(a.center - self.discs[j].center))
+                gap = gaps_sq[i, j] = real_value(scalars.abs_sq(a.center - self.discs[j].center))
                 rb = radii_sq[j]
                 t = gap - ra - rb
                 if not (t > 0 and t * t > 4 * ra * rb):
                     raise ConfigurationError(_MODULE, f"discs {i} and {j} are not disjoint")
-                gap_sq = gap if gap_sq is None else min(gap_sq, gap)
-        object.__setattr__(self, "_center_gap_sq", gap_sq)
-        object.__setattr__(self, "_max_radius_sq", max(radii_sq))
+        object.__setattr__(self, "_radii_sq", radii_sq)
+        object.__setattr__(self, "_gaps_sq", gaps_sq)
 
     @property
     def r(self) -> int:
@@ -121,10 +116,10 @@ class DiscConfiguration:
         return all(isinstance(d.center, Exact) and isinstance(d.q, Exact) for d in self.discs)
 
     def center_gap_sq(self) -> Fraction | float:
-        return self._center_gap_sq
+        return min(self._gaps_sq.values())
 
     def max_radius_sq(self) -> Fraction | float:
-        return self._max_radius_sq
+        return max(self._radii_sq)
 
     def hs_regime(self) -> bool:
         return self.center_gap_sq() > 16 * self.r * self.max_radius_sq()
@@ -226,11 +221,10 @@ def hs_truncated(config: DiscConfiguration, M: int, N: int) -> list[HSPartial]:
     A truncation whose tuples number more than ``MAX_TUPLES`` raises
     ResourceError before anything is built; the slowest shape it admits,
     N = 2 at 2 discs and M = 220, takes about 0.3 s for discs (centre 0,
-    q = 1/2) and (centre 5, q = 1/3 + i/4) (a 2 vCPU Xeon, Python 3.11),
-    against about 9 s when it summed M^2 Gaussian products of K'.  Outside the
-    summability regime the sums are computed all the same (the amplitude is
-    still defined; only the bound is unavailable): ``config.hs_regime()``
-    tells the caller which case holds.
+    q = 1/2) and (centre 5, q = 1/3 + i/4) (a 2 vCPU Xeon, Python 3.11).
+    Outside the summability regime the sums are computed all the same (the
+    amplitude is still defined; only the bound is unavailable):
+    ``config.hs_regime()`` tells the caller which case holds.
     """
     if not isinstance(M, int) or M < 1:
         raise ConfigurationError(_MODULE, f"max mode M must be an integer >= 1, got {M!r}")
@@ -289,10 +283,11 @@ def _hs_traces(config: DiscConfiguration, M: int, kmax: int) -> list[Scalar]:
     A' = (diag(m) conj(K')) (diag(m) K') in full.
     """
     if config.is_exact():
-        traces = [_first_trace(config, M)]
+        table = _weight_table(config, M)
+        traces = [_first_trace(config, *table)]
         if kmax < 2:
             return traces
-        y, weights = _first_power(config, M)
+        y, weights = _first_power(config, *table)
         copies = 2 if config.r == 2 else 1
         return traces + [copies * t for t in _power_traces(y, weights, ZERO, kmax)]
     slots = [(j, m) for j in range(config.r) for m in range(1, M + 1)]
@@ -325,63 +320,64 @@ def _power_traces(y: list[list[Scalar]], weights: list, zero: Scalar, kmax: int)
     return [_trace_product(powers[(k + 1) // 2], powers[k // 2], zero) for k in range(2, kmax + 1)]
 
 
-def _first_trace(config: DiscConfiguration, M: int) -> Exact:
+def _weight_table(config: DiscConfiguration, M: int) -> tuple[list[list[int]], list[int]]:
+    """P^I_m = m |q_I|^(2m) / (m!)^2 for m = 1..M, from the configuration's
+    |q_I|^2 = u/v: the integers m u^m v^(M - m) (M!/m!)^2 of each disc, and
+    its one denominator v^M (M!)^2."""
+    top = math.factorial(M)
+    squares = [(top // math.factorial(m)) ** 2 for m in range(M + 1)]
+    numerators, denominators = [], []
+    for radius_sq in config._radii_sq:
+        u, v = radius_sq.numerator, radius_sq.denominator
+        numerators.append([m * u ** m * v ** (M - m) * squares[m] for m in range(1, M + 1)])
+        denominators.append(v ** M * top * top)
+    return numerators, denominators
+
+
+def _first_trace(config: DiscConfiguration, numerators: list, denominators: list) -> Exact:
     """The exact tr(A') = sum_ab P_a P_b |H_ab|^2 (see ``_hs_traces``), with
     |H_ab|^2 = ((n - 1)!)^2 / |a_I - a_J|^(2n) at the order sum n = m_a + m_b:
 
         2 sum_{I<J} sum_n ((n - 1)!)^2 / |a_I - a_J|^(2n) sum_{a+b=n} P^I_a P^J_b,
 
-    P^I_m = m |q_I|^(2m) / (m!)^2.  Every term is rational, so no Gaussian
-    value is built.  The P^I_m are integers over one denominator per disc,
-    and a disc pair sums its order sums over one more: one Fraction per
-    pair.
+    over the configuration's gaps, with P from ``_weight_table``.  Every
+    term is rational, so no Gaussian value is built: a disc pair sums its
+    integer numerators over one denominator, one Fraction per pair.
     """
+    M = len(numerators[0])
     factorials = [math.factorial(k) for k in range(2 * M)]
-    top = factorials[M]
-    numerators, denominators = [], []
-    for disc in config.discs:
-        radius_sq = real_value(disc.radius_sq())
-        u, v = radius_sq.numerator, radius_sq.denominator
-        numerators.append(
-            [m * u ** m * v ** (M - m) * (top // factorials[m]) ** 2 for m in range(1, M + 1)]
-        )
-        denominators.append(v ** M * top * top)
     total = Fraction(0)
-    for i, disc_i in enumerate(config.discs):
-        for j in range(i + 1, config.r):
-            gap_sq = real_value(scalars.abs_sq(disc_i.center - config.discs[j].center))
-            g, h = gap_sq.numerator, gap_sq.denominator
-            p_i, p_j = numerators[i], numerators[j]
-            # sum_n ((n - 1)!)^2 h^n g^(2M - n) c_n by Horner in g, with c_n
-            # the convolution of the numerators at order sum n
-            pair, h_power = 0, h
-            for n in range(2, 2 * M + 1):
-                h_power *= h
-                c = sum(p_i[a - 1] * p_j[n - a - 1] for a in range(max(1, n - M), min(M, n - 1) + 1))
-                pair = pair * g + factorials[n - 1] ** 2 * h_power * c
-            total += Fraction(pair, g ** (2 * M) * denominators[i] * denominators[j])
+    for (i, j), gap_sq in config._gaps_sq.items():
+        g, h = gap_sq.numerator, gap_sq.denominator
+        p_i, p_j = numerators[i], numerators[j]
+        # sum_n ((n - 1)!)^2 h^n g^(2M - n) c_n by Horner in g, with c_n
+        # the convolution of the numerators at order sum n
+        pair, h_power = 0, h
+        for n in range(2, 2 * M + 1):
+            h_power *= h
+            c = sum(p_i[a - 1] * p_j[n - a - 1] for a in range(max(1, n - M), min(M, n - 1) + 1))
+            pair = pair * g + factorials[n - 1] ** 2 * h_power * c
+        total += Fraction(pair, g ** (2 * M) * denominators[i] * denominators[j])
     return scalars.rational(2 * total)
 
 
-def _first_power(config: DiscConfiguration, M: int) -> tuple[list[list[Exact]], list[Fraction]]:
+def _first_power(
+    config: DiscConfiguration, numerators: list, denominators: list
+) -> tuple[list[list[Exact]], list[Fraction]]:
     """Y = P conj(H) P H of ``_hs_traces`` and its weights 2P, over the slots
     of every disc, or of disc 0 alone at two discs.
 
-    With the weights W = 2P and the kernels C = -H/2, Y = W conj(C) W C.  C
-    is symmetric, C(m, a_I, k, a_J) = C(k, a_J, m, a_I), and is read once per
-    cross-disc slot pair from one ``KernelTable``; it vanishes on one disc.
-    So the core conj(C) W C is Hermitian, and ``_matmul`` sums it with unit
-    weights: half of it, skipping the zeros of both factors, so that no
+    With W = 2P from ``_weight_table`` and the kernels C = -H/2,
+    Y = W conj(C) W C.  C is symmetric, C(m, a_I, k, a_J) = C(k, a_J, m, a_I),
+    read once per cross-disc slot pair from one ``KernelTable``, and 0 on one
+    disc.  So the core conj(C) W C is Hermitian, and ``_matmul`` sums it with
+    unit weights: half of it, skipping the zeros of both factors, so that no
     product meets a same-disc zero.  Y is the core with row a times W_a.
     """
+    M = len(numerators[0])
+    weights = [Fraction(2 * x, d) for row, d in zip(numerators, denominators) for x in row]
     centres = [disc.center for disc in config.discs]
     table = KernelTable()
-    weights = []
-    for disc in config.discs:
-        radius_sq, power = real_value(disc.radius_sq()), Fraction(1)
-        for m in range(1, M + 1):
-            power = power * radius_sq / (m * m)  # |q|^(2m) / (m!)^2
-            weights.append(2 * m * power)
     slots = [(i, m) for i in range(config.r) for m in range(1, M + 1)]
     n = len(slots)
     c = [[ZERO] * n for _ in range(n)]

@@ -121,8 +121,7 @@ def _scalar_json(value):
     if isinstance(value, scalars.Exact):
         if value.s > 1:
             return {"radicals": {_decimal(value.s): [_decimal(value.re), _decimal(value.im)]}}
-        re, im = value.gaussian()
-        return [_decimal(re), _decimal(im)] if im else _decimal(re)
+        return [_decimal(value.re), _decimal(value.im)] if value.im else _decimal(value.re)
     z = complex(value)
     return [z.real, z.imag]
 

@@ -101,11 +101,6 @@ class Exact:
     def is_rational(self) -> bool:
         return self._s <= 1 and not self._im
 
-    def gaussian(self) -> tuple[Fraction, Fraction]:
-        if self._s > 1:
-            raise ValueError(f"not a Gaussian rational: {self!r}")
-        return self._re, self._im
-
     def rational(self) -> Fraction:
         if self._s > 1 or self._im:
             raise ValueError(f"not rational: {self!r}")

@@ -22,6 +22,7 @@ from freeboson.amplitude import (
     _first_power,
     _hs_traces,
     _matmul,
+    _weight_table,
     hs_bound,
     hs_truncated,
 )
@@ -128,7 +129,8 @@ def test_configuration_disc_guard():
 
 
 def test_configuration_reads_each_radius_once(monkeypatch):
-    # |q|^2 once per disc: the pair walk and the regime test reuse the radii
+    # |q|^2 once per disc: the pair walk, the regime test and the exact HS
+    # sweep reuse the radii kept at construction
     calls = []
     radius_sq = Disc.radius_sq
     monkeypatch.setattr(Disc, "radius_sq", lambda disc: calls.append(disc) or radius_sq(disc))
@@ -141,6 +143,11 @@ def test_configuration_reads_each_radius_once(monkeypatch):
     assert cfg.max_radius_sq() == Fraction(5, 64)
     assert cfg.hs_regime() is False
     assert len(calls) == MAX_DISCS
+    for r in (2, 3):
+        small = _seeded_config(19, r, 8, 3)
+        calls.clear()
+        hs_truncated(small, 3, 4)
+        assert calls == []
 
 
 def test_entry_odd_total_vanishes():
@@ -347,7 +354,7 @@ def test_hs_traces_keep_a_radical_scale_exact():
     assert all(t.is_rational() for t in traces)
     # Y = S^-1 A' S is built from the bare kernels: no entry carries the
     # radicals of the scales, the mirrored ones below the diagonal included
-    y, weights = _first_power(cfg, 4)
+    y, weights = _first_power(cfg, *_weight_table(cfg, 4))
     modes, left, right = hs_reference.left_and_right(cfg, 4)
     power = hs_reference.matmul(left, right, ZERO)
     s = _scales(cfg, 4)
@@ -373,14 +380,14 @@ def test_hs_traces_sum_half_of_each_exact_power(monkeypatch):
     # discs of the two slots; Y^2 sums n products for each of its n(n + 1)/2
     # entries.  At two discs Y is the block of disc 0 alone, so n = M: 10
     # entries of 4 products, twice.  At four discs an entry of Y sums over
-    # three other discs on one disc and two across.  The rest are |q|^2 once
-    # per disc for tr(A') and once for Y, and |a_i - a_j|^2 once per disc
-    # pair for tr(A').
+    # three other discs on one disc and two across.  Nothing else: the
+    # weights and tr(A') read the |q|^2 and the |a_i - a_j|^2 that the
+    # configuration kept.
     M, kmax = 4, 4
     cases = [
-        (_seeded_config(19, 2, 8, 3), 10 * 4 + 10 * 4 + 2 * 2 + 1),
-        (_seeded_config(19, 3, 8, 3), 3 * 10 * 8 + 3 * 16 * 4 + 78 * 12 + 2 * 3 + 3),
-        (_seeded_config(19, 4, 8, 3), 4 * 10 * 12 + 6 * 16 * 8 + 136 * 16 + 2 * 4 + 6),
+        (_seeded_config(19, 2, 8, 3), 10 * 4 + 10 * 4),
+        (_seeded_config(19, 3, 8, 3), 3 * 10 * 8 + 3 * 16 * 4 + 78 * 12),
+        (_seeded_config(19, 4, 8, 3), 4 * 10 * 12 + 6 * 16 * 8 + 136 * 16),
     ]
     products = []
     multiply = scalars.Exact.__mul__

@@ -1,5 +1,6 @@
 """Command line round trips: schemas, documents, determinism, exit codes."""
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from freeboson.amplitude import MAX_DISCS
 from freeboson.cli import main, run
 from freeboson.correlator import expect_combo
 from freeboson.errors import EngineError, ResourceError, SchemaError
+from freeboson.hilbert import psd_check
 from freeboson.scalars import rational
 from freeboson.verify import SuiteResult
 
@@ -201,6 +203,24 @@ def test_run_gram():
     assert doc["psd"] is True
     assert doc["hermiticity_defect"] == 0.0
     assert doc["matrix"][0][0] == "81/128"
+
+
+def test_run_gram_reports_the_witness_of_a_failed_verdict(monkeypatch):
+    # a matrix with eigenvalues 3 and -1 stands in for the Gram matrix, so
+    # the verdict does not hang on the rounding of a near-zero eigenvalue
+    matrix = ((rational(1), rational(2)), (rational(2), rational(1)))
+    monkeypatch.setattr(cli, "gram", lambda states, tol: psd_check(matrix, tol))
+    doc = run("gram", {"states": [[[{"m": 1, "re": "1/3"}]]]})
+    assert doc["matrix"] == [["1", "2"], ["2", "1"]]
+    assert doc["psd"] is False
+    assert doc["min_eigenvalue"] == pytest.approx(-1.0)
+    half = math.sqrt(0.5)
+    witness = doc["witness"]
+    sign = -1 if witness[0][0] > 0 else 1
+    assert [[sign * re, sign * im] for re, im in witness] == [
+        [pytest.approx(-half), pytest.approx(0.0, abs=1e-12)],
+        [pytest.approx(half), pytest.approx(0.0, abs=1e-12)],
+    ]
 
 
 @pytest.mark.parametrize(
@@ -631,7 +651,7 @@ def test_main_exact_output_over_the_interpreter_digit_cap(tmp_path, capsys):
     expected = expect_combo(WickWord.plain(*[(3, rational(re, im)) for re, im in points]))
     sys.set_int_max_str_digits(0)
     try:
-        assert [Fraction(part) for part in out["expectations"][0]] == list(expected.gaussian())
+        assert [Fraction(part) for part in out["expectations"][0]] == [expected.re, expected.im]
     finally:
         sys.set_int_max_str_digits(cap)
     assert max(len(part) for part in out["expectations"][0]) > 4300

@@ -555,7 +555,7 @@ def test_gram_evaluates_each_same_side_kernel_once(monkeypatch):
     report = gram(states)
     assert len(set(calls)) == len(calls) == 40
     # the values a fresh table per kernel gave, and the theta route
-    flat = [x.gaussian() for row in report.matrix for x in row]
+    flat = [(x.re, x.im) for row in report.matrix for x in row]
     assert _digest(flat) == "37d31711bc65af18fd83e1e8d24eba89e4886d294f22bbfdaaf099cb0aebf13a"
     for F, row in zip(states, report.matrix):
         for G, value in zip(states, row):
@@ -571,7 +571,10 @@ def test_wick_expand_evaluates_each_pair_once(monkeypatch):
     assert len(set(calls)) == len(calls) == 15
     # the values a fresh table per kernel gave
     terms = sorted(
-        (tuple((ins.order, ins.point.gaussian()) for g in w.groups for ins in g.insertions), c.gaussian())
+        (
+            tuple((ins.order, (ins.point.re, ins.point.im)) for g in w.groups for ins in g.insertions),
+            (c.re, c.im),
+        )
         for w, c in combo.items()
     )
     assert _digest(terms) == "1cdb790aa5abc3b34b28172ca981b04f11e2480d8f45dddb9b720a0647a42825"

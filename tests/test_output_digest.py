@@ -21,6 +21,11 @@ where many kernels and pair factors have a zero part, hash with the sign of
 each zero part to ``ZERO_SIGN_DIGEST``: a change to where a float sum
 starts, which can turn -0.0 into +0.0, fails there.
 
+``python tests/roadmap_digest.py`` hashes the 139 documents that ROADMAP
+names (every bench workload's cycle at two seeds, exact and float, and
+verify) to ``ROADMAP_DIGEST``; it runs in a subprocess, since the script
+prepends to ``sys.path`` and turns off bytecode writing.
+
 The float fields of a Gram report (``min_eigenvalue``,
 ``hermiticity_defect``, ``psd``, ``witness``) come from a floating-point
 eigensolver and may differ between platforms, so they are left out, as is
@@ -30,8 +35,11 @@ import hashlib
 import json
 import math
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from freeboson import scalars
 from freeboson.algebra import Insertion, LinearCombination, WickGroup, WickWord
@@ -43,6 +51,7 @@ DIGEST = "d440e1965c41d314e5db96ab3728f9b2707e0f780c7ea86c85710ecad19e4dcf"
 FLOAT_DIGEST = "f2be3956c51c3aa51b48efd4a669ebc3f4f9aa28df130cc502e8040076653541"
 HS_POWERS_DIGEST = "cf7c8cda9340e5f4099b1af3281ac164472b37b6797cef04a8b4e6d91b7fc3f5"
 ZERO_SIGN_DIGEST = "9c86e16b0feac9a6ab6de4bac5ed976a8d7b91127bd4c3c94b1e2274994db2a1"
+ROADMAP_DIGEST = "eae72b180395b067726898cad8ef39d6deead2f153f24c6760fa52b22ad84b1a"
 
 _FLOAT_FIELDS = ("min_eigenvalue", "hermiticity_defect", "psd", "witness", "timing")
 
@@ -210,6 +219,16 @@ def test_hs_powers_digest_is_pinned():
     started = time.perf_counter()
     assert _digest(configs) == HS_POWERS_DIGEST
     assert time.perf_counter() - started < 2.0
+
+
+def test_roadmap_digest_is_pinned():
+    script = Path(__file__).with_name("roadmap_digest.py")
+    done = subprocess.run(
+        [sys.executable, str(script)],
+        cwd=script.parent.parent, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"139 {ROADMAP_DIGEST}\n"
 
 
 def _axis_point(rng: random.Random, taken: set) -> complex:

@@ -43,7 +43,7 @@ def _brute_force(insertions, labels):
 
 def _word_json(word):
     return [
-        [{"m": ins.order, "re": str(ins.point.gaussian()[0]), "im": str(ins.point.gaussian()[1])}
+        [{"m": ins.order, "re": str(ins.point.re), "im": str(ins.point.im)}
          for ins in group.insertions]
         for group in word.groups
     ]

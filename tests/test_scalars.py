@@ -26,7 +26,7 @@ def _parts(x):
 
 def test_rational_construction():
     x = rational(Fraction(3, 4), Fraction(-1, 2))
-    assert x.gaussian() == (Fraction(3, 4), Fraction(-1, 2))
+    assert (x.re, x.im) == (Fraction(3, 4), Fraction(-1, 2))
     assert not x.is_rational()
     assert rational(5).is_rational()
     assert rational(5).rational() == 5
@@ -142,7 +142,7 @@ def test_repr_of_parts_over_the_interpreter_digit_cap():
     points = [(Fraction(k, primes[k - 1]), Fraction(k + 1, primes[-k])) for k in range(1, 13)]
     value = expect_combo(WickWord.plain(*[(3, rational(re, im)) for re, im in points]))
     text = repr(value)
-    re, im = value.gaussian()
+    re, im = value.re, value.im
     bits = [abs(k).bit_length() for k in (re.numerator, re.denominator, im.numerator, im.denominator)]
     assert text == (
         f"Exact(({'-' if re < 0 else ''}<{bits[0]}-bit integer>/<{bits[1]}-bit integer>"
