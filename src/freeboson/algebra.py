@@ -23,6 +23,7 @@ LinearCombination (over words) and fock.FockVector (over occupations).
 """
 from __future__ import annotations
 
+import cmath
 import math
 from functools import lru_cache
 from operator import attrgetter, itemgetter
@@ -400,46 +401,47 @@ def as_combination(F, module: str) -> LinearCombination:
     raise DomainError(module, f"expected a group, word or combination, got {type(F).__name__}")
 
 
-def _theta_insertion(ins: Insertion) -> tuple[int, list[tuple[Insertion, Scalar, Scalar]]]:
+def _theta_insertion(ins: Insertion, exact: bool) -> tuple[int, list[tuple]]:
     """theta of one insertion, sum_a d_{m,a} w^(m+a) [a, w] with w = 1/conj(z),
     as (den, [([a, w], re, im)]), each coefficient (re + i im)/den.
 
-    For a Gaussian-rational point, w = P/q with P a Gaussian integer and
-    q > 0: den is q^(2m) and re + i im = d_{m,a} P^(m+a) q^(m-a) are
-    integers.  For a float point, den is 1, re is the complex
-    d_{m,a} w^(m+a) and im is 0.
+    w is the frame P/q, a Gaussian integer over q > 0 for a Gaussian-rational
+    point and (w.real, w.imag) over 1 for a float point; one running power
+    of P gives re + i im = d_{m,a} P^(m+a) q^(m-a) over den = q^(2m).  For
+    a word with a float point (``exact`` false) each term is divided once,
+    into floats over 1, and one beyond float range raises OverflowError.
     """
     if not ins.point:
         raise DomainError(_MODULE, "reflection has a pole at the origin: point z = 0")
     m = ins.order
     zbar = ins.point.conjugate()
     w = 1 / zbar if isinstance(zbar, complex) else zbar.inverse()
-    frame = scalars.to_frame(w)
-    if frame is None:
-        power = w ** m
-        out = []
-        for a in range(1, m + 1):
-            power = power * w
-            out.append((Insertion(a, w), d_coeff(m, a) * power, 0))
-        return 1, out
-    pr, pi, q = frame
+    pr, pi, q = scalars.to_frame(w) or (w.real, w.imag, 1)
     xr, xi = 1, 0
     for _ in range(m):
         xr, xi = xr * pr - xi * pi, xr * pi + xi * pr
-    scale = q ** m
+    scale, den = q ** m, q ** (2 * m)
     out = []
-    for a in range(1, m + 1):
-        xr, xi = xr * pr - xi * pi, xr * pi + xi * pr
-        scale //= q
-        d = d_coeff(m, a) * scale
-        out.append((Insertion(a, w), d * xr, d * xi))
-    return q ** (2 * m), out
+    try:
+        for a in range(1, m + 1):
+            xr, xi = xr * pr - xi * pi, xr * pi + xi * pr
+            scale //= q
+            d = d_coeff(m, a) * scale
+            out.append((Insertion(a, w), d * xr, d * xi))
+        if exact:
+            return den, out
+        out = [(o, r / den, i / den) for o, r, i in out]
+    except OverflowError:  # d_{m,a} times a float power, or a divided term
+        out = []
+    if out and all(cmath.isfinite(complex(r, i)) for _, r, i in out):
+        return 1, out
+    raise OverflowError(f"theta of {ins!r} is beyond float range")
 
 
 def _frame_product(factors: list[list[tuple]], start: tuple) -> list[tuple]:
     """The terms (item tuple, re, im) of start times the product of the factors,
-    each factor a list of (item, re, im), either Gaussian integers or a scalar
-    and 0; the first factor varies fastest."""
+    each factor a list of (item, re, im) of Gaussian integers or of floats;
+    the first factor varies fastest."""
     terms = [((),) + start]
     for factor in reversed(factors):
         terms = [
@@ -450,10 +452,6 @@ def _frame_product(factors: list[list[tuple]], start: tuple) -> list[tuple]:
     return terms
 
 
-def _orders(F: LinearCombination):
-    return (ins.order for word in F.words() for g in word.groups for ins in g.insertions)
-
-
 def theta(F) -> LinearCombination:
     """The reflection automorphism: anti-linear, z -> 1/conj(z).
 
@@ -461,62 +459,54 @@ def theta(F) -> LinearCombination:
     multiplicatively over insertions and groups, conjugating coefficients.
     Wick groups map to Wick groups of the same arity.  Expansion terms that
     canonicalize to one word (equal insertions inside a group) are summed.
-    Each distinct insertion is expanded once per call (``_theta_insertion``),
-    however many words hold it, and every word is multiplied out by
-    ``_theta_word``.
-
-    A word whose points and coefficient are exact Gaussian rationals is
-    multiplied in one integer frame and each of its output coefficients is
-    one ``Exact``.  Any other word (a float point, or a float or radical
-    coefficient) multiplies the same terms as scalars; float words may then
-    differ from a term-by-term product in the last bits.  A radical
-    coefficient c sqrt(s) gives output coefficients in sqrt(s), so words
-    whose coefficients have different radicands and reflect onto one output
-    word raise StructuralError (``scalars``).  Raises ResourceError for an
-    order above MAX_ORDER.
+    Each distinct insertion is expanded once per call and kind of word
+    (``_theta_insertion``), and ``_theta_word`` multiplies out every word in
+    one route: Gaussian-integer frames for a word of exact points, giving
+    ``Exact``s each built once, and floats over 1 for a word with a float
+    point, which may differ from a term-by-term product in the last bits.
+    A radical coefficient c sqrt(s) gives output coefficients in sqrt(s), so
+    words whose coefficients have different radicands and reflect onto one
+    output word raise StructuralError (``scalars``).  Raises ResourceError
+    for an order above MAX_ORDER, OverflowError for a float term beyond
+    float range.
     """
     F = as_combination(F, _MODULE)
+    exact = {word: word.is_exact() for word in F.words()}
     distinct = dict.fromkeys(
-        ins for word in F.words() for g in word.groups for ins in g.insertions
+        (ins, exact[word]) for word in F.words() for g in word.groups for ins in g.insertions
     )
-    check_orders((ins.order for ins in distinct), _MODULE)
-    frames: dict[Insertion, tuple[int, list]] = {}
+    check_orders((ins.order for ins, _ in distinct), _MODULE)
+    frames: dict[tuple[Insertion, bool], tuple[int, list]] = {}
     # one object per distinct output insertion, so equal keys share their leaves
     reflected: dict[Insertion, Insertion] = {}
-    for ins in distinct:
-        den, terms = _theta_insertion(ins)
-        frames[ins] = den, [(reflected.setdefault(o, o), r, i) for o, r, i in terms]
+    for key in distinct:
+        den, terms = _theta_insertion(*key)
+        frames[key] = den, [(reflected.setdefault(o, o), r, i) for o, r, i in terms]
     rank = {ins: n for n, ins in enumerate(sorted(reflected, key=_KEY))}.__getitem__
     acc: dict[WickWord, Scalar] = {}
     for word, coeff in F.items():
-        _theta_word(word, coeff.conjugate(), frames, rank, acc)
+        _theta_word(word, exact[word], coeff.conjugate(), frames, rank, acc)
     return LinearCombination._of_terms(acc)
 
 
-def _theta_word(word: WickWord, coeff: Scalar, frames: dict, rank, acc: dict) -> None:
+def _theta_word(word: WickWord, exact: bool, coeff: Scalar, frames: dict, rank, acc: dict) -> None:
     """Add theta of one word, its coefficient ``coeff`` already conjugated, to acc.
 
     Each group's terms are built once; ``rank`` numbers the output
-    insertions in key order, so a term's groups sort by integer tuples.  A
-    word whose coefficient and points are Gaussian rationals multiplies
-    Gaussian-integer numerators over one denominator, the coefficient's
-    times each insertion's q^(2m), and makes each output coefficient an
-    ``Exact`` once.  Any other word (a float point, or a coefficient that is
-    a float or has a radical) starts from (coeff, 0), reads the terms of its
-    exact insertions as ``Exact``s, and adds the product's re.
+    insertions in key order, so a term's groups sort by integer tuples.
+    The product of the insertions' frames starts from the coefficient's
+    frame; a float or radical coefficient starts as 1 and multiplies each
+    output coefficient after the one division (``scalars.from_frame`` for
+    an exact word), so an exact word's integers never meet a float.
     """
     start = scalars.to_frame(coeff)
-    gaussian = start is not None and word.is_exact()
-    re, im, den = start if gaussian else (coeff, 0, 1)
+    re, im, den = start or (1, 0, 1)
     group_factors = []
     for g in word.groups:
         factors = []
         for ins in g.insertions:
-            q, factor = frames[ins]
-            if gaussian:
-                den *= q
-            elif isinstance(ins.point, scalars.Exact):
-                factor = [(o, scalars.from_frame(r, i, q), 0) for o, r, i in factor]
+            q, factor = frames[ins, exact]
+            den *= q
             factors.append(factor)
         group_factors.append(
             [(_ranked_group(inss, rank), r, i) for inss, r, i in _frame_product(factors, (1, 0))]
@@ -525,7 +515,8 @@ def _theta_word(word: WickWord, coeff: Scalar, frames: dict, rank, acc: dict) ->
         if len(ranked) > 1:
             ranked = sorted(ranked, key=_FIRST)
         out = WickWord._of_sorted(tuple(g for _, g in ranked))
-        add_term(acc, out, scalars.from_frame(r, i, den) if gaussian else r)
+        value = scalars.from_frame(r, i, den) if exact else complex(r, i) / den
+        add_term(acc, out, value if start else coeff * value)
 
 
 def _ranked_group(insertions: tuple[Insertion, ...], rank) -> tuple[tuple[int, ...], WickGroup]:
@@ -543,7 +534,7 @@ def rescale(F, a, q) -> LinearCombination:
     Gaussian rationals (``check_point``).
     """
     F = as_combination(F, _MODULE)
-    check_orders(_orders(F), _MODULE)
+    check_orders((i.order for w in F.words() for g in w.groups for i in g.insertions), _MODULE)
     a = as_scalar(a)
     q = as_scalar(q)
     check_point(a, _MODULE)

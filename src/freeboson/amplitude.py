@@ -125,17 +125,11 @@ class DiscConfiguration:
         return self.center_gap_sq() > 16 * self.r * self.max_radius_sq()
 
 
-def _as_index(x) -> FockIndex:
-    if isinstance(x, FockIndex):
-        return x
-    return FockIndex.of(x)
-
-
 class _PairMatrix:
     """K'_ab = -2 s_a s_b C(m_a, a_a, m_b, a_b) for (disc, mode) slots a, b
     on different discs, s = q^m / m!: one kernel table and one running list
-    of s per disc, shared by the entries of one call or by one float HS
-    sweep (the exact sweep reads the kernels without the scales)."""
+    of s per disc, built for one entry (``amplitude_entry``) or for one float
+    HS sweep (the exact sweep reads the kernels without the scales)."""
 
     def __init__(self, config: DiscConfiguration):
         self.config = config
@@ -189,7 +183,8 @@ def amplitude_entry(config: DiscConfiguration, indices: Sequence) -> Scalar:
     entry's normalisation root(prod m^n / n!), times a radical of q when q
     has one.
     """
-    return _PairMatrix(config).entry([_as_index(x) for x in indices])
+    indices = [x if isinstance(x, FockIndex) else FockIndex.of(x) for x in indices]
+    return _PairMatrix(config).entry(indices)
 
 
 @dataclass(frozen=True)
@@ -465,8 +460,4 @@ def hs_bound(config: DiscConfiguration) -> Scalar:
         raise RegimeError(_MODULE, ratio, 4.0 * math.sqrt(r))
     y = 8 * r_sq / d_sq
     s = y / (1 - y)
-    x = Fraction(r, 4) * s if isinstance(s, Fraction) else r * s / 4
-    bound = 1 / (1 - x)
-    if isinstance(bound, Fraction):
-        return scalars.rational(bound)
-    return complex(bound, 0.0)
+    return as_scalar(1 / (1 - r * s / 4))

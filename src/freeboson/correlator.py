@@ -25,6 +25,7 @@ value.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -52,11 +53,14 @@ class KernelTable:
     division at the end (``scalars.from_frame``).  An exact point must be a
     Gaussian rational (``algebra.check_point``), checked once per point pair
     when its run is started.  A pair with a float point takes the complex
-    arithmetic of a fresh evaluation, unmemoised, and raises OverflowError
-    when (z1 - z2)^n underflows to 0 or overflows.  A table lives for one
-    computation (a combination, an ``inner`` or ``gram`` call, a
-    ``wick_expand``, an amplitude call, one HS trace sweep); nothing is kept
-    across calls.
+    arithmetic of a fresh evaluation, unmemoised; when (n - 1)!/2,
+    (z1 - z2)^n or their quotient leaves float range, the exact kernel at
+    the float difference is rounded once instead, its run of powers kept
+    like an exact pair's, at the points (difference, 0).  A float kernel
+    that does not round to a finite nonzero float raises OverflowError.  A
+    table lives for one computation (a combination, an ``inner`` or
+    ``gram`` call, a ``wick_expand``, an amplitude entry, one HS trace
+    sweep); nothing is kept across calls.
 
     Raises DomainError for orders that are not integers >= 1 and for an exact
     point with a radical part, ResourceError for an order above MAX_ORDER
@@ -79,13 +83,23 @@ class KernelTable:
         if not (isinstance(z1, scalars.Exact) and isinstance(z2, scalars.Exact)):
             if complex(z1) == complex(z2):
                 raise PoleError(_MODULE, ((m1, z1), (m2, z2)))
+            sign = -1 if m1 % 2 else 1
+            diff = z1 - z2
             try:
-                power = (z1 - z2) ** n
-            except OverflowError:
-                power = 0  # beyond float range either way: one message
-            if not power:
+                value = complex(Fraction(math.factorial(n - 1) * sign, 2)) / diff ** n
+            except (OverflowError, ZeroDivisionError):
+                value = 0j
+            if not (value and cmath.isfinite(value)) and cmath.isfinite(diff):
+                # a factor left float range: round once the exact kernel at
+                # the float difference, the kernel at the points (diff, 0)
+                exact = scalars.rational(Fraction(diff.real), Fraction(diff.imag))
+                try:
+                    value = complex(sign * self._unsigned(m1, exact, m2, scalars.ZERO))
+                except OverflowError:
+                    value = 0j
+            if not (value and cmath.isfinite(value)):
                 raise OverflowError(f"the kernel at {z1!r}, {z2!r} is beyond float range")
-            return complex(Fraction(math.factorial(n - 1) * (-1 if m1 % 2 else 1), 2)) / power
+            return value
         key = (z1, z2, n)
         value = self._values.get(key)
         if value is None:

@@ -113,6 +113,21 @@ def test_words_are_immutable():
     )
 
 
+def test_words_refuse_attribute_deletion():
+    for value in (Insertion(1, 0), WickGroup.of((1, 0)), WickWord.plain((1, 0))):
+        with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+            del value._hash
+        assert hash(value) == value._hash
+
+
+def test_combination_repr():
+    half, i = WickWord.plain((1, Fraction(1, 2))), WickWord.plain((2, rational(0, 1)))
+    F = LinearCombination.of(i, 3) + LinearCombination.of(half, rational(2, -1))
+    # terms sorted by the repr of their words
+    assert repr(F) == f"LinearCombination(Exact((2+-1j)) * {half!r} + Exact((3)) * {i!r})"
+    assert repr(F - F) == repr(LinearCombination.zero()) == "LinearCombination(0)"
+
+
 def test_empty_group_rejected():
     with pytest.raises(DomainError):
         WickGroup(())
@@ -450,6 +465,37 @@ def test_theta_float_words_match_reference():
         _assert_theta_close_to_reference(once)
 
 
+def _by_order(F):
+    """{order: complex coefficient} of a combination of one-insertion words."""
+    return {w.groups[0].insertions[0].order: complex(c) for w, c in F.items()}
+
+
+def test_float_theta_of_a_high_order_insertion_matches_the_exact_theta():
+    # the float frame's running power against the exact theta at the float's
+    # own rational, rounded once
+    for m in (40, 50, 60):
+        z = complex(0.9, 0.1)
+        got = _by_order(theta(WickWord.plain((m, z))))
+        want = _by_order(theta(WickWord.plain((m, rational(Fraction(z.real), Fraction(z.imag))))))
+        assert got.keys() == want.keys() == set(range(1, m + 1))
+        scale = max(abs(c) for c in want.values())
+        assert max(abs(got[a] - want[a]) for a in want) <= 1e-12 * scale
+
+
+def test_float_coefficient_on_an_exact_word_of_high_order():
+    # the word's integer frame holds numerators far beyond float range; the
+    # float coefficient multiplies each coefficient after its one division
+    word = WickWord.plain((60, rational(Fraction(9, 10), Fraction(1, 10))), (50, rational(Fraction(1, 3), 1)))
+    c = complex(0.5, -0.25)
+    got = dict(theta(LinearCombination.of(word, c)).items())
+    want = {w: c.conjugate() * complex(d) for w, d in theta(word).items()}
+    assert got.keys() == want.keys()
+    assert all(isinstance(v, complex) for v in got.values())
+    scale = max(abs(v) for v in want.values())
+    assert scale > 1e150
+    assert max(abs(got[w] - want[w]) for w in want) <= 1e-12 * scale
+
+
 def _point_key(ins):
     order, point = ins
     return order, point.terms
@@ -548,6 +594,29 @@ def test_theta_words_mixing_gaussian_and_float_points():
         ))
         F = LinearCombination.of(mixed, rational(Fraction(3, 5), -1)) + LinearCombination.of(W)
         _assert_theta_close_to_reference(F)
+
+
+def test_theta_mixed_words_of_high_exact_order():
+    # the exact insertion's integer frame passes float range (1000^104 and
+    # numerators past 1e308) while every coefficient is finite: the word
+    # with a float point divides each exact term once, before the product
+    for exact in (rational(1000), rational(Fraction(9, 10), Fraction(1, 10))):
+        for m in (52, 70):
+            F = LinearCombination.of(WickWord.plain((m, exact), (1, 0.5)))
+            out = _assert_theta_close_to_reference(F)
+            assert 0 < len(out) <= m and all(isinstance(c, complex) for _, c in out.items())
+            # the same insertion in an exact word of the same call stays exact
+            both = F + LinearCombination.of(WickWord.plain((m, exact)))
+            assert theta(both) == out + theta(WickWord.plain((m, exact)))
+
+
+def test_float_theta_beyond_float_range_is_refused():
+    # |w|^(m + a) overflows, or d_{m,a} itself is beyond float range: the
+    # theta message, never an inf or NaN coefficient
+    for word in (WickWord.plain((80, 1e-4)), WickWord.plain((80, complex(0, 1e-4)), (1, 0.5)),
+                 WickWord.plain((300, 1e4))):
+        with pytest.raises(OverflowError, match=r"^theta of Insertion\(.*\) is beyond float range$"):
+            theta(word)
 
 
 def test_theta_float_coefficient_on_gaussian_points():

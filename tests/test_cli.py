@@ -1,4 +1,5 @@
 """Command line round trips: schemas, documents, determinism, exit codes."""
+import itertools
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 
 import freeboson.cli as cli
 from freeboson.algebra import WickWord
-from freeboson.amplitude import MAX_DISCS
+from freeboson.amplitude import MAX_DISCS, Disc, DiscConfiguration, hs_truncated
 from freeboson.cli import main, run
 from freeboson.correlator import expect_combo
 from freeboson.errors import EngineError, ResourceError, SchemaError
@@ -279,9 +280,10 @@ def test_main_bad_numbers_are_schema_errors_fast(tmp_path, capsys, text):
 @pytest.mark.parametrize("command,config,message", [
     # the float eigen diagnostics of an exact matrix overflow
     ("gram", {"states": [[[{"m": 200, "re": "1/2"}]]]}, None),
-    # (m1 + m2 - 1)! is beyond float range
-    ("correlator", {"mode": "float", "words": [[[{"m": 90, "re": 0}], [{"m": 90, "re": 30}]]]}, None),
-    # (z1 - z2)^2 underflows to 0
+    # (m1 + m2 - 1)!/(2 (z1 - z2)^(m1 + m2)) is about 5.6e506
+    ("correlator", {"mode": "float", "words": [[[{"m": 90, "re": 0}], [{"m": 90, "re": 0.1}]]]},
+     "the kernel at 0j, (0.1+0j) is beyond float range"),
+    # (z1 - z2)^2 underflows to 0, and the kernel, about 5e339, is beyond float range
     ("correlator", {"mode": "float", "words": [[[{"m": 1, "re": 0}], [{"m": 1, "re": 1e-170}]]]}, None),
     # (z1 - z2)^2 overflows: the message of the underflow, not Python's
     ("correlator", {"mode": "float", "words": [[[{"m": 1, "re": 0}], [{"m": 1, "re": 1e200}]]]},
@@ -300,6 +302,68 @@ def test_main_values_beyond_float_range_are_schema_errors_fast(tmp_path, capsys,
     assert out["error"]["type"] == "SchemaError"
     if message is not None:
         assert out["error"]["message"] == message
+
+
+def _two_point(m1, m2, z):
+    """The float correlator config of [m1, 0][m2, z]."""
+    return {"mode": "float", "words": [[[{"m": m1, "re": 0}], [{"m": m2, "re": z}]]]}
+
+
+def _two_discs(M):
+    """The float hsnorm config of discs (0, q = 1) and (10, q = 1) at N = 2."""
+    discs = [{"a_re": 0, "q_re": 1}, {"a_re": 10, "q_re": 1}]
+    return {"mode": "float", "discs": discs, "truncation": {"M": M, "N": 2}}
+
+
+def test_float_kernels_with_one_factor_beyond_float_range(tmp_path, capsys):
+    # (n - 1)!/2 alone at n = 180, or 30^251, is beyond float range, and the
+    # kernels, 7.3256e60 and 2.8257e121, are the exact kernels rounded once
+    for m1, m2 in ((90, 90), (1, 250)):
+        exact = complex(expect_combo(WickWord.plain((m1, 0), (m2, 30))))
+        assert complex(*run("correlator", _two_point(m1, m2, 30))["expectations"][0]) == exact
+    # 120!/(2 * 0.1^121) passes float range in the quotient: main's error
+    # document holds the kernel message, not the one for a non-finite result
+    assert main(["correlator", "--config", _write(tmp_path, "c.json", _two_point(1, 120, 0.1))]) == 1
+    error = _strict_json(capsys.readouterr().out)["error"]
+    assert error["type"] == "SchemaError"
+    assert error["message"] == "the kernel at 0j, (0.1+0j) is beyond float range"
+
+
+def _rounded(exact):
+    """complex(exact) when it rounds to a finite nonzero float, else None."""
+    try:
+        value = complex(exact)
+    except OverflowError:
+        return None
+    return value if value and math.isfinite(abs(value)) else None
+
+
+def _assert_float_document_holds(call, exact, read):
+    """A float call holds the exact value within 1e-12 relative when that
+    value fits in a float, and raises the kernel message otherwise."""
+    value = _rounded(exact)
+    if value is None:
+        with pytest.raises(OverflowError) as info:
+            call()
+        assert str(info.value).endswith("is beyond float range")
+    else:
+        got = complex(*read(call()))
+        assert abs(got - value) <= 1e-12 * abs(value)
+
+
+def test_float_range_gate():
+    orders = (1, 50, 86, 90, 120, 250)
+    for m1, m2, z in itertools.product(orders, orders, (0.1, 1.0, 10.0, 30.0)):
+        exact = expect_combo(WickWord.plain((m1, 0), (m2, rational(Fraction(z)))))
+        _assert_float_document_holds(
+            lambda: run("correlator", _two_point(m1, m2, z)), exact, lambda doc: doc["expectations"][0]
+        )
+    for M in (85, 86, 120):
+        config = DiscConfiguration((Disc(rational(0), rational(1)), Disc(rational(10), rational(1))))
+        exact = hs_truncated(config, M, 2)[2].partial_sum
+        _assert_float_document_holds(
+            lambda: run("hsnorm", _two_discs(M)), exact, lambda doc: doc["rows"][2]["partial_sum"]
+        )
 
 
 def test_main_gram_origin_multigroup_state(tmp_path, capsys):
@@ -487,6 +551,14 @@ def test_main_invalid_json(tmp_path, capsys):
     assert main(["correlator", "--config", str(path)]) == 1
     out = json.loads(capsys.readouterr().out)
     assert out["error"]["type"] == "SchemaError"
+
+
+def test_main_config_file_holding_an_array(tmp_path, capsys):
+    path = _write(tmp_path, "array.json", [FOUR_POINT])
+    assert main(["correlator", "--config", path]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"]["type"] == "SchemaError"
+    assert out["error"]["message"] == "config document must be a JSON object"
 
 
 def test_main_usage_errors_exit_one(capsys):

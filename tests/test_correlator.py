@@ -92,6 +92,14 @@ def test_kernel_float_backend():
     assert v == pytest.approx(-0.5)
 
 
+def test_float_kernel_beyond_float_range_names_the_kernel():
+    # a float kernel that rounds to 0, or a non-finite point, is refused
+    # with the kernel message, never returned as 0 or NaN
+    for z in (complex(1e308, 1e308), complex("inf"), complex("nan")):
+        with pytest.raises(OverflowError, match=r"^the kernel at .* is beyond float range$"):
+            KernelTable()(1, z, 1, 0)
+
+
 def test_kernel_pole():
     with pytest.raises(PoleError):
         KernelTable()(1, Fraction(1, 2), 3, Fraction(1, 2))

@@ -50,6 +50,20 @@ def test_index_statistics():
     assert idx.norm_sq() == 2 * 3  # 2! * 1^2 * 1! * 3^1
 
 
+def test_lowering_an_absent_mode_gives_none():
+    idx = FockIndex.of({2: 1})
+    assert idx.lowered(1) is None
+    assert FockIndex().lowered(3) is None
+    assert idx.lowered(2) == FockIndex()
+
+
+def test_vector_repr():
+    v = FockVector({FockIndex.of({2: 1}): rational(1, 1), FockIndex.of({1: 2}): rational(Fraction(1, 2))})
+    # terms sorted by their occupations
+    assert repr(v) == "FockVector(Exact((1/2)) * {1: 2} + Exact((1+1j)) * {2: 1})"
+    assert repr(v - v) == repr(FockVector()) == "FockVector(0)"
+
+
 @pytest.mark.parametrize("occ,expected", [
     ({1: 1}, 1),
     ({2: 2}, 8),

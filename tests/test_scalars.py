@@ -93,6 +93,13 @@ def test_division_forms():
     assert rational(1, 1) / rational(1, -1) == I  # (1+i)/(1-i) = i
 
 
+def test_division_by_a_float_is_float():
+    x = rational(1, 2)
+    assert x / 2.0 == complex(0.5, 1.0)
+    assert x / complex(0, 2) == complex(1.0, -0.5)
+    assert type(x / 4.0) is complex
+
+
 def test_power():
     x = rational(Fraction(1, 2), Fraction(1, 3))
     assert x ** 0 == ONE
