@@ -21,11 +21,11 @@ series, through the traces of A' = D^2 conj(K') D^2 K', similar to
 conj(K) K, without visiting the tuples.  The exact sweep reads them off the
 bare kernels H_ab = K'_ab / (s_a s_b), with no scale in a product: tr(A')
 is a convolution of rationals over the order sums, and A' is similar to
-Y = P conj(H) P H with P = diag(m |s|^2) rational.  Y and each of its
-powers are P times a Hermitian matrix, and all of them come from one
-product, ``_matmul``: it sums half of each product, skipping the zeros of
-both factors, and ``_trace_product`` half of each trace.  At two discs Y
-is block-diagonal with blocks of equal traces; one M x M block is built.
+Y = P conj(H) P H with P = diag(m |s|^2) rational.  Y^p = diag(2P) Z_p
+with Z_p Hermitian, and one product, ``_matmul``, makes every Z_p: half of
+it, through ``scalars.hermitian``, skipping the zeros of both factors.
+``_trace_product`` sums half of each trace.  At two discs Y is
+block-diagonal with blocks of equal traces; one M x M block is built.
 
 When the separation satisfies d/R > 4 sqrt(r), the squared entries are
 summable and bounded by the closed form 1/(1 - x) with
@@ -44,7 +44,7 @@ from .correlator import KernelTable
 from .errors import ConfigurationError, RegimeError, ResourceError, count_text
 from .fock import FockIndex
 from .pairing import hafnian
-from .scalars import ZERO, Exact, Scalar, as_scalar, real_value, root
+from .scalars import ZERO, Exact, Scalar, as_scalar, hermitian, real_value, root
 
 _MODULE = "amplitude"
 
@@ -208,11 +208,11 @@ def hs_truncated(config: DiscConfiguration, M: int, N: int) -> list[HSPartial]:
     the last bits.  Cost: nothing is built for N < 2.  In exact mode,
     N = 2 or 3 needs only tr(A'): M^2 integer products per disc pair, no
     kernel.  For N >= 4 the kernels of each disc pair are one value per
-    order sum (``KernelTable``), and Y costs M products per entry and
-    per third disc, on its upper half; at two discs only its M x M block of
-    disc 0 is built.  For N >= 6, floor((N + 2)/4) - 1 products of Y's
-    powers follow, each halved by the mirror of ``_matmul``.  Float mode
-    builds every K' entry and sums every product of two nonzero entries.
+    order sum (``KernelTable``), and Y's Hermitian core costs M products
+    per entry and per third disc, on its upper half; at two discs only its
+    M x M block of disc 0 is built.  For N >= 6, Y and floor((N + 2)/4) - 1
+    products Z_p Y follow, each halved by ``hermitian``.  Float mode builds
+    every K' entry and sums every product of two nonzero entries.
     A truncation whose tuples number more than ``MAX_TUPLES`` raises
     ResourceError before anything is built; the slowest shape it admits,
     N = 2 at 2 discs and M = 220, takes about 0.3 s for discs (centre 0,
@@ -267,24 +267,23 @@ def _hs_traces(config: DiscConfiguration, M: int, kmax: int) -> list[Scalar]:
     P = diag(m |s|^2), which is rational even when q has a radical.  Then
     A' = S^-1 Y S with Y = P conj(H) P H, so tr(A'^k) = tr(Y^k) and no
     scale s enters a product.  In exact mode tr(A') comes from
-    ``_first_trace`` and the higher traces from the powers of Y, built by
-    ``_first_power``: H is symmetric, so Y and every power of Y are P times
-    a Hermitian matrix, all multiplied and mirrored by ``_matmul`` and
-    summed by ``_trace_product``.  At two discs Y is block-diagonal, and
-    its two blocks give equal traces (with G = H^01, the transpose of
-    P^1 G* P^0 G is a cyclic shift of the factors of P^0 conj(G) P^1 G^T),
-    so only the block of disc 0 is built and its traces are doubled.  Float
-    mode sums K' itself: tr(A') = sum_ab m_a m_b |K'_ab|^2, and the powers of
-    A' = (diag(m) conj(K')) (diag(m) K') in full.
+    ``_first_trace`` and the higher traces from the powers of Y: H is
+    symmetric, so Y^p = diag(W) Z_p with W = 2P and each Z_p Hermitian, Z_1
+    from ``_first_power`` and the others from ``_power_traces``.  At two
+    discs Y is block-diagonal, and its two blocks give equal traces (with
+    G = H^01, the transpose of P^1 G* P^0 G is a cyclic shift of the factors
+    of P^0 conj(G) P^1 G^T), so only the block of disc 0 is built and its
+    traces are doubled.  Float mode sums K' itself: tr(A') = sum_ab m_a m_b
+    |K'_ab|^2, and the powers of A' = (diag(m) conj(K')) (diag(m) K') in full.
     """
     if config.is_exact():
         table = _weight_table(config, M)
         traces = [_first_trace(config, *table)]
         if kmax < 2:
             return traces
-        y, weights = _first_power(config, *table)
+        core, weights = _first_power(config, *table)
         copies = 2 if config.r == 2 else 1
-        return traces + [copies * t for t in _power_traces(y, weights, ZERO, kmax)]
+        return traces + [copies * t for t in _power_traces(core, weights, kmax)]
     slots = [(j, m) for j in range(config.r) for m in range(1, M + 1)]
     n = len(slots)
     pair_matrix = _PairMatrix(config)
@@ -304,15 +303,22 @@ def _hs_traces(config: DiscConfiguration, M: int, kmax: int) -> list[Scalar]:
     modes = [m for _, m in slots]
     left = [[m * x.conjugate() for x in row] for m, row in zip(modes, kp)]
     right = [[m * x for x in row] for m, row in zip(modes, kp)]
-    return traces + _power_traces(_matmul(left, right, modes, 0j), modes, 0j, kmax)
+    return traces + _power_traces(_matmul(left, right, 0j), None, kmax)
 
 
-def _power_traces(y: list[list[Scalar]], weights: list, zero: Scalar, kmax: int) -> list[Scalar]:
-    """tr(y^k) for k = 2..kmax, with tr(y^k) = sum_ij (y^ceil(k/2))_ij (y^floor(k/2))_ji."""
-    powers = [None, y]
-    while 2 * (len(powers) - 1) < kmax:
-        powers.append(_matmul(powers[-1], y, weights, zero))
-    return [_trace_product(powers[(k + 1) // 2], powers[k // 2], zero) for k in range(2, kmax + 1)]
+def _power_traces(core: list[list[Scalar]], weights: list | None, kmax: int) -> list[Scalar]:
+    """tr(Y^k) = tr(Y^ceil(k/2) Y^floor(k/2)) for k = 2..kmax.  Exact:
+    Y^p = diag(W) Z_p with Z_1 the core, Y = diag(W) Z_1 (formed for
+    kmax >= 3) and Z_(p+1) = Z_p Y, Hermitian as Z_1 W Z_1 ... W Z_1.
+    Float: weights is None, and the core is A' itself."""
+    zero = 0j if weights is None else ZERO
+    powers = [None, core]
+    if kmax > 2:
+        y = core if weights is None else [[w * x for x in row] for w, row in zip(weights, core)]
+        while 2 * (len(powers) - 1) < kmax:
+            powers.append(_matmul(powers[-1], y, zero))
+    pairs = [(powers[(k + 1) // 2], powers[k // 2]) for k in range(2, kmax + 1)]
+    return [_trace_product(hi, lo, weights) for hi, lo in pairs]
 
 
 def _weight_table(config: DiscConfiguration, M: int) -> tuple[list[list[int]], list[int]]:
@@ -359,15 +365,15 @@ def _first_trace(config: DiscConfiguration, numerators: list, denominators: list
 def _first_power(
     config: DiscConfiguration, numerators: list, denominators: list
 ) -> tuple[list[list[Exact]], list[Fraction]]:
-    """Y = P conj(H) P H of ``_hs_traces`` and its weights 2P, over the slots
-    of every disc, or of disc 0 alone at two discs.
+    """The Hermitian core Z_1 of Y = P conj(H) P H = diag(W) Z_1 of
+    ``_hs_traces`` and its weights W = 2P, over the slots of every disc, or
+    of disc 0 alone at two discs.
 
-    With W = 2P from ``_weight_table`` and the kernels C = -H/2,
+    With W from ``_weight_table`` and the kernels C = -H/2,
     Y = W conj(C) W C.  C is symmetric, C(m, a_I, k, a_J) = C(k, a_J, m, a_I),
     read once per cross-disc slot pair from one ``KernelTable``, and 0 on one
-    disc.  So the core conj(C) W C is Hermitian, and ``_matmul`` sums it with
-    unit weights: half of it, skipping the zeros of both factors, so that no
-    product meets a same-disc zero.  Y is the core with row a times W_a.
+    disc.  So the core Z_1 = conj(C) W C is Hermitian; ``_matmul`` sums half
+    of it, and no product meets a same-disc zero.
     """
     M = len(numerators[0])
     weights = [Fraction(2 * x, d) for row, d in zip(numerators, denominators) for x in row]
@@ -384,66 +390,40 @@ def _first_power(
     kept = range(M if config.r == 2 else n)
     left = [[x.conjugate() for x in c[a]] for a in kept]
     right = [[w * row[b] if row[b] else ZERO for b in kept] for w, row in zip(weights, c)]
-    core = _matmul(left, right, [1] * len(kept), ZERO)
-    return [[weights[a] * x for x in row] for a, row in zip(kept, core)], weights[:len(kept)]
+    return _matmul(left, right, ZERO), weights[:len(kept)]
 
 
-def _matmul(
-    x: list[list[Scalar]], y: list[list[Scalar]], weights: list, zero: Scalar
-) -> list[list[Scalar]]:
-    """The product x y of two powers of Y or the factors of Y's Hermitian
-    core (exact), or of two powers of A' (float), see ``_hs_traces``.  A
-    term is summed only where both its factors are nonzero: a float sum
-    starts at +0, so a skipped +-0 term never changes its bits.
-
-    The entries on and above the diagonal are summed.  Below it,
-    Y^p[i][j] = (W_i/W_j) conj(Y^p[j][i]) with the positive weights W,
-    because Y^p = diag(W) times a Hermitian matrix (unit weights for a
-    Hermitian product).  The mirror is taken when Y^p[j][i] is an
-    ``Exact``; a float entry is summed, so float products keep all n^2
-    sums and never read the weights.
-    """
-    out: list[list[Scalar]] = []
-    for i, row in enumerate(x):
-        terms = [(v, y[l]) for l, v in enumerate(row) if v]
-        w_i = weights[i]
-        out_row = []
-        for j in range(len(y[0])):
-            mirror = out[j][i] if j < i else None
-            if isinstance(mirror, Exact):
-                w_j = weights[j]
-                conj = mirror.conjugate()
-                out_row.append(conj if w_i == w_j else conj * (w_i / w_j))
-            else:
-                out_row.append(sum((v * yl[j] for v, yl in terms if yl[j]), zero))
-        out.append(out_row)
-    return out
+def _matmul(x: list[list[Scalar]], y: list[list[Scalar]], zero: Scalar) -> list[list[Scalar]]:
+    """The Hermitian product x y by ``hermitian``: Y's core, Z_p Y (exact) or
+    a power of A' (float, every entry summed).  A term is summed only where
+    both its factors are nonzero: a float sum starts at +0, so a skipped +-0
+    term never changes its bits."""
+    terms = [[(v, y[l]) for l, v in enumerate(row) if v] for row in x]
+    return hermitian(len(x), lambda i, j: sum((v * yl[j] for v, yl in terms[i] if yl[j]), zero))
 
 
-def _trace_product(hi: list[list[Scalar]], lo: list[list[Scalar]], zero: Scalar) -> Scalar:
-    """tr(hi lo) for two powers from ``_matmul``.
+def _trace_product(hi: list[list[Scalar]], lo: list[list[Scalar]], weights: list | None) -> Scalar:
+    """tr(Y^a Y^b) for the Hermitian hi = Z_a and lo = Z_b of Y^p = diag(W) Z_p
+    (exact), or tr(hi lo) for two powers of A' when weights is None (float).
 
-    Exact: tr(hi lo) is real and hi_ji lo_ij = conj(hi_ij lo_ji) (the mirror
-    rule of ``_matmul``), so the trace is sum_i Re(hi_ii lo_ii) plus twice
-    sum_{i<j} Re(hi_ij lo_ji).  The entries are Gaussian rationals, so each
-    real part is the rational a.re b.re - a.im b.im.  Float: the sum over
-    all n^2 pairs.
+    Exact: hi_ji lo_ij = conj(hi_ij lo_ji), so sum_ij W_i W_j hi_ij lo_ji is
+    sum_i W_i^2 Re(hi_ii lo_ii) plus twice sum_{i<j} W_i W_j Re(hi_ij lo_ji).
+    The entries are Gaussian rationals, so each real part is the rational
+    a.re b.re - a.im b.im.  Float: the sum over all n^2 pairs.
     """
     n = len(hi)
-    if not isinstance(zero, Exact):
-        return sum((hi[i][j] * lo[j][i] for i in range(n) for j in range(n)), zero)
-    diagonal = off_diagonal = Fraction(0)
-    for i in range(n):
-        hi_row = hi[i]
-        for j in range(i, n):
+    if weights is None:
+        return sum((hi[i][j] * lo[j][i] for i in range(n) for j in range(n)), 0j)
+    total = Fraction(0)
+    for i, w_i in enumerate(weights):
+        hi_row, row = hi[i], Fraction(0)
+        # twice W_i (W_i/2 on the diagonal, W_j after it) times each real part
+        for j, w_j in enumerate([w_i / 2] + weights[i + 1:], i):
             a, b = hi_row[j], lo[j][i]
             if a and b:
-                part = a.re * b.re - a.im * b.im
-                if i == j:
-                    diagonal += part
-                else:
-                    off_diagonal += part
-    return scalars.rational(diagonal + 2 * off_diagonal)
+                row += w_j * (a.re * b.re - a.im * b.im)
+        total += w_i * row
+    return scalars.rational(2 * total)
 
 
 def hs_bound(config: DiscConfiguration) -> Scalar:

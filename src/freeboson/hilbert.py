@@ -5,13 +5,14 @@ open unit disc); the inner product (F, G) = <theta(F) G>, anti-linear in F,
 is ``correlator.pair_sum``, which never expands theta: its weights are
 exact and entire in the disc, so origin points are allowed on both sides.
 ``inner`` is the one entry point; it holds one ``KernelTable`` per call and
-``gram`` one for the whole matrix, whose exact entries below the diagonal
-are the conjugates of those above it.  A ``StateExpression`` checks its words
-once, when it is built: points in the disc, no ``WickWord.coincidence``,
-orders within MAX_ORDER.  ``verify`` and the tests keep the theta route as
-the reference.  Vectors are never quotiented; equality in the Hilbert
-space is decided through Gram computations: ``gram`` builds the matrix and
-``psd_check`` its one frozen ``GramReport``.
+``gram`` one for the whole matrix, which ``scalars.hermitian`` fills: an
+exact entry below the diagonal is the conjugate of its mirror.  A
+``StateExpression`` checks its words once, when it is built: points in the
+disc, no ``WickWord.coincidence``, orders within MAX_ORDER.  ``verify`` and
+the tests keep the theta route as the reference.  Vectors are never
+quotiented; equality in the Hilbert space is decided through Gram
+computations: ``gram`` builds the matrix and ``psd_check`` its one frozen
+``GramReport``.
 """
 from __future__ import annotations
 
@@ -101,28 +102,19 @@ class GramReport:
 def gram(states: Sequence, tol: float = 1e-10) -> GramReport:
     """Gram matrix G[i][j] = inner(s_i, s_j) with eigenvalue diagnostics.
 
-    The entries on and above the diagonal are computed through
-    ``correlator.pair_sum``, with one ``KernelTable`` for the whole matrix.
-    An exact G[i][j] gives G[j][i] as its conjugate, since (G, F) =
-    conj((F, G)) is an identity of the pairing sum: the exact matrix is
-    Hermitian by construction and its defect is 0.  Every other entry below
-    the diagonal is computed too, so float mode computes all n^2 entries and
-    measures the reported defect.  The type of the value decides, not that
-    of the points: a float coefficient on exact points gives float entries.
+    Each entry is ``correlator.pair_sum``, with one ``KernelTable`` for the
+    whole matrix, filled by ``scalars.hermitian``: (G, F) = conj((F, G)) is
+    an identity of the pairing sum, so the exact matrix is Hermitian by
+    construction and its defect is 0, and float mode computes all n^2
+    entries and measures it.  The type of the value decides, not that of
+    the points: a float coefficient on exact points gives float entries.
     """
     combos = [as_state(s).combo for s in states]
     kernels = KernelTable()
-    matrix: list[list[Scalar]] = []
-    for i, a in enumerate(combos):
-        row = []
-        for j, b in enumerate(combos):
-            mirror = matrix[j][i] if j < i else None
-            if isinstance(mirror, scalars.Exact):
-                row.append(mirror.conjugate())
-            else:
-                # each entry starts from exact zero, as ``inner`` does
-                row.append(scalars.ZERO + pair_sum(a, b, kernels))
-        matrix.append(row)
+    # each entry starts from exact zero, as ``inner`` does
+    matrix = scalars.hermitian(
+        len(combos), lambda i, j: scalars.ZERO + pair_sum(combos[i], combos[j], kernels)
+    )
     return psd_check(tuple(map(tuple, matrix)), tol)
 
 
@@ -131,11 +123,15 @@ def psd_check(matrix: tuple[tuple[Scalar, ...], ...], tol: float) -> GramReport:
     spectral norm, with the eigenvector of the min eigenvalue as the witness
     when it is not.  The empty matrix is psd.
 
-    Raises StructuralError when the matrix is not Hermitian beyond tol.
+    Raises StructuralError when the matrix is not Hermitian beyond tol, and
+    OverflowError when an exact entry is beyond float range.
     """
     if not matrix:
         return GramReport(matrix, 0.0, 0.0, True, tol)
-    m = np.array([[complex(v) for v in row] for row in matrix], dtype=complex)
+    try:
+        m = np.array([[complex(v) for v in row] for row in matrix], dtype=complex)
+    except OverflowError:
+        raise OverflowError("an entry of the matrix is beyond float range") from None
     defect = float(np.max(np.abs(m - m.conj().T)))
     scale = float(np.max(np.abs(m))) or 1.0
     if defect > tol * scale:

@@ -13,13 +13,14 @@ lives in the tests as the reference this type is checked against.
 The float backend is the builtin ``complex``.  Mixed-backend arithmetic
 promotes to float; exact-with-exact stays exact.  On either backend a zero
 test is ``not x``, the conjugate is ``x.conjugate()``, an exact value is an
-``isinstance(x, Exact)`` and |x|^2 is ``abs_sq(x)``.
+``isinstance(x, Exact)``, |x|^2 is ``abs_sq(x)`` and a Hermitian matrix is
+``hermitian(n, entry)``.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm, sqrt as _fsqrt
-from typing import Union
+from typing import Callable, Union
 
 from .errors import DomainError, ResourceError, StructuralError
 
@@ -365,6 +366,19 @@ def sort_key(x: Scalar):
         return (0, x._s, x._re, x._im)
     x = complex(x)
     return (1, x.real, x.imag)
+
+
+def hermitian(n: int, entry: Callable[[int, int], Scalar]) -> list[list[Scalar]]:
+    """The n x n matrix of a Hermitian rule, built row by row: ``entry(i, j)``
+    on and above the diagonal, and below it the conjugate of the mirror when
+    that is an ``Exact``.  Under any other mirror ``entry(i, j)`` is called
+    too, so a float matrix keeps all n^2 computed values."""
+    rows: list[list[Scalar]] = []
+    for i in range(n):
+        mirrors = enumerate(rows[j][i] for j in range(i))
+        below = [m.conjugate() if isinstance(m, Exact) else entry(i, j) for j, m in mirrors]
+        rows.append(below + [entry(i, j) for j in range(i, n)])
+    return rows
 
 
 def zero_scalar(exact: bool) -> Scalar:

@@ -310,7 +310,7 @@ def _radical_config() -> DiscConfiguration:
 
 
 # (seed, discs, spacing, max_q, M, kmax, radicand): kmax = N // 2 of a sweep
-# to N = 9.  Four discs sum each block of Y over two other discs; the
+# to N = 9, or to N = 10-13 for kmax 5-6.  Four discs sum each block of Y over two other discs; the
 # radical cases multiply every scale by sqrt(radicand).
 _TRACE_CASES = [
     (11, 2, 8, 3, 5, 4, 1),
@@ -321,6 +321,11 @@ _TRACE_CASES = [
     (16, 4, 3, 4, 2, 2, 1),
     (21, 4, 8, 3, 3, 4, 2),
     (22, 2, 8, 3, 4, 4, 3),
+    # kmax 5-6 reach Z_3 = Z_2 Y, the first power past the square
+    (22, 2, 8, 3, 3, 6, 1),
+    (13, 3, 8, 3, 3, 5, 1),
+    (15, 4, 8, 3, 2, 6, 1),
+    (21, 4, 8, 3, 2, 5, 2),
 ]
 
 
@@ -353,8 +358,11 @@ def test_hs_traces_keep_a_radical_scale_exact():
     assert traces == hs_reference.hs_traces(cfg, 4, 4)
     assert all(t.is_rational() for t in traces)
     # Y = S^-1 A' S is built from the bare kernels: no entry carries the
-    # radicals of the scales, the mirrored ones below the diagonal included
-    y, weights = _first_power(cfg, *_weight_table(cfg, 4))
+    # radicals of the scales, the mirrored ones below the diagonal included.
+    # _first_power gives Y's Hermitian core, and Y is the core with row a
+    # times W_a.
+    core, weights = _first_power(cfg, *_weight_table(cfg, 4))
+    y = [[w * x for x in row] for w, row in zip(weights, core)]
     modes, left, right = hs_reference.left_and_right(cfg, 4)
     power = hs_reference.matmul(left, right, ZERO)
     s = _scales(cfg, 4)
@@ -362,8 +370,8 @@ def test_hs_traces_keep_a_radical_scale_exact():
     assert all(y[a][b] * s[b] == power[a][b] * s[a] for a in range(n) for b in range(n))
     assert all(x.is_gaussian() for row in y for x in row)
     assert {x.s for row in power for x in row} >= {2, 3, 6}
-    # the mirrored square is the full product
-    assert _matmul(y, y, weights, ZERO) == hs_reference.matmul(y, y, ZERO)
+    # the mirrored product Z_2 = core Y is the full product
+    assert _matmul(core, y, ZERO) == hs_reference.matmul(core, y, ZERO)
 
 
 def test_hs_traces_float_bits_equal_the_full_product_oracle():
@@ -418,7 +426,7 @@ def test_float_powers_sum_every_entry():
     modes, left, right = hs_reference.left_and_right(cfg, 3)
     n = len(modes)
     counted_left = [[Counted(v) for v in row] for row in left]
-    power = _matmul(counted_left, right, modes, 0j)
+    power = _matmul(counted_left, right, 0j)
     assert len(products) == sum(
         1 for i in range(n) for j in range(n) for l in range(n) if left[i][l] and right[l][j]
     )

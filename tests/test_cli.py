@@ -304,6 +304,16 @@ def test_main_values_beyond_float_range_are_schema_errors_fast(tmp_path, capsys,
         assert out["error"]["message"] == message
 
 
+def test_exact_gram_beyond_float_range_is_an_error_of_the_package(tmp_path, capsys):
+    # the exact entries, near 2^1046 and 2^1040, exist; their float
+    # diagnostics in psd_check do not
+    states = [[[{"m": 100, "re": "1/50"}]], [[{"m": 100, "re": "-1/50"}]]]
+    assert main(["gram", "--config", _write(tmp_path, "c.json", {"states": states})]) == 1
+    error = _strict_json(capsys.readouterr().out)["error"]
+    assert error["type"] == "SchemaError"
+    assert error["message"] == "an entry of the matrix is beyond float range"
+
+
 def _two_point(m1, m2, z):
     """The float correlator config of [m1, 0][m2, z]."""
     return {"mode": "float", "words": [[[{"m": m1, "re": 0}], [{"m": m2, "re": z}]]]}

@@ -435,3 +435,55 @@ def test_root_refuses_an_unfactored_cofactor():
             root(n)
         assert info.value.module == "scalars"
     assert time.perf_counter() - started < 1.0
+
+
+def _counted_entries(values):
+    """An entry rule reading values[i][j], and the list of its calls."""
+    calls = []
+
+    def entry(i, j):
+        calls.append((i, j))
+        return values[i][j]
+
+    return entry, calls
+
+
+def test_hermitian_mirrors_each_exact_entry():
+    n = 4
+    upper = [[rational(i - j, i + 2 * j) for j in range(n)] for i in range(n)]
+    entry, calls = _counted_entries(upper)
+    matrix = scalars.hermitian(n, entry)
+    assert len(calls) == n * (n + 1) // 2
+    assert sorted(calls) == [(i, j) for i in range(n) for j in range(i, n)]
+    for i in range(n):
+        for j in range(n):
+            if j < i:
+                assert matrix[i][j] == matrix[j][i].conjugate()
+            else:
+                assert matrix[i][j] is upper[i][j]
+
+
+def test_hermitian_computes_every_float_entry():
+    n = 3
+    values = [[complex(i, j) for j in range(n)] for i in range(n)]
+    entry, calls = _counted_entries(values)
+    assert scalars.hermitian(n, entry) == values
+    assert calls == [(i, j) for i in range(n) for j in range(n)]
+
+
+def test_hermitian_mirrors_by_the_type_of_each_value():
+    # a float above the diagonal is computed again below it; an Exact is mirrored
+    values = [[ONE, 0.5 + 1j], [rational(0, 7), I]]
+    entry, calls = _counted_entries(values)
+    assert scalars.hermitian(2, entry) == [[ONE, 0.5 + 1j], [rational(0, 7), I]]
+    assert calls == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    values = [[ONE, rational(1, 2)], [0.25j, I]]
+    entry, calls = _counted_entries(values)
+    assert scalars.hermitian(2, entry) == [[ONE, rational(1, 2)], [rational(1, -2), I]]
+    assert calls == [(0, 0), (0, 1), (1, 1)]
+
+
+def test_hermitian_of_size_zero_is_empty():
+    entry, calls = _counted_entries([])
+    assert scalars.hermitian(0, entry) == []
+    assert calls == []
