@@ -41,7 +41,7 @@ from typing import Sequence
 from . import scalars
 from .algebra import check_point
 from .correlator import KernelTable
-from .errors import ConfigurationError, RegimeError, ResourceError, count_text
+from .errors import ConfigurationError, RegimeError, ResourceError, integer_text
 from .fock import FockIndex
 from .pairing import hafnian
 from .scalars import ZERO, Exact, Scalar, as_scalar, hermitian, real_value, root
@@ -159,13 +159,11 @@ class _PairMatrix:
             )
         slots = [(j, m) for j, idx in enumerate(indices) for m, _ in idx.occupations]
         counts = [n for idx in indices for _, n in idx.occupations]
-        exact = self.exact
         pairing = hafnian(
             lambda a, b: self(*slots[a], *slots[b]),
             [j for j, _ in slots],
             counts,
-            scalars.one_scalar(exact),
-            scalars.zero_scalar(exact),
+            scalars.zero_scalar(self.exact),
         )
         # no factorial of a count is built for an entry with no matching
         if not pairing:
@@ -234,7 +232,7 @@ def hs_truncated(config: DiscConfiguration, M: int, N: int) -> list[HSPartial]:
         if tuples > MAX_TUPLES:
             raise ResourceError(
                 _MODULE,
-                f"the truncation holds {count_text(tuples)} tuples through {t} insertions, "
+                f"the truncation holds {integer_text(tuples)} tuples through {t} insertions, "
                 f"above the guard {MAX_TUPLES}",
             )
 

@@ -191,21 +191,15 @@ def _word_pair(wF: WickWord, wG: WickWord, kernels: KernelTable) -> Scalar:
         return c.conjugate() if side_i == 0 else c
 
     labels = [(side, gid) for side, gid, _ in slots]
-    return hafnian(
-        weight, labels, (1,) * len(slots), scalars.one_scalar(exact), scalars.zero_scalar(exact)
-    )
+    return hafnian(weight, labels, (1,) * len(slots), scalars.zero_scalar(exact))
 
 
 def pair_sum(F: LinearCombination, G: LinearCombination, kernels: KernelTable) -> Scalar:
-    """(F, G) = <theta(F) G>, the sum over word pairs of conj(c_F) c_G times
-    ``_word_pair``, started from its first term; the empty sum is exact zero."""
-    total = None
-    for wF, cF in F.items():
-        cF = cF.conjugate()
-        for wG, cG in G.items():
-            term = cF * cG * _word_pair(wF, wG, kernels)
-            total = term if total is None else total + term
-    return scalars.ZERO if total is None else total
+    """(F, G) = <theta(F) G>, the ``scalars.total`` over word pairs of
+    conj(c_F) c_G times ``_word_pair``; the empty sum is exact zero."""
+    left = [(wF, cF.conjugate()) for wF, cF in F.items()]
+    terms = (cF * cG * _word_pair(wF, wG, kernels) for wF, cF in left for wG, cG in G.items())
+    return scalars.total(terms, scalars.ZERO)
 
 
 def expect_combo(F) -> Scalar:

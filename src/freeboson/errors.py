@@ -55,14 +55,14 @@ class ResourceError(EngineError):
     """Work would exceed one of the engine's fixed resource guards."""
 
 
-def count_text(n: int) -> str:
-    """A guard's count for its message: ``n`` in decimal when the interpreter
-    will print it, else its size as a power of two (a count of more than
+def integer_text(k: int) -> str:
+    """``k`` in decimal when the interpreter will print it, else its size as
+    ``<n-bit integer>`` with the sign kept (an integer of more than
     ``sys.get_int_max_str_digits()`` digits cannot become a string)."""
     try:
-        return str(n)
+        return str(k)
     except ValueError:
-        return f"at least 2^{n.bit_length() - 1}"
+        return f"{'-' if k < 0 else ''}<{abs(k).bit_length()}-bit integer>"
 
 
 class SchemaError(EngineError):

@@ -120,20 +120,11 @@ def ladder(v: FockVector, m: int) -> FockVector:
 
 
 def fock_inner(v: FockVector, w: FockVector) -> Scalar:
-    """Sesquilinear inner product, anti-linear in the first argument.
-
-    Basis indices are orthogonal with squared norm prod n_m! m^{n_m}.
-    """
-    total: Scalar = scalars.ZERO
-    started = False
-    for idx, cv in v.items():
-        cw = w.coeff(idx)
-        if not cw:
-            continue
-        term = cv.conjugate() * cw * idx.norm_sq()
-        total = term if not started else total + term
-        started = True
-    return total if started else scalars.ZERO
+    """Sesquilinear inner product, anti-linear in the first argument: the
+    ``scalars.total`` of conj(c_v) c_w prod n_m! m^{n_m} over the (orthogonal)
+    basis indices of both vectors; exact zero when they share none."""
+    terms = (cv.conjugate() * cw * idx.norm_sq() for idx, cv in v.items() if (cw := w.coeff(idx)))
+    return scalars.total(terms, scalars.ZERO)
 
 
 def wick_origin_to_fock(orders: Iterable[int]) -> FockVector:

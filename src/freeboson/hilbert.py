@@ -73,9 +73,9 @@ def inner(F, G) -> Scalar:
 
     Sum over pairs of basis words of conj(c_F) c_G times the word pair's
     hafnian (``correlator.pair_sum``); origin points are allowed on both
-    sides.
+    sides.  That ``scalars.total`` keeps a lone float -0.0 part; added to
+    exact zero here, it becomes +0.0.
     """
-    # the sum starts from exact zero, which turns a float -0.0 part into +0.0
     return scalars.ZERO + pair_sum(as_state(F).combo, as_state(G).combo, KernelTable())
 
 

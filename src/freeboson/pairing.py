@@ -10,10 +10,11 @@ remaining-count vectors (the standard treatment of hafnians with repeated
 rows): the first occupied slot gives up one copy and pairs with each
 differently labelled slot k, and because the copies of k are
 interchangeable that pairing is counted reduced[k] times.  The reachable
-states are collected one pair at a time and valued bottom-up, so the depth
-of the DP (one level per pair) takes no stack.  With all counts 1 the
-states are the subsets of unmatched insertions.  ``matching_count``
-runs the same DP on an all-ones table to count matchings.
+states are collected one pair at a time, total/2 levels in all, and valued
+bottom-up from the empty product ``zero + 1``, so the depth of the DP takes
+no stack; each state's sum is ``scalars.total`` over its moves.  With all
+counts 1 the states are the subsets of unmatched insertions.
+``matching_count`` runs the same DP on an all-ones table to count matchings.
 """
 from __future__ import annotations
 
@@ -21,7 +22,8 @@ import math
 from collections import Counter
 from typing import Callable, Hashable, Sequence
 
-from .errors import ResourceError, count_text
+from . import scalars
+from .errors import ResourceError, integer_text
 
 _MODULE = "pairing"
 
@@ -32,14 +34,13 @@ MAX_STATES = 1 << 20
 def matching_count(sizes: Sequence[int]) -> int:
     """The number of perfect matchings of groups of these sizes with no pair
     inside a group: the all-ones hafnian, one slot and one label per group."""
-    return hafnian(lambda i, j: 1, range(len(sizes)), sizes, 1, 0)
+    return hafnian(lambda i, j: 1, range(len(sizes)), sizes, 0)
 
 
 def hafnian(
     weight: Callable[[int, int], object],
     labels: Sequence[Hashable],
     counts: Sequence[int],
-    one,
     zero,
 ):
     """Sum over perfect matchings of the multiset ``counts`` of weight
@@ -47,10 +48,11 @@ def hafnian(
 
     Returns ``zero`` when no such matching exists (an odd total, or one
     label holding more than half of it), before the cost guard and before
-    any weight is asked for; ``one`` for nothing left to pair.  Otherwise
-    ``weight(i, j)`` gives the symmetric pair weight of occupied slots
-    i < j with different labels, once per pair, after the guard.  Raises
-    ResourceError when the state bound prod(c_i + 1) exceeds MAX_STATES.
+    any weight is asked for; the empty product ``zero + 1`` for nothing left
+    to pair.  Otherwise ``weight(i, j)`` gives the symmetric pair weight of
+    occupied slots i < j with different labels, once per pair, after the
+    guard.  Raises ResourceError when the state bound prod(c_i + 1) exceeds
+    MAX_STATES.
     """
     labels = tuple(labels)
     counts = tuple(counts)
@@ -63,7 +65,7 @@ def hafnian(
     bound = math.prod(c + 1 for c in counts)
     if bound > MAX_STATES:
         raise ResourceError(
-            _MODULE, f"pairing DP bound {count_text(bound)} states exceeds the guard {MAX_STATES}"
+            _MODULE, f"pairing DP bound {integer_text(bound)} states exceeds the guard {MAX_STATES}"
         )
     size = len(counts)
     table: list[list] = [[None] * size for _ in range(size)]
@@ -75,17 +77,14 @@ def hafnian(
     # one level (one pair) at a time.  A state's moves: its first occupied
     # slot gives up one copy to each differently labelled occupied slot k,
     # k ascending, as (copies of k left, weight, index of the state after
-    # the pair on the next level); the empty state has None
+    # the pair on the next level); a dead end has none
     moves_of: list[list] = []
     level = (counts,)
-    while level:
+    for _ in range(total // 2):
         below: dict = {}
         level_moves: list = []
         for state in level:
-            first = next((i for i, c in enumerate(state) if c), None)
-            if first is None:
-                level_moves.append(None)
-                continue
+            first = next(i for i, c in enumerate(state) if c)
             moves = []
             reduced = list(state)
             reduced[first] -= 1
@@ -99,20 +98,11 @@ def hafnian(
             level_moves.append(moves)
         moves_of.append(level_moves)
         level = below
-    # valued bottom-up, one level at a time
-    values: list = []
+    # valued bottom-up from the empty state, one level at a time
+    values = [zero + 1] * len(level)
     for level_moves in reversed(moves_of):
-        above = []
-        for moves in level_moves:
-            if moves is None:
-                above.append(one)
-                continue
-            total = None
-            for c, w, j in moves:
-                term = w * values[j]
-                if c > 1:
-                    term = c * term
-                total = term if total is None else total + term
-            above.append(zero if total is None else total)
-        values = above
+        values = [
+            scalars.total((c * (w * values[j]) if c > 1 else w * values[j] for c, w, j in moves), zero)
+            for moves in level_moves
+        ]
     return values[0]

@@ -13,16 +13,17 @@ lives in the tests as the reference this type is checked against.
 The float backend is the builtin ``complex``.  Mixed-backend arithmetic
 promotes to float; exact-with-exact stays exact.  On either backend a zero
 test is ``not x``, the conjugate is ``x.conjugate()``, an exact value is an
-``isinstance(x, Exact)``, |x|^2 is ``abs_sq(x)`` and a Hermitian matrix is
-``hermitian(n, entry)``.
+``isinstance(x, Exact)``, |x|^2 is ``abs_sq(x)``, a Hermitian matrix is
+``hermitian(n, entry)`` and a sum that keeps a lone float -0.0 part is
+``total(terms, empty)``.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm, sqrt as _fsqrt
-from typing import Callable, Union
+from typing import Callable, Iterable, Union
 
-from .errors import DomainError, ResourceError, StructuralError
+from .errors import DomainError, ResourceError, StructuralError, integer_text
 
 _MODULE = "scalars"
 
@@ -248,15 +249,8 @@ class Exact:
 def _fraction_text(x: Fraction) -> str:
     """str(x), with an integer too long for the interpreter's decimal
     conversion cap shown by its bit length, so ``repr`` never raises."""
-    num = _integer_text(x.numerator)
-    return num if x.denominator == 1 else f"{num}/{_integer_text(x.denominator)}"
-
-
-def _integer_text(k: int) -> str:
-    try:
-        return str(k)
-    except ValueError:
-        return f"{'-' if k < 0 else ''}<{abs(k).bit_length()}-bit integer>"
+    num = integer_text(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{integer_text(x.denominator)}"
 
 
 _new = object.__new__
@@ -379,6 +373,17 @@ def hermitian(n: int, entry: Callable[[int, int], Scalar]) -> list[list[Scalar]]
         below = [m.conjugate() if isinstance(m, Exact) else entry(i, j) for j, m in mirrors]
         rows.append(below + [entry(i, j) for j in range(i, n)])
     return rows
+
+
+def total(terms: Iterable[Scalar], empty: Scalar) -> Scalar:
+    """The sum of ``terms`` started from the first one, so a lone float -0.0
+    part survives (``sum(terms, 0j)`` would give +0.0); ``empty`` itself when
+    there are no terms."""
+    terms = iter(terms)
+    result = next(terms, empty)
+    for term in terms:
+        result = result + term
+    return result
 
 
 def zero_scalar(exact: bool) -> Scalar:

@@ -314,6 +314,17 @@ def test_exact_gram_beyond_float_range_is_an_error_of_the_package(tmp_path, caps
     assert error["message"] == "an entry of the matrix is beyond float range"
 
 
+def test_non_finite_float_result_is_an_error_of_the_package(tmp_path, capsys):
+    # every kernel of [60, 0][60, 1][60, 10][60, 11] is finite, but the
+    # product of the two near 2.8e196 overflows inside the hafnian to NaN
+    word = [[{"m": 60, "re": x}] for x in (0, 1, 10, 11)]
+    config = _write(tmp_path, "c.json", {"mode": "float", "words": [word]})
+    assert main(["correlator", "--config", config]) == 1
+    error = _strict_json(capsys.readouterr().out)["error"]
+    assert (error["type"], error["module"]) == ("SchemaError", "cli")
+    assert error["message"] == "the result holds a float that is not finite"
+
+
 def _two_point(m1, m2, z):
     """The float correlator config of [m1, 0][m2, z]."""
     return {"mode": "float", "words": [[[{"m": m1, "re": 0}], [{"m": m2, "re": z}]]]}
@@ -713,6 +724,7 @@ def test_main_guard_counts_too_long_to_print(tmp_path, capsys, command, payload,
     out = json.loads(capsys.readouterr().out)
     assert out["error"]["type"] == "ResourceError"
     assert out["error"]["module"] == module
+    assert "-bit integer>" in out["error"]["message"]
 
 
 def test_main_exact_output_over_the_interpreter_digit_cap(tmp_path, capsys):

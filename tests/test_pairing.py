@@ -173,9 +173,9 @@ def test_matchable_agrees_with_hafnian_count():
         assert (matching_count(sizes) > 0) == closed_rule, sizes
         if not closed_rule:
             # zero before any weight is asked for
-            assert hafnian(_no_weight, range(len(sizes)), sizes, 1, 0) == 0
+            assert hafnian(_no_weight, range(len(sizes)), sizes, 0) == 0
     # an unmatchable count far over the state guard is zero, not refused
-    assert hafnian(_no_weight, ["a", "b"], [MAX_STATES, 2], 1, 0) == 0
+    assert hafnian(_no_weight, ["a", "b"], [MAX_STATES, 2], 0) == 0
 
 
 def test_hafnian_leaves_no_cyclic_garbage():
@@ -212,11 +212,39 @@ def test_shared_labels_match_one_slot_per_copy():
         copies = [i for i, c in enumerate(counts) for _ in range(c)]
         expanded = hafnian(
             lambda a, b: weight(copies[a], copies[b]),
-            [labels[i] for i in copies], [1] * len(copies), Fraction(1), Fraction(0),
+            [labels[i] for i in copies], [1] * len(copies), Fraction(0),
         )
-        assert hafnian(weight, labels, counts, Fraction(1), Fraction(0)) == expanded
+        assert hafnian(weight, labels, counts, Fraction(0)) == expanded
         nonzero += expanded != 0
     assert nonzero >= 10
+
+
+def test_nothing_to_pair_is_the_empty_product_of_the_zero_type():
+    for zero in (ZERO, 0j, 0, Fraction(0)):
+        for labels, counts in (([], []), (["a", "b"], [0, 0])):
+            one = hafnian(_no_weight, labels, counts, zero)
+            assert one == 1 and type(one) is type(zero), zero
+    assert hafnian(_no_weight, [], [], ZERO) == ONE
+    # the same bits as the float one, 1+0j
+    assert repr(hafnian(_no_weight, [], [], 0j)) == repr(complex(1, 0))
+
+
+def test_a_dead_end_state_adds_nothing():
+    # A pairs first: A-B leaves C, C, which cannot pair; A-C (twice) leaves B, C
+    labels, counts = ["A", "B", "C"], [1, 1, 2]
+    table = {(0, 1): Fraction(2), (0, 2): Fraction(3, 7), (1, 2): Fraction(-5, 4)}
+
+    def weight(i, j):
+        assert i < j and labels[i] != labels[j]
+        return table[i, j]
+
+    value = hafnian(weight, labels, counts, Fraction(0))
+    assert value == 2 * table[0, 2] * table[1, 2]
+    copies = [0, 1, 2, 2]
+    expanded = hafnian(
+        lambda a, b: weight(copies[a], copies[b]), [labels[i] for i in copies], [1] * 4, Fraction(0)
+    )
+    assert value == expanded
 
 
 def test_correlator_cost_guard(tmp_path, capsys):

@@ -487,3 +487,24 @@ def test_hermitian_of_size_zero_is_empty():
     entry, calls = _counted_entries([])
     assert scalars.hermitian(0, entry) == []
     assert calls == []
+
+
+def test_total_keeps_a_lone_negative_zero():
+    lone = complex(-0.0, -0.0)
+    kept = scalars.total(iter([lone]), 0j)
+    assert (math.copysign(1, kept.real), math.copysign(1, kept.imag)) == (-1, -1)
+    # a sum started from +0 loses both signs
+    restarted = sum([lone], 0j)
+    assert (math.copysign(1, restarted.real), math.copysign(1, restarted.imag)) == (1, 1)
+
+
+def test_total_of_no_terms_is_the_empty_value():
+    for empty in (ZERO, 0j):
+        assert scalars.total(iter(()), empty) is empty
+
+
+def test_total_of_exact_terms_is_exact():
+    terms = [rational(Fraction(1, 3), 2) * root(2), rational(-5, Fraction(7, 4)) * root(2), ZERO]
+    assert scalars.total(terms, ZERO) == rational(Fraction(-14, 3), Fraction(15, 4)) * root(2)
+    halves = [rational(Fraction(1, 3)), rational(Fraction(1, 6))]
+    assert scalars.total(halves, ZERO) == rational(Fraction(1, 2))
