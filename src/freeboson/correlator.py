@@ -10,7 +10,9 @@ normal-ordered group are suppressed).  A plain product of fields is the
 word of singleton groups, so every pair of its insertions is allowed.
 ``pair_sum`` is the one pairing sum over words, the reflection pairing
 (F, G) = <theta(F) G> with theta never expanded: one ``pairing.hafnian``
-per pair of words.  ``expect_combo``, the one expectation entry point, is
+per pair of words, in which the equal insertions of a group are copies of
+one slot when both words are exact, and a float word keeps one slot per
+insertion.  ``expect_combo``, the one expectation entry point, is
 its case <F> = (1, F), and ``hilbert.inner`` and ``gram`` call it on
 states.  The tests keep an enumeration of the matchings one by one as its
 reference.
@@ -28,6 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from itertools import groupby
 
 from . import scalars
 from .algebra import Insertion, LinearCombination, WickGroup, WickWord, as_combination
@@ -169,17 +172,25 @@ def _word_pair(wF: WickWord, wG: WickWord, kernels: KernelTable) -> Scalar:
     """(wF, wG) = <theta(wF) wG> as one hafnian over both words' insertions.
 
     Slots are labelled (side, group), so ``hafnian`` pairs no two
-    insertions of one group.  A left-left pair weighs conj(C), a right-right
-    pair C, both read from ``kernels``; a left-right pair weighs the series
-    pair factor at (conj(z_left), z_right).
+    insertions of one group.  When both words are exact, the equal
+    insertions of a group (adjacent, as a group holds them in key order) are
+    one slot with their number of copies; a float word keeps one slot per
+    insertion, so its sum adds the same products in the same order.  A
+    left-left pair weighs conj(C), a right-right pair C, both read from
+    ``kernels``; a left-right pair weighs the series pair factor at
+    (conj(z_left), z_right).
     """
-    slots = [
-        (side, gid, ins)
-        for side, word in enumerate((wF, wG))
-        for gid, group in enumerate(word.groups)
-        for ins in group.insertions
-    ]
     exact = wF.is_exact() and wG.is_exact()
+    slots, counts = [], []
+    for side, word in enumerate((wF, wG)):
+        for gid, group in enumerate(word.groups):
+            if exact:
+                runs = [(ins, len(list(copies))) for ins, copies in groupby(group.insertions)]
+            else:
+                runs = [(ins, 1) for ins in group.insertions]
+            for ins, copies in runs:
+                slots.append((side, gid, ins))
+                counts.append(copies)
 
     def weight(i: int, j: int) -> Scalar:
         # left slots come first, so a mixed pair has i on the left
@@ -191,7 +202,7 @@ def _word_pair(wF: WickWord, wG: WickWord, kernels: KernelTable) -> Scalar:
         return c.conjugate() if side_i == 0 else c
 
     labels = [(side, gid) for side, gid, _ in slots]
-    return hafnian(weight, labels, (1,) * len(slots), scalars.zero_scalar(exact))
+    return hafnian(weight, labels, counts, scalars.zero_scalar(exact))
 
 
 def pair_sum(F: LinearCombination, G: LinearCombination, kernels: KernelTable) -> Scalar:

@@ -13,7 +13,12 @@ interchangeable that pairing is counted reduced[k] times.  The reachable
 states are collected one pair at a time, total/2 levels in all, and valued
 bottom-up from the empty product ``zero + 1``, so the depth of the DP takes
 no stack; each state's sum is ``scalars.total`` over its moves.  With all
-counts 1 the states are the subsets of unmatched insertions.
+counts 1 the states are the subsets of unmatched insertions.  A word pair
+of exact points (``correlator``) passes the equal insertions of a group as
+copies of one slot, so the norm of :[1, 0]^n: visits n + 1 states, not
+2^n, under a guard bound of (n + 1)^2, not 4^n; a word with a float point
+keeps one slot per insertion, so its float sums keep their order and their
+bits.
 ``matching_count`` runs the same DP on an all-ones table to count matchings.
 """
 from __future__ import annotations

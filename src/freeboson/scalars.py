@@ -16,6 +16,11 @@ test is ``not x``, the conjugate is ``x.conjugate()``, an exact value is an
 ``isinstance(x, Exact)``, |x|^2 is ``abs_sq(x)``, a Hermitian matrix is
 ``hermitian(n, entry)`` and a sum that keeps a lone float -0.0 part is
 ``total(terms, empty)``.
+
+The exact zero and unit are each one object, ``ZERO`` and ``ONE``:
+``rational`` returns them for 0 and 1, so ``ZERO + 1`` is ``ONE``; an
+``Exact`` product with ``ONE`` returns the other factor, found by identity
+with no Fraction work, and a real value is its own conjugate.
 """
 from __future__ import annotations
 
@@ -109,7 +114,7 @@ class Exact:
         return self._re
 
     def conjugate(self) -> "Exact":
-        return _make(self._s, self._re, -self._im)
+        return _make(self._s, self._re, -self._im) if self._im else self
 
     # -- arithmetic -------------------------------------------------------
 
@@ -154,6 +159,11 @@ class Exact:
             f = Fraction(other)
             return _make(self._s, self._re * f, self._im * f)
         if isinstance(other, Exact):
+            # the unit is one object (``rational`` returns ``ONE`` for 1)
+            if other is ONE:
+                return self
+            if self is ONE:
+                return other
             s, t = self._s, other._s
             if not s or not t:
                 return ZERO
@@ -296,8 +306,11 @@ Scalar = Union[Exact, complex]
 
 
 def rational(re: RationalLike, im: RationalLike = 0) -> Exact:
-    """Exact Gaussian rational re + i*im."""
+    """Exact Gaussian rational re + i*im; ``ONE`` itself for 1, as ``ZERO``
+    for 0."""
     re, im = Fraction(re), Fraction(im)
+    if not im and re == 1:
+        return ONE
     return _make(1, re, im) if re or im else ZERO
 
 

@@ -7,10 +7,11 @@ import random
 import time
 from fractions import Fraction
 
-from freeboson.algebra import Insertion, LinearCombination, WickWord
+from freeboson import scalars
+from freeboson.algebra import Insertion, LinearCombination, WickGroup, WickWord
 from freeboson.amplitude import Disc, DiscConfiguration, amplitude_entry
 from freeboson.cli import main, run
-from freeboson.correlator import KernelTable, _pair_series_eval, expect_combo
+from freeboson.correlator import KernelTable, _pair_series_eval, _word_pair, expect_combo
 from freeboson.fock import FockIndex
 from freeboson.hilbert import inner
 from freeboson.pairing import MAX_STATES, hafnian, matching_count
@@ -291,6 +292,107 @@ def test_amplitude_deep_dp_answers(tmp_path, capsys):
         # K' = 1/6400 across the discs, and the n! matchings cancel the
         # prefactor root(1/(n!)^2): the entry is 6400^-n
         assert out["entries"] == [f"1/{6400 ** 1000}"]
+
+
+def _one_slot_per_insertion(wF, wG, kernels):
+    """(wF, wG) as one hafnian with one slot per insertion, repeated
+    insertions included: the word-pair route before equal insertions became
+    copies of one slot.  The reference for ``_word_pair``."""
+    slots = [
+        (side, gid, ins)
+        for side, word in enumerate((wF, wG))
+        for gid, group in enumerate(word.groups)
+        for ins in group.insertions
+    ]
+    exact = wF.is_exact() and wG.is_exact()
+
+    def weight(i, j):
+        side_i, _, a = slots[i]
+        side_j, _, b = slots[j]
+        if side_i != side_j:
+            return _pair_series_eval(a.order, b.order, a.point.conjugate(), b.point)
+        c = kernels(a.order, a.point, b.order, b.point)
+        return c.conjugate() if side_i == 0 else c
+
+    labels = [(side, gid) for side, gid, _ in slots]
+    return hafnian(weight, labels, (1,) * len(slots), scalars.zero_scalar(exact))
+
+
+def _partitions(n, largest=None):
+    """The partitions of n into parts of at most ``largest``, largest part first."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+def _repeating_word(rng, groups, size, exact=True):
+    """A word of ``groups`` groups, each of 1 to ``size`` insertions drawn
+    from two [m, z] of its own at nonzero points, so most groups repeat one."""
+    avoid: set = set()
+    out = []
+    for _ in range(groups):
+        pool = [(rng.choice((1, 1, 2, 3)), rational_point(rng, avoid=avoid)) for _ in range(2)]
+        drawn = [rng.choice(pool) for _ in range(rng.randint(1, size))]
+        out.append(WickGroup.of(*((m, z if exact else complex(z)) for m, z in drawn)))
+    return WickWord(tuple(out))
+
+
+def test_word_pairs_with_repeated_insertions_match_one_slot_per_insertion():
+    # origin states :[m1, 0]...[mk, 0]: of every total order up to 8, each
+    # paired with every state of the same or the next total order
+    origin = [
+        WickWord.single_group(WickGroup.of(*((m, 0) for m in parts)))
+        for n in range(1, 9)
+        for parts in _partitions(n)
+    ]
+    kernels = KernelTable()
+    repeated = 0
+    for wF in origin:
+        for wG in origin:
+            if wG.total_order() in (wF.total_order(), wF.total_order() + 1):
+                got = _word_pair(wF, wG, kernels)
+                assert got == _one_slot_per_insertion(wF, wG, kernels), (wF, wG)
+                assert type(got) is scalars.Exact
+                repeated += len(set(wG.groups[0].insertions)) < len(wG)
+    assert repeated > 1000
+    # seeded words whose groups repeat [m, z] at a nonzero z, as states
+    # (both sides) and as expectations (the unit word on the left)
+    rng = random.Random(73)
+    nonzero = 0
+    for _ in range(100):
+        seed = rng.randrange(1 << 30)
+        wF, wG = (_repeating_word(random.Random(seed + k), rng.randint(1, 2), 3) for k in (0, 1))
+        word = _repeating_word(random.Random(seed + 2), rng.randint(2, 3), 4)
+        for pair in ((wF, wG), (WickWord.unit(), word)):
+            got = _word_pair(*pair, KernelTable())
+            assert got == _one_slot_per_insertion(*pair, KernelTable()), pair
+            nonzero += got != 0 and any(len(set(g.insertions)) < len(g) for w in pair for g in w.groups)
+        # the same words at float points keep the reference's bits
+        fF, fG = (_repeating_word(random.Random(seed + k), len(w.groups), 3, exact=False)
+                  for k, w in ((0, wF), (1, wG)))
+        fword = _repeating_word(random.Random(seed + 2), len(word.groups), 4, exact=False)
+        for pair in ((fF, fG), (WickWord.unit(), fword)):
+            got = _word_pair(*pair, KernelTable())
+            assert type(got) is complex
+            assert repr(got) == repr(_one_slot_per_insertion(*pair, KernelTable())), pair
+    assert nonzero >= 50
+
+
+def test_repeated_origin_insertions_pair_as_copies():
+    # the norm of :[1, 0]^n: is n!/2^n; one slot per insertion would need
+    # 2^(2n) count-vector states, over the guard from n = 11
+    assert 2 ** 22 > MAX_STATES
+    for n in (11, 12):
+        state = WickGroup.of(*[(1, 0)] * n)
+        assert inner(state, state) == rational(Fraction(math.factorial(n), 2 ** n))
+    state = WickGroup.of(*[(1, 0)] * 1000)
+    started = time.perf_counter()
+    value = inner(state, state)
+    assert time.perf_counter() - started < 2.0
+    assert value == rational(Fraction(math.factorial(1000), 2 ** 1000))
 
 
 def _det(matrix):

@@ -186,6 +186,29 @@ def test_equality_and_hash():
     assert (rational(1) == 1.0) is False or True  # NotImplemented falls back
 
 
+def test_the_unit_is_one_object():
+    # like ZERO, the value 1 is one object: rational gives it, and a product
+    # by it is the other factor itself
+    assert rational(1) is ONE and rational(Fraction(2, 2), 0) is ONE
+    assert ZERO + 1 is ONE and 1 + ZERO is ONE
+    for x in (rational(Fraction(2, 3), Fraction(1, 5)), root(2) * rational(Fraction(-3, 7), 4),
+              root(3), I, ZERO, ONE):
+        assert x * ONE is x and ONE * x is x
+    # a product by a value equal to 1 built another way is still the value
+    other_one = rational(Fraction(3, 5), Fraction(4, 5)) * rational(Fraction(3, 5), Fraction(-4, 5))
+    x = root(2) * rational(Fraction(1, 3), 2)
+    assert other_one == ONE and _parts(x * other_one) == _parts(x)
+    # a real value is its own conjugate; a non-real one is not
+    for x in (ONE, ZERO, rational(Fraction(-7, 3)), root(5) * rational(Fraction(2, 9))):
+        assert x.conjugate() is x
+    assert I.conjugate() == -I and (root(2) * I).conjugate() == -(root(2) * I)
+    # 1 hashes, compares and sorts as it did
+    assert hash(ONE) == hash(1) == hash(Fraction(1)) == hash(rational(4) / 4)
+    assert ONE == 1 and ONE == Fraction(1) and ONE == rational(4) / 4 and ONE != I
+    assert scalars.sort_key(ONE) == (0, 1, Fraction(1), Fraction(0))
+    assert _parts(ONE) == (1, Fraction(1), Fraction(0)) and repr(ONE) == "Exact((1))"
+
+
 def _random_gaussian_parts(rng):
     while True:
         re = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
