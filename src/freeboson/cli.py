@@ -10,9 +10,12 @@ Subcommands:
 Each command is declared once, in ``_COMMANDS``: its handler and the config
 keys it reads.  ``run`` refuses any other key and writes ``command`` into the
 document; for a command that reads ``mode`` it also validates the mode,
-hands the handler ``exact`` and writes ``mode``.  The parser builds one
-subcommand per entry, with --mode and a required --config for a command
-that reads a mode.
+hands the handler ``exact`` and writes ``mode``.  ``_parse_args`` reads
+the command line from the same table: each command takes --config, --out
+and --timing, a command that reads a mode also --mode and requires
+--config, and hsnorm also --csv.  It reads a line as argparse would, with
+argparse's message for each usage error, and keeps argparse's import off
+every call.
 
 Results are JSON documents on stdout (or --out).  In exact mode the output
 is byte-identical across runs; rationals are rendered as "p/q" strings.
@@ -27,14 +30,13 @@ stderr and no traceback.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 from fractions import Fraction
-from functools import cache
 
 from . import scalars
 from .algebra import Insertion, LinearCombination, WickGroup, WickWord
@@ -432,33 +434,141 @@ def _origin(exc: Exception) -> str:
     return module
 
 
-def _usage_error(message: str):
-    """argparse's error hook on every parser: a usage error raises
-    SchemaError, reported as an error document, in place of usage text on
-    stderr and exit 2."""
-    raise SchemaError(message)
+def _option_specs(command) -> list:
+    """(option strings, destination, metavar, required) of each option of
+    ``command``, or of the top level for None, in the order that argparse
+    lists them; a flag has no metavar.  A command that reads a mode takes
+    --mode and requires --config."""
+    specs = [(("-h", "--help"), "help", None, False)]
+    if command is not None:
+        reads_mode = "mode" in _COMMANDS[command][1]
+        specs += [
+            (("--config",), "config", "PATH", reads_mode),
+            (("--out",), "out", "PATH", False),
+            (("--timing",), "timing", None, False),
+        ]
+        if reads_mode:
+            specs.append((("--mode",), "mode", "{" + ",".join(_MODES) + "}", False))
+        if command == "hsnorm":
+            specs.append((("--csv",), "csv", None, False))
+    return specs
 
 
-@cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="freeboson",
-        description="free boson correlators, Gram matrices, and disc amplitudes",
-    )
-    parser.error = _usage_error
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, keys) in _COMMANDS.items():
-        p = sub.add_parser(name)
-        p.error = _usage_error
-        p.add_argument("--config", required="mode" in keys, metavar="PATH")
-        p.add_argument("--out", metavar="PATH")
-        p.add_argument("--timing", action="store_true")
-        if "mode" in keys:
-            p.add_argument("--mode", choices=_MODES)
-        if name == "hsnorm":
-            p.add_argument("--csv", action="store_true")
-    return parser
+def _usage(command) -> str:
+    """The help text of ``command``, or of the top level for None."""
+    if command is None:
+        return (
+            f"usage: freeboson [-h] {{{','.join(_COMMANDS)}}} ...\n\n"
+            "free boson correlators, Gram matrices, and disc amplitudes\n"
+        )
+    parts = []
+    for strings, _, metavar, required in _option_specs(command):
+        text = strings[0] if metavar is None else f"{strings[0]} {metavar}"
+        parts.append(text if required else f"[{text}]")
+    return f"usage: freeboson {command} {' '.join(parts)}\n"
+
+
+def _classify(arg: str, options: dict):
+    """How argparse reads one string before "--": None for an argument, else
+    (the option string it names, None for an option unknown here; its
+    explicit argument, None for none).  A long option may be abbreviated to
+    a unique prefix and take "=value"; a short one takes the rest of the
+    string."""
+    if len(arg) < 2 or arg[0] != "-":
+        return None
+    if arg in options:
+        return arg, None
+    head, eq, tail = arg.partition("=")
+    if eq and head in options:
+        return head, tail
+    if arg[1] == "-":
+        matches = [(s, tail if eq else None) for s in options if s.startswith(head)]
+    else:
+        matches = [(s, arg[2:]) for s in options if s == arg[:2]]
+    if len(matches) > 1:
+        names = ", ".join(s for s, _ in matches)
+        raise SchemaError(f"ambiguous option: {arg} could match {names}")
+    if matches:
+        return matches[0]
+    # a negative number, or a string with a space, is an argument
+    if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
+        return None
+    return None, None
+
+
+def _take_options(args: list, command, values: dict, extras: list):
+    """Read the options of ``command``, or of the top level for None, from
+    ``args`` into ``values``, as argparse does.  The top level stops at its
+    first argument, the command's name; a command collects its arguments,
+    and the options unknown to it, in ``extras``.  Returns the index where
+    reading stopped, or None once a help text has been printed."""
+    specs = _option_specs(command)
+    options = {s: spec for spec in specs for s in spec[0]}
+    # every string after the first "--" is an argument
+    split = args.index("--") if "--" in args else len(args)
+    kinds = [_classify(arg, options) for arg in args[:split]] + [None] * (len(args) - split)
+    i = 0
+    while i < len(args):
+        if kinds[i] is None and command is None:
+            break
+        if kinds[i] is None or kinds[i][0] is None:
+            extras.append(args[i])
+            i += 1
+            continue
+        option, explicit = kinds[i]
+        i += 1
+        strings, dest, metavar, _ = options[option]
+        if option == "-h" and explicit:
+            # the rest of "-h..." is read as more short flags, and -h is the only one
+            explicit = explicit.lstrip("h") or None
+        if metavar is None:
+            if explicit is not None:
+                raise SchemaError(
+                    f"argument {'/'.join(strings)}: ignored explicit argument {explicit!r}"
+                )
+            value = True
+        elif explicit is not None:
+            value = explicit
+        elif i < split and kinds[i] is None:
+            value = args[i]
+            i += 1
+        else:
+            raise SchemaError(f"argument {'/'.join(strings)}: expected one argument")
+        if dest == "help":
+            sys.stdout.write(_usage(command))
+            return None
+        if dest == "mode" and value not in _MODES:
+            choices = ", ".join(map(repr, _MODES))
+            raise SchemaError(f"argument --mode: invalid choice: {value!r} (choose from {choices})")
+        values[dest] = value
+    missing = [spec[0][0] for spec in specs if spec[3] and values[spec[1]] is None]
+    if missing:
+        raise SchemaError(f"the following arguments are required: {', '.join(missing)}")
+    return i
+
+
+def _parse_args(argv: list):
+    """The command line as a dict of command, config, out, timing, mode and
+    csv, or None once a help text has been printed.  It reads every line as
+    argparse read it with one subcommand per entry of ``_COMMANDS``, and a
+    usage error raises SchemaError with argparse's message."""
+    values = {"command": None, "config": None, "out": None, "timing": False, "mode": None, "csv": False}
+    extras = []
+    start = _take_options(argv, None, values, extras)
+    if start is None:
+        return None
+    rest = argv[start:]
+    if rest in ([], ["--"]):
+        raise SchemaError("the following arguments are required: command")
+    command = values["command"] = rest[0]
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        raise SchemaError(f"argument command: invalid choice: {command!r} (choose from {choices})")
+    if _take_options(rest[1:], command, values, extras) is None:
+        return None
+    if extras:
+        raise SchemaError(f"unrecognized arguments: {' '.join(extras)}")
+    return values
 
 
 def main(argv=None) -> int:
@@ -477,25 +587,25 @@ def main(argv=None) -> int:
 
 def _main(argv) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit:
-        # --help prints its text and exits 0; a usage error raises SchemaError
-        return 0
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SchemaError as exc:
         _emit_error(exc.module, exc)
         return 1
+    if args is None:
+        # --help printed its text
+        return 0
 
     started = time.perf_counter()
     try:
-        config = _load_config(args.config)
-        if getattr(args, "mode", None) is not None:
+        config = _load_config(args["config"])
+        if args["mode"] is not None:
             config = dict(config)
-            config["mode"] = args.mode
-        doc = run(args.command, config, timing=args.timing)
-        if args.command == "hsnorm" and getattr(args, "csv", False):
+            config["mode"] = args["mode"]
+        doc = run(args["command"], config, timing=args["timing"])
+        if args["csv"]:
             text = _render_csv(doc)
         else:
-            if args.timing:
+            if args["timing"]:
                 seconds = round(time.perf_counter() - started, 6)
                 doc["timing"] = {"seconds": seconds, **doc.get("timing", {})}
             try:
@@ -503,7 +613,7 @@ def _main(argv) -> int:
             except ValueError:
                 # JSON has no NaN or infinity: a float-mode value overflowed
                 raise SchemaError("the result holds a float that is not finite") from None
-        _emit(text, args.out)
+        _emit(text, args["out"])
     except EngineError as exc:
         _emit_error(exc.module, exc)
         return 1
@@ -518,7 +628,7 @@ def _main(argv) -> int:
         _emit_error(_origin(exc), exc)
         return 3
 
-    if args.command == "verify" and not doc["passed"]:
+    if args["command"] == "verify" and not doc["passed"]:
         return 2
     return 0
 

@@ -179,8 +179,8 @@ def _defaulted_parameters(func):
 
 
 # The console entry point: ``main(argv=None)`` is called with no argument, so
-# that argparse reads sys.argv, and with an argument list by the tests and the
-# benchmark harness, which live outside the package.
+# that the command line is read from sys.argv, and with an argument list by
+# the tests and the benchmark harness, which live outside the package.
 _ENTRY_POINTS = {("cli.py", "main", "argv")}
 
 
