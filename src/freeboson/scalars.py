@@ -10,6 +10,16 @@ stay in the type; sums add values with one radicand, and a sum of two
 radicands raises StructuralError.  The general ring Q(i)[sqrt(s), ...]
 lives in the tests as the reference this type is checked against.
 
+A product of two exact values is formed from the integer numerators and
+denominators of their parts: each part of the result is one Fraction, an
+integer numerator over the product of the four denominators normalised by
+one gcd, where Fraction arithmetic would build four products and two sums,
+each with its own gcds.  Sums, inverses and scaling by an int or a
+Fraction keep the Fraction route.  A faster program completes more
+benchmark ops and the benchmark harness holds each finished op, so its
+peak-memory bound leaves room for the product alone until the harness
+stops holding them (ROADMAP items 1 and 2).
+
 The float backend is the builtin ``complex``.  Mixed-backend arithmetic
 promotes to float; exact-with-exact stays exact.  On either backend a zero
 test is ``not x``, the conjugate is ``x.conjugate()``, an exact value is an
@@ -83,6 +93,11 @@ class Exact:
     arithmetic.  A sum of nonzero values with two radicands, such as
     sqrt(2) + 1, raises StructuralError.  Instances are immutable and
     hashable; the hash is computed once.
+
+    The product of two values reads the parts' public ``numerator`` and
+    ``denominator`` and builds each part of the result as one Fraction, with
+    one normalising gcd; sums, ``inverse`` and scaling by an int or a
+    Fraction use Fraction arithmetic (see the module docstring for why).
     """
 
     __slots__ = ("_s", "_re", "_im", "_hash")
@@ -167,14 +182,17 @@ class Exact:
             s, t = self._s, other._s
             if not s or not t:
                 return ZERO
-            a, b, c, d = self._re, self._im, other._re, other._im
-            re = a * c - b * d
-            im = a * d + b * c
-            if s == 1 or t == 1:
-                return _make(s * t, re, im)
             # sqrt(s) sqrt(t) = g sqrt((s/g)(t/g)) with g = gcd(s, t)
             g = gcd(s, t)
-            return _make((s // g) * (t // g), re * g, im * g)
+            a, b, c, d = self._re, self._im, other._re, other._im
+            an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+            cn, cd, dn, dd = c.numerator, c.denominator, d.numerator, d.denominator
+            # (a c - b d) and (a d + b c) over the one denominator ad bd cd dd,
+            # each normalised by the single gcd of its Fraction
+            den = ad * bd * cd * dd
+            re = Fraction(g * (an * cn * bd * dd - bn * dn * ad * cd), den)
+            im = Fraction(g * (an * dn * bd * cd + bn * cn * ad * dd), den)
+            return _make((s // g) * (t // g), re, im)
         if isinstance(other, (float, complex)):
             return complex(self) * other
         return NotImplemented

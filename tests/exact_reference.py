@@ -322,3 +322,25 @@ def to_package(x: Exact) -> scalars.Exact:
         return scalars.ZERO
     ((s, re, im),) = x.terms
     return scalars.rational(re, im) * scalars.root(s)
+
+
+def fraction_product(x: scalars.Exact, y: scalars.Exact) -> scalars.Exact:
+    """x * y of two package values by the Fraction route the package used
+    before it formed products from integer numerators and denominators:
+    four Fraction products and two Fraction sums, then the radicand rule
+    sqrt(s) sqrt(t) = g sqrt((s/g)(t/g)) with g = gcd(s, t).  The oracle
+    for ``scalars.Exact.__mul__`` on two exact values."""
+    if y is scalars.ONE:
+        return x
+    if x is scalars.ONE:
+        return y
+    s, t = x.s, y.s
+    if not s or not t:
+        return scalars.ZERO
+    a, b, c, d = x.re, x.im, y.re, y.im
+    re = a * c - b * d
+    im = a * d + b * c
+    if s == 1 or t == 1:
+        return scalars._make(s * t, re, im)
+    g = gcd(s, t)
+    return scalars._make((s // g) * (t // g), re * g, im * g)

@@ -292,7 +292,12 @@ def test_main_bad_numbers_are_schema_errors_fast(tmp_path, capsys, text):
                 "truncation": {"M": 1, "N": 2}},
      "the kernel at 0j, (1e+300+0j) is beyond float range"),
     ("gram", {"mode": "float", "states": [[[{"m": 90, "re": 0.5}]]]}, None),
-], ids=["exact-gram-200", "factorial", "underflow", "power", "hsnorm-power", "float-gram-90"])
+    # the entry, about 2.45e265, is finite, but the coefficient of a term of
+    # the pair factor, up to 171!/2, is beyond float range
+    ("gram", {"mode": "float", "states": [[[{"m": 86, "re": 0.1}]], [[{"m": 86, "re": 0.1}]]]},
+     "the pair factor of orders 86 and 86 has a term beyond float range"),
+], ids=["exact-gram-200", "factorial", "underflow", "power", "hsnorm-power", "float-gram-90",
+        "float-gram-pair-factor"])
 def test_main_values_beyond_float_range_are_schema_errors_fast(tmp_path, capsys, command, config, message):
     path = _write(tmp_path, "c.json", config)
     start = time.perf_counter()

@@ -76,6 +76,19 @@ def test_no_module_imports_warnings():
     assert found == []
 
 
+def test_no_module_reads_a_private_fraction_slot():
+    """``Fraction`` keeps its integers in ``_numerator`` and
+    ``_denominator``, private to the fractions module; the package reads
+    the public ``numerator`` and ``denominator``."""
+    found = [
+        f"{name}:{node.lineno} {node.attr}"
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("_numerator", "_denominator")
+    ]
+    assert found == []
+
+
 def test_every_private_module_function_and_class_is_used_in_the_package():
     trees = _trees()
     used_anywhere: dict[str, int] = {}

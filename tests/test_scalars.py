@@ -365,13 +365,23 @@ def _assert_same_value(got, want):
     assert repr(got) == repr(want)
 
 
+# parts over denominators up to 2^64, where ``fractions`` stops at 12
+wide_gaussians = st.builds(
+    rational, st.fractions(max_denominator=1 << 64), st.fractions(max_denominator=1 << 64)
+)
+
+
 @settings(max_examples=150, deadline=None)
-@given(gaussians, gaussians, gaussians, radicals, radicals, st.integers(min_value=-4, max_value=4))
-def test_single_radical_values_agree_with_the_reference(g, h, k, r, t, n):
-    # x and y share a radicand, z has its own
-    x, y, z = g * r, h * r, k * t
-    rx, ry, rz = ref.of(x), ref.of(y), ref.of(z)
+@given(gaussians, gaussians, gaussians, wide_gaussians, radicals, radicals,
+       st.integers(min_value=-4, max_value=4))
+def test_single_radical_values_agree_with_the_reference(g, h, k, w, r, t, n):
+    # x, y and v share a radicand, z has its own; v has wide denominators
+    x, y, z, v = g * r, h * r, k * t, w * r
+    rx, ry, rz, rv = ref.of(x), ref.of(y), ref.of(z), ref.of(v)
     _assert_same_value(x * z, rx * rz)
+    _assert_same_value(v * z, rv * rz)
+    _assert_same_value(x * v, rx * rv)
+    _assert_same_value(v + x, rv + rx)
     _assert_same_value(x * Fraction(3, 7), rx * Fraction(3, 7))
     _assert_same_value(x + y, rx + ry)
     _assert_same_value(x - y, rx - ry)
@@ -387,6 +397,99 @@ def test_single_radical_values_agree_with_the_reference(g, h, k, r, t, n):
     assert complex(x) == complex(rx) and complex(z) == complex(rz)
     assert bool(x) == bool(rx) and bool(z) == bool(rz)
     assert ref.to_package(rx * rz) == x * z
+
+
+# squarefree radicands, with gcd(s, t) > 1 among 6, 10, 15 and 30
+_RADICANDS = (1, 1, 1, 2, 3, 5, 6, 10, 15, 30)
+
+
+def _coprime_denominators(rng, n):
+    """n pairwise coprime denominators below 2^64."""
+    dens: list[int] = []
+    while len(dens) < n:
+        d = rng.randrange(1, 1 << 64)
+        if all(math.gcd(d, e) == 1 for e in dens):
+            dens.append(d)
+    return dens
+
+
+def _wide_parts(rng):
+    """Four parts of two values, each zero one time in six, else of either
+    sign with a numerator below 2^64, over one shared denominator, four
+    pairwise coprime ones or four independent ones, all below 2^64."""
+    kind = rng.choice(("shared", "coprime", "independent"))
+    if kind == "shared":
+        dens = [rng.randrange(1, 1 << 64)] * 4
+    elif kind == "coprime":
+        dens = _coprime_denominators(rng, 4)
+    else:
+        dens = [rng.randrange(1, 1 << rng.choice((4, 16, 64))) for _ in range(4)]
+    parts = [
+        Fraction(0) if rng.random() < 1 / 6 else Fraction(rng.randrange(-(1 << 64), 1 << 64) or 1, d)
+        for d in dens
+    ]
+    return kind, parts
+
+
+def _exact(s, re, im):
+    """The package value (re + i*im) sqrt(s), built without a product; the
+    unit is ``ONE`` itself, as ``rational`` makes it."""
+    if not (re or im):
+        return ZERO
+    return ONE if (s, re, im) == (1, 1, 0) else scalars._make(s, re, im)
+
+
+def test_products_agree_with_the_fraction_route():
+    # seeded pairs against the four-Fraction route of the oracle, in both
+    # orders: the same parts, both of type Fraction, the same hash and repr
+    rng = random.Random(33)
+    seen = set()
+    for i in range(2400):
+        kind, (a, b, c, d) = _wide_parts(rng)
+        s, t = rng.choice(_RADICANDS), rng.choice(_RADICANDS)
+        x, y = _exact(s, a, b), _exact(t, c, d)
+        if i % 50 == 0:
+            x = (ONE, ZERO, I)[i // 50 % 3]
+        for p, q in ((x, y), (y, x)):
+            got, want = p * q, ref.fraction_product(p, q)
+            assert _parts(got) == _parts(want), (p, q)
+            assert type(got.re) is Fraction and type(got.im) is Fraction
+            assert hash(got) == hash(want) and repr(got) == repr(want)
+        parts = (x.re, x.im, y.re, y.im)
+        seen.add(kind)
+        seen.update(name for name, hit in (
+            ("zero re", x and not x.re), ("zero im", x and not x.im),
+            ("negative", min(parts) < 0),
+            ("wide", max(f.denominator for f in parts) > 1 << 60),
+            ("gaussian x radical", x.s == 1 and y.s > 1),
+            ("radical x radical, gcd > 1", x.s > 1 and y.s > 1 and math.gcd(x.s, y.s) > 1),
+            ("radical x radical, coprime", x.s > 1 and y.s > 1 and math.gcd(x.s, y.s) == 1),
+        ) if hit)
+    assert len(seen) == 10, seen
+
+
+def test_an_exact_product_calls_no_fraction_operator(monkeypatch):
+    # each part of a product is one Fraction(numerator, denominator), built
+    # with no Fraction arithmetic
+    pairs = [
+        (rational(Fraction(2, 3), Fraction(-5, 7)), rational(Fraction(11, 13), Fraction(3, 4))),
+        (rational(Fraction(-1, 6)), rational(0, Fraction(9, 10))),
+        (rational(Fraction(2, 3), 1) * root(6), rational(Fraction(1, 5), -2) * root(10)),
+    ]
+    want = [ref.fraction_product(x, y) for x, y in pairs]
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__",
+                 "__truediv__", "__rtruediv__"):
+        def counted(a, b, op=getattr(Fraction, name), name=name):
+            calls.append(name)
+            return op(a, b)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    got = [x * y for x, y in pairs]
+    assert calls == []
+    assert got == want
+    Fraction(1, 2) * Fraction(1, 3) - Fraction(1, 5)
+    assert calls == ["__mul__", "__sub__"]
 
 
 radical_values = st.one_of(st.just(ZERO), st.builds(lambda g, r: g * r, gaussians, radicals))
