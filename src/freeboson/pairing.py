@@ -18,11 +18,14 @@ of exact points (``correlator``) passes the equal insertions of a group as
 copies of one slot, so the norm of :[1, 0]^n: visits n + 1 states, not
 2^n, under a guard bound of (n + 1)^2, not 4^n; a word with a float point
 keeps one slot per insertion, so its float sums keep their order and their
-bits.
+bits.  A float result that is not finite is valued once more on weights
+scaled by powers of two, so a DP whose states pass float range on the way
+to a finite value still answers; a finite result is valued once.
 ``matching_count`` runs the same DP on an all-ones table to count matchings.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from collections import Counter
 from typing import Callable, Hashable, Sequence
@@ -57,7 +60,9 @@ def hafnian(
     to pair.  Otherwise ``weight(i, j)`` gives the symmetric pair weight of
     occupied slots i < j with different labels, once per pair, after the
     guard.  Raises ResourceError when the state bound prod(c_i + 1) exceeds
-    MAX_STATES.
+    MAX_STATES.  A complex result that is not finite is valued once more on
+    rescaled weights (``_rescaled``), and comes back not finite only when
+    that valuation is out of range too.
     """
     labels = tuple(labels)
     counts = tuple(counts)
@@ -79,15 +84,15 @@ def hafnian(
             if counts[i] and counts[j] and labels[i] != labels[j]:
                 table[i][j] = table[j][i] = weight(i, j)
     # the states reachable from counts under the first-occupied-slot rule,
-    # one level (one pair) at a time.  A state's moves: its first occupied
-    # slot gives up one copy to each differently labelled occupied slot k,
-    # k ascending, as (copies of k left, weight, index of the state after
-    # the pair on the next level); a dead end has none
-    moves_of: list[list] = []
+    # one level (one pair) at a time.  A state is its first occupied slot
+    # and its moves: that slot gives up one copy to each differently
+    # labelled occupied slot k, k ascending, as (copies of k left, k, index
+    # of the state after the pair on the next level); a dead end has none
+    levels: list[list] = []
     level = (counts,)
     for _ in range(total // 2):
         below: dict = {}
-        level_moves: list = []
+        level_states: list = []
         for state in level:
             first = next(i for i, c in enumerate(state) if c)
             moves = []
@@ -95,19 +100,54 @@ def hafnian(
             reduced[first] -= 1
             row = table[first]
             for k, c in enumerate(reduced):
-                w = row[k]
-                if c and w is not None:
+                if c and row[k] is not None:
                     sub = reduced.copy()
                     sub[k] -= 1
-                    moves.append((c, w, below.setdefault(tuple(sub), len(below))))
-            level_moves.append(moves)
-        moves_of.append(level_moves)
+                    moves.append((c, k, below.setdefault(tuple(sub), len(below))))
+            level_states.append((first, moves))
+        levels.append(level_states)
         level = below
-    # valued bottom-up from the empty state, one level at a time
-    values = [zero + 1] * len(level)
-    for level_moves in reversed(moves_of):
-        values = [
-            scalars.total((c * (w * values[j]) if c > 1 else w * values[j] for c, w, j in moves), zero)
-            for moves in level_moves
-        ]
+    result = _value(levels, table, zero)
+    if isinstance(result, complex) and not cmath.isfinite(result):
+        rescued = _rescaled(levels, table, counts, zero)
+        return result if rescued is None else rescued
+    return result
+
+
+def _value(levels, table, zero):
+    """The DP's value, bottom-up from the empty state (the one state of the
+    last level) one level at a time, with the weights of ``table``."""
+    values = [zero + 1]
+    for level_states in reversed(levels):
+        above = []
+        for first, moves in level_states:
+            row = table[first]
+            above.append(scalars.total(
+                (c * (row[k] * values[j]) if c > 1 else row[k] * values[j] for c, k, j in moves), zero
+            ))
+        values = above
     return values[0]
+
+
+def _rescaled(levels, table, counts, zero):
+    """A float hafnian that is not finite, valued once more on the weights
+    w_ij 2^(e_i + e_j), with e_i near -1/2 log2 of slot i's largest weight
+    part, and scaled back by 2^(-sum c_i e_i).  Each matching uses slot i
+    c_i times, so wherever the values stay normal each product is the same
+    product exactly scaled.  None when the result is still not finite."""
+    exps = []
+    for row in table:
+        largest = max((max(abs(w.real), abs(w.imag)) for w in row if w is not None), default=0.0)
+        exps.append(-(math.frexp(largest)[1] // 2))
+    scaled = [
+        [None if w is None else complex(math.ldexp(w.real, e + f), math.ldexp(w.imag, e + f))
+         for w, f in zip(row, exps)]
+        for row, e in zip(table, exps)
+    ]
+    value = _value(levels, scaled, zero)
+    shift = -sum(c * e for c, e in zip(counts, exps))
+    try:
+        value = complex(math.ldexp(value.real, shift), math.ldexp(value.imag, shift))
+    except OverflowError:
+        return None
+    return value if cmath.isfinite(value) else None

@@ -20,13 +20,12 @@ def rational_point(rng: random.Random, nonzero: bool = True, avoid: Optional[set
     denominator 3 to 8."""
     while True:
         den = rng.randint(3, 8)
-        re = Fraction(rng.randint(-den + 1, den - 1), den)
-        im = Fraction(rng.randint(-den + 1, den - 1), den)
-        if re * re + im * im >= 1:
+        a = rng.randint(-den + 1, den - 1)
+        b = rng.randint(-den + 1, den - 1)
+        # |z| < 1 and z != 0 decided on the integers, before any Fraction
+        if a * a + b * b >= den * den or (nonzero and not (a or b)):
             continue
-        if nonzero and re == 0 and im == 0:
-            continue
-        z = scalars.rational(re, im)
+        z = scalars.rational(Fraction(a, den), Fraction(b, den))
         key = scalars.sort_key(z)
         if avoid is not None:
             if key in avoid:

@@ -10,15 +10,19 @@ stay in the type; sums add values with one radicand, and a sum of two
 radicands raises StructuralError.  The general ring Q(i)[sqrt(s), ...]
 lives in the tests as the reference this type is checked against.
 
-A product of two exact values is formed from the integer numerators and
-denominators of their parts: each part of the result is one Fraction, an
-integer numerator over the product of the four denominators normalised by
-one gcd, where Fraction arithmetic would build four products and two sums,
-each with its own gcds.  Sums, inverses and scaling by an int or a
-Fraction keep the Fraction route.  A faster program completes more
-benchmark ops and the benchmark harness holds each finished op, so its
-peak-memory bound leaves room for the product alone until the harness
-stops holding them (ROADMAP items 1 and 2).
+Products and inverses are formed over each factor's frame, (a + i*b)/p
+with integers a, b and p the least common denominator of its two parts
+(``to_frame``): each part of the result is one Fraction, an integer
+numerator over p q (or over s (a^2 + b^2) for an inverse) normalised by one
+gcd, where Fraction arithmetic would build several products and sums, each
+with its own gcds.  A value whose two parts share a denominator d thus
+squares to parts over d^2, not over the d^4 of the four parts' product.
+Sums and scaling by an int or a Fraction keep the Fraction route: as
+integer steps they measured slower on operands of 256 bits and more.  A
+faster program completes more benchmark ops and the benchmark harness
+holds each finished op, so its peak-memory bound leaves no room for
+integer storage until the harness stops holding them (ROADMAP items 1
+and 2).
 
 The float backend is the builtin ``complex``.  Mixed-backend arithmetic
 promotes to float; exact-with-exact stays exact.  On either backend a zero
@@ -94,9 +98,10 @@ class Exact:
     sqrt(2) + 1, raises StructuralError.  Instances are immutable and
     hashable; the hash is computed once.
 
-    The product of two values reads the parts' public ``numerator`` and
-    ``denominator`` and builds each part of the result as one Fraction, with
-    one normalising gcd; sums, ``inverse`` and scaling by an int or a
+    The product of two values and the inverse read each value's frame over
+    the least common denominator of its parts, from their public
+    ``numerator`` and ``denominator``, and build each part of the result as
+    one Fraction with one normalising gcd; sums and scaling by an int or a
     Fraction use Fraction arithmetic (see the module docstring for why).
     """
 
@@ -184,15 +189,13 @@ class Exact:
                 return ZERO
             # sqrt(s) sqrt(t) = g sqrt((s/g)(t/g)) with g = gcd(s, t)
             g = gcd(s, t)
-            a, b, c, d = self._re, self._im, other._re, other._im
-            an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
-            cn, cd, dn, dd = c.numerator, c.denominator, d.numerator, d.denominator
-            # (a c - b d) and (a d + b c) over the one denominator ad bd cd dd,
-            # each normalised by the single gcd of its Fraction
-            den = ad * bd * cd * dd
-            re = Fraction(g * (an * cn * bd * dd - bn * dn * ad * cd), den)
-            im = Fraction(g * (an * dn * bd * cd + bn * cn * ad * dd), den)
-            return _make((s // g) * (t // g), re, im)
+            # over the frames (an + i bn)/p and (cn + i dn)/q each part is one
+            # integer over p q, normalised by the single gcd of its Fraction
+            an, bn, p = _frame(self._re, self._im)
+            cn, dn, q = _frame(other._re, other._im)
+            pq = p * q
+            return _make((s // g) * (t // g), Fraction(g * (an * cn - bn * dn), pq),
+                         Fraction(g * (an * dn + bn * cn), pq))
         if isinstance(other, (float, complex)):
             return complex(self) * other
         return NotImplemented
@@ -204,9 +207,10 @@ class Exact:
         s = self._s
         if not s:
             raise ZeroDivisionError("division by exact zero")
-        a, b = self._re, self._im
-        r = (a * a + b * b) * s
-        return _make(s, a / r, -b / r)
+        # over the frame (an + i bn)/p: p (an - i bn) sqrt(s) / (s (an^2 + bn^2))
+        an, bn, p = _frame(self._re, self._im)
+        r = s * (an * an + bn * bn)
+        return _make(s, Fraction(an * p, r), Fraction(-bn * p, r))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -304,9 +308,17 @@ def to_frame(x) -> tuple[int, int, int] | None:
     rational.  ``from_frame`` is its inverse."""
     if not (isinstance(x, Exact) and x.is_gaussian()):
         return None
-    re, im = x._re, x._im
-    den = lcm(re.denominator, im.denominator)
-    return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den
+    return _frame(x._re, x._im)
+
+
+def _frame(re: Fraction, im: Fraction) -> tuple[int, int, int]:
+    """(a, b, p) with re + i*im = (a + i*b)/p, integers, p > 0 the least
+    common denominator of the two parts."""
+    rd, id_ = re.denominator, im.denominator
+    if rd == id_:
+        return re.numerator, im.numerator, rd
+    p = lcm(rd, id_)
+    return re.numerator * (p // rd), im.numerator * (p // id_), p
 
 
 def from_frame(re: int, im: int, den: int) -> Exact:

@@ -344,3 +344,16 @@ def fraction_product(x: scalars.Exact, y: scalars.Exact) -> scalars.Exact:
         return scalars._make(s * t, re, im)
     g = gcd(s, t)
     return scalars._make((s // g) * (t // g), re * g, im * g)
+
+
+def fraction_inverse(x: scalars.Exact) -> scalars.Exact:
+    """1/x of a package value by the Fraction route the package used before
+    it formed inverses over the frame of x: conj(c) sqrt(s) / (|c|^2 s) from
+    Fraction products, a sum and two quotients.  The oracle for
+    ``scalars.Exact.inverse``."""
+    s = x.s
+    if not s:
+        raise ZeroDivisionError("division by exact zero")
+    a, b = x.re, x.im
+    r = (a * a + b * b) * s
+    return scalars._make(s, a / r, -b / r)

@@ -1,4 +1,5 @@
 """The pairing engine against brute-force sums over enumerated matchings."""
+import cmath
 import gc
 import itertools
 import json
@@ -7,7 +8,7 @@ import random
 import time
 from fractions import Fraction
 
-from freeboson import scalars
+from freeboson import pairing, scalars
 from freeboson.algebra import Insertion, LinearCombination, WickGroup, WickWord
 from freeboson.amplitude import Disc, DiscConfiguration, amplitude_entry
 from freeboson.cli import main, run
@@ -457,3 +458,78 @@ def test_combination_of_order_one_words_is_a_sum_of_determinants():
         expected = expected + coeff * _fermion_det(chosen)
     assert len(combo) > 1
     assert expect_combo(combo) == expected
+
+
+def _overflowing_weights(rng):
+    """Six slots whose true hafnian is near 1e100: slots 0 and 1 weigh about
+    1e-300 to every other slot, and 2-5 about 1e200 to each other, so the
+    DP's state {2, 3, 4, 5} holds a value near 1e400."""
+    size = 6
+    table = [[None] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            scale = 1e-300 if i < 2 else 1e200
+            w = complex(rng.uniform(1, 2), rng.uniform(-1, 1)) * scale
+            table[i][j] = table[j][i] = w
+    return table
+
+
+def test_float_hafnian_beyond_range_inside_the_dp_is_rescaled():
+    # 1e-300 * 1e400 is a float, though its second factor is not: the DP is
+    # valued once more on weights scaled by powers of two, and agrees with
+    # the exact hafnian of the same weights
+    rng = random.Random(16)
+    for _ in range(20):
+        table = _overflowing_weights(rng)
+        assert not cmath.isfinite(table[2][3] * table[4][5])
+        value = hafnian(lambda i, j: table[i][j], range(6), [1] * 6, 0j)
+        exact = hafnian(
+            lambda i, j: scalars.rational(Fraction(table[i][j].real), Fraction(table[i][j].imag)),
+            range(6), [1] * 6, ZERO,
+        )
+        want = complex(exact)
+        assert math.isfinite(abs(want)) and 1e98 < abs(want) < 1e102
+        assert abs(value - want) <= 1e-15 * abs(want), (value, want)
+
+
+def test_float_correlator_beyond_range_inside_the_dp_answers():
+    # the six order-60 points of 0, 1000, 500 +- 400i and 501 +- 400i: each
+    # pair (500 + 400i, 501 + 400i) weighs about 1e196, the exact value is
+    # 2.1654482855391786e229 and the float DP's plain valuation gives NaN
+    points = [(0, 0), (1000, 0), (500, 400), (500, -400), (501, 400), (501, -400)]
+    exact = complex(expect_combo(WickWord.plain(*[(60, rational(a, b)) for a, b in points])))
+    assert repr(exact.real) == "2.1654482855391786e+229" and exact.imag == 0
+    word = [[{"m": 60, "re": a, "im": b}] for a, b in points]
+    (value,) = run("correlator", {"mode": "float", "words": [word]})["expectations"]
+    assert abs(value[0] - exact.real) <= 1e-15 * exact.real
+
+
+def test_float_hafnian_still_beyond_range_stays_not_finite(monkeypatch):
+    # four slots pairing to about 3e400: the one rescaled valuation cannot
+    # bring the result into range, so the non-finite value comes back
+    calls = []
+    rescaled = pairing._rescaled
+
+    def counted(*args):
+        calls.append(1)
+        return rescaled(*args)
+
+    monkeypatch.setattr(pairing, "_rescaled", counted)
+    value = hafnian(lambda i, j: complex(1e200), range(4), [1] * 4, 0j)
+    assert not cmath.isfinite(value) and calls == [1]
+
+
+def test_finite_float_hafnians_are_valued_once(monkeypatch):
+    # a finite float result never takes the rescaled valuation, so its bits
+    # are those of the one plain valuation
+    def refused(*args):
+        raise AssertionError("a finite float result was valued twice")
+
+    monkeypatch.setattr(pairing, "_rescaled", refused)
+    rng = random.Random(34)
+    for _ in range(10):
+        word = random_plain_word(rng, rng.choice((2, 4, 6)))
+        points = [ins for group in word.groups for ins in group.insertions]
+        floats = WickWord.plain(*((ins.order, complex(ins.point)) for ins in points))
+        assert cmath.isfinite(expect_combo(floats))
+    assert hafnian(lambda i, j: complex(1e-200), range(4), [1] * 4, 0j) == 0j

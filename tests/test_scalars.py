@@ -403,32 +403,50 @@ def test_single_radical_values_agree_with_the_reference(g, h, k, w, r, t, n):
 _RADICANDS = (1, 1, 1, 2, 3, 5, 6, 10, 15, 30)
 
 
-def _coprime_denominators(rng, n):
-    """n pairwise coprime denominators below 2^64."""
+def _coprime_denominators(rng, n, bits=64):
+    """n pairwise coprime denominators below 2^bits."""
     dens: list[int] = []
     while len(dens) < n:
-        d = rng.randrange(1, 1 << 64)
+        d = rng.randrange(1, 1 << bits)
         if all(math.gcd(d, e) == 1 for e in dens):
             dens.append(d)
     return dens
 
 
+def _factor_denominators(rng, n, bits):
+    """n denominators below 2^bits with one common factor of about bits/2
+    bits."""
+    f = rng.randrange(2, 1 << bits // 2)
+    return [f * rng.randrange(1, 1 << bits // 2) for _ in range(n)]
+
+
+def _numerators(rng, dens, bits):
+    """A part over each denominator, zero one time in six, else of either
+    sign with a numerator below 2^bits."""
+    return [
+        Fraction(0) if rng.random() < 1 / 6 else Fraction(rng.randrange(-(1 << bits), 1 << bits) or 1, d)
+        for d in dens
+    ]
+
+
 def _wide_parts(rng):
     """Four parts of two values, each zero one time in six, else of either
-    sign with a numerator below 2^64, over one shared denominator, four
-    pairwise coprime ones or four independent ones, all below 2^64."""
-    kind = rng.choice(("shared", "coprime", "independent"))
+    sign.  Below 2^64: over one shared denominator, four pairwise coprime
+    ones or four independent ones.  Up to 2^2048: one denominator per value
+    (its two parts share it), or four with one common factor."""
+    kind = rng.choice(("shared", "coprime", "independent", "one per value", "shared factor"))
+    bits = 64 if kind in ("shared", "coprime", "independent") else rng.choice((64, 512, 2048))
     if kind == "shared":
         dens = [rng.randrange(1, 1 << 64)] * 4
     elif kind == "coprime":
         dens = _coprime_denominators(rng, 4)
-    else:
+    elif kind == "independent":
         dens = [rng.randrange(1, 1 << rng.choice((4, 16, 64))) for _ in range(4)]
-    parts = [
-        Fraction(0) if rng.random() < 1 / 6 else Fraction(rng.randrange(-(1 << 64), 1 << 64) or 1, d)
-        for d in dens
-    ]
-    return kind, parts
+    elif kind == "one per value":
+        dens = [rng.randrange(1, 1 << bits)] * 2 + [rng.randrange(1, 1 << bits)] * 2
+    else:
+        dens = _factor_denominators(rng, 4, bits)
+    return kind, _numerators(rng, dens, bits)
 
 
 def _exact(s, re, im):
@@ -439,9 +457,16 @@ def _exact(s, re, im):
     return ONE if (s, re, im) == (1, 1, 0) else scalars._make(s, re, im)
 
 
+def _assert_same_parts(got, want):
+    """The same parts, both of type Fraction, the same hash and repr."""
+    assert _parts(got) == _parts(want)
+    assert type(got.re) is Fraction and type(got.im) is Fraction
+    assert hash(got) == hash(want) and repr(got) == repr(want)
+
+
 def test_products_agree_with_the_fraction_route():
     # seeded pairs against the four-Fraction route of the oracle, in both
-    # orders: the same parts, both of type Fraction, the same hash and repr
+    # orders
     rng = random.Random(33)
     seen = set()
     for i in range(2400):
@@ -451,32 +476,61 @@ def test_products_agree_with_the_fraction_route():
         if i % 50 == 0:
             x = (ONE, ZERO, I)[i // 50 % 3]
         for p, q in ((x, y), (y, x)):
-            got, want = p * q, ref.fraction_product(p, q)
-            assert _parts(got) == _parts(want), (p, q)
-            assert type(got.re) is Fraction and type(got.im) is Fraction
-            assert hash(got) == hash(want) and repr(got) == repr(want)
+            _assert_same_parts(p * q, ref.fraction_product(p, q))
         parts = (x.re, x.im, y.re, y.im)
         seen.add(kind)
         seen.update(name for name, hit in (
             ("zero re", x and not x.re), ("zero im", x and not x.im),
             ("negative", min(parts) < 0),
             ("wide", max(f.denominator for f in parts) > 1 << 60),
+            ("over 2^2000", max(f.denominator for f in parts) > 1 << 2000),
             ("gaussian x radical", x.s == 1 and y.s > 1),
             ("radical x radical, gcd > 1", x.s > 1 and y.s > 1 and math.gcd(x.s, y.s) > 1),
             ("radical x radical, coprime", x.s > 1 and y.s > 1 and math.gcd(x.s, y.s) == 1),
         ) if hit)
-    assert len(seen) == 10, seen
+    assert len(seen) == 13, seen
+
+
+def test_inverses_agree_with_the_fraction_route():
+    # seeded values against the Fraction route of the oracle; the two parts'
+    # denominators are equal, share a factor or are coprime, up to 2^2048
+    rng = random.Random(34)
+    seen = set()
+    for i in range(1200):
+        kind = rng.choice(("equal", "shared factor", "coprime"))
+        bits = rng.choice((4, 64, 512, 2048))
+        if kind == "equal":
+            dens = [rng.randrange(1, 1 << bits)] * 2
+        elif kind == "shared factor":
+            dens = _factor_denominators(rng, 2, bits)
+        else:
+            dens = _coprime_denominators(rng, 2, bits)
+        x = _exact(rng.choice(_RADICANDS), *_numerators(rng, dens, bits))
+        if i % 50 == 0:
+            x = (ONE, I, -I)[i // 50 % 3]
+        if not x:
+            continue
+        _assert_same_parts(x.inverse(), ref.fraction_inverse(x))
+        seen.add(kind)
+        seen.update(name for name, hit in (
+            ("zero re", not x.re), ("zero im", not x.im),
+            ("negative", min(x.re, x.im) < 0),
+            ("over 2^2000", max(x.re.denominator, x.im.denominator) > 1 << 2000),
+            ("radical", x.s > 1), ("I", x is I),
+        ) if hit)
+    assert len(seen) == 9, seen
 
 
 def test_an_exact_product_calls_no_fraction_operator(monkeypatch):
-    # each part of a product is one Fraction(numerator, denominator), built
-    # with no Fraction arithmetic
+    # each part of a product or an inverse is one Fraction(numerator,
+    # denominator), built with no Fraction arithmetic
     pairs = [
         (rational(Fraction(2, 3), Fraction(-5, 7)), rational(Fraction(11, 13), Fraction(3, 4))),
         (rational(Fraction(-1, 6)), rational(0, Fraction(9, 10))),
         (rational(Fraction(2, 3), 1) * root(6), rational(Fraction(1, 5), -2) * root(10)),
     ]
     want = [ref.fraction_product(x, y) for x, y in pairs]
+    want_inverses = [ref.fraction_inverse(x) for pair in pairs for x in pair]
     calls = []
     for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__",
                  "__truediv__", "__rtruediv__"):
@@ -486,10 +540,38 @@ def test_an_exact_product_calls_no_fraction_operator(monkeypatch):
 
         monkeypatch.setattr(Fraction, name, counted)
     got = [x * y for x, y in pairs]
+    got_inverses = [x.inverse() for pair in pairs for x in pair]
     assert calls == []
-    assert got == want
+    assert got == want and got_inverses == want_inverses
     Fraction(1, 2) * Fraction(1, 3) - Fraction(1, 5)
     assert calls == ["__mul__", "__sub__"]
+
+
+def test_a_square_is_formed_over_the_square_of_the_shared_denominator(monkeypatch):
+    # (a + ib)/d with both parts over d: each part of its square is built as
+    # one Fraction over d^2, not over the d^4 of the parts' four denominators
+    built = []
+
+    class Recorded(Fraction):
+        def __new__(cls, *args):
+            built.append(args)
+            return Fraction(*args)
+
+    rng = random.Random(2048)
+    d = rng.randrange(1 << 2047, 1 << 2048) | 1
+    a, b = rng.randrange(1, d), rng.randrange(1, d)
+    x = rational(Fraction(a, d), Fraction(-b, d))
+    assert x.re.denominator == x.im.denominator == d
+    want = ref.fraction_product(x, x)
+    monkeypatch.setattr(scalars, "Fraction", Recorded)
+    got = x * x
+    assert [den for _, den in built] == [d * d, d * d]
+    assert got == want
+    # an inverse is built over s (a^2 + b^2) with the frame's numerators
+    built.clear()
+    assert x.inverse() == ref.fraction_inverse(x)
+    num = (x.re * d).numerator, (x.im * d).numerator
+    assert [den for _, den in built] == [num[0] ** 2 + num[1] ** 2] * 2
 
 
 radical_values = st.one_of(st.just(ZERO), st.builds(lambda g, r: g * r, gaussians, radicals))

@@ -1,12 +1,17 @@
 """The identity suites: their verdicts at the default seed, their failure
 paths, and where their work runs."""
 import itertools
+import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 import freeboson.verify as verify
+from freeboson import scalars
 from freeboson.errors import DomainError
+from freeboson.sampling import rational_point
+from freeboson.scalars import ZERO
 from freeboson.verify import SUITES, run_suites
 
 # (detail, cases) of every suite at the default seed 2026
@@ -135,3 +140,36 @@ def test_every_suite_name_is_checked_before_any_suite_runs(monkeypatch):
     message = f"unknown suite 'nope'; available: {', '.join(SUITES)}"
     assert refusals[0] == refusals[1] == ("verify", message)
     assert calls == Counter()
+
+
+def _fraction_rule_point(rng, nonzero, avoid):
+    """The sampling rule decided on Fractions: the draws and the points
+    ``sampling.rational_point`` must reproduce."""
+    while True:
+        den = rng.randint(3, 8)
+        re = Fraction(rng.randint(-den + 1, den - 1), den)
+        im = Fraction(rng.randint(-den + 1, den - 1), den)
+        if re * re + im * im >= 1 or (nonzero and re == 0 and im == 0):
+            continue
+        z = scalars.rational(re, im)
+        key = scalars.sort_key(z)
+        if avoid is not None:
+            if key in avoid:
+                continue
+            avoid.add(key)
+        return z
+
+
+def test_sample_points_are_drawn_as_by_the_fraction_rule():
+    # the integer test of |z| < 1 and z != 0 takes the same draws and
+    # gives the same points, so every suite's cases stay as they were
+    zeros = 0
+    for seed in range(60):
+        for nonzero, distinct in itertools.product((True, False), repeat=2):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            avoid, ref_avoid = (set(), set()) if distinct else (None, None)
+            got = [rational_point(rng, nonzero, avoid) for _ in range(40)]
+            assert got == [_fraction_rule_point(ref_rng, nonzero, ref_avoid) for _ in range(40)]
+            assert rng.getstate() == ref_rng.getstate()
+            zeros += got.count(ZERO)
+    assert zeros
