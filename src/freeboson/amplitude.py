@@ -7,12 +7,24 @@ the (disc, mode) slots, with K = D K' D, D = diag(sqrt(m)) and
 
     K'_ab = -2 s_a s_b C(m_a, a_a, m_b, a_b),   s = q^m / m!,
 
-across discs and 0 on one disc; one ``_PairMatrix`` gives K' to the
-entries and to the float HS sweep.  The entry on occupation indices, n
-copies of each slot, is root(prod m^n / n!) times the hafnian of K' with
+across discs and 0 on one disc; one ``_PairMatrix`` gives K' to the float
+entries and to the float HS sweep.  The entry on occupation indices, c
+copies of each slot, is root(prod m^c / c!) times the hafnian of K' with
 the counts as multiplicities and the disc as the label
 (``pairing.hafnian``), rather than a sum over all (n-1)!! matchings.  An
 entry with no cross-disc perfect matching is zero before its root is built.
+
+An exact entry takes every scale out of that hafnian, which scales by
+prod f_a^c when slot a's row and column scale by f_a (Barvinok,
+Combinatorics and Complexity of Partition Functions, 2016, ch. 4).  With
+D the common denominator of the centres and the Gaussian integers
+Delta_jk = D (a_j - a_k), P_j = prod_{l != j} Delta_jl, G_jk = P_j / Delta_jk,
+K'_ab = f_a f_b w_ab for a = (j, m_a), b = (k, m_b) and n = m_a + m_b, with
+
+    w_ab = (-1)^(n+1) (n - 1)! G_jk^(m_a) G_kj^(m_b),   f_a = t_j^(m_a) / m_a!,
+
+and t_j = q_j D / P_j.  The DP runs on w: Python ints at two discs, where G = 1, else Gaussian
+integers.  Float entries take the hafnian of K' itself, and keep its bits.
 
 The sum of squared entries over the tuples of 2n insertions is the x^n
 coefficient of det(I - x conj(K) K)^(-1/2) (Berezin, The Method of Second
@@ -35,16 +47,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import scalars
-from .algebra import check_point
+from .algebra import check_orders, check_point
 from .correlator import KernelTable
 from .errors import ConfigurationError, RegimeError, ResourceError, integer_text
 from .fock import FockIndex
 from .pairing import hafnian
-from .scalars import ZERO, Exact, Scalar, as_scalar, hermitian, real_value, root
+from .scalars import ONE, ZERO, Exact, Scalar, as_scalar, hermitian, real_value, root
 
 _MODULE = "amplitude"
 
@@ -124,12 +137,24 @@ class DiscConfiguration:
     def hs_regime(self) -> bool:
         return self.center_gap_sq() > 16 * self.r * self.max_radius_sq()
 
+    @cached_property
+    def _lattice(self) -> tuple[list[Exact], list[list[Exact]]]:
+        """(t, G) with t_j = q_j D / P_j and the Gaussian integers G_jk of
+        the module docstring, built at the first exact entry."""
+        d = math.lcm(*(scalars.to_frame(disc.center)[2] for disc in self.discs))
+        scaled = [disc.center * d for disc in self.discs]
+        deltas = [[a - b for b in scaled] for a in scaled]
+        products = [math.prod((x for x in row if x), start=ONE) for row in deltas]
+        t = [disc.q * d / p for disc, p in zip(self.discs, products)]
+        g = [[p / x if x else ZERO for x in row] for p, row in zip(products, deltas)]
+        return t, g
+
 
 class _PairMatrix:
     """K'_ab = -2 s_a s_b C(m_a, a_a, m_b, a_b) for (disc, mode) slots a, b
     on different discs, s = q^m / m!: one kernel table and one running list
     of s per disc, built for one entry (``amplitude_entry``) or for one float
-    HS sweep (the exact sweep reads the kernels without the scales)."""
+    HS sweep (an exact entry reads w, the exact sweep the bare kernels)."""
 
     def __init__(self, config: DiscConfiguration):
         self.config = config
@@ -150,8 +175,9 @@ class _PairMatrix:
         return -2 * self._scale(j_a, m_a) * self._scale(j_b, m_b) * c
 
     def entry(self, indices: Sequence[FockIndex]) -> Scalar:
-        """root(prod m^n / n!) times the hafnian of K' over the occupied
-        slots, labelled by disc."""
+        """root(prod m^c / c!) times the hafnian of K' over the occupied
+        slots, c copies each, labelled by disc.  Exact: haf(w) times
+        prod_j t_j^(M_j) / prod m!^c, M_j the mode sum of disc j."""
         if len(indices) != self.config.r:
             raise ConfigurationError(
                 _MODULE,
@@ -159,27 +185,47 @@ class _PairMatrix:
             )
         slots = [(j, m) for j, idx in enumerate(indices) for m, _ in idx.occupations]
         counts = [n for idx in indices for _, n in idx.occupations]
-        pairing = hafnian(
-            lambda a, b: self(*slots[a], *slots[b]),
-            [j for j, _ in slots],
-            counts,
-            scalars.zero_scalar(self.exact),
-        )
+        labels = [j for j, _ in slots]
+        if self.exact:
+            zero = 0 if self.config.r == 2 else ZERO
+            pairing = hafnian(self._integer_kernel(slots), labels, counts, zero)
+        else:
+            pairing = hafnian(lambda a, b: self(*slots[a], *slots[b]), labels, counts, 0j)
         # no factorial of a count is built for an entry with no matching
         if not pairing:
-            return pairing
+            return ZERO if self.exact else pairing
         norm = math.prod(Fraction(m ** n, math.factorial(n)) for (_, m), n in zip(slots, counts))
+        if self.exact:
+            for j, t in enumerate(self.config._lattice[0]):
+                pairing = t ** sum(m * n for (i, m), n in zip(slots, counts) if i == j) * pairing
+            pairing /= math.prod(math.factorial(m) ** n for (_, m), n in zip(slots, counts))
         return root(norm) * pairing
+
+    def _integer_kernel(self, slots: list[tuple[int, int]]) -> Callable[[int, int], int | Exact]:
+        """The weights w_ab of the module docstring, each power of G built
+        once; the kernel's order guard first, pair by pair, as K' asks it."""
+        power = cache(lambda j, k, m: self.config._lattice[1][j][k] ** m)
+
+        def weight(a: int, b: int):
+            (j, m_a), (k, m_b) = slots[a], slots[b]
+            check_orders((m_a, m_b), "correlator")
+            n = m_a + m_b
+            w = math.factorial(n - 1) if n % 2 else -math.factorial(n - 1)
+            return w if self.config.r == 2 else power(j, k, m_a) * power(k, j, m_b) * w
+
+        return weight
 
 
 def amplitude_entry(config: DiscConfiguration, indices: Sequence) -> Scalar:
     """One amplitude tensor entry on a tuple of occupation indices.
 
     Zero whenever no cross-disc perfect matching exists (an odd total, or
-    one disc holding more than half of the insertions); exact on exact disc
-    data, with each value a Gaussian rational times one square root: the
-    entry's normalisation root(prod m^n / n!), times a radical of q when q
-    has one.
+    one disc holding more than half of the insertions), ``ZERO`` itself on
+    exact data; exact on exact disc data, with each value a Gaussian
+    rational times one square root: the entry's normalisation
+    root(prod m^c / c!), times a radical of q when q has one.  2 discs with
+    modes 1-10 and 491-500 take about 0.3 s, as do 3 discs with singleton
+    modes 1-6, 95-100 and 41-46 (a 2 vCPU Xeon, Python 3.11).
     """
     indices = [x if isinstance(x, FockIndex) else FockIndex.of(x) for x in indices]
     return _PairMatrix(config).entry(indices)

@@ -1,17 +1,22 @@
 """Disc configurations, amplitude entries, truncated HS sums and the bound."""
 import cmath
+import hashlib
+import json
 import math
 import random
+import runpy
 import time
 import warnings
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from freeboson import scalars
+from freeboson.algebra import MAX_ORDER
 from freeboson.amplitude import (
     Disc,
     DiscConfiguration,
@@ -31,9 +36,12 @@ from freeboson.errors import (
     RegimeError,
     ResourceError,
 )
+from freeboson.cli import run
 from freeboson.fock import FockIndex
+from freeboson.pairing import hafnian
 from freeboson.scalars import ONE, ZERO, as_scalar, rational, root
 from fock_reference import basis
+import amplitude_reference
 import hs_reference
 
 
@@ -148,6 +156,8 @@ def test_configuration_reads_each_radius_once(monkeypatch):
         calls.clear()
         hs_truncated(small, 3, 4)
         assert calls == []
+        # nor does it build the tables of the exact entries
+        assert "_lattice" not in vars(small)
 
 
 def test_entry_odd_total_vanishes():
@@ -217,6 +227,106 @@ def test_amplitude_apply_is_linear_not_sesquilinear():
     v = basis({1: 1}, c)
     w = basis({1: 1})
     assert _amplitude_apply(cfg, [v, w]) == c * amplitude_entry(cfg, ({1: 1}, {1: 1}))
+
+
+def _assert_same_entry(cfg: DiscConfiguration, indices) -> scalars.Exact:
+    """The entry by ``amplitude_entry`` and by the hafnian of K' itself:
+    equal parts, repr and hash, and ``ZERO`` itself when it vanishes."""
+    value = amplitude_entry(cfg, indices)
+    expected = amplitude_reference.entry(cfg, indices)
+    assert (value.s, value.re, value.im) == (expected.s, expected.re, expected.im)
+    assert repr(value) == repr(expected) and hash(value) == hash(expected)
+    if not expected:
+        assert value is ZERO
+    return value
+
+
+def _kernel_route_draws():
+    """Seeded (config, indices, classes) draws: 2 to 4 discs on a grid of
+    step 5, centres jittered by +-1/den per part, q real, complex or times
+    sqrt(2), sqrt(3) or sqrt(5); per config three entries of 0-2 modes
+    1..8 per disc at counts 1-3 (most odd totals made even by mode 9); every
+    fourth config adds one entry of one copy of modes near MAX_ORDER, one at
+    MAX_ORDER itself, one per disc (two on the first at odd r)."""
+    rng = random.Random("amplitude-kernel-route")
+    denominators = ((6, 6, 6, 6), (4, 6, 10, 15), (3, 5, 7, 11))
+    for draw in range(27):
+        r = 2 + draw % 3
+        cells = [(0, 0), (1, 0), (0, 1), (1, 1)]
+        rng.shuffle(cells)
+        discs = []
+        for (cx, cy), den in zip(cells, rng.sample(denominators[draw // 3 % 3], r)):
+            centre = rational(*(5 * c + Fraction(rng.choice((-1, 1)), den) for c in (cx, cy)))
+            parts = [Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), 8) for _ in range(2)]
+            kind = rng.choice(("real", "complex", "radical"))
+            q = rational(parts[0]) if kind == "real" else rational(*parts)
+            discs.append(Disc(centre, q * root(rng.choice((2, 3, 5))) if kind == "radical" else q))
+        cfg = DiscConfiguration(tuple(discs))
+        dens = [scalars.to_frame(d.center)[2] for d in discs]
+        if len(set(dens)) == 1:
+            shared = "equal"
+        elif any(math.gcd(a, b) > 1 for i, a in enumerate(dens) for b in dens[i + 1:]):
+            shared = "shared"
+        else:
+            shared = "coprime"
+        qs = {"radical q" if d.q.s > 1 else "complex q" if d.q.im else "real q" for d in discs}
+        for _ in range(3):
+            occupations = [
+                {m: rng.randint(1, 3) for m in rng.sample(range(1, 9), rng.randint(0, 2))}
+                for _ in range(r)
+            ]
+            # an odd total vanishes for want of a matching: most get mode 9 once more
+            if sum(n for o in occupations for n in o.values()) % 2 and rng.random() < 0.8:
+                occupations[rng.randrange(r)][9] = 1
+            indices = [FockIndex.of(o) for o in occupations]
+            counts = {f"count {n}" for idx in indices for _, n in idx.occupations}
+            yield cfg, indices, {f"{r} discs", f"centre denominators {shared}"} | qs | counts
+        if draw % 4:
+            continue
+        modes = rng.sample(range(MAX_ORDER - 20, MAX_ORDER), r + r % 2)
+        modes[rng.randrange(len(modes))] = MAX_ORDER
+        singles = [{m: 1} for m in modes[:r]]
+        if r % 2:
+            singles[0][modes[-1]] = 1
+        yield cfg, [FockIndex.of(x) for x in singles], {f"{r} discs", "mode MAX_ORDER"}
+
+
+def test_exact_entries_agree_with_the_kernel_route():
+    # the integer-kernel route against the hafnian of K' with its scales
+    drawn = Counter()
+    for cfg, indices, classes in _kernel_route_draws():
+        value = _assert_same_entry(cfg, indices)
+        assert value or "mode MAX_ORDER" not in classes
+        drawn.update(classes | {"nonzero" if value else "zero"})
+    assert set(drawn) >= {
+        "2 discs", "3 discs", "4 discs", "count 1", "count 2", "count 3", "mode MAX_ORDER",
+        "complex q", "radical q", "centre denominators equal", "centre denominators shared",
+        "centre denominators coprime", "zero", "nonzero",
+    }
+
+
+def _bench_workloads():
+    """bench/workloads.py, run from its source, so no bytecode is written
+    under bench/."""
+    return runpy.run_path(str(Path(__file__).resolve().parent.parent / "bench" / "workloads.py"))
+
+
+def test_bench_amplitude_entries_agree_with_the_kernel_route():
+    op = _bench_workloads()["op"]
+    seen = 0
+    for seed in range(1, 11):
+        for index in range(3, 16, 4):
+            command, config = op("pairing-heavy", seed, index)
+            assert command == "amplitude"
+            cfg = DiscConfiguration(tuple(
+                Disc(rational(Fraction(str(d["a_re"])), Fraction(str(d["a_im"]))),
+                     rational(Fraction(str(d["q_re"])), Fraction(str(d["q_im"]))))
+                for d in config["discs"]
+            ))
+            for state in config["states"]:
+                _assert_same_entry(cfg, [FockIndex.of({int(m): n for m, n in o.items()}) for o in state])
+                seen += 1
+    assert seen == 120
 
 
 def _hs_by_tuples(config: DiscConfiguration, M: int, N: int) -> list:
@@ -531,6 +641,80 @@ def test_entry_guards_before_prefactor():
     with pytest.raises(ResourceError):
         amplitude_entry(_standard(), ({1: 100000}, {1: 100000}))
     assert time.perf_counter() - start < 1.0
+
+
+def _recorded_weights(monkeypatch) -> list:
+    """Every weight that an entry's hafnian gets back, and every scale
+    q^m / m! built, recorded from here on."""
+    built = []
+
+    def recording_hafnian(weight, labels, counts, zero):
+        return hafnian(lambda a, b: built.append(weight(a, b)) or built[-1], labels, counts, zero)
+
+    scale = _PairMatrix._scale
+    monkeypatch.setattr("freeboson.amplitude.hafnian", recording_hafnian)
+    monkeypatch.setattr(_PairMatrix, "_scale", lambda pm, j, m: built.append(scale(pm, j, m)) or built[-1])
+    return built
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_exact_entry_state_guard_comes_before_any_weight_or_scale(monkeypatch, r):
+    built = _recorded_weights(monkeypatch)
+    cfg = _seeded_config(7, r, 8, 3)
+    # 2^(12 r) count-vector states, over MAX_STATES = 2^20
+    with pytest.raises(ResourceError) as info:
+        amplitude_entry(cfg, [{m: 1 for m in range(1, 13)}] * r)
+    assert info.value.module == "pairing"
+    assert built == [] and "_lattice" not in vars(cfg)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_exact_entry_order_guard_comes_before_the_first_weight(monkeypatch, r):
+    cfg = _seeded_config(8, r, 8, 3)
+    # the huge mode in the first pair, then in a later one: both routes
+    # raise the kernel's error, which names the first pair over the guard
+    for occupations, top in (
+        ([{MAX_ORDER + 1: r - 1}] + [{1: 1}] * (r - 1), MAX_ORDER + 1),
+        ([{1: 1, MAX_ORDER: 1}] + [{2: 1, MAX_ORDER + 7: 1}] * (r - 1), MAX_ORDER + 7),
+    ):
+        indices = [FockIndex.of(x) for x in occupations]
+        with pytest.raises(ResourceError) as expected:
+            amplitude_reference.entry(cfg, indices)
+        with monkeypatch.context() as patch:
+            built = _recorded_weights(patch)
+            with pytest.raises(ResourceError) as info:
+                amplitude_entry(cfg, indices)
+        assert (info.value.module, info.value.args) == (expected.value.module, expected.value.args)
+        assert info.value.args == (f"order {top} exceeds the guard {MAX_ORDER}",)
+        if top == MAX_ORDER + 1:
+            assert built == []
+
+
+# shapes at which the scales of K' once dominated an exact entry: each an
+# ``amplitude`` config and the sha256 of its ``cli.run`` document as the
+# hafnian of K' itself gave it
+_EDGE_SHAPES = {
+    "two discs, modes 1-10 and 491-500": (
+        {"discs": [{"a_re": 0, "q_re": "1/3"}, {"a_re": 3, "q_re": "2/7", "q_im": "1/11"}],
+         "states": [[{str(m): 1 for m in range(1, 11)}, {str(m): 1 for m in range(491, 501)}]]},
+        "0d331e1a7e390a5a59f30c1a0229d8a4053216bd525bcfced14618007e4adc37",
+    ),
+    "three discs, modes 1-6, 95-100 and 41-46": (
+        {"discs": [{"a_re": 0, "q_re": "1/3"}, {"a_re": 3, "q_re": "2/7", "q_im": "1/11"},
+                   {"a_re": "3/2", "a_im": "5/2", "q_re": "1/5"}],
+         "states": [[{str(m): 1 for m in modes} for modes in (range(1, 7), range(95, 101), range(41, 47))]]},
+        "3c7dde5a1c782b67bd219aa0cddb835e18f11eccc4c693d7f5ea01774b47298f",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", list(_EDGE_SHAPES))
+def test_entry_edge_shape_budget(shape):
+    config, digest = _EDGE_SHAPES[shape]
+    start = time.perf_counter()
+    doc = run("amplitude", config)
+    assert time.perf_counter() - start < 2.0
+    assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == digest
 
 
 def test_hs_truncated_rows():

@@ -15,6 +15,10 @@ Those hsnorm configs stop at N = 4, whose traces need no power of A' beyond
 the first; exact hsnorm documents at N = 8 on 2 and 3 discs, whose traces
 reach A'^2, hash to ``HS_POWERS_DIGEST``.
 
+The amplitude configs above have 3 discs and modes up to 3, as do the
+bench's; exact amplitude documents on 2 and 4 discs with modes up to 120,
+repeated within an entry, hash to ``AMPLITUDE_DIGEST``.
+
 The float values of ``expect_combo``, ``inner`` and ``gram`` on seeded
 words and states at points of the real and imaginary axes and the origin,
 where many kernels and pair factors have a zero part, hash with the sign of
@@ -38,6 +42,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -50,6 +55,7 @@ from freeboson.hilbert import gram, inner
 DIGEST = "d440e1965c41d314e5db96ab3728f9b2707e0f780c7ea86c85710ecad19e4dcf"
 FLOAT_DIGEST = "f2be3956c51c3aa51b48efd4a669ebc3f4f9aa28df130cc502e8040076653541"
 HS_POWERS_DIGEST = "cf7c8cda9340e5f4099b1af3281ac164472b37b6797cef04a8b4e6d91b7fc3f5"
+AMPLITUDE_DIGEST = "c556977bfdc95a195f98c35d9402c3d2ecdad2c2935ae7f283f17934daaa69b1"
 ZERO_SIGN_DIGEST = "9c86e16b0feac9a6ab6de4bac5ed976a8d7b91127bd4c3c94b1e2274994db2a1"
 ROADMAP_DIGEST = "eae72b180395b067726898cad8ef39d6deead2f153f24c6760fa52b22ad84b1a"
 
@@ -99,7 +105,7 @@ def _gram_states(rng: random.Random, size: int) -> list:
 
 def _discs(rng: random.Random, r: int, spacing: int, max_q: int) -> list:
     out = []
-    for cx, cy in ((0, 0), (1, 0), (0, 1))[:r]:
+    for cx, cy in ((0, 0), (1, 0), (0, 1), (1, 1))[:r]:
         a_re = Fraction(cx * spacing) + Fraction(rng.randint(-1, 1), 4)
         a_im = Fraction(cy * spacing) + Fraction(rng.randint(-1, 1), 4)
         q_re = Fraction(rng.choice((-1, 1)) * rng.randint(1, max_q), 8)
@@ -156,6 +162,30 @@ def _hs_powers_configs() -> list:
         spacing, max_q = (8, 3) if wide else (3, 4)
         discs = _discs(rng, r, spacing, max_q)
         out.append(("hsnorm", {"discs": discs, "truncation": {"M": M, "N": 8}}))
+    return out
+
+
+def _amplitude_configs() -> list:
+    """amplitude on 2 and 4 discs at modes up to 120, beyond every bench op:
+    each entry draws its modes from a pool of three, 120 and two below it,
+    so modes repeat; one shape per disc count has an odd total."""
+    rng = random.Random("freeboson-amplitude-modes")
+    out = []
+    for r, shapes in (
+        (2, ((3, 3), (4, 2), (5, 5), (2, 3))),
+        (4, ((1, 1, 1, 1), (2, 1, 2, 1), (2, 2, 2, 2), (1, 2, 1, 1))),
+        (2, ((1, 1), (6, 4), (3, 3))),
+        (4, ((3, 1, 1, 1), (1, 2, 2, 1))),
+    ):
+        discs = _discs(rng, r, 3, 4)
+        states = []
+        for shape in shapes:
+            pool = [rng.randint(1, 119), rng.randint(1, 119), 120]
+            states.append([
+                {str(m): n for m, n in Counter(rng.choice(pool) for _ in range(k)).items()}
+                for k in shape
+            ])
+        out.append(("amplitude", {"discs": discs, "states": states}))
     return out
 
 
@@ -218,6 +248,15 @@ def test_hs_powers_digest_is_pinned():
     assert {run(c, cfg)["regime"] for c, cfg in configs} == {True, False}
     started = time.perf_counter()
     assert _digest(configs) == HS_POWERS_DIGEST
+    assert time.perf_counter() - started < 2.0
+
+
+def test_amplitude_digest_is_pinned():
+    configs = _amplitude_configs()
+    modes = [int(m) for _, cfg in configs for state in cfg["states"] for occ in state for m in occ]
+    assert max(modes) == 120 and {len(cfg["discs"]) for _, cfg in configs} == {2, 4}
+    started = time.perf_counter()
+    assert _digest(configs) == AMPLITUDE_DIGEST
     assert time.perf_counter() - started < 2.0
 
 
