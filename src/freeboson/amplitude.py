@@ -23,8 +23,9 @@ K'_ab = f_a f_b w_ab for a = (j, m_a), b = (k, m_b) and n = m_a + m_b, with
 
     w_ab = (-1)^(n+1) (n - 1)! G_jk^(m_a) G_kj^(m_b),   f_a = t_j^(m_a) / m_a!,
 
-and t_j = q_j D / P_j.  The DP runs on w: Python ints at two discs, where G = 1, else Gaussian
-integers.  Float entries take the hafnian of K' itself, and keep its bits.
+and t_j = q_j D / P_j.  The DP runs on w, Gaussian integers, and the
+tables t and G are built per entry.  Float entries take the hafnian of K'
+itself, and keep its bits.
 
 The sum of squared entries over the tuples of 2n insertions is the x^n
 coefficient of det(I - x conj(K) K)^(-1/2) (Berezin, The Method of Second
@@ -47,9 +48,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import scalars
 from .algebra import check_orders, check_point
@@ -137,24 +138,12 @@ class DiscConfiguration:
     def hs_regime(self) -> bool:
         return self.center_gap_sq() > 16 * self.r * self.max_radius_sq()
 
-    @cached_property
-    def _lattice(self) -> tuple[list[Exact], list[list[Exact]]]:
-        """(t, G) with t_j = q_j D / P_j and the Gaussian integers G_jk of
-        the module docstring, built at the first exact entry."""
-        d = math.lcm(*(scalars.to_frame(disc.center)[2] for disc in self.discs))
-        scaled = [disc.center * d for disc in self.discs]
-        deltas = [[a - b for b in scaled] for a in scaled]
-        products = [math.prod((x for x in row if x), start=ONE) for row in deltas]
-        t = [disc.q * d / p for disc, p in zip(self.discs, products)]
-        g = [[p / x if x else ZERO for x in row] for p, row in zip(products, deltas)]
-        return t, g
-
 
 class _PairMatrix:
     """K'_ab = -2 s_a s_b C(m_a, a_a, m_b, a_b) for (disc, mode) slots a, b
     on different discs, s = q^m / m!: one kernel table and one running list
-    of s per disc, built for one entry (``amplitude_entry``) or for one float
-    HS sweep (an exact entry reads w, the exact sweep the bare kernels)."""
+    of s per disc, built for one float entry (``amplitude_entry``) or for one
+    float HS sweep.  Exact entries read w, the exact sweep the bare kernels."""
 
     def __init__(self, config: DiscConfiguration):
         self.config = config
@@ -174,61 +163,75 @@ class _PairMatrix:
         c = self._kernels(m_a, discs[j_a].center, m_b, discs[j_b].center)
         return -2 * self._scale(j_a, m_a) * self._scale(j_b, m_b) * c
 
-    def entry(self, indices: Sequence[FockIndex]) -> Scalar:
-        """root(prod m^c / c!) times the hafnian of K' over the occupied
-        slots, c copies each, labelled by disc.  Exact: haf(w) times
-        prod_j t_j^(M_j) / prod m!^c, M_j the mode sum of disc j."""
-        if len(indices) != self.config.r:
-            raise ConfigurationError(
-                _MODULE,
-                f"expected {self.config.r} occupation indices, got {len(indices)}",
-            )
-        slots = [(j, m) for j, idx in enumerate(indices) for m, _ in idx.occupations]
-        counts = [n for idx in indices for _, n in idx.occupations]
-        labels = [j for j, _ in slots]
-        if self.exact:
-            zero = 0 if self.config.r == 2 else ZERO
-            pairing = hafnian(self._integer_kernel(slots), labels, counts, zero)
-        else:
-            pairing = hafnian(lambda a, b: self(*slots[a], *slots[b]), labels, counts, 0j)
-        # no factorial of a count is built for an entry with no matching
-        if not pairing:
-            return ZERO if self.exact else pairing
-        norm = math.prod(Fraction(m ** n, math.factorial(n)) for (_, m), n in zip(slots, counts))
-        if self.exact:
-            for j, t in enumerate(self.config._lattice[0]):
-                pairing = t ** sum(m * n for (i, m), n in zip(slots, counts) if i == j) * pairing
-            pairing /= math.prod(math.factorial(m) ** n for (_, m), n in zip(slots, counts))
-        return root(norm) * pairing
 
-    def _integer_kernel(self, slots: list[tuple[int, int]]) -> Callable[[int, int], int | Exact]:
-        """The weights w_ab of the module docstring, each power of G built
-        once; the kernel's order guard first, pair by pair, as K' asks it."""
-        power = cache(lambda j, k, m: self.config._lattice[1][j][k] ** m)
+def _lattice(config: DiscConfiguration) -> tuple[list[Exact], list[list[Exact]]]:
+    """(t, G) with t_j = q_j D / P_j and the Gaussian integers G_jk of the
+    module docstring."""
+    d = math.lcm(*(scalars.to_frame(disc.center)[2] for disc in config.discs))
+    scaled = [disc.center * d for disc in config.discs]
+    deltas = [[a - b for b in scaled] for a in scaled]
+    # G_jj is P_j: the zero Delta_jj drops out of every product
+    g = [
+        [math.prod((x for l, x in enumerate(row) if x and l != k), start=ONE) for k in range(config.r)]
+        for row in deltas
+    ]
+    t = [disc.q * d / g[j][j] for j, disc in enumerate(config.discs)]
+    return t, g
 
-        def weight(a: int, b: int):
-            (j, m_a), (k, m_b) = slots[a], slots[b]
-            check_orders((m_a, m_b), "correlator")
-            n = m_a + m_b
-            w = math.factorial(n - 1) if n % 2 else -math.factorial(n - 1)
-            return w if self.config.r == 2 else power(j, k, m_a) * power(k, j, m_b) * w
 
-        return weight
+def _exact_pairing(
+    config: DiscConfiguration, slots: list[tuple[int, int]], labels: list[int], counts: list[int]
+) -> Exact:
+    """The hafnian of K' on exact data: haf(w) times prod_j t_j^(M_j) /
+    prod m!^c, M_j the mode sum of disc j, and ``ZERO`` itself when it
+    vanishes.  The tables are built at the first weight, each power of G
+    once, and the kernel's order guard comes first, pair by pair, as K'
+    asks it."""
+    lattice = cache(lambda: _lattice(config))
+    power = cache(lambda j, k, m: lattice()[1][j][k] ** m)
+
+    def weight(a: int, b: int) -> Exact:
+        (j, m_a), (k, m_b) = slots[a], slots[b]
+        check_orders((m_a, m_b), "correlator")
+        n = m_a + m_b
+        w = math.factorial(n - 1) if n % 2 else -math.factorial(n - 1)
+        return power(j, k, m_a) * power(k, j, m_b) * w
+
+    pairing = hafnian(weight, labels, counts, ZERO)
+    if not pairing:
+        return ZERO
+    for j, t in enumerate(lattice()[0]):
+        pairing = t ** sum(m * n for (i, m), n in zip(slots, counts) if i == j) * pairing
+    return pairing / math.prod(math.factorial(m) ** n for (_, m), n in zip(slots, counts))
 
 
 def amplitude_entry(config: DiscConfiguration, indices: Sequence) -> Scalar:
-    """One amplitude tensor entry on a tuple of occupation indices.
+    """One amplitude tensor entry on a tuple of occupation indices:
+    root(prod m^c / c!) times the hafnian of K' over the occupied slots, c
+    copies each, labelled by disc.
 
     Zero whenever no cross-disc perfect matching exists (an odd total, or
     one disc holding more than half of the insertions), ``ZERO`` itself on
     exact data; exact on exact disc data, with each value a Gaussian
     rational times one square root: the entry's normalisation
-    root(prod m^c / c!), times a radical of q when q has one.  2 discs with
-    modes 1-10 and 491-500 take about 0.3 s, as do 3 discs with singleton
-    modes 1-6, 95-100 and 41-46 (a 2 vCPU Xeon, Python 3.11).
+    root(prod m^c / c!), times a radical of q when q has one.
     """
     indices = [x if isinstance(x, FockIndex) else FockIndex.of(x) for x in indices]
-    return _PairMatrix(config).entry(indices)
+    if len(indices) != config.r:
+        raise ConfigurationError(_MODULE, f"expected {config.r} occupation indices, got {len(indices)}")
+    slots = [(j, m) for j, idx in enumerate(indices) for m, _ in idx.occupations]
+    counts = [n for idx in indices for _, n in idx.occupations]
+    labels = [j for j, _ in slots]
+    if config.is_exact():
+        pairing = _exact_pairing(config, slots, labels, counts)
+    else:
+        pair_matrix = _PairMatrix(config)
+        pairing = hafnian(lambda a, b: pair_matrix(*slots[a], *slots[b]), labels, counts, 0j)
+    # no factorial of a count is built for an entry with no matching
+    if not pairing:
+        return pairing
+    norm = math.prod(Fraction(m ** n, math.factorial(n)) for (_, m), n in zip(slots, counts))
+    return root(norm) * pairing
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from freeboson.amplitude import (
     _PairMatrix,
     _first_power,
     _hs_traces,
+    _lattice,
     _matmul,
     _weight_table,
     hs_bound,
@@ -151,13 +152,15 @@ def test_configuration_reads_each_radius_once(monkeypatch):
     assert cfg.max_radius_sq() == Fraction(5, 64)
     assert cfg.hs_regime() is False
     assert len(calls) == MAX_DISCS
+    lattices = []
+    monkeypatch.setattr("freeboson.amplitude._lattice", lambda config: lattices.append(config))
     for r in (2, 3):
         small = _seeded_config(19, r, 8, 3)
         calls.clear()
         hs_truncated(small, 3, 4)
         assert calls == []
         # nor does it build the tables of the exact entries
-        assert "_lattice" not in vars(small)
+        assert lattices == []
 
 
 def test_entry_odd_total_vanishes():
@@ -203,14 +206,14 @@ def test_float_backend_agrees():
 
 def _amplitude_apply(config: DiscConfiguration, vectors) -> scalars.Scalar:
     """Reference: the multilinear extension of the entry tensor to finite
-    vectors, summed over their index tuples on one pair matrix."""
-    pair_matrix = _PairMatrix(config)
-    total = scalars.zero_scalar(pair_matrix.exact)
+    vectors, summed over their index tuples."""
+    exact = config.is_exact()
+    total = scalars.zero_scalar(exact)
     for terms in product(*(v.items() for v in vectors)):
-        coeff = scalars.one_scalar(pair_matrix.exact)
+        coeff = scalars.one_scalar(exact)
         for _, c in terms:
             coeff = coeff * c
-        total = total + coeff * pair_matrix.entry([idx for idx, _ in terms])
+        total = total + coeff * amplitude_entry(config, [idx for idx, _ in terms])
     return total
 
 
@@ -644,8 +647,8 @@ def test_entry_guards_before_prefactor():
 
 
 def _recorded_weights(monkeypatch) -> list:
-    """Every weight that an entry's hafnian gets back, and every scale
-    q^m / m! built, recorded from here on."""
+    """Every weight that an entry's hafnian gets back, every scale q^m / m!
+    and every table of t and G built, recorded from here on."""
     built = []
 
     def recording_hafnian(weight, labels, counts, zero):
@@ -654,6 +657,7 @@ def _recorded_weights(monkeypatch) -> list:
     scale = _PairMatrix._scale
     monkeypatch.setattr("freeboson.amplitude.hafnian", recording_hafnian)
     monkeypatch.setattr(_PairMatrix, "_scale", lambda pm, j, m: built.append(scale(pm, j, m)) or built[-1])
+    monkeypatch.setattr("freeboson.amplitude._lattice", lambda cfg: built.append(_lattice(cfg)) or built[-1])
     return built
 
 
@@ -665,7 +669,7 @@ def test_exact_entry_state_guard_comes_before_any_weight_or_scale(monkeypatch, r
     with pytest.raises(ResourceError) as info:
         amplitude_entry(cfg, [{m: 1 for m in range(1, 13)}] * r)
     assert info.value.module == "pairing"
-    assert built == [] and "_lattice" not in vars(cfg)
+    assert built == []
 
 
 @pytest.mark.parametrize("r", [2, 3])
